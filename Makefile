@@ -8,7 +8,7 @@ GO ?= go
 BENCHTIME ?= 1x
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: build test race vet fmt-check staticcheck vulncheck bench bench-json bench-compare quickstart serve loadtest crashtest fuzz ci
+.PHONY: build test race vet fmt-check staticcheck vulncheck bench bench-json bench-compare bench-check quickstart serve loadtest crashtest fuzz ci
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,13 @@ bench-compare:
 	@test -f BENCH_$(BENCH_DATE).json || $(MAKE) bench-json
 	$(GO) run ./cmd/benchjson -compare $(BASELINE) BENCH_$(BENCH_DATE).json
 
+# The repository benchmark (benchmark/, see BENCHMARK.json) is a Go module of
+# its own, outside the root `go test ./...`: vet it, run its tests (they hold
+# it to BENCHMARK.json and to the golden fact counts of the paper's suite),
+# and drive every workload's code path once against an in-process server.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -workload all -smoke -seconds 0.2
+
 quickstart:
 	$(GO) run ./examples/quickstart
 
@@ -105,4 +112,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime $(FUZZTIME) ./internal/wal/
 
-ci: build test vet staticcheck vulncheck fmt-check crashtest bench-json quickstart loadtest
+ci: build test vet staticcheck vulncheck fmt-check crashtest bench-json bench-check quickstart loadtest

@@ -270,7 +270,7 @@ func run(args []string, out io.Writer) error {
 		}
 		if s.CompiledPlans > 0 {
 			fmt.Fprintf(out, "%%   compiled plans:  %d (%d ops)\n", s.CompiledPlans, s.PlanOps)
-			fmt.Fprintf(out, "%%   pipeline ops:    %d probes, %d scans\n", s.OpProbes, s.OpScans)
+			fmt.Fprintf(out, "%%   pipeline ops:    %d probes, %d scans (%d rows scanned)\n", s.OpProbes, s.OpScans, s.ScanRows)
 		}
 		if s.ParallelComponents > 0 {
 			fmt.Fprintf(out, "%%   parallel eval:   %d component(s) scheduled, %d worker shard round(s)\n",

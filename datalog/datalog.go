@@ -475,12 +475,13 @@ type Stats struct {
 	// IndexProbes is the number of bound-column index lookups performed
 	// during bottom-up evaluation; IndexHits is the number of tuples those
 	// lookups returned. Together they describe how selective the join
-	// indexes were. These are storage-level counters: scans contribute to
-	// JoinProbes but to neither of these.
+	// indexes were. Scans contribute to JoinProbes but to neither of these.
+	// Both are counted per evaluation, so they are exact under concurrent
+	// queries over the same database.
 	IndexProbes int64 `json:"index_probes,omitempty"`
 	IndexHits   int64 `json:"index_hits,omitempty"`
 	// CompiledPlans counts the ID-space join pipelines the bottom-up
-	// evaluator compiled for the query (one per rule and delta-occurrence
+	// evaluator compiled for the query (one per rule and leading-literal
 	// variant executed); PlanOps is the total number of pipeline ops across
 	// them. Both are 0 for the top-down strategy.
 	CompiledPlans int `json:"compiled_plans,omitempty"`
@@ -490,6 +491,11 @@ type Stats struct {
 	// ratio shows how often evaluation could drive a join through an index.
 	OpProbes int64 `json:"op_probes,omitempty"`
 	OpScans  int64 `json:"op_scans,omitempty"`
+	// ScanRows is the number of rows the scan ops visited. Unlike the op
+	// counts it grows with the relations scanned: evaluating a rewritten
+	// program should keep it near the number of relevant facts however
+	// large the database is (JoinProbes = IndexHits + ScanRows).
+	ScanRows int64 `json:"scan_rows,omitempty"`
 	// PlanCacheHit reports that the evaluation reused a previously prepared
 	// query form (an explicit PreparedQuery, or Engine.Query hitting its
 	// internal form cache): adornment, rewriting and plan analysis were all
@@ -879,6 +885,7 @@ func fillEvalStats(dst *Stats, stats *eval.Stats) {
 	dst.PlanOps = stats.PlanOps
 	dst.OpProbes = stats.OpProbes
 	dst.OpScans = stats.OpScans
+	dst.ScanRows = stats.ScanRows
 	dst.StoppedEarly = stats.StoppedEarly
 	dst.ParallelComponents = stats.ParallelComponents
 	dst.WorkerRounds = stats.WorkerRounds

@@ -27,6 +27,7 @@ func TestStatsJSONGolden(t *testing.T) {
 		PlanOps:            31,
 		OpProbes:           450,
 		OpScans:            20,
+		ScanRows:           4450,
 		PlanCacheHit:       true,
 		StoppedEarly:       true,
 		MaterializedHit:    true,
@@ -37,7 +38,7 @@ func TestStatsJSONGolden(t *testing.T) {
 	const wantFull = `{"strategy":"counting","sip":"partial","rewritten_rules":7,` +
 		`"derived_facts":100,"aux_facts":40,"derivations":2000,"iterations":12,` +
 		`"join_probes":5000,"strata":3,"index_probes":600,"index_hits":550,` +
-		`"compiled_plans":9,"plan_ops":31,"op_probes":450,"op_scans":20,` +
+		`"compiled_plans":9,"plan_ops":31,"op_probes":450,"op_scans":20,"scan_rows":4450,` +
 		`"plan_cache_hit":true,"stopped_early":true,"materialized_hit":true,` +
 		`"parallel_components":2,"worker_rounds":16,"divergence_fallback":true}`
 	gotFull, err := json.Marshal(full)

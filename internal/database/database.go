@@ -165,10 +165,6 @@ type Relation struct {
 	indexes atomic.Pointer[map[uint64]*colIndex]
 	buildMu sync.Mutex
 
-	// probes counts indexed lookups, hits the tuples they returned. Atomic
-	// because concurrent evaluations probe shared base relations.
-	probes, hits atomic.Int64
-
 	// counts, when non-nil, holds one derivation count per row (parallel to
 	// rows): the number of distinct rule-body instantiations currently
 	// deriving the tuple. The incremental maintenance layer (internal/eval)
@@ -812,7 +808,6 @@ func (r *Relation) LookupIDs(cols []int, ids []intern.ID) []int {
 
 	idx := r.ensureIndex(mask, cols)
 	bucket := idx.buckets[hashRow(ids)]
-	r.probes.Add(1)
 
 	// Verify the candidates: the bucket may contain hash collisions. In the
 	// common collision-free case the bucket is returned as is.
@@ -824,7 +819,6 @@ func (r *Relation) LookupIDs(cols []int, ids []intern.ID) []int {
 		}
 	}
 	if clean {
-		r.hits.Add(int64(len(bucket)))
 		return bucket
 	}
 	var out []int
@@ -833,7 +827,6 @@ func (r *Relation) LookupIDs(cols []int, ids []intern.ID) []int {
 			out = append(out, pos)
 		}
 	}
-	r.hits.Add(int64(len(out)))
 	return out
 }
 
@@ -845,10 +838,6 @@ func rowMatches(row []intern.ID, cols []int, ids []intern.ID) bool {
 	}
 	return true
 }
-
-// IndexStats returns the number of indexed lookups performed on this
-// relation and the total number of tuples those lookups returned.
-func (r *Relation) IndexStats() (probes, hits int64) { return r.probes.Load(), r.hits.Load() }
 
 // Tuple returns the tuple at the given position, materializing it from the
 // ID row on first access. The materialization is cached, so like Tuples
@@ -862,8 +851,8 @@ func (r *Relation) Tuple(pos int) Tuple {
 }
 
 // Reset empties the relation in place for reuse, keeping the allocated
-// backing storage, the index definitions and the probe/hit counters. The
-// semi-naive evaluator resets its two per-component delta stores instead of
+// backing storage and the index definitions. The semi-naive evaluator
+// resets its two per-component delta stores instead of
 // allocating fresh ones every round.
 func (r *Relation) Reset() {
 	r.tuples = r.tuples[:0]
@@ -884,8 +873,8 @@ func (r *Relation) Reset() {
 }
 
 // Clone returns a deep copy of the relation contents, including its lazily
-// built column indexes (stats counters are not copied; the clone starts
-// unshared). Copying the indexes matters for the snapshot copy-on-write
+// built column indexes (the clone starts unshared). Copying the indexes
+// matters for the snapshot copy-on-write
 // path: a commit that clones a pinned relation must not cost the next live
 // query an O(rows) index rebuild per bound-column pattern. Index buckets
 // are deep-copied — Lookup hands out bucket slices that must not be shared
@@ -915,8 +904,16 @@ func (r *Relation) Clone() *Relation {
 				cols:    append([]int(nil), idx.cols...),
 				buckets: make(map[uint64][]int, len(idx.buckets)),
 			}
+			// Every row sits in exactly one bucket, so the copies are carved
+			// out of one array instead of one allocation per bucket; each
+			// keeps no spare capacity, so a later insert's append moves that
+			// bucket to an array of its own instead of overwriting its
+			// neighbour.
+			backing := make([]int, 0, len(r.rows))
 			for k, positions := range idx.buckets {
-				ci.buckets[k] = append([]int(nil), positions...)
+				lo := len(backing)
+				backing = append(backing, positions...)
+				ci.buckets[k] = backing[lo:len(backing):len(backing)]
 			}
 			next[mask] = ci
 		}
@@ -996,9 +993,9 @@ func (s *Store) Table() *intern.Table { return s.tab }
 // overlay is O(1) and only the relations actually written are ever copied.
 //
 // The base may be shared by any number of concurrent overlays as long as
-// nothing mutates it while they are alive: lazy index building and the
-// probe/hit counters on shared relations are internally synchronized, and
-// rows only reach a base store through term-level inserts, which
+// nothing mutates it while they are alive: lazy index building on shared
+// relations is internally synchronized, and rows only reach a base store
+// through term-level inserts, which
 // pre-materialize the tuple cache that concurrent readers consult.
 func (s *Store) Overlay() *Store {
 	return &Store{tab: s.tab, base: s, relations: make(map[string]*Relation)}
@@ -1162,28 +1159,9 @@ func (s *Store) FactCount(name string) int {
 	return 0
 }
 
-// IndexStats sums the index probe/hit counters of every relation reachable
-// from the store. For an overlay this includes every base relation (even
-// shadowed ones): base relations are shared with other overlays, so the sum
-// is a consistent monotone total that callers diff across a time window
-// rather than a per-store attribution.
-func (s *Store) IndexStats() (probes, hits int64) {
-	for _, r := range s.relations {
-		p, h := r.IndexStats()
-		probes += p
-		hits += h
-	}
-	if s.base != nil {
-		p, h := s.base.IndexStats()
-		probes += p
-		hits += h
-	}
-	return probes, hits
-}
-
-// Reset empties every relation of the store in place, keeping relations,
-// their index definitions and their probe/hit counters (see Relation.Reset)
-// — the evaluators reuse their private delta stores this way. It refuses
+// Reset empties every relation of the store in place, keeping relations and
+// their index definitions (see Relation.Reset) — the evaluators reuse their
+// private delta stores this way. It refuses
 // pinned snapshot views, and a relation pinned by a snapshot is replaced by
 // a fresh empty one instead of being emptied in place, so the snapshot
 // keeps its rows like under every other write path.

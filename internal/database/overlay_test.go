@@ -105,13 +105,21 @@ func TestOverlayIndexSharing(t *testing.T) {
 	if got := rel.Lookup([]int{0}, []ast.Term{ast.S("a")}); len(got) != 1 {
 		t.Fatalf("lookup = %v", got)
 	}
-	p1, _ := base.IndexStats()
+	built := *rel.indexes.Load()
 	ov2 := base.Overlay()
+	if ov2.Existing("par") != rel {
+		t.Fatal("the second overlay does not share the base relation")
+	}
 	if got := ov2.Existing("par").Lookup([]int{0}, []ast.Term{ast.S("b")}); len(got) != 1 {
 		t.Fatalf("lookup = %v", got)
 	}
-	p2, _ := base.IndexStats()
-	if p2 != p1+1 {
-		t.Errorf("probes went %d -> %d; the second overlay should reuse the index with one more probe", p1, p2)
+	after := *rel.indexes.Load()
+	if len(after) != 1 || len(built) != 1 {
+		t.Fatalf("indexes: %d built by the first overlay, %d after the second; want 1 and 1", len(built), len(after))
+	}
+	for mask, idx := range built {
+		if after[mask] != idx {
+			t.Error("the second overlay rebuilt the index instead of reusing it")
+		}
 	}
 }

@@ -1,25 +1,47 @@
 // Compilation of rules into ID-space join pipelines.
 //
-// Each rule is compiled once per evaluation (per delta-occurrence variant)
-// into the flat pipeline of plan.go. The compiler
+// Each rule is compiled, on first use of each variant, into the flat pipeline
+// of plan.go. The compiler
 //
 //   - assigns every rule variable a slot in the register file,
-//   - orders the body literals with the greedy bound-variables-first
-//     heuristic shared with the sip package (sip.GreedyOrder), forcing the
-//     delta occurrence to the front so the semi-naive join is driven from
-//     the new facts,
+//   - orders the body literals: one literal leads, the rest follow by the
+//     greedy bound-variables-first heuristic (see "Join order" below),
 //   - splits each literal's arguments into bound probe columns (value
 //     expressions evaluated against the relation's hash index) and free
 //     columns (pattern programs that bind or test registers), and
 //   - lowers the head into build-mode value expressions.
 //
+// Join order. A variant is named by its leading literal (variantKey). In a
+// semi-naive delta round the leader is the delta occurrence, read from the
+// delta store, so the join is driven from the new facts. In a full-store
+// pass — the first pass of every component, every pass of the naive
+// evaluator — the leader is chosen when the rule fires, from the sizes its
+// body relations have at that moment (evalContext.fullStoreLead): the
+// smallest one, or a literal with constant arguments if the rule has one. A
+// rule whose body mentions an empty relation is not run at all. After the
+// leader, sip.GreedyOrder repeatedly takes the literal with the most
+// arguments covered by the variables bound so far, ties going to the textual
+// order. The tie-break matters as much as the leader: a magic-rewritten rule
+// such as anc(X,Y) :- m_anc(X), par(X,Y) is written in the order its sip
+// passes bindings, guard first, and with nothing bound every literal scores
+// 0 — an order that preferred base literals there (as the GreedyBoundFirst
+// sip strategy does, for a different reason; see sip.GreedyOrder) would scan
+// the whole of par and probe the few m_anc rows once per par row, touching
+// every fact of the database to compute the handful the rewriting made
+// relevant. Led by the smaller relation and continued in sip order, the same
+// pass costs on the order of the relevant facts (Section 9 of the paper
+// counts exactly these), whatever the size of the rest of the EDB. A rule has
+// at most one variant per body literal and store side, each compiled once
+// and shared.
+//
 // Boundness is fully static: a variable is bound exactly when an earlier
 // literal in the chosen order (or an earlier argument of the same literal)
 // contains it, which coincides with the dynamic substitution of the
 // term-space evaluator. Rules whose bodies contain interpreted arithmetic
-// keep their textual order: affine matching ("I+1 matches 5 by solving for
-// I") depends on which variables are bound when the literal is reached, so
-// reordering such a body could change its meaning, not just its cost.
+// keep their textual order in every variant: affine matching ("I+1 matches 5
+// by solving for I") depends on which variables are bound when the literal
+// is reached, so reordering such a body could change its meaning, not just
+// its cost.
 package eval
 
 import (
@@ -65,14 +87,16 @@ func (c *compiler) regOf(name string) int {
 	return r
 }
 
-// compileRule lowers one rule into a pipeline with the literal at deltaPos
-// (if >= 0) reading from the delta store. The produced pipeline is immutable
-// (all run-time scratch lives in a per-evaluation pipeScratch), so it can be
-// shared by concurrent evaluations of the same Prepared program.
-func compileRule(pp *Prepared, ruleIdx, deltaPos int) *pipeline {
+// compileRule lowers one rule variant into a pipeline: the join starts at
+// the literal at v.lead, which reads from the delta store when v.fromDelta is
+// set. The produced pipeline is immutable (all run-time scratch lives in a
+// per-evaluation pipeScratch), so it can be shared by concurrent evaluations
+// of the same Prepared program.
+func compileRule(pp *Prepared, v variantKey) *pipeline {
+	ruleIdx := v.rule
 	r := pp.program.Rules[ruleIdx]
 	var order []int
-	if bodyHasArith(r) {
+	if pp.shapes[ruleIdx].textual {
 		// Preserve the textual order: affine arithmetic matching is
 		// order-sensitive (see the package comment).
 		order = make([]int, len(r.Body))
@@ -80,7 +104,7 @@ func compileRule(pp *Prepared, ruleIdx, deltaPos int) *pipeline {
 			order[i] = i
 		}
 	} else {
-		order = sip.GreedyOrder(r.Body, nil, pp.derived, deltaPos)
+		order = sip.GreedyOrder(r.Body, nil, v.lead)
 	}
 
 	c := &compiler{tab: pp.tab, regs: make(map[string]int), bound: make(map[string]bool)}
@@ -88,7 +112,7 @@ func compileRule(pp *Prepared, ruleIdx, deltaPos int) *pipeline {
 
 	for _, pos := range order {
 		lit := r.Body[pos]
-		st := step{lit: lit, key: lit.PredKey(), fromDelta: pos == deltaPos}
+		st := step{lit: lit, key: lit.PredKey(), fromDelta: v.fromDelta && pos == v.lead}
 		// First pass: decide bound vs free per argument against the
 		// pre-literal bound set, mirroring the term-space evaluator which
 		// derives the probe columns from the substitution before the

@@ -120,11 +120,9 @@ type Stats struct {
 	// JoinProbes counts tuple match attempts during body evaluation: every
 	// candidate tuple the executor tested against a body literal, whether it
 	// came from an indexed probe or a scan and whether or not the post-probe
-	// filtering on the literal's free positions accepted it. It is an
-	// executor-level counter; contrast IndexHits, which is the storage-level
-	// count of tuples returned by indexed lookups only (so scans contribute
-	// to JoinProbes but never to IndexHits, and the two coincide only when
-	// every literal evaluation is index-driven).
+	// filtering on the literal's free positions accepted it. For a compiled
+	// evaluation it is exactly IndexHits + ScanRows: the candidates indexed
+	// lookups returned plus the rows unindexed scans walked.
 	JoinProbes int64
 	// RuleFirings counts successful instantiations per rule index.
 	RuleFirings map[int]int64
@@ -135,23 +133,28 @@ type Stats struct {
 	// (0 for the naive evaluator, which iterates over the whole program).
 	Strata int
 	// DeltaRuleEvals counts rule evaluations performed in delta iterations;
-	// SkippedRuleEvals counts the rule/occurrence pairs the scheduler skipped
-	// because the occurrence's predicate had an empty delta or belonged to an
-	// already completed stratum.
+	// SkippedRuleEvals counts the rule evaluations the scheduler skipped
+	// without running: a delta occurrence whose predicate had an empty delta
+	// or belonged to an already completed stratum, or a full-store pass over
+	// a body with an empty relation.
 	DeltaRuleEvals   int64
 	SkippedRuleEvals int64
 	// IndexProbes is the number of bound-column index lookups the evaluation
 	// performed against the store (main and delta sides); IndexHits is the
-	// number of tuples those lookups returned. These are storage-level
-	// counters: a JoinProbes match attempt fed by a scan appears in neither.
-	// They are measured as the difference of the shared relation counters
-	// over the evaluation, so when several evaluations run concurrently over
-	// the same base store, probes on the shared base relations are
-	// attributed to whichever evaluations were in flight.
+	// number of tuples those lookups returned. A JoinProbes match attempt fed
+	// by a scan appears in neither. Both are counted by the evaluation that
+	// issued the lookup, so they stay exact when several evaluations probe
+	// the same base relations concurrently.
 	IndexProbes int64
 	IndexHits   int64
+	// ScanRows is the number of rows visited by scan ops (body steps with no
+	// bound column, which walk the whole relation). OpScans counts such ops,
+	// ScanRows their cost: it grows with the size of the scanned relations,
+	// so for a magic-rewritten program it shows directly whether evaluation
+	// touched only the relevant facts or the whole EDB.
+	ScanRows int64
 	// CompiledPlans counts the join pipelines compiled during this
-	// evaluation (one per rule and delta-occurrence variant executed for the
+	// evaluation (one per rule and leading-literal variant executed for the
 	// first time), and PlanOps the total number of pipeline ops across them
 	// (one per body step plus one head constructor each). An evaluation that
 	// reuses a Prepared program's already compiled pipelines reports 0 for
@@ -203,6 +206,9 @@ func (s *Stats) merge(w *Stats) {
 	s.Derivations += w.Derivations
 	s.NewFacts += w.NewFacts
 	s.JoinProbes += w.JoinProbes
+	s.IndexProbes += w.IndexProbes
+	s.IndexHits += w.IndexHits
+	s.ScanRows += w.ScanRows
 	for rule, n := range w.RuleFirings {
 		if s.RuleFirings == nil {
 			s.RuleFirings = make(map[int]int64)
@@ -259,10 +265,28 @@ type semiNaiveEvaluator struct{ opts Options }
 func (e *semiNaiveEvaluator) Name() string { return "semi-naive" }
 
 // variantKey identifies one compiled pipeline variant of a program: a rule
-// index plus the delta position (-1 for the full-store variant).
+// index, the body position leading the join, and whether that literal reads
+// the delta store (a semi-naive delta round) or the main store like the rest
+// of the body (a full-store pass, led by its smallest relation). lead is -1
+// only for the full-store variant of a body that keeps its textual order, so
+// a rule has at most 2·|body| variants.
 type variantKey struct {
-	rule  int
-	delta int
+	rule      int
+	lead      int
+	fromDelta bool
+}
+
+// ruleShape is what the scheduler needs to know about a rule each time it
+// fires, computed once per program.
+type ruleShape struct {
+	// bodyKeys holds the predicate key of each body literal, ground its
+	// number of ground arguments (the literal's cover score before anything
+	// is bound).
+	bodyKeys []string
+	ground   []int
+	// textual marks a body containing interpreted arithmetic, which must run
+	// in its textual order (see compile.go).
+	textual bool
 }
 
 // Prepared is the reusable compiled form of a program for bottom-up
@@ -278,6 +302,7 @@ type Prepared struct {
 	derived map[string]bool
 	plan    *depgraph.Plan
 	tab     *intern.Table
+	shapes  []ruleShape // parallel to program.Rules
 
 	mu       sync.Mutex
 	variants map[variantKey]*pipeline
@@ -303,12 +328,27 @@ func PrepareWith(p *ast.Program, tab *intern.Table, plan *depgraph.Plan) (*Prepa
 	if plan == nil {
 		plan = depgraph.Analyze(p)
 	}
+	shapes := make([]ruleShape, len(p.Rules))
+	for i, r := range p.Rules {
+		keys := make([]string, len(r.Body))
+		ground := make([]int, len(r.Body))
+		for j, lit := range r.Body {
+			keys[j] = lit.PredKey()
+			for _, arg := range lit.Args {
+				if ast.IsGround(arg) {
+					ground[j]++
+				}
+			}
+		}
+		shapes[i] = ruleShape{bodyKeys: keys, ground: ground, textual: bodyHasArith(r)}
+	}
 	return &Prepared{
 		program:  p,
 		arities:  arities,
 		derived:  p.DerivedPredicates(),
 		plan:     plan,
 		tab:      tab,
+		shapes:   shapes,
 		variants: make(map[variantKey]*pipeline),
 	}, nil
 }
@@ -319,14 +359,13 @@ func (pp *Prepared) Program() *ast.Program { return pp.program }
 // pipelineVariant returns the compiled pipeline for one rule variant,
 // compiling it on first use; fresh reports whether this call performed the
 // compilation (so per-evaluation stats count only new compile work).
-func (pp *Prepared) pipelineVariant(ruleIdx, deltaPos int) (pl *pipeline, fresh bool) {
-	key := variantKey{ruleIdx, deltaPos}
+func (pp *Prepared) pipelineVariant(key variantKey) (pl *pipeline, fresh bool) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	if pl, ok := pp.variants[key]; ok {
 		return pl, false
 	}
-	pl = compileRule(pp, ruleIdx, deltaPos)
+	pl = compileRule(pp, key)
 	pp.variants[key] = pl
 	return pl, true
 }
@@ -359,14 +398,6 @@ type evalContext struct {
 	// reader is the lock-free view of the store's symbol table the compiled
 	// pipelines execute against.
 	reader intern.Reader
-	// extraStores lists auxiliary stores (the reusable delta stores of the
-	// semi-naive evaluator) whose index counters finish folds into the
-	// totals alongside the main store's.
-	extraStores []*database.Store
-	// baseProbes/baseHits snapshot the store's index counters at the start
-	// of the evaluation; finish reports the difference, since overlay base
-	// relations carry counters across evaluations.
-	baseProbes, baseHits int64
 	// par links a forked worker context back to the shared state of a
 	// parallel run (global limit counters, stop flag). nil in sequential
 	// evaluation and in the root context of a parallel one.
@@ -393,7 +424,6 @@ func (ctx *evalContext) fork(pr *parRun) *evalContext {
 		Strategy:    ctx.stats.Strategy,
 		RuleFirings: make(map[int]int64),
 	}
-	w.extraStores = nil
 	w.par = pr
 	w.flushedDerivations = 0
 	w.flushedFacts = 0
@@ -440,22 +470,29 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 			return nil, fmt.Errorf("eval: seed %s: %w", seed, err)
 		}
 	}
-	ctx.baseProbes, ctx.baseHits = ctx.store.IndexStats()
 	return ctx, nil
 }
 
-// pipelineFor returns the runnable pipeline for the rule and delta position,
-// fetching (or compiling) the shared variant and binding it to this
-// evaluation's scratch buffers on first use.
+// pipelineFor returns the runnable pipeline for the rule with the body
+// literal at deltaPos (if >= 0) matched against the delta store, fetching (or
+// compiling) the shared variant and binding it to this evaluation's scratch
+// buffers on first use. A full-store pass (deltaPos < 0) has its leading
+// literal chosen here, from the sizes the body relations have right now; nil
+// means one of them is empty, so the rule cannot fire and need not run.
 func (ctx *evalContext) pipelineFor(ruleIdx, deltaPos int) *runPipe {
-	if ctx.opts.forceTermSpace {
-		return nil
+	key := variantKey{rule: ruleIdx, lead: deltaPos, fromDelta: true}
+	if deltaPos < 0 {
+		lead, ok := ctx.fullStoreLead(ruleIdx)
+		if !ok {
+			ctx.stats.SkippedRuleEvals++
+			return nil
+		}
+		key = variantKey{rule: ruleIdx, lead: lead}
 	}
-	key := variantKey{ruleIdx, deltaPos}
 	if rp, ok := ctx.bound[key]; ok {
 		return rp
 	}
-	pl, fresh := ctx.prep.pipelineVariant(ruleIdx, deltaPos)
+	pl, fresh := ctx.prep.pipelineVariant(key)
 	if fresh {
 		ctx.stats.CompiledPlans++
 		ctx.stats.PlanOps += len(pl.steps) + 1 // body steps plus the head op
@@ -463,6 +500,42 @@ func (ctx *evalContext) pipelineFor(ruleIdx, deltaPos int) *runPipe {
 	rp := &runPipe{pl: pl, sc: pl.newScratch()}
 	ctx.bound[key] = rp
 	return rp
+}
+
+// fullStoreLead picks the literal that leads a rule fired against the full
+// store (compile.go, "Join order", says why). Nothing is bound yet, so only
+// constants in the rule text can make a literal an index probe rather than a
+// scan: the literal with the most ground arguments leads, and among equals —
+// in a rewritten rule, which has no constants, among all — the one over the
+// smallest relation, the first such in textual order. ok is false when some
+// body relation is empty. The choice reads nothing but relation sizes at the
+// moment the rule fires, and within a component rules fire in a fixed order
+// against relations that only this component writes, so it is the same at
+// every Parallelism.
+//
+// A body with interpreted arithmetic keeps its textual order (lead -1) and
+// always runs: matching it can raise the uninterpreted-arithmetic error
+// before an empty relation is reached, and skipping the rule would hide that.
+func (ctx *evalContext) fullStoreLead(ruleIdx int) (lead int, ok bool) {
+	shape := &ctx.prep.shapes[ruleIdx]
+	if shape.textual {
+		return -1, true
+	}
+	lead, fewest := -1, 0
+	for pos, key := range shape.bodyKeys {
+		n := ctx.store.FactCount(key)
+		if n == 0 {
+			return -1, false
+		}
+		if lead >= 0 {
+			g, best := shape.ground[pos], shape.ground[lead]
+			if g < best || g == best && n >= fewest {
+				continue
+			}
+		}
+		lead, fewest = pos, n
+	}
+	return lead, true
 }
 
 // matchLiteral enumerates the substitutions extending s that satisfy the
@@ -490,6 +563,10 @@ func (ctx *evalContext) matchLiteral(lit ast.Atom, rel *database.Relation, s ast
 		}
 	}
 	positions := rel.Lookup(cols, vals)
+	if len(cols) > 0 {
+		ctx.stats.IndexProbes++
+		ctx.stats.IndexHits += int64(len(positions))
+	}
 	for _, pos := range positions {
 		tuple := rel.Tuple(pos)
 		ctx.stats.JoinProbes++
@@ -575,9 +652,14 @@ func (ctx *evalContext) insertRow(target *database.Store, key string, arity int,
 // body literal at deltaPos (if >= 0) matched against the delta store. Every
 // derived fact is inserted into the main store; new facts are additionally
 // inserted into aux (if non-nil, the next delta store) and reported through
-// onNew.
+// onNew. A compiled full-store pass that cannot fire (pipelineFor returns nil)
+// does nothing.
 func (ctx *evalContext) fireRule(ruleIdx int, deltaPos int, delta *database.Store, aux *database.Store, onNew func()) error {
-	if rp := ctx.pipelineFor(ruleIdx, deltaPos); rp != nil {
+	if !ctx.opts.forceTermSpace {
+		rp := ctx.pipelineFor(ruleIdx, deltaPos)
+		if rp == nil {
+			return nil
+		}
 		pl := rp.pl
 		return pl.run(ctx, rp.sc, delta, func(row []intern.ID) error {
 			added, err := ctx.insertRow(ctx.store, pl.headKey, pl.headArity, row)
@@ -696,19 +778,10 @@ func (ctx *evalContext) stopRequested() bool {
 	return false
 }
 
-// finish fills derived-fact counts and index statistics (main store plus
-// the reusable delta stores) and returns the final result.
+// finish fills the derived-fact counts and returns the final result.
 func (ctx *evalContext) finish(err error) (*database.Store, *Stats, error) {
 	for key := range ctx.derived {
 		ctx.stats.FactsByPredicate[key] = ctx.store.FactCount(key)
-	}
-	p, h := ctx.store.IndexStats()
-	ctx.stats.IndexProbes = p - ctx.baseProbes
-	ctx.stats.IndexHits = h - ctx.baseHits
-	for _, s := range ctx.extraStores {
-		p, h := s.IndexStats()
-		ctx.stats.IndexProbes += p
-		ctx.stats.IndexHits += h
 	}
 	return ctx.store, ctx.stats, err
 }
@@ -819,10 +892,9 @@ func (pp *Prepared) EvaluateCtx(c context.Context, edb *database.Store, seeds []
 	// the facts driving the current round, next collects the facts it
 	// derives, and the two swap roles at the end of the round. They share the
 	// main store's symbol table so compiled pipelines can move raw ID rows
-	// between them; finish folds their index counters into the totals.
+	// between them.
 	delta := database.NewStoreWith(ctx.store.Table())
 	next := database.NewStoreWith(ctx.store.Table())
-	ctx.extraStores = []*database.Store{delta, next}
 
 	for _, comp := range plan.Components {
 		// First pass over the component: evaluate its rules against the full

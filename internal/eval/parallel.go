@@ -167,9 +167,9 @@ func (pr *parRun) closeReady() {
 	}
 }
 
-// collect folds a retiring worker's statistics and auxiliary stores into the
-// root context. Serialized by pr.mu, so the unsynchronized per-worker Stats
-// are only ever touched by one goroutine at a time.
+// collect folds a retiring worker's statistics into the root context.
+// Serialized by pr.mu, so the unsynchronized per-worker Stats are only ever
+// touched by one goroutine at a time.
 func (pr *parRun) collect(wk *parWorker) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -177,10 +177,6 @@ func (pr *parRun) collect(wk *parWorker) {
 	for _, sc := range wk.shardCtxs {
 		pr.root.stats.merge(sc.stats)
 	}
-	pr.root.extraStores = append(pr.root.extraStores, wk.delta, wk.next)
-	pr.root.extraStores = append(pr.root.extraStores, wk.shardIn...)
-	pr.root.extraStores = append(pr.root.extraStores, wk.outBank[0]...)
-	pr.root.extraStores = append(pr.root.extraStores, wk.outBank[1]...)
 }
 
 // parWorker is one pool worker: a forked evalContext plus the reusable delta
@@ -204,14 +200,9 @@ type parWorker struct {
 
 func (pr *parRun) newWorker() *parWorker {
 	tab := pr.root.store.Table()
-	// fork copies the root context struct, so it must not overlap with a
-	// retiring worker's collect mutating the root's stats and store lists.
-	pr.mu.Lock()
-	ctx := pr.root.fork(pr)
-	pr.mu.Unlock()
 	return &parWorker{
 		pr:    pr,
-		ctx:   ctx,
+		ctx:   pr.root.fork(pr),
 		delta: database.NewStoreWith(tab),
 		next:  database.NewStoreWith(tab),
 	}

@@ -96,6 +96,15 @@ func TestParallelStatsMatchSequential(t *testing.T) {
 		t.Errorf("index counters: parallel %d/%d, sequential %d/%d",
 			par.IndexProbes, par.IndexHits, seq.IndexProbes, seq.IndexHits)
 	}
+	// The leading literal of each first pass is chosen from relation sizes at
+	// run time; the choice, and so the join work, must not depend on which
+	// worker ran the component.
+	if par.JoinProbes != seq.JoinProbes || par.ScanRows != seq.ScanRows ||
+		par.OpProbes != seq.OpProbes || par.OpScans != seq.OpScans || par.CompiledPlans != seq.CompiledPlans {
+		t.Errorf("join work (JoinProbes/ScanRows/OpProbes/OpScans/CompiledPlans): parallel %d/%d/%d/%d/%d, sequential %d/%d/%d/%d/%d",
+			par.JoinProbes, par.ScanRows, par.OpProbes, par.OpScans, par.CompiledPlans,
+			seq.JoinProbes, seq.ScanRows, seq.OpProbes, seq.OpScans, seq.CompiledPlans)
+	}
 }
 
 // TestParallelPartitionedRoundsSameFixpoint drives the transitive closure of

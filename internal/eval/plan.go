@@ -541,6 +541,7 @@ func (pl *pipeline) run(ctx *evalContext, sc *pipeScratch, delta *database.Store
 			n := rel.Len() // snapshot: rows inserted during the scan belong to the next pass
 			for pos := 0; pos < n; pos++ {
 				ctx.stats.JoinProbes++
+				ctx.stats.ScanRows++
 				if st.matchRow(rd, regs, rel.Row(pos)) {
 					if err := rec(i + 1); err != nil {
 						return err
@@ -572,6 +573,8 @@ func (pl *pipeline) run(ctx *evalContext, sc *pipeScratch, delta *database.Store
 		}
 		ctx.stats.OpProbes++
 		positions := rel.LookupIDs(st.cols, probeIDs)
+		ctx.stats.IndexProbes++
+		ctx.stats.IndexHits += int64(len(positions))
 		for _, pos := range positions {
 			ctx.stats.JoinProbes++
 			if st.matchRow(rd, regs, rel.Row(pos)) {

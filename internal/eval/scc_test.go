@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -281,4 +282,51 @@ func TestStrataReportedThroughMeasure(t *testing.T) {
 	if stats.Iterations != 5 {
 		t.Errorf("iterations = %d, want 5 (one pass per non-recursive stratum)", stats.Iterations)
 	}
+}
+
+// TestIndexStatsArePerEvaluation runs the same evaluation from two goroutines
+// over one shared base store. The index counters are counted by the evaluation
+// that issues the lookup, not read off the shared relations, so every
+// concurrent run must report exactly what a solo run reports — no evaluation
+// is billed another's probes.
+func TestIndexStatsArePerEvaluation(t *testing.T) {
+	prog := parser.MustParseProgram(`
+		anc(X, Y) :- par(X, Y).
+		anc(X, Y) :- par(X, Z), anc(Z, Y).
+	`)
+	edb, _ := workload.ParentChain("par", 24)
+	pp, err := Prepare(prog, edb.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, solo, err := pp.Evaluate(edb, nil, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.IndexProbes == 0 || solo.IndexHits == 0 {
+		t.Fatalf("solo run: %d probes, %d hits; want both positive", solo.IndexProbes, solo.IndexHits)
+	}
+	if solo.JoinProbes != solo.IndexHits+solo.ScanRows {
+		t.Errorf("JoinProbes %d != IndexHits %d + ScanRows %d", solo.JoinProbes, solo.IndexHits, solo.ScanRows)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				_, stats, err := pp.Evaluate(edb, nil, Options{Parallelism: 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if stats.IndexProbes != solo.IndexProbes || stats.IndexHits != solo.IndexHits {
+					t.Errorf("concurrent run %d: %d probes, %d hits; solo run %d, %d",
+						i, stats.IndexProbes, stats.IndexHits, solo.IndexProbes, solo.IndexHits)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

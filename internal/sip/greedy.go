@@ -40,8 +40,6 @@ func (greedyBoundFirst) SipFor(rule ast.Rule, headAdornment ast.Adornment, deriv
 	used := make([]bool, len(rule.Body))
 
 	for len(chosen) < len(rule.Body) {
-		// The scoring and selection live in order.go (greedyPick), shared
-		// with the join-pipeline compiler of internal/eval.
 		best := greedyPick(rule.Body, used, available, derived)
 
 		lit := rule.Body[best]
@@ -70,4 +68,34 @@ func (greedyBoundFirst) SipFor(rule ast.Rule, headAdornment ast.Adornment, deriv
 		return nil, err
 	}
 	return g, nil
+}
+
+// greedyPick returns the unused body position with the highest cover score,
+// preferring base literals among equals and, among those, the textual order.
+// The evaluator's join order (GreedyOrder) scores the same way but breaks
+// ties textually; see there for why the two differ.
+func greedyPick(body []ast.Atom, used []bool, available map[string]bool, derived map[string]bool) int {
+	best := -1
+	bestScore := -1
+	bestIsBase := false
+	for i, lit := range body {
+		if used[i] {
+			continue
+		}
+		s := coverScore(lit, available)
+		isBase := !derived[lit.PredKey()]
+		better := false
+		switch {
+		case s > bestScore:
+			better = true
+		case s == bestScore && isBase && !bestIsBase:
+			// Prefer base literals: they are directly evaluable and feed
+			// bindings to the derived ones.
+			better = true
+		}
+		if better {
+			best, bestScore, bestIsBase = i, s, isBase
+		}
+	}
+	return best
 }

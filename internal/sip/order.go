@@ -6,7 +6,8 @@ import "repro/internal/ast"
 // the available variables, with ground arguments counting as covered. It is
 // the scoring function of the greedy bound-first heuristic, shared between
 // the sip strategy (GreedyBoundFirst) and the join-pipeline compiler of
-// internal/eval.
+// internal/eval (GreedyOrder). The two differ only in how they break ties;
+// see GreedyOrder.
 func coverScore(lit ast.Atom, available map[string]bool) int {
 	n := 0
 	for _, arg := range lit.Args {
@@ -31,44 +32,25 @@ func coverScore(lit ast.Atom, available map[string]bool) int {
 	return n
 }
 
-// greedyPick returns the unused body position with the highest cover score,
-// preferring base literals among equals and, among those, the textual order.
-// It returns -1 when every position is used.
-func greedyPick(body []ast.Atom, used []bool, available map[string]bool, derived map[string]bool) int {
-	best := -1
-	bestScore := -1
-	bestIsBase := false
-	for i, lit := range body {
-		if used[i] {
-			continue
-		}
-		s := coverScore(lit, available)
-		isBase := !derived[lit.PredKey()]
-		better := false
-		switch {
-		case s > bestScore:
-			better = true
-		case s == bestScore && isBase && !bestIsBase:
-			// Prefer base literals: they are directly evaluable and feed
-			// bindings to the derived ones.
-			better = true
-		}
-		if better {
-			best, bestScore, bestIsBase = i, s, isBase
-		}
-	}
-	return best
-}
-
-// GreedyOrder returns an evaluation order over the body positions chosen by
-// the greedy bound-variables-first heuristic: starting from the variables in
-// bound, repeatedly pick the literal with the most arguments fully covered
-// by the variables available so far (ground arguments count as covered),
-// preferring base literals and, among equals, the textual order. If first is
-// a valid body position, that literal is forced to the front of the order —
-// the semi-naive evaluator uses this to drive a join from the delta
-// occurrence. The bound map is not modified.
-func GreedyOrder(body []ast.Atom, bound map[string]bool, derived map[string]bool, first int) []int {
+// GreedyOrder returns the join order the evaluator runs a rule body in. The
+// literal at first leads (the delta occurrence of a semi-naive round, or the
+// smallest body relation of a full-store pass — internal/eval picks it); the
+// rest follow greedily by cover score: starting from the variables in bound
+// plus the leader's, repeatedly take the literal with the most arguments
+// fully covered by the variables available so far (ground arguments count as
+// covered), ties going to the textual order. An invalid first (e.g. -1)
+// forces nothing. The bound map is not modified.
+//
+// The tie-break is where this order parts from the GreedyBoundFirst sip
+// strategy, which prefers base literals among equals. A sip is chosen before
+// any data is seen, and there a base literal is the safe bet: it is directly
+// evaluable and can only add bindings for the derived literals after it. The
+// evaluator orders a body that has already been through that choice — a
+// rewritten rule's text is its sip order, guard first — and it runs against
+// relations whose sizes are known, so "base first" would undo the rewriting:
+// anc(X,Y) :- m_anc(X), par(X,Y) would scan all of par and probe the small
+// magic set once per row. Textual order keeps the sip the rewriting chose.
+func GreedyOrder(body []ast.Atom, bound map[string]bool, first int) []int {
 	available := make(map[string]bool, len(bound))
 	for v := range bound {
 		available[v] = true
@@ -86,7 +68,16 @@ func GreedyOrder(body []ast.Atom, bound map[string]bool, derived map[string]bool
 		take(first)
 	}
 	for len(order) < len(body) {
-		take(greedyPick(body, used, available, derived))
+		best, bestScore := -1, -1
+		for i, lit := range body {
+			if used[i] {
+				continue
+			}
+			if s := coverScore(lit, available); s > bestScore {
+				best, bestScore = i, s
+			}
+		}
+		take(best)
 	}
 	return order
 }
