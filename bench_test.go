@@ -78,15 +78,21 @@ func mustRewrite(b *testing.B, src, query string, rw rewrite.Rewriter) (*adorn.P
 // database with its seeds (compilation included, as in a cold query).
 func evalRewriting(b *testing.B, res *rewrite.Rewriting, edb *database.Store) *eval.Stats {
 	b.Helper()
-	pp, err := eval.Prepare(res.Program, edb.Table())
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, stats, err := pp.Evaluate(edb, res.Seeds, eval.Options{})
+	_, stats, err := evalCold(res.Program, edb, res.Seeds, eval.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return stats
+}
+
+// evalCold prepares a program for the database's symbol table and evaluates
+// it semi-naively over the database plus the seeds.
+func evalCold(prog *ast.Program, edb *database.Store, seeds []ast.Atom, opts eval.Options) (*database.Store, *eval.Stats, error) {
+	pp, err := eval.Prepare(prog, edb.Table())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pp.EvaluateCtx(context.Background(), edb, seeds, opts)
 }
 
 // reportFacts attaches fact counts as custom benchmark metrics so the
@@ -207,11 +213,7 @@ func BenchmarkE9CountingDivergenceGuard(b *testing.B) {
 	_, rw := mustRewrite(b, ancestorSrc, fmt.Sprintf("a(%s, Y)", start), counting.New(counting.Options{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pp, err := eval.Prepare(rw.Program, cyclic.Table())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _, evalErr := pp.Evaluate(cyclic, rw.Seeds, eval.Options{MaxIterations: 64})
+		_, _, evalErr := evalCold(rw.Program, cyclic, rw.Seeds, eval.Options{MaxIterations: 64})
 		if !errors.Is(evalErr, eval.ErrLimitExceeded) {
 			b.Fatal("expected the iteration limit to trip on cyclic data")
 		}
@@ -305,7 +307,7 @@ func BenchmarkTransitiveClosure(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				store, _, err := eval.SemiNaive(eval.Options{}).Evaluate(prog, edb)
+				store, _, err := evalCold(prog, edb, nil, eval.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,7 +322,7 @@ func BenchmarkTransitiveClosure(b *testing.B) {
 // BenchmarkParallelFixpoint measures the parallel fixpoint evaluator on a
 // transitive closure over a dense random graph — deltas well past the
 // partition threshold, so the hash-partitioned shard rounds carry the work.
-// p=1 runs the exact sequential path (the overhead baseline); the higher
+// p=1 runs every round on the calling goroutine (the overhead baseline); the higher
 // worker counts show the speedup-per-core curve recorded in EXPERIMENTS.md.
 func BenchmarkParallelFixpoint(b *testing.B) {
 	prog := parser.MustParseProgram(ancestorSrc)
@@ -330,7 +332,7 @@ func BenchmarkParallelFixpoint(b *testing.B) {
 		b.Run(fmt.Sprintf("n=512/p=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				store, stats, err := eval.SemiNaive(eval.Options{Parallelism: p}).Evaluate(prog, edb)
+				store, stats, err := evalCold(prog, edb, nil, eval.Options{Parallelism: p})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -359,7 +361,7 @@ func BenchmarkSameGeneration(b *testing.B) {
 		b.Run(fmt.Sprintf("leaves=%d", leaves), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				store, _, err := eval.SemiNaive(eval.Options{}).Evaluate(prog, sg.Store)
+				store, _, err := evalCold(prog, sg.Store, nil, eval.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -37,10 +37,10 @@ type Database struct {
 	// their write-lock critical section, and queries of the registered
 	// program answer from the stored IDB by pure lookup.
 	mat *materialization
-	// backend is the durability backend (see Open): commits are appended to
-	// it before they mutate the store. nil — the NewDatabase default — is
-	// the memory-only path, with zero cost on the commit path.
-	backend Backend
+	// backend is the write-ahead log (see Open): commits are appended to it
+	// before they mutate the store. nil — the NewDatabase default — is the
+	// memory-only path, with zero cost on the commit path.
+	backend *walBackend
 	closed  bool
 	// Automatic checkpointing (OpenOptions.CheckpointEvery): the commit path
 	// signals ckptCh when the log outgrows the last checkpoint by ckptEvery

@@ -206,7 +206,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/database"
@@ -339,12 +338,13 @@ type Options struct {
 	// Parallelism is the number of workers the bottom-up fixpoint may use:
 	// independent strongly connected components of the evaluated program run
 	// concurrently, and large delta rounds are hash-partitioned across
-	// workers. 0 means GOMAXPROCS, 1 forces the exact sequential evaluation.
-	// The answers are identical either way; Stats.ParallelComponents and
+	// workers. 0 means GOMAXPROCS, 1 runs the whole fixpoint on the calling
+	// goroutine, and values above 64 are clamped to 64. The answers are
+	// identical at every setting; Stats.ParallelComponents and
 	// Stats.WorkerRounds report how much parallel machinery actually
-	// engaged. The Naive and TopDown strategies always evaluate
-	// sequentially. Like the Max limits it is a run-time option: it does not
-	// change the prepared query form.
+	// engaged. The Naive and TopDown strategies ignore it. Like the Max
+	// limits it is a run-time option: it does not change the prepared query
+	// form.
 	Parallelism int `json:"parallelism,omitempty"`
 	// OnDivergence selects what the engine does when a counting strategy is
 	// requested for a query form the Section 10 analysis proves divergent on
@@ -431,17 +431,10 @@ type Answer struct {
 	// engine's interned constants: inspect them with Value.Kind, Value.Int,
 	// Value.Symbol and Value.Compound, or render with Value.String.
 	Vals Row
-	// Values holds the answer terms rendered in source syntax.
-	//
-	// Deprecated: Values is the pre-rendered view of Vals
-	// (Values[i] == Vals[i].String()), kept for compatibility; new code
-	// should read the typed Vals, and streaming callers should range over
-	// PreparedQuery.Stream, which never renders at all.
-	Values []string
 }
 
 // String renders the answer as a parenthesized tuple.
-func (a Answer) String() string { return "(" + strings.Join(a.Values, ", ") + ")" }
+func (a Answer) String() string { return a.Vals.String() }
 
 // Stats summarizes the work done to answer a query.
 type Stats struct {

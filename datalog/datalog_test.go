@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/ast"
 )
 
 const ancestorProgram = `
@@ -185,7 +187,7 @@ func TestListReverseThroughFacade(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		if len(res.Answers) != 1 || res.Answers[0].Values[0] != "[c, b, a]" {
+		if len(res.Answers) != 1 || res.Answers[0].Vals[0].String() != "[c, b, a]" {
 			t.Errorf("%s: answers = %v", strat, res.Answers)
 		}
 	}
@@ -298,7 +300,7 @@ func TestInt64Assert(t *testing.T) {
 }
 
 func TestAnswerString(t *testing.T) {
-	a := Answer{Values: []string{"mary", "3"}}
+	a := Answer{Vals: Row{valueOfTerm(ast.S("mary")), valueOfTerm(ast.I(3))}}
 	if a.String() != "(mary, 3)" {
 		t.Errorf("Answer.String = %s", a.String())
 	}

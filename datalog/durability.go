@@ -1,9 +1,9 @@
-// Durability: the pluggable storage backend behind a Database.
+// Durability: the write-ahead log behind a Database.
 //
 // A Database created by NewDatabase is memory-only — the backend field is
 // nil and every commit takes the exact path it always took, so durability
 // costs nothing unless asked for. Open(dir, opts) instead attaches a
-// write-ahead-log backend (internal/wal): each committed batch is appended
+// write-ahead log (internal/wal): each committed batch is appended
 // as one CRC-framed record and fsynced (policy-configurable) before the
 // in-memory store applies it, so under FsyncAlways an acknowledged commit
 // survives any crash. On open, the newest checkpoint file is bulk-loaded and
@@ -30,12 +30,6 @@ import (
 	"repro/internal/wal"
 )
 
-// Backend names accepted by OpenOptions.Backend.
-const (
-	BackendWAL    = "wal"
-	BackendMemory = "memory"
-)
-
 // Fsync policies accepted by OpenOptions.Fsync.
 const (
 	FsyncAlways   = "always"
@@ -43,14 +37,9 @@ const (
 	FsyncNone     = "none"
 )
 
-// OpenOptions configures Open. The zero value means: WAL backend, fsync on
-// every commit, default segment size, no automatic checkpoints.
+// OpenOptions configures Open. The zero value means: fsync on every commit,
+// default segment size, no automatic checkpoints.
 type OpenOptions struct {
-	// Backend selects the storage backend: BackendWAL (default) or
-	// BackendMemory. The memory backend ignores dir entirely and behaves
-	// like NewDatabase — it exists so callers can flip one configuration
-	// value instead of changing construction code.
-	Backend string
 	// Fsync is the WAL fsync policy: FsyncAlways (default), FsyncInterval
 	// or FsyncNone. Acknowledged-implies-durable holds only under
 	// FsyncAlways; the other policies trade a bounded window of recent
@@ -68,29 +57,13 @@ type OpenOptions struct {
 	CheckpointEvery uint64
 }
 
-// Backend is the storage seam beneath a Database. It is a sealed interface:
-// the implementations live in this package (the WAL backend and the no-op
-// memory backend), chosen by Open; a future SQLite or remote backend slots
-// in here without the evaluator, transaction or snapshot layers changing.
-// A nil backend (NewDatabase) is the zero-cost memory-only path.
-type Backend interface {
-	// Name reports the backend kind: "memory" or "wal".
-	Name() string
-
-	appendCommit(version uint64, retracts, asserts []ast.Atom) error
-	checkpoint(snap *Snapshot) error
-	sync() error
-	close() error
-	stats() DurabilityStats
-}
-
-// DurabilityStats describes the durability backend's work: what was
-// replayed at open, what has been appended and fsynced since, and where the
-// checkpoint frontier stands. Read it with Database.DurabilityStats.
+// DurabilityStats describes the write-ahead log's work: what was replayed at
+// open, what has been appended and fsynced since, and where the checkpoint
+// frontier stands. Read it with Database.DurabilityStats.
 type DurabilityStats struct {
-	// Backend is the backend name ("memory" or "wal").
+	// Backend is always "wal"; the field keeps the /v1/stats payload stable.
 	Backend string `json:"backend"`
-	// Dir is the data directory (empty for the memory backend).
+	// Dir is the data directory.
 	Dir string `json:"dir,omitempty"`
 	// RecordsAppended and BytesAppended count commit records logged by this
 	// process; Fsyncs counts fsync calls on log segments.
@@ -123,22 +96,14 @@ type DurabilityStats struct {
 	LastCheckpointError string `json:"last_checkpoint_error,omitempty"`
 }
 
-// Open opens (creating if necessary) a durable database rooted at dir.
-// With the default WAL backend it loads the newest checkpoint, replays the
-// write-ahead log — tolerating a torn final record from a mid-write crash —
-// and returns the database at exactly the committed version it had reached;
-// subsequent commits are logged and fsynced (per opts.Fsync) before they
-// touch memory. Close the returned database with Database.Close to seal the
-// log. With opts.Backend == BackendMemory the directory is ignored and the
-// result is equivalent to NewDatabase.
+// Open opens (creating if necessary) a durable database rooted at dir. It
+// loads the newest checkpoint, replays the write-ahead log — tolerating a
+// torn final record from a mid-write crash — and returns the database at
+// exactly the committed version it had reached; subsequent commits are logged
+// and fsynced (per opts.Fsync) before they touch memory. Close the returned
+// database with Database.Close to seal the log. For a memory-only database
+// use NewDatabase.
 func Open(dir string, opts OpenOptions) (*Database, error) {
-	switch opts.Backend {
-	case BackendMemory:
-		return &Database{store: database.NewStore(), backend: memoryBackend{}}, nil
-	case "", BackendWAL:
-	default:
-		return nil, fmt.Errorf("datalog: unknown backend %q", opts.Backend)
-	}
 	var policy wal.SyncPolicy
 	switch opts.Fsync {
 	case "", FsyncAlways:
@@ -232,10 +197,10 @@ func (db *Database) Sync() error {
 	if db.backend == nil {
 		return nil
 	}
-	return db.backend.sync()
+	return db.backend.log.Sync()
 }
 
-// Close seals and closes the durability backend: pending records are
+// Close seals and closes the write-ahead log: pending records are
 // fsynced and a clean-shutdown marker is appended, so the next Open reports
 // CleanShutdown. Commits after Close fail. Closing a memory-only database
 // is a no-op; Close is idempotent.
@@ -254,11 +219,11 @@ func (db *Database) Close() error {
 	if db.backend == nil {
 		return nil
 	}
-	return db.backend.close()
+	return db.backend.log.Close()
 }
 
-// DurabilityStats reports the durability backend's statistics, and false
-// for a memory-only database created by NewDatabase.
+// DurabilityStats reports the write-ahead log's statistics, and false for a
+// memory-only database created by NewDatabase.
 func (db *Database) DurabilityStats() (DurabilityStats, bool) {
 	if db.backend == nil {
 		return DurabilityStats{}, false
@@ -277,9 +242,7 @@ func (db *Database) checkpointLoop() {
 			return
 		case <-db.ckptCh:
 			if err := db.Checkpoint(); err != nil {
-				if wb, ok := db.backend.(*walBackend); ok {
-					wb.ckptErr.Store(err.Error())
-				}
+				db.backend.ckptErr.Store(err.Error())
 			}
 		}
 	}
@@ -292,11 +255,7 @@ func (db *Database) maybeScheduleCheckpointLocked() {
 	if db.ckptEvery == 0 {
 		return
 	}
-	wb, ok := db.backend.(*walBackend)
-	if !ok {
-		return
-	}
-	if db.store.Version() >= wb.lastCheckpoint.Load()+db.ckptEvery {
+	if db.store.Version() >= db.backend.lastCheckpoint.Load()+db.ckptEvery {
 		select {
 		case db.ckptCh <- struct{}{}:
 		default:
@@ -304,7 +263,8 @@ func (db *Database) maybeScheduleCheckpointLocked() {
 	}
 }
 
-// walBackend is the write-ahead-log Backend (internal/wal).
+// walBackend is a durable Database's write-ahead log (internal/wal) and
+// checkpoint state.
 type walBackend struct {
 	log        *wal.Log
 	dir        string
@@ -318,18 +278,12 @@ type walBackend struct {
 	ckptErr        atomic.Value // string: last background checkpoint error
 }
 
-func (b *walBackend) Name() string { return BackendWAL }
-
 func (b *walBackend) appendCommit(version uint64, retracts, asserts []ast.Atom) error {
 	if err := b.log.Append(version, retracts, asserts); err != nil {
 		return fmt.Errorf("datalog: %w", err)
 	}
 	return nil
 }
-
-func (b *walBackend) sync() error { return b.log.Sync() }
-
-func (b *walBackend) close() error { return b.log.Close() }
 
 func (b *walBackend) checkpoint(snap *Snapshot) error {
 	b.ckptMu.Lock()
@@ -392,7 +346,7 @@ func (b *walBackend) checkpoint(snap *Snapshot) error {
 func (b *walBackend) stats() DurabilityStats {
 	ls := b.log.Stats()
 	s := DurabilityStats{
-		Backend:               BackendWAL,
+		Backend:               "wal",
 		Dir:                   b.dir,
 		RecordsAppended:       ls.RecordsAppended,
 		BytesAppended:         ls.BytesAppended,
@@ -410,20 +364,4 @@ func (b *walBackend) stats() DurabilityStats {
 		s.LastCheckpointError = e
 	}
 	return s
-}
-
-// memoryBackend is the explicit no-op backend behind Open(dir,
-// {Backend: BackendMemory}): it differs from a nil backend only in that
-// DurabilityStats reports its name instead of absence.
-type memoryBackend struct{}
-
-func (memoryBackend) Name() string { return BackendMemory }
-func (memoryBackend) appendCommit(uint64, []ast.Atom, []ast.Atom) error {
-	return nil
-}
-func (memoryBackend) checkpoint(*Snapshot) error { return nil }
-func (memoryBackend) sync() error                { return nil }
-func (memoryBackend) close() error               { return nil }
-func (memoryBackend) stats() DurabilityStats {
-	return DurabilityStats{Backend: BackendMemory}
 }

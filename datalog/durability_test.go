@@ -64,7 +64,7 @@ func TestOpenCommitReopenRoundtrip(t *testing.T) {
 		t.Fatalf("recovered store:\n%s\nwant:\n%s", got, want)
 	}
 	stats, ok := db2.DurabilityStats()
-	if !ok || stats.Backend != BackendWAL {
+	if !ok || stats.Backend != "wal" {
 		t.Fatalf("stats = %+v, %v", stats, ok)
 	}
 	if stats.ReplayedRecords != 3 || stats.RecoveredVersion != wantVersion {
@@ -360,26 +360,7 @@ func TestMemoryBackendAndDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The explicit memory backend ignores the directory entirely.
-	mdb, err := Open("/nonexistent/never-created", OpenOptions{Backend: BackendMemory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mdb.Assert("p", 1); err != nil {
-		t.Fatal(err)
-	}
-	s, ok := mdb.DurabilityStats()
-	if !ok || s.Backend != BackendMemory {
-		t.Fatalf("memory backend stats = %+v, %v", s, ok)
-	}
-	if err := mdb.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	// Unknown options are rejected.
-	if _, err := Open(t.TempDir(), OpenOptions{Backend: "sqlite"}); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
 	if _, err := Open(t.TempDir(), OpenOptions{Fsync: "sometimes"}); err == nil {
 		t.Fatal("unknown fsync policy accepted")
 	}

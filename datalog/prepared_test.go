@@ -191,7 +191,7 @@ func TestPreparedRunArguments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nres.Answers) != 1 || nres.Answers[0].Values[0] != "2" {
+	if len(nres.Answers) != 1 || nres.Answers[0].Vals[0].String() != "2" {
 		t.Errorf("succ(1, Y) = %v", nres.Answers)
 	}
 }

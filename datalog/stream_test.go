@@ -274,11 +274,9 @@ func TestTypedValues(t *testing.T) {
 	if a.Vals[1].Kind() != Int {
 		t.Errorf("Vals[1].Kind() = %v, want Int", a.Vals[1].Kind())
 	}
-	// The deprecated view is the rendered image of the typed one.
-	for i := range a.Vals {
-		if a.Values[i] != a.Vals[i].String() {
-			t.Errorf("Values[%d] = %q, Vals[%d].String() = %q", i, a.Values[i], i, a.Vals[i].String())
-		}
+	// An answer renders as the tuple of its typed values.
+	if got, want := a.String(), "("+a.Vals[0].String()+", "+a.Vals[1].String()+")"; got != want {
+		t.Errorf("Answer.String() = %q, want %q", got, want)
 	}
 
 	comp, err := eng.Query("wrapped(X)", Options{Strategy: SemiNaive})
@@ -327,8 +325,8 @@ func TestTypedValuesTopDown(t *testing.T) {
 		if name, ok := a.Vals[0].Symbol(); !ok || name == "" {
 			t.Errorf("Symbol() = %q, %v", name, ok)
 		}
-		if a.Values[0] != a.Vals[0].String() {
-			t.Errorf("rendered view mismatch: %q vs %q", a.Values[0], a.Vals[0].String())
+		if a.String() != "("+a.Vals[0].String()+")" {
+			t.Errorf("rendered answer mismatch: %q vs %q", a.String(), a.Vals[0].String())
 		}
 	}
 }

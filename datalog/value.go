@@ -199,13 +199,12 @@ func rowsFromTuples(tuples []database.Tuple) []Row {
 	return out
 }
 
-// answersFromRows builds the materialized answer list: the typed values
-// plus the deprecated rendered view (the one place the engine still renders
-// answers eagerly — streaming callers never go through it).
+// answersFromRows builds the materialized answer list. Nothing is rendered:
+// Value.String does that on demand.
 func answersFromRows(rows []Row) []Answer {
 	out := make([]Answer, len(rows))
 	for i, r := range rows {
-		out[i] = Answer{Vals: r, Values: r.Strings()}
+		out[i] = Answer{Vals: r}
 	}
 	return out
 }

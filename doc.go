@@ -18,7 +18,10 @@
 // substitution maps are allocated and no terms materialized on the hot
 // path, and the stats it reports (derivations, join probes, index and
 // pipeline-op counters) are the cost quantities of the paper's Section 9;
-// EXPERIMENTS.md explains how to read them.
+// EXPERIMENTS.md explains how to read them. The pipelines are the only rule
+// executor and one loop runs every semi-naive fixpoint at every
+// parallelism; the substitution-based evaluator they are checked against
+// is a test-side oracle (internal/eval/termspace_test.go).
 //
 // The facade is a serving layer built on the paper's program/data split,
 // surfaced as four first-class pieces: datalog.Compile produces an

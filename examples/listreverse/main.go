@@ -84,7 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", strat, err)
 		}
-		fmt.Printf("\n%-24s -> %s (facts %d, aux %d)", strat, r.Answers[0].Values[0], r.Stats.DerivedFacts, r.Stats.AuxFacts)
+		fmt.Printf("\n%-24s -> %s (facts %d, aux %d)", strat, r.Answers[0].Vals[0], r.Stats.DerivedFacts, r.Stats.AuxFacts)
 	}
 	fmt.Println()
 }

@@ -21,6 +21,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -86,7 +87,7 @@ func VerifySipOptimality(ad *adorn.Program, rw *rewrite.Rewriting, edb *database
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	store, _, err := pp.Evaluate(edb, rw.Seeds, eval.Options{})
+	store, _, err := pp.EvaluateCtx(context.TODO(), edb, rw.Seeds, eval.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("analysis: bottom-up evaluation: %w", err)
 	}
@@ -204,7 +205,7 @@ func MeasureRewriting(name string, rw *rewrite.Rewriting, edb *database.Store, o
 		run.Err = err
 		return run
 	}
-	store, stats, err := pp.Evaluate(edb, rw.Seeds, opts)
+	store, stats, err := pp.EvaluateCtx(context.TODO(), edb, rw.Seeds, opts)
 	if err != nil {
 		run.Err = err
 	}
@@ -234,7 +235,12 @@ func MeasureRewriting(name string, rw *rewrite.Rewriting, edb *database.Store, o
 // Section 1 baseline: compute everything, then select) and summarizes it.
 func MeasureProgram(name string, p *ast.Program, query ast.Query, edb *database.Store, opts eval.Options) StrategyRun {
 	run := StrategyRun{Strategy: name}
-	store, stats, err := eval.SemiNaive(opts).Evaluate(p, edb)
+	pp, err := eval.Prepare(p, edb.Table())
+	if err != nil {
+		run.Err = err
+		return run
+	}
+	store, stats, err := pp.EvaluateCtx(context.TODO(), edb, nil, opts)
 	if err != nil {
 		run.Err = err
 	}

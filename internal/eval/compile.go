@@ -36,8 +36,8 @@
 //
 // Boundness is fully static: a variable is bound exactly when an earlier
 // literal in the chosen order (or an earlier argument of the same literal)
-// contains it, which coincides with the dynamic substitution of the
-// term-space evaluator. Rules whose bodies contain interpreted arithmetic
+// contains it, which coincides with the dynamic substitution of the reference
+// oracle in termspace_test.go. Rules whose bodies contain interpreted arithmetic
 // keep their textual order in every variant: affine matching ("I+1 matches 5
 // by solving for I") depends on which variables are bound when the literal
 // is reached, so reordering such a body could change its meaning, not just
@@ -69,7 +69,7 @@ type compiler struct {
 	regs  map[string]int
 	bound map[string]bool
 	// preBound snapshots the bound set at the start of the literal being
-	// compiled: the variables the term-space evaluator would substitute
+	// compiled: the variables the term-space oracle would substitute
 	// (and arithmetic-fold) when instantiating the literal. It decides the
 	// preFolded flag of arithmetic patterns.
 	preBound map[string]bool
@@ -114,7 +114,7 @@ func compileRule(pp *Prepared, v variantKey) *pipeline {
 		lit := r.Body[pos]
 		st := step{lit: lit, key: lit.PredKey(), fromDelta: v.fromDelta && pos == v.lead}
 		// First pass: decide bound vs free per argument against the
-		// pre-literal bound set, mirroring the term-space evaluator which
+		// pre-literal bound set, mirroring the term-space oracle which
 		// derives the probe columns from the substitution before the
 		// literal binds anything.
 		isBound := make([]bool, len(lit.Args))
@@ -139,8 +139,7 @@ func compileRule(pp *Prepared, v variantKey) *pipeline {
 	}
 
 	// Head: every argument must be covered by the body for the rule to be
-	// safe; otherwise firing reports ErrNonGroundFact like the term-space
-	// evaluator.
+	// safe; otherwise firing reports ErrNonGroundFact.
 	pl.headKey = r.Head.PredKey()
 	pl.headArity = len(r.Head.Args)
 	for _, arg := range r.Head.Args {
@@ -251,7 +250,7 @@ func (c *compiler) compilePat(t ast.Term) patNode {
 // ast.affineForm: integer leaves are constants, bound variables contribute
 // their run-time value, the statically unbound variable is the solve target,
 // and anything else poisons the form (afFail), making affine matching fail
-// exactly where the term-space matcher's does.
+// exactly where the term-space oracle's does.
 func (c *compiler) compileAff(t ast.Term) *affNode {
 	switch x := t.(type) {
 	case ast.Int:

@@ -110,10 +110,10 @@ func TestStopEarlyTruncates(t *testing.T) {
 		run  func(pp *Prepared, opts Options) (*database.Store, *Stats, error)
 	}{
 		{"semi-naive", func(pp *Prepared, opts Options) (*database.Store, *Stats, error) {
-			return pp.Evaluate(edb, nil, opts)
+			return pp.EvaluateCtx(context.Background(), edb, nil, opts)
 		}},
 		{"naive", func(pp *Prepared, opts Options) (*database.Store, *Stats, error) {
-			return pp.EvaluateNaive(edb, nil, opts)
+			return pp.EvaluateNaiveCtx(context.Background(), edb, nil, opts)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,7 +161,7 @@ func TestStopEarlyTruncates(t *testing.T) {
 func TestAnswerRowsAgreesWithAnswers(t *testing.T) {
 	prog := parser.MustParseProgram(ancestorSrc)
 	edb := chainStore(12)
-	store, _, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	store, _, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

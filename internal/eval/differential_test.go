@@ -2,17 +2,19 @@ package eval
 
 // Differential (property) tests for the compiled join pipelines: on
 // randomized programs and databases, the compiled ID-space executor must
-// compute exactly the fixpoint of the substitution-based reference
-// evaluator (Options.forceTermSpace), with identical fact counts and
-// derivation counts. The generators cover the shapes the paper's rewritings
+// compute exactly the fixpoint of the substitution-based reference oracle
+// (termspace_test.go), with identical fact counts. The generators cover the
+// shapes the paper's rewritings
 // produce: ancestor and same-generation recursion, magic guards, compound
 // (list) destructuring, and the arithmetic index fields of the counting
 // rewritings, plus purely random flat rules with shared, repeated and
 // constant arguments.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/adorn"
@@ -27,35 +29,34 @@ import (
 	"repro/internal/workload"
 )
 
-// assertSameFixpoint evaluates the program with the compiled executor and
-// the term-space reference (both semi-naive, plus the compiled naive
-// evaluator as a cross-check) and fails the test unless all agree.
+// assertSameFixpoint evaluates the program with the compiled executor, under
+// both strategies, and with the term-space oracle, and fails the test unless
+// all agree.
 func assertSameFixpoint(t *testing.T, label string, prog *ast.Program, edb *database.Store, opts Options) {
 	t.Helper()
 
-	compiledStore, compiledStats, err := SemiNaive(opts).Evaluate(prog, edb)
+	compiledStore, compiledStats, err := semiNaive(prog, edb, opts)
 	if err != nil {
 		t.Fatalf("%s: compiled semi-naive: %v", label, err)
 	}
-	refOpts := opts
-	refOpts.forceTermSpace = true
-	refStore, refStats, err := SemiNaive(refOpts).Evaluate(prog, edb)
+	ref, err := termSpaceNaive(prog, edb)
 	if err != nil {
-		t.Fatalf("%s: term-space semi-naive: %v", label, err)
+		t.Fatalf("%s: term-space naive: %v", label, err)
 	}
+	want := ref.store.String()
 
-	if got, want := compiledStore.String(), refStore.String(); got != want {
+	if got := compiledStore.String(); got != want {
 		t.Fatalf("%s: compiled and term-space fixpoints differ\ncompiled:\n%s\nterm-space:\n%s", label, got, want)
 	}
-	if compiledStats.NewFacts != refStats.NewFacts {
-		t.Errorf("%s: NewFacts: compiled %d, term-space %d", label, compiledStats.NewFacts, refStats.NewFacts)
+	if compiledStats.NewFacts != ref.newFacts {
+		t.Errorf("%s: NewFacts: compiled %d, term-space %d", label, compiledStats.NewFacts, ref.newFacts)
 	}
-	// Derivations is intentionally not compared: the compiled executor may
-	// reorder a join, and a reordered rule probing its own head predicate
-	// can see facts inserted earlier in the same pass, re-deriving a
-	// duplicate one round earlier than the textual order would. The fixpoint
-	// and the fact counts are order-independent and must match exactly.
-	for key, n := range refStats.FactsByPredicate {
+	// Derivations is not compared: it depends on the strategy, and even
+	// between two runs of one strategy a reordered rule probing its own head
+	// predicate can see facts inserted earlier in the same pass (lead_test.go
+	// compares it where it is order-independent). The fixpoint and the fact
+	// counts are order-independent and must match exactly.
+	for key, n := range ref.factsByPredicate(prog) {
 		if compiledStats.FactsByPredicate[key] != n {
 			t.Errorf("%s: facts for %s: compiled %d, term-space %d", label, key, compiledStats.FactsByPredicate[key], n)
 		}
@@ -65,17 +66,35 @@ func assertSameFixpoint(t *testing.T, label string, prog *ast.Program, edb *data
 	if compiledStats.CompiledPlans == 0 && compiledStats.NewFacts > 0 {
 		t.Errorf("%s: compiled evaluation reports no compiled plans", label)
 	}
-	if refStats.CompiledPlans != 0 {
-		t.Errorf("%s: term-space evaluation compiled %d plans, want 0", label, refStats.CompiledPlans)
-	}
 
-	naiveStore, _, err := Naive(opts).Evaluate(prog, edb)
+	naiveStore, _, err := naive(prog, edb, opts)
 	if err != nil {
 		t.Fatalf("%s: compiled naive: %v", label, err)
 	}
-	if got, want := naiveStore.String(), refStore.String(); got != want {
-		t.Fatalf("%s: compiled naive fixpoint differs from term-space semi-naive\nnaive:\n%s\nterm-space:\n%s", label, got, want)
+	if got := naiveStore.String(); got != want {
+		t.Fatalf("%s: compiled naive fixpoint differs from the term-space one\nnaive:\n%s\nterm-space:\n%s", label, got, want)
 	}
+}
+
+// assertSameError requires both strategies of the compiled executor and the
+// oracle to reject the program, each with its own form of the same error.
+func assertSameError(t *testing.T, label string, prog *ast.Program, edb *database.Store, compiled func(error) bool, oracleErr error) {
+	t.Helper()
+	if _, _, err := semiNaive(prog, edb, Options{}); err == nil || !compiled(err) {
+		t.Errorf("%s: compiled semi-naive err = %v", label, err)
+	}
+	if _, _, err := naive(prog, edb, Options{}); err == nil || !compiled(err) {
+		t.Errorf("%s: compiled naive err = %v", label, err)
+	}
+	if _, err := termSpaceNaive(prog, edb); !errors.Is(err, oracleErr) {
+		t.Errorf("%s: term-space err = %v, want %v", label, err, oracleErr)
+	}
+}
+
+// isArithError recognizes the compiled executor's report of a ground argument
+// that still contains arithmetic (plan.go; the error has no sentinel).
+func isArithError(err error) bool {
+	return strings.Contains(err.Error(), "uninterpreted arithmetic after grounding")
 }
 
 // randomEdge draws a random par-style edge store over n nodes.
@@ -171,9 +190,8 @@ func randomFlatProgram(rng *rand.Rand) (*ast.Program, *database.Store) {
 func TestDifferentialRandomFlatRules(t *testing.T) {
 	for seed := 0; seed < 30; seed++ {
 		prog, edb := randomFlatProgram(rand.New(rand.NewSource(int64(100 + seed))))
-		// Bound the occasional pathological blowup; both evaluators see the
-		// same bound, so limit errors would diverge loudly in the fixpoint
-		// comparison (and none of the seeds trips it).
+		// Bound the occasional pathological blowup of the compiled runs (the
+		// oracle has no limits; none of the seeds trips the bound).
 		assertSameFixpoint(t, fmt.Sprintf("flat/seed=%d", seed), prog, edb, Options{MaxFacts: 20000})
 	}
 }
@@ -299,20 +317,20 @@ func TestDifferentialArithmeticBodies(t *testing.T) {
 	}
 	assertSameFixpoint(t, "affine", prog, edb, Options{})
 
-	// Upward counter with a bound: both evaluators must trip the same limit.
+	// Upward counter with a bound (the oracle would not terminate): eight
+	// rounds derive nat(1)..nat(8), the ninth trips the limit.
 	nat := ast.NewProgram(ast.NewRule(
 		ast.NewAtom("nat", ast.Add(ast.V("N"), ast.I(1))),
 		ast.NewAtom("nat", ast.V("N")),
 	))
 	nedb := database.NewStore()
 	nedb.MustAddFact(ast.NewAtom("nat", ast.I(0)))
-	_, compiledStats, err1 := SemiNaive(Options{MaxIterations: 8}).Evaluate(nat, nedb)
-	_, refStats, err2 := SemiNaive(Options{MaxIterations: 8, forceTermSpace: true}).Evaluate(nat, nedb)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("limit behavior differs: compiled err=%v, term-space err=%v", err1, err2)
+	_, stats, err := semiNaive(nat, nedb, Options{MaxIterations: 8})
+	if !errors.Is(err, ErrLimitExceeded) {
+		t.Fatalf("bounded counter: err = %v, want ErrLimitExceeded", err)
 	}
-	if compiledStats.NewFacts != refStats.NewFacts {
-		t.Errorf("bounded counter NewFacts: compiled %d, term-space %d", compiledStats.NewFacts, refStats.NewFacts)
+	if stats.NewFacts != 8 {
+		t.Errorf("bounded counter NewFacts = %d, want 8", stats.NewFacts)
 	}
 
 	// Uninterpreted arithmetic after grounding: p binds X to a symbol, so
@@ -325,16 +343,20 @@ func TestDifferentialArithmeticBodies(t *testing.T) {
 	bedb := database.NewStore()
 	bedb.MustAddFact(ast.NewAtom("p", ast.S("a")))
 	bedb.MustAddFact(ast.NewAtom("q", ast.I(1)))
-	_, _, errCompiled := SemiNaive(Options{}).Evaluate(bad, bedb)
-	_, _, errRef := SemiNaive(Options{forceTermSpace: true}).Evaluate(bad, bedb)
-	if errCompiled == nil || errRef == nil {
-		t.Fatalf("uninterpreted arithmetic: compiled err=%v, term-space err=%v (want both non-nil)", errCompiled, errRef)
-	}
+	assertSameError(t, "uninterpreted arithmetic", bad, bedb, isArithError, errOracleArith)
+
+	// A head variable the body does not bind: firing the rule is an error.
+	unsafe := ast.NewProgram(ast.NewRule(
+		ast.NewAtom("r", ast.V("X"), ast.V("W")),
+		ast.NewAtom("p", ast.V("X")),
+	))
+	assertSameError(t, "non-ground head", unsafe, bedb,
+		func(err error) bool { return errors.Is(err, ErrNonGroundFact) }, errOracleNonGround)
 }
 
 // TestDifferentialStoredArithCompounds covers EDBs that store uninterpreted
 // constant arithmetic verbatim (facts asserted as (1+2) rather than 3). The
-// term-space evaluator folds such values with ast.EvalArith whenever a
+// term-space oracle folds such values with ast.EvalArith whenever a
 // substituted argument is instantiated, so the compiled executor must
 // normalize register values the same way on probes, register-equality
 // tests, head construction, and keep the structural branch of an
@@ -417,9 +439,5 @@ func TestDifferentialProbeMissDoesNotMaskArithError(t *testing.T) {
 	edb := database.NewStore()
 	edb.MustAddFact(ast.NewAtom("b", ast.I(5)))
 	edb.MustAddFact(ast.NewAtom("p", ast.I(0), ast.I(0)))
-	_, _, errCompiled := SemiNaive(Options{}).Evaluate(prog, edb)
-	_, _, errRef := SemiNaive(Options{forceTermSpace: true}).Evaluate(prog, edb)
-	if errCompiled == nil || errRef == nil {
-		t.Fatalf("probe miss masked the arithmetic error: compiled err=%v, term-space err=%v (want both non-nil)", errCompiled, errRef)
-	}
+	assertSameError(t, "probe miss", prog, edb, isArithError, errOracleArith)
 }

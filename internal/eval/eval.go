@@ -1,5 +1,9 @@
 // Package eval implements bottom-up (fixpoint) evaluation of Horn-clause
-// programs over a database: the naive strategy and the semi-naive strategy.
+// programs over a database. A program is prepared once (Prepare) and then
+// evaluated by one of two strategies: semi-naive (Prepared.EvaluateCtx) or
+// naive (Prepared.EvaluateNaiveCtx). Both fire rules through the same
+// compiled join pipelines, and one function (runComponent) runs every
+// semi-naive fixpoint loop whatever the parallelism.
 //
 // Bottom-up evaluation is the control strategy the paper's rewritings target
 // (Sections 4-8): the rewritten program is evaluated by plain fixpoint
@@ -38,7 +42,7 @@ var ErrLimitExceeded = errors.New("eval: limit exceeded before reaching a fixpoi
 // append program before magic rewriting).
 var ErrNonGroundFact = errors.New("eval: rule derived a non-ground fact (unsafe program)")
 
-// Options configure an evaluator.
+// Options configure an evaluation.
 type Options struct {
 	// MaxIterations bounds the number of fixpoint iterations (0 = unlimited).
 	// For the SCC-scheduled semi-naive evaluator the bound applies per
@@ -69,39 +73,35 @@ type Options struct {
 	// boundaries while other components are in flight (any component may once
 	// the owner is complete, and a predicate no component owns is frozen, so
 	// everyone may). Setting StopEarly without StopEarlyPred is still valid —
-	// the semi-naive evaluator then falls back to sequential execution, since
-	// it cannot tell which in-progress relations the callback reads.
+	// the semi-naive evaluator then runs as at Parallelism 1, since it cannot
+	// tell which in-progress relations the callback reads.
 	StopEarlyPred string
 	// Parallelism is the number of workers the semi-naive evaluator may use:
 	// independent strongly connected components run concurrently, and large
 	// delta rounds within a recursive component are hash-partitioned across
-	// workers. 0 means GOMAXPROCS; 1 runs the exact sequential algorithm.
-	// The naive evaluator and the term-space reference evaluator are always
-	// sequential regardless of this setting. Parallel evaluation derives the
-	// same store as sequential evaluation; under MaxFacts/MaxDerivations the
-	// point at which the limit error surfaces may differ by a bounded
-	// overshoot (the limits are enforced globally at round barriers and every
+	// workers. 0 means GOMAXPROCS; 1 runs every component on the calling
+	// goroutine; values above maxParallelism (64) are clamped to it. The naive
+	// evaluator ignores the setting. Every setting derives the same store;
+	// under MaxFacts/MaxDerivations the point at which the limit error
+	// surfaces may differ by a bounded overshoot when more than one worker
+	// runs (the limits are then enforced globally at round barriers and every
 	// ctxCheckInterval firings).
 	Parallelism int
-	// forceTermSpace disables the compiled ID-space join pipelines and
-	// evaluates every rule with the substitution-based reference matcher.
-	// It exists for the differential tests that prove the compiled executor
-	// equivalent to the term-space one; production callers leave it false.
-	forceTermSpace bool
 }
 
-// parallelism resolves Options.Parallelism to a worker count.
+// maxParallelism caps the worker count. The value reaches the evaluator from
+// network requests, and a partitioned round starts one goroutine and three
+// stores per worker, so an unbounded count is a way to exhaust the process.
+const maxParallelism = 64
+
+// parallelism resolves Options.Parallelism to a worker count in
+// [1, maxParallelism].
 func (o Options) parallelism() int {
-	if o.forceTermSpace {
-		return 1
+	p := o.Parallelism
+	if p == 0 {
+		p = runtime.GOMAXPROCS(0)
 	}
-	if o.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
+	return min(max(p, 1), maxParallelism)
 }
 
 // Stats records the work done by an evaluation. The fact and derivation
@@ -172,10 +172,10 @@ type Stats struct {
 	// before it reached a fixpoint: the store holds a sound but possibly
 	// incomplete set of derived facts.
 	StoppedEarly bool
-	// ParallelComponents is the number of components the parallel scheduler
-	// ran (0 when evaluation was sequential — Parallelism 1, a naive or
-	// term-space evaluation, or the sequential fallback for a StopEarly
-	// callback with no StopEarlyPred). WorkerRounds counts the per-shard
+	// ParallelComponents is the number of components the worker pool ran (0
+	// when the calling goroutine ran them all — Parallelism 1, a naive
+	// evaluation, or a StopEarly callback with no StopEarlyPred).
+	// WorkerRounds counts the per-shard
 	// round executions of hash-partitioned delta rounds: a partitioned round
 	// with K shards adds K, a non-partitioned round adds nothing, so the
 	// counter being positive is how callers observe that intra-round
@@ -232,37 +232,6 @@ func (s *Stats) String() string {
 	return fmt.Sprintf("%s: %d iterations, %d derivations, %d new facts, %d join probes",
 		s.Strategy, s.Iterations, s.Derivations, s.NewFacts, s.JoinProbes)
 }
-
-// Evaluator computes the fixpoint of a program over a database.
-type Evaluator interface {
-	// Evaluate runs the program to fixpoint over a copy-on-write overlay of
-	// the database and returns the resulting store (base facts plus all
-	// derived facts) and evaluation statistics. The input store's facts are
-	// never modified; evaluation may build lazy bound-column indexes on its
-	// relations, which later evaluations over the same store then reuse.
-	Evaluate(p *ast.Program, edb *database.Store) (*database.Store, *Stats, error)
-	// Name identifies the evaluator.
-	Name() string
-}
-
-// Naive returns the naive bottom-up evaluator: every iteration re-evaluates
-// every rule against the full store until no new facts appear.
-func Naive(opts Options) Evaluator { return &naiveEvaluator{opts: opts} }
-
-// SemiNaive returns the semi-naive bottom-up evaluator: the program is
-// evaluated one strongly connected component of its dependency graph at a
-// time (callees before callers), and within a recursive component a rule is
-// re-evaluated only with at least one body occurrence restricted to the
-// facts newly derived in the previous iteration of that component.
-func SemiNaive(opts Options) Evaluator { return &semiNaiveEvaluator{opts: opts} }
-
-type naiveEvaluator struct{ opts Options }
-
-func (e *naiveEvaluator) Name() string { return "naive" }
-
-type semiNaiveEvaluator struct{ opts Options }
-
-func (e *semiNaiveEvaluator) Name() string { return "semi-naive" }
 
 // variantKey identifies one compiled pipeline variant of a program: a rule
 // index, the body position leading the join, and whether that literal reads
@@ -380,13 +349,10 @@ type runPipe struct {
 
 // evalContext carries the shared machinery of both evaluators.
 type evalContext struct {
-	prep    *Prepared
-	program *ast.Program
-	store   *database.Store
-	derived map[string]bool
-	arities map[string]int
-	opts    Options
-	stats   *Stats
+	prep  *Prepared
+	store *database.Store
+	opts  Options
+	stats *Stats
 	// ctx is the caller's cancellation context. It is checked at every
 	// fixpoint round and, through derivationTick, once every
 	// ctxCheckInterval rule firings, so deadlines interrupt even a divergent
@@ -398,9 +364,9 @@ type evalContext struct {
 	// reader is the lock-free view of the store's symbol table the compiled
 	// pipelines execute against.
 	reader intern.Reader
-	// par links a forked worker context back to the shared state of a
-	// parallel run (global limit counters, stop flag). nil in sequential
-	// evaluation and in the root context of a parallel one.
+	// par links a pool worker's forked context back to the run's shared state
+	// (global limit counters, stop flag). nil in the root context, which is
+	// the one that counts when the calling goroutine runs the components.
 	par *parRun
 	// flushedDerivations/flushedFacts are the portions of this context's
 	// local Derivations/NewFacts counters already published to the parallel
@@ -438,14 +404,11 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 		c = context.Background()
 	}
 	ctx := &evalContext{
-		prep:    pp,
-		program: pp.program,
-		store:   edb.Overlay(),
-		derived: pp.derived,
-		arities: pp.arities,
-		opts:    opts,
-		ctx:     c,
-		bound:   make(map[variantKey]*runPipe),
+		prep:  pp,
+		store: edb.Overlay(),
+		opts:  opts,
+		ctx:   c,
+		bound: make(map[variantKey]*runPipe),
 		stats: &Stats{
 			Strategy:         name,
 			RuleFirings:      make(map[int]int64),
@@ -457,8 +420,8 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 	// body matching never fail on missing relations. On the overlay this is
 	// also the copy-on-write point: every relation evaluation writes to
 	// becomes private here, so the shared base store is never mutated.
-	for key := range ctx.derived {
-		if _, err := ctx.store.Relation(key, ctx.arities[key]); err != nil {
+	for key := range pp.derived {
+		if _, err := ctx.store.Relation(key, pp.arities[key]); err != nil {
 			return nil, fmt.Errorf("eval: %w", err)
 		}
 	}
@@ -538,101 +501,6 @@ func (ctx *evalContext) fullStoreLead(ruleIdx int) (lead int, ok bool) {
 	return lead, true
 }
 
-// matchLiteral enumerates the substitutions extending s that satisfy the
-// body literal against the given relation, invoking yield for each. The
-// relation may be nil (no matches). It returns an error only for unresolved
-// arithmetic arguments.
-func (ctx *evalContext) matchLiteral(lit ast.Atom, rel *database.Relation, s ast.Subst, yield func(ast.Subst) error) error {
-	if rel == nil {
-		return nil
-	}
-	// Instantiate the literal under the current substitution and normalize
-	// arithmetic.
-	inst := s.ApplyAtom(lit)
-	cols := []int{}
-	vals := []ast.Term{}
-	for i, arg := range inst.Args {
-		arg = ast.EvalArith(arg)
-		inst.Args[i] = arg
-		if ast.IsGround(arg) {
-			if ast.ContainsArith(arg) {
-				return fmt.Errorf("eval: argument %d of %s contains uninterpreted arithmetic after grounding", i, lit)
-			}
-			cols = append(cols, i)
-			vals = append(vals, arg)
-		}
-	}
-	positions := rel.Lookup(cols, vals)
-	if len(cols) > 0 {
-		ctx.stats.IndexProbes++
-		ctx.stats.IndexHits += int64(len(positions))
-	}
-	for _, pos := range positions {
-		tuple := rel.Tuple(pos)
-		ctx.stats.JoinProbes++
-		s2 := s.Clone()
-		if ast.MatchAtom(inst, tuple, s2) {
-			if err := yield(s2); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ruleEval evaluates one rule with the body literal at deltaPos (if >= 0)
-// matched against the delta store instead of the full store, and calls emit
-// for every derived ground head fact. It is the substitution-based reference
-// evaluator: production evaluation goes through the compiled join pipelines
-// (plan.go/compile.go), and the differential tests check the two agree.
-func (ctx *evalContext) ruleEval(ruleIdx int, r ast.Rule, deltaPos int, delta *database.Store, emit func(ast.Atom) error) error {
-	var walk func(i int, s ast.Subst) error
-	walk = func(i int, s ast.Subst) error {
-		if i == len(r.Body) {
-			head := s.ApplyAtom(r.Head)
-			for j, arg := range head.Args {
-				head.Args[j] = ast.EvalArith(arg)
-			}
-			if !ast.IsGroundAtom(head) {
-				return fmt.Errorf("%w: rule %d (%s) produced %s", ErrNonGroundFact, ruleIdx, r, head)
-			}
-			ctx.stats.addFiring(ruleIdx)
-			if ctx.opts.MaxDerivations > 0 && ctx.stats.Derivations > ctx.opts.MaxDerivations {
-				return fmt.Errorf("%w: more than %d derivations", ErrLimitExceeded, ctx.opts.MaxDerivations)
-			}
-			if err := ctx.derivationTick(); err != nil {
-				return err
-			}
-			return emit(head)
-		}
-		lit := r.Body[i]
-		var rel *database.Relation
-		if i == deltaPos {
-			rel = delta.Existing(lit.PredKey())
-		} else {
-			rel = ctx.store.Existing(lit.PredKey())
-		}
-		return ctx.matchLiteral(lit, rel, s, func(s2 ast.Subst) error {
-			return walk(i+1, s2)
-		})
-	}
-	return walk(0, ast.NewSubst())
-}
-
-// insertDerived adds a derived fact to the target store, updating stats, and
-// reports whether it was new in the main store.
-func (ctx *evalContext) insertFact(target *database.Store, head ast.Atom) (bool, error) {
-	rel, err := target.Relation(head.PredKey(), len(head.Args))
-	if err != nil {
-		return false, fmt.Errorf("eval: %w", err)
-	}
-	added, err := rel.Insert(database.Tuple(head.Args))
-	if err != nil {
-		return false, fmt.Errorf("eval: %w", err)
-	}
-	return added, nil
-}
-
 // insertRow adds a derived ID row to the target store and reports whether it
 // was new there.
 func (ctx *evalContext) insertRow(target *database.Store, key string, arity int, row []intern.ID) (bool, error) {
@@ -647,53 +515,28 @@ func (ctx *evalContext) insertRow(target *database.Store, key string, arity int,
 	return added, nil
 }
 
-// fireRule evaluates one rule — through its compiled join pipeline, or the
-// substitution-based reference matcher when forceTermSpace is set — with the
+// fireRule evaluates one rule through its compiled join pipeline, with the
 // body literal at deltaPos (if >= 0) matched against the delta store. Every
 // derived fact is inserted into the main store; new facts are additionally
-// inserted into aux (if non-nil, the next delta store) and reported through
-// onNew. A compiled full-store pass that cannot fire (pipelineFor returns nil)
-// does nothing.
-func (ctx *evalContext) fireRule(ruleIdx int, deltaPos int, delta *database.Store, aux *database.Store, onNew func()) error {
-	if !ctx.opts.forceTermSpace {
-		rp := ctx.pipelineFor(ruleIdx, deltaPos)
-		if rp == nil {
-			return nil
-		}
-		pl := rp.pl
-		return pl.run(ctx, rp.sc, delta, func(row []intern.ID) error {
-			added, err := ctx.insertRow(ctx.store, pl.headKey, pl.headArity, row)
-			if err != nil {
-				return err
-			}
-			if added {
-				ctx.stats.NewFacts++
-				if aux != nil {
-					if _, err := ctx.insertRow(aux, pl.headKey, pl.headArity, row); err != nil {
-						return err
-					}
-				}
-				if onNew != nil {
-					onNew()
-				}
-			}
-			return ctx.checkFactLimit()
-		})
+// inserted into aux (if non-nil, the next delta store). A full-store pass that
+// cannot fire (pipelineFor returns nil) does nothing.
+func (ctx *evalContext) fireRule(ruleIdx int, deltaPos int, delta *database.Store, aux *database.Store) error {
+	rp := ctx.pipelineFor(ruleIdx, deltaPos)
+	if rp == nil {
+		return nil
 	}
-	return ctx.ruleEval(ruleIdx, ctx.program.Rules[ruleIdx], deltaPos, delta, func(head ast.Atom) error {
-		added, err := ctx.insertFact(ctx.store, head)
+	pl := rp.pl
+	return pl.run(ctx, rp.sc, delta, func(row []intern.ID) error {
+		added, err := ctx.insertRow(ctx.store, pl.headKey, pl.headArity, row)
 		if err != nil {
 			return err
 		}
 		if added {
 			ctx.stats.NewFacts++
 			if aux != nil {
-				if _, err := ctx.insertFact(aux, head); err != nil {
+				if _, err := ctx.insertRow(aux, pl.headKey, pl.headArity, row); err != nil {
 					return err
 				}
-			}
-			if onNew != nil {
-				onNew()
 			}
 		}
 		return ctx.checkFactLimit()
@@ -707,9 +550,7 @@ func (ctx *evalContext) fireRule(ruleIdx int, deltaPos int, delta *database.Stor
 // shared is written, so K shards run concurrently. ContainsRow moves the
 // duplicate filtering, which dominates the late rounds of a transitive
 // closure, into the parallel phase; the serial round barrier then only has to
-// merge the out shards into the main relation. Only the compiled-pipeline
-// path exists here: forceTermSpace evaluations never reach the parallel
-// evaluator.
+// merge the out shards into the main relation.
 func (ctx *evalContext) fireRuleInto(ruleIdx, deltaPos int, delta, out *database.Store) error {
 	rp := ctx.pipelineFor(ruleIdx, deltaPos)
 	pl := rp.pl
@@ -780,33 +621,19 @@ func (ctx *evalContext) stopRequested() bool {
 
 // finish fills the derived-fact counts and returns the final result.
 func (ctx *evalContext) finish(err error) (*database.Store, *Stats, error) {
-	for key := range ctx.derived {
+	for key := range ctx.prep.derived {
 		ctx.stats.FactsByPredicate[key] = ctx.store.FactCount(key)
 	}
 	return ctx.store, ctx.stats, err
 }
 
-// Evaluate implements Evaluator for the naive strategy.
-func (e *naiveEvaluator) Evaluate(p *ast.Program, edb *database.Store) (*database.Store, *Stats, error) {
-	pp, err := Prepare(p, edb.Table())
-	if err != nil {
-		return nil, nil, err
-	}
-	return pp.EvaluateNaive(edb, nil, e.opts)
-}
-
-// EvaluateNaive runs the naive strategy over an overlay of edb extended
-// with the seed facts. See Evaluate for the overlay contract. It is
-// EvaluateNaiveCtx with a background context.
-func (pp *Prepared) EvaluateNaive(edb *database.Store, seeds []ast.Atom, opts Options) (*database.Store, *Stats, error) {
-	return pp.EvaluateNaiveCtx(context.Background(), edb, seeds, opts)
-}
-
-// EvaluateNaiveCtx is EvaluateNaive under a cancellation context: the
-// context is checked before every whole-program round and once every
-// ctxCheckInterval rule firings within a round, and its error (wrapped, and
-// distinct from ErrLimitExceeded) is returned together with the partial
-// store when the evaluation is cancelled or times out.
+// EvaluateNaiveCtx runs the naive strategy — every round re-evaluates every
+// rule against the full store until no new fact appears — over an overlay of
+// edb extended with the seed facts (see EvaluateCtx for the overlay
+// contract). The context is checked before every whole-program round and
+// once every ctxCheckInterval rule firings within a round, and its error
+// (wrapped, and distinct from ErrLimitExceeded) is returned together with the
+// partial store when the evaluation is cancelled or times out.
 func (pp *Prepared) EvaluateNaiveCtx(c context.Context, edb *database.Store, seeds []ast.Atom, opts Options) (*database.Store, *Stats, error) {
 	ctx, err := newContext(c, pp, edb, seeds, opts, "naive")
 	if err != nil {
@@ -823,141 +650,56 @@ func (pp *Prepared) EvaluateNaiveCtx(c context.Context, edb *database.Store, see
 		if opts.MaxIterations > 0 && ctx.stats.Iterations > opts.MaxIterations {
 			return ctx.finish(fmt.Errorf("%w: more than %d iterations", ErrLimitExceeded, opts.MaxIterations))
 		}
-		changed := false
+		before := ctx.stats.NewFacts
 		for i := range pp.program.Rules {
-			if err := ctx.fireRule(i, -1, nil, nil, func() { changed = true }); err != nil {
+			if err := ctx.fireRule(i, -1, nil, nil); err != nil {
 				return ctx.finish(err)
 			}
 		}
-		if !changed {
+		if ctx.stats.NewFacts == before {
 			return ctx.finish(nil)
 		}
 	}
 }
 
-// Evaluate implements Evaluator for the semi-naive strategy. The program is
-// decomposed into the strongly connected components of its derived-predicate
-// dependency graph (see internal/depgraph) and evaluated one component at a
-// time in topological order: by the time a component is scheduled, every
-// predicate it depends on from earlier components is complete, so a single
-// pass over the component's rules suffices for non-recursive components, and
-// recursive components iterate with deltas restricted to their own
-// predicates. Within the delta loop, a rule is re-fired only through body
-// occurrences of same-component predicates whose delta is non-empty.
-func (e *semiNaiveEvaluator) Evaluate(p *ast.Program, edb *database.Store) (*database.Store, *Stats, error) {
-	pp, err := Prepare(p, edb.Table())
-	if err != nil {
-		return nil, nil, err
-	}
-	return pp.Evaluate(edb, nil, e.opts)
-}
-
-// Evaluate runs the semi-naive strategy over a copy-on-write overlay of edb
-// extended with the seed facts: the base store's facts are shared, not
+// EvaluateCtx runs the semi-naive strategy over a copy-on-write overlay of
+// edb extended with the seed facts: the base store's facts are shared, not
 // copied, and only the derived (and seeded) relations are private to this
 // evaluation. It is safe to call concurrently from multiple goroutines over
 // the same base store, provided nothing mutates the base while evaluations
-// are in flight; the compiled pipelines are shared, each evaluation gets
-// its own register scratch. It is EvaluateCtx with a background context.
-func (pp *Prepared) Evaluate(edb *database.Store, seeds []ast.Atom, opts Options) (*database.Store, *Stats, error) {
-	return pp.EvaluateCtx(context.Background(), edb, seeds, opts)
-}
-
-// EvaluateCtx is Evaluate under a cancellation context. The context is
-// checked before every component pass and every delta round, and once every
-// ctxCheckInterval rule firings within a round, so request deadlines
-// interrupt divergent fixpoints promptly; the wrapped context error is
-// distinct from ErrLimitExceeded and returned together with the partially
+// are in flight; the compiled pipelines are shared, each evaluation gets its
+// own register scratch.
+//
+// The program is evaluated one strongly connected component of its
+// derived-predicate dependency graph at a time (see internal/depgraph),
+// callees before callers, so every predicate a component reads from another
+// is complete when it runs. runComponent (parallel.go) is the fixpoint loop;
+// this function only decides who calls it: the calling goroutine for every
+// component in plan order, or a worker pool over the components that are
+// ready.
+//
+// The context is checked before every component pass and every delta round,
+// and once every ctxCheckInterval rule firings within a round, so request
+// deadlines interrupt divergent fixpoints promptly; the wrapped context error
+// is distinct from ErrLimitExceeded and returned together with the partially
 // computed store. Options.StopEarly is likewise consulted between rounds.
 func (pp *Prepared) EvaluateCtx(c context.Context, edb *database.Store, seeds []ast.Atom, opts Options) (*database.Store, *Stats, error) {
-	// Dispatch to the parallel scheduler when more than one worker is allowed
-	// and StopEarly's between-rounds contract can be kept exact (see
-	// Options.StopEarlyPred). P=1 — and the fallback — run the sequential
-	// code below unchanged.
-	if p := opts.parallelism(); p > 1 {
-		if opts.StopEarly == nil || opts.StopEarlyPred != "" {
-			return pp.evaluateParallel(c, edb, seeds, opts, p)
-		}
-	}
-	ctx, err := newContext(c, pp, edb, seeds, opts, "semi-naive")
+	root, err := newContext(c, pp, edb, seeds, opts, "semi-naive")
 	if err != nil {
 		return nil, nil, err
 	}
-	p := pp.program
-	plan := pp.plan
-	ctx.stats.Strata = plan.Strata()
-
-	// Two delta stores are allocated once and reused across every round of
-	// every component (clear-and-refill instead of fresh stores): delta holds
-	// the facts driving the current round, next collects the facts it
-	// derives, and the two swap roles at the end of the round. They share the
-	// main store's symbol table so compiled pipelines can move raw ID rows
-	// between them.
-	delta := database.NewStoreWith(ctx.store.Table())
-	next := database.NewStoreWith(ctx.store.Table())
-
-	for _, comp := range plan.Components {
-		// First pass over the component: evaluate its rules against the full
-		// store (base facts, seeds, and everything derived by earlier
-		// components). rounds counts this component's passes; MaxIterations
-		// bounds it per component so the limit keeps its old meaning of "how
-		// long may a fixpoint loop run" rather than scaling with the number
-		// of strata.
-		// The first pass can never trip MaxIterations (any positive bound
-		// admits at least one round), so only the delta loop checks it.
-		if err := ctx.ctxErr(); err != nil {
-			return ctx.finish(err)
-		}
-		if ctx.stopRequested() {
-			return ctx.finish(nil)
-		}
-		rounds := 1
-		ctx.stats.Iterations++
-		delta.Reset()
-		for _, ri := range comp.Rules {
-			if err := ctx.fireRule(ri, -1, nil, delta, nil); err != nil {
-				return ctx.finish(err)
-			}
-		}
-		if !comp.Recursive {
-			// Nothing in this component can feed back into it: one pass is a
-			// fixpoint.
-			continue
-		}
-
-		// Delta iteration, confined to this component's rules. Only body
-		// occurrences of same-component predicates can carry new facts; all
-		// other predicates are complete.
-		for delta.TotalFacts() > 0 {
-			if err := ctx.ctxErr(); err != nil {
-				return ctx.finish(err)
-			}
-			if ctx.stopRequested() {
-				return ctx.finish(nil)
-			}
-			rounds++
-			ctx.stats.Iterations++
-			if opts.MaxIterations > 0 && rounds > opts.MaxIterations {
-				return ctx.finish(fmt.Errorf("%w: more than %d iterations", ErrLimitExceeded, opts.MaxIterations))
-			}
-			next.Reset()
-			for _, ri := range comp.Rules {
-				r := p.Rules[ri]
-				for _, pos := range comp.DeltaPositions[ri] {
-					if delta.FactCount(r.Body[pos].PredKey()) == 0 {
-						ctx.stats.SkippedRuleEvals++
-						continue
-					}
-					ctx.stats.DeltaRuleEvals++
-					if err := ctx.fireRule(ri, pos, delta, next, nil); err != nil {
-						return ctx.finish(err)
-					}
-				}
-			}
-			delta, next = next, delta
-		}
+	root.stats.Strata = pp.plan.Strata()
+	p := opts.parallelism()
+	if opts.StopEarly != nil && opts.StopEarlyPred == "" {
+		// No telling which in-progress relations the callback reads: keep its
+		// between-rounds contract by running one component at a time.
+		p = 1
 	}
-	return ctx.finish(nil)
+	pr := &parRun{root: root, plan: pp.plan, p: p, owner: -1}
+	if p == 1 {
+		return root.finish(pr.runInline())
+	}
+	return root.finish(pr.runPool())
 }
 
 // answerSelection locates the tuples of the given relation that match the

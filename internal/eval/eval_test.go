@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -20,6 +21,24 @@ func chainStore(n int) *database.Store {
 	return s
 }
 
+// semiNaive prepares prog for edb's symbol table and evaluates it semi-naively
+// under a background context; naive does the same with the naive strategy.
+func semiNaive(prog *ast.Program, edb *database.Store, opts Options) (*database.Store, *Stats, error) {
+	pp, err := Prepare(prog, edb.Table())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pp.EvaluateCtx(context.Background(), edb, nil, opts)
+}
+
+func naive(prog *ast.Program, edb *database.Store, opts Options) (*database.Store, *Stats, error) {
+	pp, err := Prepare(prog, edb.Table())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pp.EvaluateNaiveCtx(context.Background(), edb, nil, opts)
+}
+
 const ancestorSrc = `
 	anc(X, Y) :- par(X, Y).
 	anc(X, Y) :- par(X, Z), anc(Z, Y).
@@ -27,7 +46,7 @@ const ancestorSrc = `
 
 func TestNaiveAncestorChain(t *testing.T) {
 	prog := parser.MustParseProgram(ancestorSrc)
-	store, stats, err := Naive(Options{}).Evaluate(prog, chainStore(5))
+	store, stats, err := naive(prog, chainStore(5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +68,11 @@ func TestNaiveAncestorChain(t *testing.T) {
 func TestSemiNaiveAgreesWithNaive(t *testing.T) {
 	prog := parser.MustParseProgram(ancestorSrc)
 	edb := chainStore(8)
-	sn, snStats, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	sn, snStats, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, nvStats, err := Naive(Options{}).Evaluate(prog, edb)
+	nv, nvStats, err := naive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +107,7 @@ func TestSameGenerationEvaluation(t *testing.T) {
 	if err := edb.AddFacts(facts); err != nil {
 		t.Fatal(err)
 	}
-	store, _, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	store, _, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +129,7 @@ func TestEvaluateAdornedAndSeededProgram(t *testing.T) {
 	prog := parser.MustParseProgram(src)
 	edb := chainStore(10)
 	edb.MustAddFact(ast.NewAtom("magic_anc", ast.S("n7")))
-	store, _, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	store, _, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +151,11 @@ func TestUnsafeProgramReturnsError(t *testing.T) {
 	))
 	edb := database.NewStore()
 	edb.MustAddFact(ast.NewAtom("q", ast.S("a")))
-	_, _, err := Naive(Options{}).Evaluate(prog, edb)
+	_, _, err := naive(prog, edb, Options{})
 	if !errors.Is(err, ErrNonGroundFact) {
 		t.Errorf("expected ErrNonGroundFact, got %v", err)
 	}
-	_, _, err = SemiNaive(Options{}).Evaluate(prog, edb)
+	_, _, err = semiNaive(prog, edb, Options{})
 	if !errors.Is(err, ErrNonGroundFact) {
 		t.Errorf("expected ErrNonGroundFact from semi-naive, got %v", err)
 	}
@@ -151,18 +170,18 @@ func TestIterationLimit(t *testing.T) {
 	))
 	edb := database.NewStore()
 	edb.MustAddFact(ast.NewAtom("nat", ast.I(0)))
-	_, stats, err := SemiNaive(Options{MaxIterations: 10}).Evaluate(prog, edb)
+	_, stats, err := semiNaive(prog, edb, Options{MaxIterations: 10})
 	if !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("expected ErrLimitExceeded, got %v", err)
 	}
 	if stats.Iterations < 10 {
 		t.Errorf("iterations = %d", stats.Iterations)
 	}
-	_, _, err = SemiNaive(Options{MaxFacts: 5}).Evaluate(prog, edb)
+	_, _, err = semiNaive(prog, edb, Options{MaxFacts: 5})
 	if !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("expected ErrLimitExceeded with MaxFacts, got %v", err)
 	}
-	_, _, err = Naive(Options{MaxDerivations: 7}).Evaluate(prog, edb)
+	_, _, err = naive(prog, edb, Options{MaxDerivations: 7})
 	if !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("expected ErrLimitExceeded with MaxDerivations, got %v", err)
 	}
@@ -184,7 +203,7 @@ func TestArithmeticIndexEvaluation(t *testing.T) {
 	edb.MustAddFact(ast.NewAtom("cnt", ast.I(0), ast.S("a")))
 	edb.MustAddFact(ast.NewAtom("edge", ast.S("a"), ast.S("b")))
 	edb.MustAddFact(ast.NewAtom("edge", ast.S("b"), ast.S("c")))
-	store, _, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	store, _, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +229,7 @@ func TestListProgramEvaluation(t *testing.T) {
 	edb := database.NewStore()
 	edb.MustAddFact(ast.NewAtom("item", ast.S("a")))
 	edb.MustAddFact(ast.NewAtom("item", ast.S("b")))
-	store, _, err := Naive(Options{}).Evaluate(prog, edb)
+	store, _, err := naive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +269,8 @@ func TestAnswersProjectionAndSet(t *testing.T) {
 }
 
 func TestEvaluatorNamesAndStatsString(t *testing.T) {
-	if Naive(Options{}).Name() != "naive" || SemiNaive(Options{}).Name() != "semi-naive" {
-		t.Error("names wrong")
-	}
 	prog := parser.MustParseProgram(ancestorSrc)
-	_, stats, err := SemiNaive(Options{}).Evaluate(prog, chainStore(3))
+	_, stats, err := semiNaive(prog, chainStore(3), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +280,9 @@ func TestEvaluatorNamesAndStatsString(t *testing.T) {
 	if stats.JoinProbes == 0 || stats.Derivations == 0 {
 		t.Error("join probes / derivations not counted")
 	}
+	if _, stats, err = naive(prog, chainStore(3), Options{}); err != nil || stats.Strategy != "naive" {
+		t.Errorf("naive strategy = %q, err %v", stats.Strategy, err)
+	}
 }
 
 func TestArityConflictRejected(t *testing.T) {
@@ -271,7 +290,7 @@ func TestArityConflictRejected(t *testing.T) {
 		ast.NewRule(ast.NewAtom("p", ast.V("X")), ast.NewAtom("q", ast.V("X"))),
 		ast.NewRule(ast.NewAtom("p", ast.V("X"), ast.V("X")), ast.NewAtom("q", ast.V("X"))),
 	)
-	if _, _, err := Naive(Options{}).Evaluate(prog, database.NewStore()); err == nil {
+	if _, _, err := naive(prog, database.NewStore(), Options{}); err == nil {
 		t.Error("arity conflict must be rejected")
 	}
 }
@@ -302,8 +321,8 @@ func TestQuickSemiNaiveEqualsNaive(t *testing.T) {
 	prog := parser.MustParseProgram(ancestorSrc)
 	f := func(seed uint32) bool {
 		edb := randomGraphStore(int(seed%1000), 6, 9)
-		a, _, err1 := Naive(Options{}).Evaluate(prog, edb)
-		b, _, err2 := SemiNaive(Options{}).Evaluate(prog, edb)
+		a, _, err1 := naive(prog, edb, Options{})
+		b, _, err2 := semiNaive(prog, edb, Options{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -327,13 +346,13 @@ func TestQuickMonotonicity(t *testing.T) {
 	prog := parser.MustParseProgram(ancestorSrc)
 	f := func(seed uint32) bool {
 		edb := randomGraphStore(int(seed%1000), 5, 6)
-		before, _, err := SemiNaive(Options{}).Evaluate(prog, edb)
+		before, _, err := semiNaive(prog, edb, Options{})
 		if err != nil {
 			return false
 		}
 		edb2 := edb.Clone()
 		edb2.MustAddFact(ast.NewAtom("par", ast.S("v0"), ast.S("v1")))
-		after, _, err := SemiNaive(Options{}).Evaluate(prog, edb2)
+		after, _, err := semiNaive(prog, edb2, Options{})
 		if err != nil {
 			return false
 		}
@@ -356,11 +375,11 @@ func TestQuickMonotonicity(t *testing.T) {
 func TestSemiNaiveAvoidsRederivations(t *testing.T) {
 	prog := parser.MustParseProgram(ancestorSrc)
 	edb := chainStore(20)
-	_, naiveStats, err := Naive(Options{}).Evaluate(prog, edb)
+	_, naiveStats, err := naive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, snStats, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	_, snStats, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +399,7 @@ func TestSemiNaiveAvoidsRederivations(t *testing.T) {
 // attributed to the right rules.
 func TestRuleFiringCountsPerRule(t *testing.T) {
 	prog := parser.MustParseProgram(ancestorSrc)
-	_, stats, err := SemiNaive(Options{}).Evaluate(prog, chainStore(6))
+	_, stats, err := semiNaive(prog, chainStore(6), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +440,7 @@ func TestEvaluateOverPinnedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, _, err := pp.Evaluate(pin, nil, Options{})
+	pinned, _, err := pp.EvaluateCtx(context.Background(), pin, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +448,7 @@ func TestEvaluateOverPinnedStore(t *testing.T) {
 	if got := pinned.FactCount("anc"); got != 21 {
 		t.Errorf("pinned evaluation derived %d anc facts, want 21", got)
 	}
-	liveRes, _, err := pp.Evaluate(live, nil, Options{})
+	liveRes, _, err := pp.EvaluateCtx(context.Background(), live, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

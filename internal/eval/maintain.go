@@ -323,8 +323,8 @@ func (mr *maintRun) newView(ph maintPhase, key string) relView {
 }
 
 // matchView enumerates the substitutions extending s that satisfy the body
-// literal against the view, like evalContext.matchLiteral over a virtual
-// relation.
+// literal against the view: the literal's ground arguments under s select the
+// candidate tuples, the rest are matched against each.
 func (mr *maintRun) matchView(lit ast.Atom, v relView, s ast.Subst, yield func(ast.Subst) error) error {
 	inst := s.ApplyAtom(lit)
 	var cols []int

@@ -1,5 +1,6 @@
-// Parallel semi-naive evaluation: the SCC plan of a prepared program is run
-// by a bounded worker pool at two levels of concurrency.
+// The semi-naive component loop (runComponent) and its two callers: runInline
+// runs the SCC plan of a prepared program on the calling goroutine, runPool
+// runs it on a bounded worker pool at two levels of concurrency.
 //
 // Level 1 (inter-component): a ready-set scheduler over the plan's
 // dependency edges (depgraph.Plan.Deps/Dependents) runs every component
@@ -27,29 +28,26 @@
 // on), which can shift on which round a given derivation happens but not
 // the fixpoint: the semi-naive invariant delta ⊆ main is maintained by the
 // merge itself, so no derivation is lost, and rounds continue while the
-// merge adds rows. Small rounds (below partitionThreshold) run the exact
-// sequential round code, so small evaluations report sequential-identical
-// statistics.
+// merge adds rows. Small rounds (below partitionThreshold) run inline, as
+// every round does at Parallelism 1, so small evaluations report the same
+// statistics at every Parallelism.
 package eval
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/ast"
 	"repro/internal/database"
 	"repro/internal/depgraph"
 )
 
 // partitionThreshold is the minimum number of delta rows in a recursive
 // round before the round is hash-partitioned across shards. Below it the
-// exact sequential round code runs: scatter/merge overhead would dominate,
-// and keeping small rounds on the sequential path keeps their statistics
-// (Iterations, DeltaRuleEvals, insert order of derived relations) identical
-// to a Parallelism=1 run.
+// round runs inline: scatter/merge overhead would dominate, and an inline
+// round's statistics (Iterations, DeltaRuleEvals, insert order of derived
+// relations) are those of a Parallelism=1 run.
 const partitionThreshold = 256
 
 // errStopParallel is the internal sentinel a worker returns when it observed
@@ -58,11 +56,12 @@ const partitionThreshold = 256
 // it to nil, and the run's first real error (or nil) is what callers see.
 var errStopParallel = errors.New("eval: parallel evaluation stopped")
 
-// parRun is the shared state of one parallel evaluation.
+// parRun is the shared state of one semi-naive evaluation. runInline uses
+// only root, plan, p (1) and the stop flag; the rest serves runPool.
 type parRun struct {
 	root *evalContext
 	plan *depgraph.Plan
-	p    int // configured parallelism (shard count for partitioned rounds)
+	p    int // worker count (shard count for partitioned rounds)
 
 	// Global limit counters: workers flush their local Derivations/NewFacts
 	// deltas here every ctxCheckInterval firings and at round barriers, so
@@ -79,7 +78,7 @@ type parRun struct {
 	closed    bool
 	indeg     []int
 	remaining int
-	err       error // first real error, surfaced by evaluateParallel
+	err       error // first real error, surfaced by runPool
 	// owner is the component defining Options.StopEarlyPred (-1 if none —
 	// then the probed predicate is frozen and anyone may consult StopEarly).
 	// ownerDone flips when the owner completes; from then on the predicate
@@ -179,9 +178,10 @@ func (pr *parRun) collect(wk *parWorker) {
 	}
 }
 
-// parWorker is one pool worker: a forked evalContext plus the reusable delta
-// stores of the sequential round code and, allocated on first use, the shard
-// machinery of partitioned rounds.
+// parWorker is what runs components: an evalContext (the root's own for
+// runInline, a fork per pool worker) plus the two reusable delta stores of
+// inline rounds and, allocated on first use, the shard machinery of
+// partitioned rounds.
 type parWorker struct {
 	pr          *parRun
 	ctx         *evalContext
@@ -198,11 +198,16 @@ type parWorker struct {
 	bank      int
 }
 
-func (pr *parRun) newWorker() *parWorker {
-	tab := pr.root.store.Table()
+// newWorker allocates the two delta stores once; they are cleared and
+// refilled across every round of every component the worker runs: delta holds
+// the facts driving the current round, next collects the facts it derives,
+// and the two swap roles at the end of the round. They share the main store's
+// symbol table so compiled pipelines can move raw ID rows between them.
+func (pr *parRun) newWorker(ctx *evalContext) *parWorker {
+	tab := ctx.store.Table()
 	return &parWorker{
 		pr:    pr,
-		ctx:   pr.root.fork(pr),
+		ctx:   ctx,
 		delta: database.NewStoreWith(tab),
 		next:  database.NewStoreWith(tab),
 	}
@@ -225,11 +230,14 @@ func (wk *parWorker) ensureShards(k int) {
 	}
 }
 
-// runComponent evaluates one component to fixpoint, mirroring the sequential
-// loop of EvaluateCtx (same first pass, same per-component MaxIterations
-// meaning, same delta bookkeeping) with one addition: a recursive round
-// whose delta holds at least partitionThreshold rows is dispatched to
-// partitionedRound instead of running inline.
+// runComponent evaluates one component to fixpoint. It is the only
+// semi-naive loop: a first pass fires the component's rules against the full
+// store (base facts, seeds, and everything earlier components derived), and a
+// recursive component then iterates, firing each rule once per body
+// occurrence of a same-component predicate with that occurrence restricted to
+// the previous round's delta (every other predicate is complete). A round
+// whose delta holds at least partitionThreshold rows goes to partitionedRound
+// when more than one worker is configured; every other round runs inline.
 func (wk *parWorker) runComponent(ci int) error {
 	pr := wk.pr
 	ctx := wk.ctx
@@ -244,11 +252,15 @@ func (wk *parWorker) runComponent(ci int) error {
 		pr.stop.Store(true)
 		return nil
 	}
+	// rounds counts this component's passes; MaxIterations bounds it per
+	// component so the limit means "how long may a fixpoint loop run" rather
+	// than scaling with the number of strata. The first pass can never trip
+	// it (any positive bound admits one round), so only the delta loop checks.
 	rounds := 1
 	ctx.stats.Iterations++
 	wk.delta.Reset()
 	for _, ri := range comp.Rules {
-		if err := ctx.fireRule(ri, -1, nil, wk.delta, nil); err != nil {
+		if err := ctx.fireRule(ri, -1, nil, wk.delta); err != nil {
 			return err
 		}
 	}
@@ -259,13 +271,11 @@ func (wk *parWorker) runComponent(ci int) error {
 		return nil
 	}
 
-	// srcs holds the stores containing the current delta: the single
-	// reusable delta store after a sequential round, or the K out shards
-	// after a partitioned one (their union is exactly the set of rows the
-	// barrier added to the main store). sharded tracks which shape it is.
-	srcs := []*database.Store{wk.delta}
+	// The current delta is in wk.delta after an inline round, and in shards
+	// (non-nil) after a partitioned one: the K out stores, whose union is
+	// exactly the set of rows the barrier added to the main store.
+	var shards []*database.Store
 	total := wk.delta.TotalFacts()
-	sharded := false
 	for total > 0 {
 		if err := ctx.ctxErr(); err != nil {
 			return err
@@ -282,39 +292,40 @@ func (wk *parWorker) runComponent(ci int) error {
 		if max := ctx.opts.MaxIterations; max > 0 && rounds > max {
 			return fmt.Errorf("%w: more than %d iterations", ErrLimitExceeded, max)
 		}
-		if total >= partitionThreshold {
-			outs, added, err := wk.partitionedRound(comp, srcs)
-			if err != nil {
+		if pr.p > 1 && total >= partitionThreshold {
+			if shards == nil {
+				shards = []*database.Store{wk.delta}
+			}
+			var err error
+			if shards, total, err = wk.partitionedRound(comp, shards); err != nil {
 				return err
 			}
-			srcs, total, sharded = outs, added, true
 			continue
 		}
-		if sharded {
-			// Falling back to a sequential round: fold the out shards into
-			// the single delta store.
+		if shards != nil {
+			// Back to an inline round: fold the out shards into the single
+			// delta store.
 			wk.delta.Reset()
-			if err := foldInto(wk.delta, srcs); err != nil {
+			if err := foldInto(wk.delta, shards); err != nil {
 				return err
 			}
-			sharded = false
+			shards = nil
 		}
 		wk.next.Reset()
 		for _, ri := range comp.Rules {
-			r := ctx.program.Rules[ri]
+			r := ctx.prep.program.Rules[ri]
 			for _, pos := range comp.DeltaPositions[ri] {
 				if wk.delta.FactCount(r.Body[pos].PredKey()) == 0 {
 					ctx.stats.SkippedRuleEvals++
 					continue
 				}
 				ctx.stats.DeltaRuleEvals++
-				if err := ctx.fireRule(ri, pos, wk.delta, wk.next, nil); err != nil {
+				if err := ctx.fireRule(ri, pos, wk.delta, wk.next); err != nil {
 					return err
 				}
 			}
 		}
 		wk.delta, wk.next = wk.next, wk.delta
-		srcs = []*database.Store{wk.delta}
 		total = wk.delta.TotalFacts()
 	}
 	return nil
@@ -409,7 +420,7 @@ func (wk *parWorker) runShard(comp *depgraph.Component, srcs []*database.Store, 
 	}
 	sc.stats.WorkerRounds++
 	for _, ri := range comp.Rules {
-		r := sc.program.Rules[ri]
+		r := sc.prep.program.Rules[ri]
 		for _, pos := range comp.DeltaPositions[ri] {
 			if in.FactCount(r.Body[pos].PredKey()) == 0 {
 				sc.stats.SkippedRuleEvals++
@@ -426,7 +437,7 @@ func (wk *parWorker) runShard(comp *depgraph.Component, srcs []*database.Store, 
 
 // foldInto merges every relation of the source stores into dst (used when a
 // component's delta shrinks below the partition threshold and the next round
-// runs sequentially again).
+// runs inline again).
 func foldInto(dst *database.Store, srcs []*database.Store) error {
 	for _, src := range srcs {
 		for _, name := range src.Names() {
@@ -444,32 +455,34 @@ func foldInto(dst *database.Store, srcs []*database.Store) error {
 	return nil
 }
 
-// evaluateParallel is the parallel counterpart of the sequential loop in
-// EvaluateCtx: the same per-component semantics, scheduled over a bounded
-// worker pool. It is only entered with parallelism > 1 and a StopEarly
-// configuration the owner rule can keep exact (see Options.StopEarlyPred).
-func (pp *Prepared) evaluateParallel(c context.Context, edb *database.Store, seeds []ast.Atom, opts Options, p int) (*database.Store, *Stats, error) {
-	root, err := newContext(c, pp, edb, seeds, opts, "semi-naive")
-	if err != nil {
-		return nil, nil, err
+// runInline runs every component in plan order (callees before callers) on
+// the calling goroutine: no pool, no channel, no goroutine, and the root
+// context counts directly, so there is nothing to merge. Only a StopEarly hit
+// raises the stop flag here, and it ends the run.
+func (pr *parRun) runInline() error {
+	wk := pr.newWorker(pr.root)
+	for ci := range pr.plan.Components {
+		if err := wk.runComponent(ci); err != nil || pr.stop.Load() {
+			return err
+		}
 	}
-	plan := pp.plan
-	root.stats.Strata = plan.Strata()
+	return nil
+}
+
+// runPool schedules the components over min(p, components) workers, each
+// running runComponent on whatever component is ready, and returns the run's
+// first real error. It is only entered with p > 1 and a StopEarly
+// configuration the owner rule can keep exact (see Options.StopEarlyPred).
+func (pr *parRun) runPool() error {
+	root, plan, opts := pr.root, pr.plan, pr.root.opts
 	n := len(plan.Components)
 	if n == 0 {
-		return root.finish(nil)
+		return nil
 	}
 	root.stats.ParallelComponents = n
-
-	pr := &parRun{
-		root:      root,
-		plan:      plan,
-		p:         p,
-		ready:     make(chan int, n),
-		indeg:     make([]int, n),
-		remaining: n,
-		owner:     -1,
-	}
+	pr.ready = make(chan int, n)
+	pr.indeg = make([]int, n)
+	pr.remaining = n
 	if opts.StopEarly != nil {
 		if ci, ok := plan.PredComponent[opts.StopEarlyPred]; ok {
 			pr.owner = ci
@@ -482,16 +495,12 @@ func (pp *Prepared) evaluateParallel(c context.Context, edb *database.Store, see
 		}
 	}
 
-	workers := p
-	if workers > n {
-		workers = n
-	}
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 0; i < min(pr.p, n); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := pr.newWorker()
+			wk := pr.newWorker(root.fork(pr))
 			for ci := range pr.ready {
 				err := wk.runComponent(ci)
 				if errors.Is(err, errStopParallel) {
@@ -509,15 +518,15 @@ func (pp *Prepared) evaluateParallel(c context.Context, edb *database.Store, see
 	// granularity is ctxCheckInterval). The merged root stats hold the
 	// exact totals, so enforce the limits once more before reporting
 	// success — this keeps "errors if and only if the work exceeded the
-	// limit" aligned with the sequential evaluator.
-	ferr := pr.err
-	if ferr == nil && !root.stats.StoppedEarly {
-		if max := opts.MaxDerivations; max > 0 && root.stats.Derivations > max {
-			ferr = fmt.Errorf("%w: more than %d derivations", ErrLimitExceeded, max)
-		}
-		if max := opts.MaxFacts; ferr == nil && max > 0 && root.stats.NewFacts > max {
-			ferr = fmt.Errorf("%w: more than %d facts", ErrLimitExceeded, max)
-		}
+	// limit" true at every Parallelism.
+	if pr.err != nil || root.stats.StoppedEarly {
+		return pr.err
 	}
-	return root.finish(ferr)
+	if limit := opts.MaxDerivations; limit > 0 && root.stats.Derivations > limit {
+		return fmt.Errorf("%w: more than %d derivations", ErrLimitExceeded, limit)
+	}
+	if limit := opts.MaxFacts; limit > 0 && root.stats.NewFacts > limit {
+		return fmt.Errorf("%w: more than %d facts", ErrLimitExceeded, limit)
+	}
+	return nil
 }

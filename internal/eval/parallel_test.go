@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func evalAt(t *testing.T, prog *ast.Program, edb *database.Store, opts Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, stats, err := pp.Evaluate(edb, nil, opts)
+	store, stats, err := pp.EvaluateCtx(context.Background(), edb, nil, opts)
 	if err != nil {
 		t.Fatalf("parallelism %d: %v", parallelism, err)
 	}
@@ -257,7 +258,7 @@ func TestParallelLimitsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, full, err := pp.Evaluate(edb, nil, Options{Parallelism: 1})
+	_, full, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestParallelLimitsMatchSequential(t *testing.T) {
 			for _, p := range []int{1, 8} {
 				opts := tc.opts
 				opts.Parallelism = p
-				_, _, err := pp.Evaluate(edb, nil, opts)
+				_, _, err := pp.EvaluateCtx(context.Background(), edb, nil, opts)
 				if hit := errors.Is(err, ErrLimitExceeded); hit != tc.wantHit {
 					t.Errorf("parallelism %d: limit hit = %v (err %v), want %v", p, hit, err, tc.wantHit)
 				}
@@ -301,7 +302,7 @@ func TestParallelStopEarly(t *testing.T) {
 	stop := func(s *database.Store) bool { return CountAnswers(s, "anc", query) >= 3 }
 
 	t.Run("owner-gated", func(t *testing.T) {
-		store, stats, err := pp.Evaluate(edb, nil, Options{
+		store, stats, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{
 			Parallelism:   8,
 			StopEarly:     stop,
 			StopEarlyPred: "anc",
@@ -318,7 +319,7 @@ func TestParallelStopEarly(t *testing.T) {
 		if got := CountAnswers(store, "anc", query); got < 3 {
 			t.Errorf("stopped with %d answers, want >= 3", got)
 		}
-		seqStore, seqStats, err := pp.Evaluate(edb, nil, Options{
+		seqStore, seqStats, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{
 			Parallelism:   1,
 			StopEarly:     stop,
 			StopEarlyPred: "anc",
@@ -335,7 +336,7 @@ func TestParallelStopEarly(t *testing.T) {
 	})
 
 	t.Run("fallback-without-pred", func(t *testing.T) {
-		_, stats, err := pp.Evaluate(edb, nil, Options{
+		_, stats, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{
 			Parallelism: 8,
 			StopEarly:   stop,
 		})
@@ -349,4 +350,57 @@ func TestParallelStopEarly(t *testing.T) {
 			t.Error("StoppedEarly not set on the fallback path")
 		}
 	})
+}
+
+// TestParallelismIsClamped pins the cap on the worker count. The value comes
+// straight from network requests, and every partitioned round costs one
+// goroutine and three stores per worker, so at 1<<20 this evaluation would
+// not finish: it must instead do exactly the work of a run at the cap.
+func TestParallelismIsClamped(t *testing.T) {
+	prog := parser.MustParseProgram(`
+		tc(X, Y) :- edge(X, Y).
+		tc(X, Y) :- edge(X, Z), tc(Z, Y).
+	`)
+	edb, _ := workload.ParentChain("edge", 400)
+	seqStore, _ := evalAt(t, prog, edb, Options{}, 1)
+	_, capped := evalAt(t, prog, edb, Options{}, maxParallelism)
+	hugeStore, huge := evalAt(t, prog, edb, Options{}, 1<<20)
+	if hugeStore.FactCount("tc") != 80200 || hugeStore.String() != seqStore.String() {
+		t.Errorf("Parallelism 1<<20 derived %d tc facts, Parallelism 1 derived %d", hugeStore.FactCount("tc"), seqStore.FactCount("tc"))
+	}
+	if capped.WorkerRounds == 0 || huge.WorkerRounds > capped.WorkerRounds {
+		t.Errorf("WorkerRounds = %d at Parallelism 1<<20, %d at the cap of %d", huge.WorkerRounds, capped.WorkerRounds, maxParallelism)
+	}
+}
+
+// TestParallelismOneStartsNoGoroutine pins that at Parallelism 1 — and in the
+// StopEarly-without-StopEarlyPred fallback — the calling goroutine runs every
+// component itself: rounds far above the partition threshold are not
+// partitioned, no pool is reported, and no goroutine exists during the run
+// that did not exist before it.
+func TestParallelismOneStartsNoGoroutine(t *testing.T) {
+	prog := parser.MustParseProgram(`
+		tc(X, Y) :- edge(X, Y).
+		tc(X, Y) :- edge(X, Z), tc(Z, Y).
+	`)
+	edb, _ := workload.ParentChain("edge", 400)
+	before := runtime.NumGoroutine()
+	most := before
+	probe := func(*database.Store) bool {
+		most = max(most, runtime.NumGoroutine())
+		return false
+	}
+	for _, opts := range []Options{
+		{Parallelism: 1, StopEarly: probe, StopEarlyPred: "tc"},
+		{Parallelism: 8, StopEarly: probe},
+	} {
+		_, stats := evalAt(t, prog, edb, opts, opts.Parallelism)
+		if stats.NewFacts != 80200 || stats.ParallelComponents != 0 || stats.WorkerRounds != 0 {
+			t.Errorf("Parallelism %d: NewFacts %d, ParallelComponents %d, WorkerRounds %d; want 80200, 0, 0",
+				opts.Parallelism, stats.NewFacts, stats.ParallelComponents, stats.WorkerRounds)
+		}
+	}
+	if most != before {
+		t.Errorf("%d goroutines between rounds, %d before the evaluation", most, before)
+	}
 }

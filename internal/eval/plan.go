@@ -40,7 +40,7 @@ const (
 
 // valExpr evaluates to an interned ID under the current register file. It is
 // used for bound probe columns (probe mode: a missing value means no match,
-// unresolved arithmetic is an error, mirroring the term-space evaluator) and
+// unresolved arithmetic is an error, mirroring the term-space oracle) and
 // for head arguments (build mode: new integers and compounds are interned,
 // unresolved arithmetic stays an uninterpreted compound, mirroring
 // ast.EvalArith).
@@ -49,7 +49,7 @@ type valExpr struct {
 	id   intern.ID // vConst
 	// arithGround marks a vConst whose term still contains an interpreted
 	// arithmetic functor after constant folding (e.g. a+1): probing with it
-	// is the term-space "uninterpreted arithmetic after grounding" error.
+	// is the "uninterpreted arithmetic after grounding" error.
 	arithGround bool
 	reg         int       // vReg
 	mul         bool      // vArith: true for "*", false for "+"
@@ -84,7 +84,7 @@ func idNumeric(rd *intern.Reader, id intern.ID) (int64, bool) {
 
 // idNormalize rebuilds an interned term with every fully numeric arithmetic
 // subterm folded to its integer value — the ID-level image of applying
-// ast.EvalArith to the materialized term. The term-space evaluator folds
+// ast.EvalArith to the materialized term. The term-space oracle folds
 // every substituted argument this way before probing or storing it, so
 // register values must be normalized the same way whenever the table holds
 // foldable terms (Table.HasArith). In find mode (interning=false) a
@@ -189,8 +189,7 @@ func (e *valExpr) numeric(rd *intern.Reader, regs []intern.ID) (int64, bool) {
 
 // probe evaluates the expression as a bound probe value. ok=false means the
 // value cannot occur in any stored tuple (the probe has no matches); arithErr
-// reports the term-space error of a ground argument that still contains
-// uninterpreted arithmetic.
+// reports a ground argument that still contains uninterpreted arithmetic.
 func (e *valExpr) probe(rd *intern.Reader, regs []intern.ID) (id intern.ID, ok bool, arithErr bool) {
 	switch e.kind {
 	case vConst:
@@ -359,7 +358,7 @@ type patNode struct {
 	args    []patNode // structural children
 	aff     *affNode  // pArith affine program
 	// preFolded marks a pArith whose variables were all bound before the
-	// literal was reached: the term-space evaluator folds such a subpattern
+	// literal was reached: the term-space oracle folds such a subpattern
 	// to an integer when it instantiates the literal (s.ApplyAtom followed
 	// by EvalArith), so a compound target can never match it structurally.
 	// Variables bound within the literal (by an earlier argument or
@@ -384,8 +383,8 @@ func (p *patNode) match(rd *intern.Reader, regs []intern.ID, target intern.ID) b
 		}
 		if rd.HasArith() {
 			// The bound value may fold to the target (e.g. a register
-			// holding (1+2) against a stored 3), exactly as the term-space
-			// matcher's ground Match would.
+			// holding (1+2) against a stored 3), exactly as ast.MatchAtom's
+			// ground match would.
 			return idGroundMatch(rd, regs[p.reg], target)
 		}
 		return false
@@ -476,7 +475,7 @@ type pipeline struct {
 	headArity int
 	head      []valExpr
 	// headOK is false when the head contains a variable not bound by the
-	// body: firing the rule is the term-space ErrNonGroundFact.
+	// body: firing the rule is ErrNonGroundFact.
 	headOK bool
 	// boundRegs maps statically bound variable names to registers, used only
 	// to materialize the offending head for the non-ground error message.
@@ -551,7 +550,7 @@ func (pl *pipeline) run(ctx *evalContext, sc *pipeScratch, delta *database.Store
 			return nil
 		}
 		// Evaluate every probe column before acting on a miss: the
-		// term-space evaluator checks all ground arguments for the
+		// term-space oracle checks all ground arguments for the
 		// uninterpreted-arithmetic error before it looks anything up, so an
 		// unfindable value in an earlier column must not mask the error of a
 		// later one.

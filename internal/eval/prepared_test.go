@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -46,7 +47,7 @@ func preparedChain(t *testing.T, n int) (*database.Store, *Prepared, []ast.Atom)
 func TestPreparedReuseAcrossEvaluations(t *testing.T) {
 	edb, pp, seeds := preparedChain(t, 20)
 	baseFacts := edb.TotalFacts()
-	_, stats, err := pp.Evaluate(edb, seeds, Options{})
+	_, stats, err := pp.EvaluateCtx(context.Background(), edb, seeds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestPreparedReuseAcrossEvaluations(t *testing.T) {
 	}
 	first := stats.NewFacts
 	for i := 0; i < 3; i++ {
-		store, stats, err := pp.Evaluate(edb, seeds, Options{})
+		store, stats, err := pp.EvaluateCtx(context.Background(), edb, seeds, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestPreparedReuseAcrossEvaluations(t *testing.T) {
 func TestPreparedTableMismatch(t *testing.T) {
 	_, pp, seeds := preparedChain(t, 5)
 	other := database.NewStore()
-	if _, _, err := pp.Evaluate(other, seeds, Options{}); err == nil {
+	if _, _, err := pp.EvaluateCtx(context.Background(), other, seeds, Options{}); err == nil {
 		t.Fatal("expected a symbol-table mismatch error")
 	}
 }
@@ -98,7 +99,7 @@ func TestPreparedConcurrentEvaluations(t *testing.T) {
 	pattern := ast.NewAtom("a", ast.S("n0"), ast.V("Y"))
 	for w := 0; w < workers; w++ {
 		go func() {
-			store, _, err := pp.Evaluate(edb, seeds, Options{})
+			store, _, err := pp.EvaluateCtx(context.Background(), edb, seeds, Options{})
 			if err == nil {
 				if got := len(Answers(store, "a^bf", pattern)); got != 50 {
 					err = fmt.Errorf("answers = %d, want 50", got)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -118,11 +119,11 @@ func TestSCCSchedulingMatchesWholeProgramIteration(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			prog := parser.MustParseProgram(tc.src)
-			sn, snStats, err := SemiNaive(Options{}).Evaluate(prog, tc.edb)
+			sn, snStats, err := semiNaive(prog, tc.edb, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			nv, nvStats, err := Naive(Options{}).Evaluate(prog, tc.edb)
+			nv, nvStats, err := naive(prog, tc.edb, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,11 +154,11 @@ func TestSCCSchedulingOnSeededMagicProgram(t *testing.T) {
 	edb, _ := workload.ParentChain("par", 12)
 	edb.MustAddFact(ast.NewAtom("magic_anc", ast.S("n4")))
 
-	sn, stats, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	sn, stats, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, _, err := Naive(Options{}).Evaluate(prog, edb)
+	nv, _, err := naive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestSkippedRuleEvalsOnMultiDeltaComponent(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		edb.MustAddFact(ast.NewAtom("succ", ast.I(int64(i)), ast.I(int64(i+1))))
 	}
-	store, stats, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	store, stats, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestMaxIterationsIsPerComponent(t *testing.T) {
 	prog := parser.MustParseProgram(rules)
 	edb := database.NewStore()
 	edb.MustAddFact(ast.NewAtom("base", ast.S("a")))
-	store, stats, err := SemiNaive(Options{MaxIterations: 10}).Evaluate(prog, edb)
+	store, stats, err := semiNaive(prog, edb, Options{MaxIterations: 10})
 	if err != nil {
 		t.Fatalf("30 non-recursive strata tripped MaxIterations=10: %v", err)
 	}
@@ -234,7 +235,7 @@ func TestMaxIterationsIsPerComponent(t *testing.T) {
 	))
 	nedb := database.NewStore()
 	nedb.MustAddFact(ast.NewAtom("nat", ast.I(0)))
-	if _, _, err := SemiNaive(Options{MaxIterations: 10}).Evaluate(diverge, nedb); err == nil {
+	if _, _, err := semiNaive(diverge, nedb, Options{MaxIterations: 10}); err == nil {
 		t.Error("diverging component did not trip MaxIterations")
 	}
 }
@@ -247,7 +248,7 @@ func TestIndexStatsIncludeDeltaProbes(t *testing.T) {
 		anc(X, Y) :- par(X, Z), anc(Z, Y).
 	`)
 	edb, _ := workload.ParentChain("par", 16)
-	_, stats, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	_, stats, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestStrataReportedThroughMeasure(t *testing.T) {
 	prog := parser.MustParseProgram(rules)
 	edb := database.NewStore()
 	edb.MustAddFact(ast.NewAtom("l0", ast.S("a")))
-	_, stats, err := SemiNaive(Options{}).Evaluate(prog, edb)
+	_, stats, err := semiNaive(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestIndexStatsArePerEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, solo, err := pp.Evaluate(edb, nil, Options{Parallelism: 1})
+	_, solo, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestIndexStatsArePerEvaluation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_, stats, err := pp.Evaluate(edb, nil, Options{Parallelism: 1})
+				_, stats, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{Parallelism: 1})
 				if err != nil {
 					t.Error(err)
 					return

@@ -1,6 +1,7 @@
 package counting
 
 import (
+	gocontext "context" // the package has a type named context
 	"errors"
 	"fmt"
 	"strings"
@@ -15,6 +16,15 @@ import (
 	"repro/internal/rewrite/magic"
 	"repro/internal/sip"
 )
+
+// semiNaive prepares prog for edb's symbol table and evaluates it to fixpoint.
+func semiNaive(prog *ast.Program, edb *database.Store, opts eval.Options) (*database.Store, *eval.Stats, error) {
+	pp, err := eval.Prepare(prog, edb.Table())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pp.EvaluateCtx(gocontext.Background(), edb, nil, opts)
+}
 
 const (
 	ancestorSrc = `
@@ -289,7 +299,7 @@ func evalRewriting(t *testing.T, res *rewrite.Rewriting, edb *database.Store, op
 	for _, seed := range res.Seeds {
 		db.MustAddFact(seed)
 	}
-	return eval.SemiNaive(opts).Evaluate(res.Program, db)
+	return semiNaive(res.Program, db, opts)
 }
 
 func answersOf(t *testing.T, res *rewrite.Rewriting, store *database.Store) map[string]bool {
@@ -313,7 +323,7 @@ func magicBaseline(t *testing.T, src, query string, edb *database.Store) map[str
 	for _, seed := range res.Seeds {
 		db.MustAddFact(seed)
 	}
-	store, _, err := eval.SemiNaive(eval.Options{}).Evaluate(res.Program, db)
+	store, _, err := semiNaive(res.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +437,7 @@ func TestCountingFactCountsVsMagic(t *testing.T) {
 	for _, s := range gms.Seeds {
 		db.MustAddFact(s)
 	}
-	magicStore, _, err := eval.SemiNaive(eval.Options{}).Evaluate(gms.Program, db)
+	magicStore, _, err := semiNaive(gms.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package magic
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,6 +14,15 @@ import (
 	"repro/internal/rewrite"
 	"repro/internal/sip"
 )
+
+// semiNaive prepares prog for edb's symbol table and evaluates it to fixpoint.
+func semiNaive(prog *ast.Program, edb *database.Store, opts eval.Options) (*database.Store, *eval.Stats, error) {
+	pp, err := eval.Prepare(prog, edb.Table())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pp.EvaluateCtx(context.Background(), edb, nil, opts)
+}
 
 // The Appendix A.1 problems and the running nonlinear same-generation
 // example. The paper's bodiless clauses (facts with variables) are given
@@ -217,7 +227,7 @@ func evalRewriting(t *testing.T, res *rewrite.Rewriting, edb *database.Store) (*
 	for _, seed := range res.Seeds {
 		db.MustAddFact(seed)
 	}
-	store, stats, err := eval.SemiNaive(eval.Options{}).Evaluate(res.Program, db)
+	store, stats, err := semiNaive(res.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +253,7 @@ func TestAncestorEndToEnd(t *testing.T) {
 		t.Errorf("a^bf facts = %d, want 15", got)
 	}
 	orig := parser.MustParseProgram(ancestorSrc)
-	full, _, err := eval.SemiNaive(eval.Options{}).Evaluate(orig, edb)
+	full, _, err := semiNaive(orig, edb, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +290,7 @@ func sameGenData(n int) *database.Store {
 func TestNonlinearSameGenerationEndToEnd(t *testing.T) {
 	edb := sameGenData(4)
 	orig := parser.MustParseProgram(nonlinearSameGenSrc)
-	full, _, err := eval.SemiNaive(eval.Options{}).Evaluate(orig, edb)
+	full, _, err := semiNaive(orig, edb, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

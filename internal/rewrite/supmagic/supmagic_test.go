@@ -1,6 +1,7 @@
 package supmagic
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -13,6 +14,15 @@ import (
 	"repro/internal/rewrite/magic"
 	"repro/internal/sip"
 )
+
+// semiNaive prepares prog for edb's symbol table and evaluates it to fixpoint.
+func semiNaive(prog *ast.Program, edb *database.Store, opts eval.Options) (*database.Store, *eval.Stats, error) {
+	pp, err := eval.Prepare(prog, edb.Table())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pp.EvaluateCtx(context.Background(), edb, nil, opts)
+}
 
 const (
 	ancestorSrc = `
@@ -207,7 +217,7 @@ func evalRewriting(t *testing.T, res *rewrite.Rewriting, edb *database.Store) (*
 	for _, seed := range res.Seeds {
 		db.MustAddFact(seed)
 	}
-	store, stats, err := eval.SemiNaive(eval.Options{}).Evaluate(res.Program, db)
+	store, stats, err := semiNaive(res.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

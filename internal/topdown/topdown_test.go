@@ -16,6 +16,15 @@ import (
 	"repro/internal/sip"
 )
 
+// semiNaive prepares prog for edb's symbol table and evaluates it to fixpoint.
+func semiNaive(prog *ast.Program, edb *database.Store, opts eval.Options) (*database.Store, *eval.Stats, error) {
+	pp, err := eval.Prepare(prog, edb.Table())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pp.EvaluateCtx(context.Background(), edb, nil, opts)
+}
+
 const (
 	ancestorSrc = `
 		anc(X, Y) :- par(X, Y).
@@ -84,7 +93,7 @@ func TestAgreesWithBottomUpOnCyclicData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := eval.SemiNaive(eval.Options{}).Evaluate(parser.MustParseProgram(ancestorSrc), edb)
+	full, _, err := semiNaive(parser.MustParseProgram(ancestorSrc), edb, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +124,7 @@ func TestSameGenerationGoalsAndFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := eval.SemiNaive(eval.Options{}).Evaluate(parser.MustParseProgram(nonlinearSameGenSrc), edb)
+	full, _, err := semiNaive(parser.MustParseProgram(nonlinearSameGenSrc), edb, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

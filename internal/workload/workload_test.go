@@ -1,13 +1,24 @@
 package workload
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ast"
+	"repro/internal/database"
 	"repro/internal/eval"
 	"repro/internal/parser"
 )
+
+// semiNaive prepares prog for edb's symbol table and evaluates it to fixpoint.
+func semiNaive(prog *ast.Program, edb *database.Store, opts eval.Options) (*database.Store, *eval.Stats, error) {
+	pp, err := eval.Prepare(prog, edb.Table())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pp.EvaluateCtx(context.Background(), edb, nil, opts)
+}
 
 func TestParentChain(t *testing.T) {
 	s, start := ParentChain("par", 5)
@@ -22,7 +33,7 @@ func TestParentChain(t *testing.T) {
 		anc(X, Y) :- par(X, Y).
 		anc(X, Y) :- par(X, Z), anc(Z, Y).
 	`)
-	store, _, err := eval.SemiNaive(eval.Options{}).Evaluate(prog, s)
+	store, _, err := semiNaive(prog, s, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +96,7 @@ func TestSameGenerationLayers(t *testing.T) {
 		sg(X, Y) :- flat(X, Y).
 		sg(X, Y) :- up(X, Z1), sg(Z1, Z2), down(Z2, Y).
 	`)
-	store, _, err := eval.SemiNaive(eval.Options{}).Evaluate(prog, sg.Store)
+	store, _, err := semiNaive(prog, sg.Store, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +137,7 @@ func TestQuickChainAncestorCount(t *testing.T) {
 	f := func(raw uint8) bool {
 		n := int(raw%12) + 1
 		s, _ := ParentChain("par", n)
-		store, _, err := eval.SemiNaive(eval.Options{}).Evaluate(prog, s)
+		store, _, err := semiNaive(prog, s, eval.Options{})
 		if err != nil {
 			return false
 		}
