@@ -50,13 +50,18 @@ fmt-check:
 		echo "gofmt needs to be run on:" >&2; echo "$$out" >&2; exit 1; fi
 
 # Non-test Go lines of the three core packages: the figure ROADMAP open item
-# 3 states its goal in, so every simplicity PR quotes the same number.
+# 3 states its goal in, so every simplicity PR quotes the same number. The
+# target fails above LOC_CEILING, the total the last simplicity PR reached:
+# the figure only goes up by an edit to this line, which a reviewer sees.
 LOC_PKGS := internal/eval datalog internal/database
+LOC_CEILING := 7876
 loc:
 	@total=0; for d in $(LOC_PKGS); do \
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); done; \
-	printf '%-18s %6d\n' total $$total
+	printf '%-18s %6d\n' total $$total; \
+	if [ $$total -gt $(LOC_CEILING) ]; then \
+		echo "loc: $$total non-test lines exceed LOC_CEILING=$(LOC_CEILING) (Makefile)" >&2; exit 1; fi
 
 # Benchmark smoke run: one iteration of every benchmark, no unit tests.
 bench:

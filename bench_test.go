@@ -453,19 +453,33 @@ func BenchmarkDatabaseInsertLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkFacadeQuery(b *testing.B) {
-	eng, err := datalog.NewEngine(ancestorSrc)
+// chainSnapshot compiles the ancestor program afresh (so its form cache is
+// cold) and binds it to a snapshot of a new database holding the chain
+// p(n0, n1) … p(n{n-1}, n{n}).
+func chainSnapshot(b *testing.B, n int) *datalog.Snapshot {
+	b.Helper()
+	prog, err := datalog.Compile(ancestorSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 300; i++ {
-		if err := eng.Assert("p", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
+	db := datalog.NewDatabase()
+	txn := db.Begin()
+	for i := 0; i < n; i++ {
+		if err := txn.Assert("p", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
+	if err := txn.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	return db.Snapshot().With(prog)
+}
+
+func BenchmarkFacadeQuery(b *testing.B) {
+	snap := chainSnapshot(b, 300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Query("a(n250, Y)", datalog.Options{Strategy: datalog.MagicSets})
+		res, err := snap.Query("a(n250, Y)", datalog.Options{Strategy: datalog.MagicSets})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -480,25 +494,12 @@ func BenchmarkFacadeQuery(b *testing.B) {
 // "same-constant" repeats one bound constant; "varying-constant" sweeps the
 // constants so every run parameterizes fresh seeds (the per-form rewrite
 // and compile work stays amortized either way, and no run clones the EDB).
-// "cold-engine" is the upper bound for comparison: a fresh engine per call,
-// so every call pays parse + adorn + rewrite + compile.
+// "cold-engine" is the upper bound for comparison: a freshly compiled
+// program and database per call, so every call pays parse + adorn +
+// rewrite + compile.
 func BenchmarkPreparedQuery(b *testing.B) {
-	newEngine := func(b *testing.B) *datalog.Engine {
-		b.Helper()
-		eng, err := datalog.NewEngine(ancestorSrc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 300; i++ {
-			if err := eng.Assert("p", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return eng
-	}
 	b.Run("same-constant", func(b *testing.B) {
-		eng := newEngine(b)
-		pq, err := eng.Prepare("a(n250, Y)", datalog.Options{Strategy: datalog.MagicSets})
+		pq, err := chainSnapshot(b, 300).Prepare("a(n250, Y)", datalog.Options{Strategy: datalog.MagicSets})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -515,8 +516,7 @@ func BenchmarkPreparedQuery(b *testing.B) {
 		}
 	})
 	b.Run("varying-constant", func(b *testing.B) {
-		eng := newEngine(b)
-		pq, err := eng.Prepare("a(n250, Y)", datalog.Options{Strategy: datalog.MagicSets})
+		pq, err := chainSnapshot(b, 300).Prepare("a(n250, Y)", datalog.Options{Strategy: datalog.MagicSets})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -537,9 +537,9 @@ func BenchmarkPreparedQuery(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			eng := newEngine(b)
+			snap := chainSnapshot(b, 300)
 			b.StartTimer()
-			res, err := eng.Query("a(n250, Y)", datalog.Options{Strategy: datalog.MagicSets})
+			res, err := snap.Query("a(n250, Y)", datalog.Options{Strategy: datalog.MagicSets})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -552,8 +552,7 @@ func BenchmarkPreparedQuery(b *testing.B) {
 	// only ~55 facts, so the amortized parse/adorn/rewrite/compile work is
 	// the dominant term of the cold path.
 	b.Run("short-suffix-prepared", func(b *testing.B) {
-		eng := newEngine(b)
-		pq, err := eng.Prepare("a(n290, Y)", datalog.Options{Strategy: datalog.MagicSets})
+		pq, err := chainSnapshot(b, 300).Prepare("a(n290, Y)", datalog.Options{Strategy: datalog.MagicSets})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -573,9 +572,9 @@ func BenchmarkPreparedQuery(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			eng := newEngine(b)
+			snap := chainSnapshot(b, 300)
 			b.StartTimer()
-			res, err := eng.Query("a(n290, Y)", datalog.Options{Strategy: datalog.MagicSets})
+			res, err := snap.Query("a(n290, Y)", datalog.Options{Strategy: datalog.MagicSets})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -591,20 +590,21 @@ func BenchmarkPreparedQuery(b *testing.B) {
 	// a root has 62 answers and is relevant to 62 facts. join_probes/answer
 	// says whether the evaluation touched the relevant facts or all of them.
 	b.Run("forest", func(b *testing.B) {
-		eng, err := datalog.NewEngine(ancestorSrc)
+		prog, err := datalog.Compile(ancestorSrc)
 		if err != nil {
 			b.Fatal(err)
 		}
+		db := datalog.NewDatabase()
 		var facts strings.Builder
 		for t := 0; t < 200; t++ {
 			for k := 0; 2*k+2 < 127; k++ {
 				fmt.Fprintf(&facts, "p(t%d_%d, t%d_%d). p(t%d_%d, t%d_%d). ", t, k, t, 2*k+1, t, k, t, 2*k+2)
 			}
 		}
-		if err := eng.AssertText(facts.String()); err != nil {
+		if err := db.AssertText(facts.String()); err != nil {
 			b.Fatal(err)
 		}
-		pq, err := eng.Prepare("a(t0_1, Y)", datalog.Options{Strategy: datalog.MagicSets})
+		pq, err := db.Snapshot().With(prog).Prepare("a(t0_1, Y)", datalog.Options{Strategy: datalog.MagicSets})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -633,22 +633,14 @@ func BenchmarkPreparedQuery(b *testing.B) {
 // one delta round of the first answer. The gap between the two is the cost
 // the old all-or-nothing API imposed on existence-style point queries.
 func BenchmarkFirstN(b *testing.B) {
-	eng, err := datalog.NewEngine(ancestorSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if err := eng.Assert("p", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	snap := chainSnapshot(b, 300)
 	ctx := context.Background()
 	for _, strat := range []datalog.Strategy{datalog.MagicSets, datalog.SemiNaive} {
-		full, err := eng.Prepare("a(n10, Y)", datalog.Options{Strategy: strat})
+		full, err := snap.Prepare("a(n10, Y)", datalog.Options{Strategy: strat})
 		if err != nil {
 			b.Fatal(err)
 		}
-		first, err := eng.Prepare("a(n10, Y)", datalog.Options{Strategy: strat, FirstN: 1})
+		first, err := snap.Prepare("a(n10, Y)", datalog.Options{Strategy: strat, FirstN: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -889,7 +881,9 @@ func BenchmarkRecovery(b *testing.B) {
 
 // BenchmarkSnapshotOverhead measures what a per-request pinned view costs:
 // taking a snapshot of a 10k-fact database and answering one prepared
-// point query on it, versus the same query on the live engine.
+// point query on it, versus the same query on one snapshot taken up front
+// (the sub-benchmark keeps its historical name, "live-engine", so the
+// baseline rows still line up).
 func BenchmarkSnapshotOverhead(b *testing.B) {
 	prog, err := datalog.Compile(ancestorSrc)
 	if err != nil {
@@ -905,12 +899,11 @@ func BenchmarkSnapshotOverhead(b *testing.B) {
 	if err := txn.Commit(); err != nil {
 		b.Fatal(err)
 	}
-	eng := datalog.NewEngineWith(prog, db)
 	opts := datalog.Options{Strategy: datalog.MagicSets, FirstN: 1}
 	b.Run("snapshot-per-query", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap := eng.Snapshot()
+			snap := db.Snapshot().With(prog)
 			res, err := snap.Query("a(n9990, Y)", opts)
 			if err != nil {
 				b.Fatal(err)
@@ -921,9 +914,10 @@ func BenchmarkSnapshotOverhead(b *testing.B) {
 		}
 	})
 	b.Run("live-engine", func(b *testing.B) {
+		snap := db.Snapshot().With(prog)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Query("a(n9990, Y)", opts)
+			res, err := snap.Query("a(n9990, Y)", opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1017,16 +1011,16 @@ func BenchmarkMaterializedMaintenance(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Materialize pinned its own compiled instance inside build; re-register
-	// with this one so the engine below and the registration share it.
+	// with this one so the snapshot below and the registration share it.
 	if err := db.Materialize(prog); err != nil {
 		b.Fatal(err)
 	}
-	eng := datalog.NewEngineWith(prog, db)
+	snap := db.Snapshot().With(prog)
 	point := func(b *testing.B, opts datalog.Options, wantHit bool) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Query("a(c0_n0, Y)", opts)
+			res, err := snap.Query("a(c0_n0, Y)", opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,9 +9,11 @@
 //	datalogd -addr :8344 -program rules.dl -facts facts.dl \
 //	    -max-concurrent 32 -max-derivations 1000000 -timeout 5s
 //
-// The -program file is compiled and activated as the default program; the
-// -facts file (plain "pred(a, b)." source syntax) seeds the database. Both
-// are optional — programs and facts can also arrive over the wire. The
+// The -program file is compiled and activated as the default program; it
+// holds rules only (a file with ground facts or a ?- query is refused at
+// boot). The -facts file (plain "pred(a, b)." source syntax) seeds the
+// database. Both are optional — programs and facts can also arrive over the
+// wire. The
 // -limits file, when given, is a JSON object mapping tenant names to their
 // Limits overrides; the flag-level limits apply to every other tenant.
 //
@@ -25,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -36,31 +39,40 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], sigc, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "datalogd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run boots the server from its command-line arguments and serves until
+// stop delivers a signal, then shuts down cleanly. ready, when non-nil,
+// receives the bound listen address once the server accepts connections
+// (the test boots on port 0).
+func run(args []string, stop <-chan os.Signal, ready chan<- string) error {
+	fs := flag.NewFlagSet("datalogd", flag.ContinueOnError)
 	var (
-		addr        = flag.String("addr", ":8344", "listen address")
-		programPath = flag.String("program", "", "rule program to compile and activate at boot")
-		factsPath   = flag.String("facts", "", "fact file (source syntax) to seed the database")
-		strict      = flag.Bool("strict", false, "refuse the boot program on warnings, not just errors")
-		limitsPath  = flag.String("limits", "", "JSON file mapping tenant names to Limits overrides")
+		addr        = fs.String("addr", ":8344", "listen address")
+		programPath = fs.String("program", "", "rule program (rules only) to compile and activate at boot")
+		factsPath   = fs.String("facts", "", "fact file (source syntax) to seed the database")
+		strict      = fs.Bool("strict", false, "refuse the boot program on warnings, not just errors")
+		limitsPath  = fs.String("limits", "", "JSON file mapping tenant names to Limits overrides")
 
-		maxConcurrent  = flag.Int("max-concurrent", 0, "per-tenant concurrent-request cap (0 = unlimited)")
-		maxDerivations = flag.Int64("max-derivations", 0, "per-request derivation gas (0 = unlimited)")
-		maxFacts       = flag.Int("max-facts", 0, "per-request derived-fact cap (0 = unlimited)")
-		timeout        = flag.Duration("timeout", 0, "per-request wall-clock bound (0 = unlimited)")
-		maxBody        = flag.Int64("max-body-bytes", 0, "request body cap in bytes (0 = 8MiB default)")
+		maxConcurrent  = fs.Int("max-concurrent", 0, "per-tenant concurrent-request cap (0 = unlimited)")
+		maxDerivations = fs.Int64("max-derivations", 0, "per-request derivation gas (0 = unlimited)")
+		maxFacts       = fs.Int("max-facts", 0, "per-request derived-fact cap (0 = unlimited)")
+		timeout        = fs.Duration("timeout", 0, "per-request wall-clock bound (0 = unlimited)")
+		maxBody        = fs.Int64("max-body-bytes", 0, "request body cap in bytes (0 = 8MiB default)")
 
-		dataDir         = flag.String("data-dir", "", "directory for the write-ahead log and checkpoints (empty = memory-only)")
-		fsync           = flag.String("fsync", "always", "WAL fsync policy: always | interval | none")
-		checkpointEvery = flag.Uint64("checkpoint-every", 0, "write an automatic checkpoint every N commits (0 = only at shutdown)")
+		dataDir         = fs.String("data-dir", "", "directory for the write-ahead log and checkpoints (empty = memory-only)")
+		fsync           = fs.String("fsync", "always", "WAL fsync policy: always | interval | none")
+		checkpointEvery = fs.Uint64("checkpoint-every", 0, "write an automatic checkpoint every N commits (0 = only at shutdown)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := server.Config{
 		DefaultLimits: server.Limits{
@@ -139,23 +151,27 @@ func run() error {
 		}
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("datalogd listening on %s", *addr)
-		errc <- httpSrv.ListenAndServe()
+		log.Printf("datalogd listening on %s", ln.Addr())
+		errc <- httpSrv.Serve(ln)
 	}()
+	if ready != nil {
+		ready <- ln.Addr().String()
+	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err
-	case sig := <-sigc:
+	case sig := <-stop:
 		log.Printf("received %s, shutting down", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -128,7 +128,7 @@ func TestJSONShape(t *testing.T) {
 // and the Section 10 divergence example carries its DL0012 warning.
 func TestExamples(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "programs")
-	clean := []string{"ancestor.dl", "samegeneration.dl"}
+	clean := []string{"ancestor.dl", "ancestor_rules.dl", "samegeneration.dl"}
 	for _, f := range clean {
 		out, code := runVet(t, filepath.Join(dir, f))
 		if out != "" || code != 0 {

@@ -105,8 +105,12 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	eng, err := datalog.NewEngine(string(programSrc))
+	prog, err := datalog.Compile(string(programSrc))
 	if err != nil {
+		return err
+	}
+	db := datalog.NewDatabase()
+	if err := db.LoadFacts(prog); err != nil {
 		return err
 	}
 	// The EDB file is loaded in a single transaction: one parse, one
@@ -122,7 +126,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		start := time.Now()
-		txn := eng.Database().Begin()
+		txn := db.Begin()
 		if err := txn.AssertText(string(factsSrc)); err != nil {
 			return err
 		}
@@ -135,12 +139,11 @@ func run(args []string, out io.Writer) error {
 
 	// -vet surfaces the compile-time analysis before anything is evaluated:
 	// the program's retained diagnostics (warnings and infos; error-level
-	// findings already failed NewEngine above) plus the query-relative
+	// findings already failed Compile above) plus the query-relative
 	// passes for the form actually being asked. Positions in the program
 	// diagnostics refer to the -program file; query diagnostics are
 	// reported against the query text.
 	if *vet || *vetOnly {
-		prog := eng.Program()
 		diags := prog.Diagnostics()
 		qdiags, err := prog.DiagnosticsFor(*query)
 		if err != nil {
@@ -185,11 +188,14 @@ func run(args []string, out io.Writer) error {
 		defer cancel()
 	}
 
+	// Every read runs on one snapshot: the facts loaded above, pinned
+	// together with the program.
+	snap := db.Snapshot().With(prog)
 	if *stream {
 		if *showRewrite || *showSafety || *showStats || *repeat > 1 {
 			return fmt.Errorf("-stream yields rows only; it cannot be combined with -show-rewrite, -show-safety, -stats or -repeat")
 		}
-		pq, err := eng.Prepare(*query, opts)
+		pq, err := snap.Prepare(*query, opts)
 		if err != nil {
 			return err
 		}
@@ -207,7 +213,7 @@ func run(args []string, out io.Writer) error {
 
 	var res *datalog.Result
 	if *repeat > 1 {
-		pq, err := eng.Prepare(*query, opts)
+		pq, err := snap.Prepare(*query, opts)
 		if err != nil {
 			return err
 		}
@@ -222,7 +228,7 @@ func run(args []string, out io.Writer) error {
 			*repeat, float64(elapsed.Microseconds())/float64(*repeat), float64(elapsed.Microseconds())/1000)
 	} else {
 		var err error
-		if res, err = eng.QueryCtx(ctx, *query, opts); err != nil {
+		if res, err = snap.QueryCtx(ctx, *query, opts); err != nil {
 			return describeInterrupt(err)
 		}
 	}

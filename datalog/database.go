@@ -7,35 +7,32 @@
 // wrappers, each of which is a one-operation transaction). Snapshot pins
 // the current version as an immutable view in O(#relations); queries
 // against one snapshot are mutually consistent no matter what commits land
-// concurrently. A Database is safe for concurrent use: queries run under
-// its read lock, commits under its write lock, and snapshot reads run
-// without the lock entirely.
+// concurrently. A Database is safe for concurrent use: commits take its
+// write lock, taking a snapshot its read lock, and queries — which only
+// ever read snapshots — no lock at all.
 
 package datalog
 
 import (
 	"sync"
 
-	"repro/internal/ast"
 	"repro/internal/database"
 )
 
 // Database is a versioned store of ground facts, created empty by
 // NewDatabase. Writes go through transactions (Begin) or the auto-commit
 // convenience methods; every successful non-empty commit advances Version by
-// exactly one. Pair a Database with a compiled Program via NewEngineWith to
-// answer queries, or pin it with Snapshot for a stable view.
+// exactly one. To answer queries, pin a version with Snapshot and bind a
+// compiled Program to it with Snapshot.With.
 type Database struct {
-	// mu guards store and mat: evaluations against the live database hold
-	// the read lock for their whole duration, commits the write lock.
-	// Snapshots are taken under the read lock and read afterwards without
-	// any lock.
+	// mu guards store and mat: commits hold the write lock; snapshots are
+	// taken under the read lock and read afterwards without any lock.
 	mu    sync.RWMutex
 	store *database.Store
 	// mat is the database's materialized program registration, if any (see
 	// Materialize): commits run incremental maintenance through it inside
-	// their write-lock critical section, and queries of the registered
-	// program answer from the stored IDB by pure lookup.
+	// their write-lock critical section, and snapshots capture it so queries
+	// of the registered program answer from the stored IDB by pure lookup.
 	mat *materialization
 	// backend is the write-ahead log (see Open): commits are appended to it
 	// before they mutate the store. nil — the NewDatabase default — is the
@@ -87,8 +84,7 @@ func (db *Database) TotalFacts() int {
 // O(#relations) — facts are shared, not copied; the first commit touching a
 // relation after a snapshot copies that relation once (copy-on-write), so
 // snapshots are cheap enough to take per request. The returned snapshot has
-// no program bound; bind one with Snapshot.With, or take Engine.Snapshot to
-// get data and program pinned together.
+// no program bound; bind one with Snapshot.With.
 func (db *Database) Snapshot() *Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -138,13 +134,17 @@ func (db *Database) RetractText(factsSrc string) error {
 	return db.commitOne(func(t *Txn) error { return t.RetractText(factsSrc) })
 }
 
-// loadFacts commits pre-parsed atoms in one transaction (NewEngine's
-// program-embedded facts).
-func (db *Database) loadFacts(atoms []ast.Atom) error {
-	if len(atoms) == 0 {
+// LoadFacts commits the ground facts embedded in the program's source text
+// (Program.EmbeddedFacts) in one transaction — the explicit form of what a
+// program text mixing rules and facts means. Nothing else ever reads those
+// facts: a query over a database they were not loaded into does not see
+// them. A rules-only program is a no-op that bumps no version, and loading
+// the same facts again changes nothing but the version.
+func (db *Database) LoadFacts(prog *Program) error {
+	if len(prog.facts) == 0 {
 		return nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.applyBatchLocked(nil, atoms)
+	return db.applyBatchLocked(nil, prog.facts)
 }

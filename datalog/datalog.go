@@ -14,7 +14,7 @@
 // first-class pieces:
 //
 //   - Compile parses, arity-checks and stratifies rules once into an
-//     immutable Program, shareable across engines and goroutines.
+//     immutable Program, shareable across databases and goroutines.
 //   - NewDatabase creates a Database of ground facts that moves forward
 //     through atomic, monotonically versioned commits.
 //   - Database.Begin opens a Txn buffering Assert/Retract/AssertText;
@@ -40,16 +40,14 @@
 //	txn.AssertText(`par(john, mary). par(mary, sue).`)
 //	if err := txn.Commit(); err != nil { ... }
 //
-//	eng := datalog.NewEngineWith(prog, db)
-//	snap := eng.Snapshot() // pins facts AND rules for one request
+//	snap := db.Snapshot().With(prog) // pins facts AND rules for one request
 //	res, err := snap.QueryCtx(ctx, "anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets})
 //
-// Engine remains as the thin compatibility wrapper over (Program,
-// Database): NewEngine compiles and pairs in one call, and the monolithic
-// methods (AssertText, Query, Prepare, …) keep working — AssertText is now
-// atomic, being routed through a transaction. Engine.SetProgram hot-swaps
-// the rules without touching the data; prepared queries of the replaced
-// program fail closed with ErrStaleProgram.
+// That is the one way to run a query: every read goes through a Snapshot,
+// so there is no live-store read path, no lock held during evaluation and
+// nothing that can go stale. Ground facts written in the program text are
+// not part of the compiled rules; Database.LoadFacts commits them
+// explicitly, in one transaction.
 //
 // # Queries, contexts, typed answers
 //
@@ -106,7 +104,7 @@
 // the answer selection. A server answering many point queries of the same
 // shape should therefore prepare the form once and run it per request:
 //
-//	pq, err := eng.Prepare("anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets})
+//	pq, err := snap.Prepare("anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets})
 //	if err != nil { ... }
 //	res, _ := pq.RunCtx(ctx)        // the prepared constants: anc(john, Y)
 //	res, _ = pq.RunCtx(ctx, "mary") // same compiled form, new constant: anc(mary, Y)
@@ -116,7 +114,7 @@
 // itself as soon as enough answers exist, which is what makes
 // existence-style point queries cheap:
 //
-//	pq, _ = eng.Prepare("anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets, FirstN: 1})
+//	pq, _ = snap.Prepare("anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets, FirstN: 1})
 //	for row, err := range pq.Stream(ctx) {
 //	    if err != nil { ... }
 //	    name, _ := row[0].Symbol()
@@ -125,14 +123,15 @@
 //
 // Parse, adornment, rewriting and the compilation of the bottom-up join
 // pipelines all happen in Prepare and are cached on the Program (keyed by
-// query form and symbol table), so every engine and snapshot serving the
-// same program shares one preparation per form; each run only parameterizes
-// the seeds and evaluates against a copy-on-write overlay, never copying
-// the extensional database. Engine.Query and Snapshot.Query use the same
-// machinery transparently (Stats.PlanCacheHit reports a warm form).
-// Engines, databases, snapshots, queries and prepared runs are all safe for
-// concurrent use; commits are serialized against in-flight live-engine
-// evaluations, while snapshot queries proceed without any lock.
+// query form and symbol table), so every snapshot of one database bound to
+// the same program shares one preparation per form — also across commit
+// versions: preparing the form again on the next version's snapshot is a
+// cache hit that compiles nothing. Each run only parameterizes the seeds
+// and evaluates against a copy-on-write overlay, never copying the
+// extensional database. Snapshot.Query uses the same machinery
+// transparently (Stats.PlanCacheHit reports a warm form). Programs,
+// databases, snapshots and prepared runs are all safe for concurrent use;
+// queries proceed without any lock, whatever commits land meanwhile.
 //
 // # Materialized views: stop paying for inference on reads
 //
@@ -155,13 +154,12 @@
 //	// load par facts ...
 //	if err := db.Materialize(prog); err != nil { ... }
 //
-//	eng := datalog.NewEngineWith(prog, db)
-//	res, _ := eng.Query("anc(john, Y)", datalog.Options{})
+//	res, _ := db.Snapshot().With(prog).Query("anc(john, Y)", datalog.Options{})
 //	// res.Stats.MaterializedHit == true: the answer came from an index
 //	// lookup on the maintained anc relation — no rules were evaluated.
 //
 // Once registered, any query over a derived predicate of that program —
-// live, prepared or snapshot-pinned — short-circuits to a pure index lookup
+// one-shot, prepared or streamed — short-circuits to a pure index lookup
 // whatever Options.Strategy says, and Stats.MaterializedHit reports it.
 // Queries over base predicates, other programs, or runs with
 // Options.NoMaterialize evaluate as before; the results are identical
@@ -189,33 +187,17 @@
 // derivation-count increments/decrements, rows rescued by rederivation, and
 // CountRows — the number of rows carrying a 4-byte derivation count, which
 // is the memory price of counting-based retraction).
-//
-// # Migrating from the monolithic Engine API
-//
-// Code written against the pre-split Engine keeps compiling and behaving
-// the same, with one deliberate change: Engine.AssertText is atomic (a
-// mid-text error no longer commits the prefix before it). New code should
-// prefer the explicit pieces — Compile + NewDatabase + NewEngineWith,
-// transactions over per-fact Assert loops (one commit of N facts is both
-// atomic and several times cheaper than N one-fact commits), and a
-// Snapshot per request instead of consecutive live queries whenever two
-// reads must agree with each other.
 package datalog
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
-	"repro/internal/database"
 	"repro/internal/eval"
-	"repro/internal/parser"
 	"repro/internal/rewrite"
 	"repro/internal/rewrite/counting"
 	gms "repro/internal/rewrite/magic"
 	"repro/internal/rewrite/supmagic"
-	"repro/internal/safety"
 	"repro/internal/sip"
 	"repro/internal/topdown"
 )
@@ -358,7 +340,7 @@ type Options struct {
 // enumeration values, returning a descriptive error for the first problem
 // found (nil when the options are usable). Zero values are always valid —
 // they mean "default" or "unlimited". Every query entry point (Query,
-// Prepare, Stream, on engines and snapshots alike) validates its options
+// Prepare, Stream) validates its options
 // through this method, so a serving layer unmarshaling untrusted Options
 // can rely on a clean error instead of undefined behavior; calling it
 // directly just surfaces the problem before any work is done.
@@ -436,7 +418,11 @@ type Answer struct {
 // String renders the answer as a parenthesized tuple.
 func (a Answer) String() string { return a.Vals.String() }
 
-// Stats summarizes the work done to answer a query.
+// Stats summarizes the work done to answer a query: what the facade itself
+// knows (the options echoed, the fact counts, which shortcut fired) around
+// the evaluator's own counters, which are declared once in eval.Counters and
+// promoted here (Stats.Derivations, Stats.JoinProbes, …). For the top-down
+// strategy only Derivations, Iterations (passes) and StoppedEarly are set.
 type Stats struct {
 	// Strategy echoes the strategy used.
 	Strategy Strategy `json:"strategy"`
@@ -452,68 +438,20 @@ type Stats struct {
 	// introduced by the rewriting (magic, supplementary, counting), or the
 	// number of memoized subqueries for the top-down strategy.
 	AuxFacts int `json:"aux_facts,omitempty"`
-	// Derivations counts successful rule firings (or body instantiations).
-	Derivations int64 `json:"derivations"`
-	// Iterations is the number of bottom-up iterations or top-down passes.
-	Iterations int `json:"iterations"`
-	// JoinProbes counts tuple match attempts during bottom-up evaluation:
-	// every candidate tuple tested against a body literal, whether it came
-	// from an indexed probe or a scan. It is the executor-level proxy for
-	// the join work the paper's Section 9 cost model counts.
-	JoinProbes int64 `json:"join_probes,omitempty"`
-	// Strata is the number of strongly connected components of the evaluated
-	// program's dependency graph that the semi-naive scheduler processed
-	// (0 for the naive and top-down strategies).
-	Strata int `json:"strata,omitempty"`
-	// IndexProbes is the number of bound-column index lookups performed
-	// during bottom-up evaluation; IndexHits is the number of tuples those
-	// lookups returned. Together they describe how selective the join
-	// indexes were. Scans contribute to JoinProbes but to neither of these.
-	// Both are counted per evaluation, so they are exact under concurrent
-	// queries over the same database.
-	IndexProbes int64 `json:"index_probes,omitempty"`
-	IndexHits   int64 `json:"index_hits,omitempty"`
-	// CompiledPlans counts the ID-space join pipelines the bottom-up
-	// evaluator compiled for the query (one per rule and leading-literal
-	// variant executed); PlanOps is the total number of pipeline ops across
-	// them. Both are 0 for the top-down strategy.
-	CompiledPlans int `json:"compiled_plans,omitempty"`
-	PlanOps       int `json:"plan_ops,omitempty"`
-	// OpProbes counts executed pipeline probe ops (index-driven body steps)
-	// and OpScans executed scan ops (body steps with no bound column): the
-	// ratio shows how often evaluation could drive a join through an index.
-	OpProbes int64 `json:"op_probes,omitempty"`
-	OpScans  int64 `json:"op_scans,omitempty"`
-	// ScanRows is the number of rows the scan ops visited. Unlike the op
-	// counts it grows with the relations scanned: evaluating a rewritten
-	// program should keep it near the number of relevant facts however
-	// large the database is (JoinProbes = IndexHits + ScanRows).
-	ScanRows int64 `json:"scan_rows,omitempty"`
+	eval.Counters
 	// PlanCacheHit reports that the evaluation reused a previously prepared
-	// query form (an explicit PreparedQuery, or Engine.Query hitting its
-	// internal form cache): adornment, rewriting and plan analysis were all
-	// skipped (Engine.Query still parses the query text per call; only
+	// query form (an explicit PreparedQuery, or Snapshot.Query hitting the
+	// program's form cache): adornment, rewriting and plan analysis were all
+	// skipped (Snapshot.Query still parses the query text per call; only
 	// PreparedQuery.Run skips parsing too), and CompiledPlans counts only
 	// pipelines compiled fresh during this run — 0 once the form is warm.
 	PlanCacheHit bool `json:"plan_cache_hit,omitempty"`
-	// StoppedEarly reports that Options.FirstN cut the evaluation off
-	// before it reached a fixpoint: the answers returned are sound but the
-	// derived-fact counters describe a truncated evaluation.
-	StoppedEarly bool `json:"stopped_early,omitempty"`
 	// MaterializedHit reports that the query was answered by pure index
 	// lookup from the database's materialized IDB (Database.Materialize): no
 	// evaluation ran, so the work counters (Derivations, JoinProbes, …) are
 	// zero and DerivedFacts is the stored size of the queried relation. The
 	// per-database aggregate counters live in MaterializedStats.
 	MaterializedHit bool `json:"materialized_hit,omitempty"`
-	// ParallelComponents is the number of dependency-graph components the
-	// parallel fixpoint scheduler ran (0 when evaluation was sequential:
-	// Options.Parallelism 1, a Naive/TopDown strategy, or a materialized
-	// hit). WorkerRounds counts per-shard executions of hash-partitioned
-	// delta rounds; it stays 0 when every round was below the partitioning
-	// threshold even though components may still have run concurrently.
-	ParallelComponents int   `json:"parallel_components,omitempty"`
-	WorkerRounds       int64 `json:"worker_rounds,omitempty"`
 	// DivergenceFallback reports that a counting strategy was requested but
 	// the Section 10 analysis proved the form divergent on every database,
 	// so the engine evaluated the equivalent magic rewriting instead
@@ -568,125 +506,6 @@ type SafetyReport struct {
 	CountingDivergesOnAllData bool
 }
 
-// ErrStaleProgram is returned (wrapped) when a prepared query is run on an
-// engine whose program has since been replaced with SetProgram: the
-// preparation (adornment, rewriting, compiled pipelines) belongs to the old
-// rules, so the engine fails the run closed instead of answering from a
-// program that is no longer installed. Re-prepare against the engine to
-// pick up the new program, or run against a Snapshot, which pins program
-// and data together.
-var ErrStaleProgram = errors.New("datalog: prepared query belongs to a program the engine no longer runs")
-
-// Engine pairs a compiled Program with a Database and answers queries — a
-// thin compatibility wrapper over the two first-class pieces, kept so that
-// the original monolithic API (NewEngine, AssertText, Query, …) continues
-// to work unchanged. An Engine is safe for concurrent use: queries (one-shot
-// or prepared) run under the database's read lock against the live store,
-// commits take the write lock, and SetProgram hot-swaps the rules without
-// touching the data. For new code the underlying pieces are available
-// directly: Compile for the immutable program, Database/Begin/Txn for
-// atomic batch writes, Snapshot for pinned-version reads.
-type Engine struct {
-	db *Database
-	// prog is the engine's current program, swapped atomically by
-	// SetProgram; in-flight evaluations keep the program they started with.
-	prog atomic.Pointer[Program]
-}
-
-// NewEngine compiles a program (rules, optionally ground facts — queries
-// are rejected) and pairs it with a fresh empty database, loading any facts
-// embedded in the program text in one transaction. It is shorthand for
-// Compile + NewDatabase + NewEngineWith.
-func NewEngine(programSrc string) (*Engine, error) {
-	prog, err := Compile(programSrc)
-	if err != nil {
-		return nil, err
-	}
-	eng := NewEngineWith(prog, NewDatabase())
-	if err := eng.db.loadFacts(prog.facts); err != nil {
-		return nil, err
-	}
-	return eng, nil
-}
-
-// NewEngineWith pairs an already compiled program with an existing
-// database: several engines may share one Program (the compiled artifact is
-// immutable), and an engine may be pointed at a database that other code
-// writes to. Facts embedded in the program's source text are not loaded —
-// the database is taken exactly as it is; NewEngine is the constructor that
-// loads them.
-func NewEngineWith(prog *Program, db *Database) *Engine {
-	eng := &Engine{db: db}
-	eng.prog.Store(prog)
-	return eng
-}
-
-// Program returns the engine's current compiled program.
-func (e *Engine) Program() *Program { return e.prog.Load() }
-
-// Database returns the engine's fact database, for direct transactional
-// writes (Begin) and version inspection.
-func (e *Engine) Database() *Database { return e.db }
-
-// SetProgram hot-swaps the engine's rules: queries issued after the swap
-// run the new program against the unchanged database. Queries already in
-// flight complete under the program they started with, and prepared queries
-// created against the previous program fail closed with ErrStaleProgram on
-// their next run — their compiled forms describe rules the engine no longer
-// serves. Snapshots taken before the swap are unaffected (they pin their
-// program). Facts embedded in the new program's source text are not loaded;
-// the data is solely the database's.
-func (e *Engine) SetProgram(prog *Program) error {
-	if prog == nil {
-		return fmt.Errorf("datalog: SetProgram requires a non-nil program")
-	}
-	e.prog.Store(prog)
-	return nil
-}
-
-// Snapshot pins the engine's current facts and current program together as
-// an immutable view: every query against the snapshot sees exactly this
-// commit version and exactly these rules, regardless of concurrent commits
-// or SetProgram swaps. See Database.Snapshot for the cost model.
-func (e *Engine) Snapshot() *Snapshot {
-	return e.db.Snapshot().With(e.prog.Load())
-}
-
-// AssertText parses ground facts (e.g. "par(john, mary). par(mary, sue).")
-// and commits them in one transaction: a parse or arity error anywhere in
-// the text leaves the database completely unchanged (all-or-nothing, unlike
-// the historical fact-by-fact behavior, which could commit a prefix of the
-// batch before failing).
-func (e *Engine) AssertText(factsSrc string) error { return e.db.AssertText(factsSrc) }
-
-// Assert adds a single ground fact given as predicate name and constant
-// arguments (strings become symbolic constants, int64/int become integers),
-// as a one-fact transaction. Bulk loads should buffer a single transaction
-// via Database.Begin instead — one commit per fact pays the write-lock and
-// version bookkeeping N times.
-func (e *Engine) Assert(pred string, args ...any) error { return e.db.Assert(pred, args...) }
-
-// Retract deletes a single ground fact given as predicate name and constant
-// arguments (the mirror of Assert). Retracting a fact that is not stored is
-// a no-op. Commits are serialized against in-flight evaluations, and
-// prepared query forms survive unchanged — the next run simply sees the
-// shrunken database.
-func (e *Engine) Retract(pred string, args ...any) error { return e.db.Retract(pred, args...) }
-
-// RetractText parses ground facts (e.g. "par(john, mary). par(mary, sue).")
-// and deletes them in one transaction; facts that are not stored are
-// skipped. It is the mirror of AssertText.
-func (e *Engine) RetractText(factsSrc string) error { return e.db.RetractText(factsSrc) }
-
-// FactCount returns the number of facts currently stored for a predicate.
-func (e *Engine) FactCount(pred string) int { return e.db.FactCount(pred) }
-
-// ProgramText returns the engine's current program in source syntax.
-func (e *Engine) ProgramText() string { return e.prog.Load().Text() }
-
-// Rules returns the number of rules in the current program.
-func (e *Engine) Rules() int { return e.prog.Load().Rules() }
-
 // sipStrategy maps a SipPolicy to its implementation.
 func sipStrategy(p SipPolicy) (sip.Strategy, error) {
 	switch p {
@@ -703,123 +522,18 @@ func sipStrategy(p SipPolicy) (sip.Strategy, error) {
 
 // rewriter maps a Strategy to its rewriter, or nil for non-rewriting
 // strategies.
-func rewriter(opts Options) (rewrite.Rewriter, error) {
+func rewriter(opts Options) rewrite.Rewriter {
 	switch opts.Strategy {
 	case MagicSets, "":
-		return gms.New(gms.Options{KeepAllGuards: opts.KeepAllGuards}), nil
+		return gms.New(gms.Options{KeepAllGuards: opts.KeepAllGuards})
 	case SupplementaryMagicSets:
-		return supmagic.New(supmagic.Options{}), nil
+		return supmagic.New(supmagic.Options{})
 	case Counting:
-		return counting.New(counting.Options{Semijoin: opts.Semijoin}), nil
+		return counting.New(counting.Options{Semijoin: opts.Semijoin})
 	case SupplementaryCounting:
-		return counting.NewSupplementary(counting.Options{Semijoin: opts.Semijoin}), nil
+		return counting.NewSupplementary(counting.Options{Semijoin: opts.Semijoin})
 	default:
-		return nil, nil
-	}
-}
-
-// Query evaluates a query such as "anc(john, Y)" with the given options.
-// It is QueryCtx with a background context.
-func (e *Engine) Query(querySrc string, opts Options) (*Result, error) {
-	return e.QueryCtx(context.Background(), querySrc, opts)
-}
-
-// QueryCtx evaluates a query such as "anc(john, Y)" with the given options,
-// under the caller's context: a deadline or cancellation interrupts the
-// evaluation (whatever the strategy) and the returned error wraps ctx.Err(),
-// distinct from ErrLimitExceeded. Internally the query runs through the
-// engine's prepared-form cache: the first query of a form pays for
-// parse → adorn → rewrite → compile, repeat queries of the same form (same
-// predicate, binding pattern, strategy and sip — the constants may differ)
-// reuse the cached preparation and only evaluate. Stats.PlanCacheHit reports
-// which case a result was.
-func (e *Engine) QueryCtx(ctx context.Context, querySrc string, opts Options) (*Result, error) {
-	q, err := parser.ParseQuery(querySrc)
-	if err != nil {
-		return nil, fmt.Errorf("datalog: %w", err)
-	}
-	if err := normalizeOptions(&opts); err != nil {
-		return nil, err
-	}
-	prog := e.prog.Load()
-	form, hit, err := prog.preparedFor(q, opts, e.db.store.Table())
-	if err != nil {
-		return nil, err
-	}
-	// One-shot queries carry no program pin: they resolved the engine's
-	// current program just above, so there is nothing to go stale.
-	pq := handleFor(engineView{eng: e}, prog, form, q, opts)
-	return pq.runMaterialized(ctx, q.BoundConstants(), opts, hit)
-}
-
-// Rewrite returns the rewritten program (and its seeds) for a query without
-// evaluating it. It is the programmatic face of the paper's transformations.
-func (e *Engine) Rewrite(querySrc string, opts Options) (*Result, error) {
-	q, err := parser.ParseQuery(querySrc)
-	if err != nil {
-		return nil, fmt.Errorf("datalog: %w", err)
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Strategy == "" {
-		opts.Strategy = MagicSets
-	}
-	rw, err := rewriter(opts)
-	if err != nil || rw == nil {
-		if err == nil {
-			err = fmt.Errorf("datalog: strategy %q does not rewrite the program", opts.Strategy)
-		}
-		return nil, err
-	}
-	ad, err := e.prog.Load().adorn(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	rewriting, err := rw.Rewrite(ad)
-	if err != nil {
-		return nil, fmt.Errorf("datalog: %w", err)
-	}
-	if opts.Simplify {
-		rewrite.Simplify(rewriting)
-	}
-	res := &Result{
-		RewrittenProgram: rewriting.Program.String(),
-		Safety:           publicSafety(safety.Analyze(ad)),
-	}
-	res.Stats.Strategy = opts.Strategy
-	res.Stats.Sip = opts.Sip
-	if res.Stats.Sip == "" {
-		res.Stats.Sip = SipFull
-	}
-	res.Stats.RewrittenRules = len(rewriting.Program.Rules)
-	for _, s := range rewriting.Seeds {
-		res.Seeds = append(res.Seeds, s.String())
-	}
-	return res, nil
-}
-
-// Analyze runs the Section 10 safety analysis for a query without evaluating
-// it.
-func (e *Engine) Analyze(querySrc string, opts Options) (*SafetyReport, error) {
-	q, err := parser.ParseQuery(querySrc)
-	if err != nil {
-		return nil, fmt.Errorf("datalog: %w", err)
-	}
-	ad, err := e.prog.Load().adorn(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return publicSafety(safety.Analyze(ad)), nil
-}
-
-func publicSafety(r *safety.Report) *SafetyReport {
-	return &SafetyReport{
-		IsDatalog:                 r.IsDatalog,
-		MagicSafe:                 r.MagicSafe,
-		MagicSafeReason:           r.MagicSafeReason,
-		CountingSafe:              r.CountingSafe,
-		CountingDivergesOnAllData: r.CountingMayDivergeOnAllData,
+		return nil
 	}
 }
 
@@ -832,56 +546,6 @@ func evalOptions(opts Options) eval.Options {
 		MaxDerivations: opts.MaxDerivations,
 		Parallelism:    opts.Parallelism,
 	}
-}
-
-// runView is where a query run reads its facts from: the live database
-// under its read lock (engineView), or a pinned snapshot without any lock
-// (snapView). acquire returns the store to evaluate over, the store's
-// materialization registration (nil when none — the fast path checks it
-// against the run's program), and a release function paired with them.
-type runView interface {
-	acquire() (store *database.Store, mat *materialization, release func(), err error)
-}
-
-// engineView reads the engine's live database under the read lock. When
-// prog is non-nil the view belongs to a prepared query pinned to that
-// program, and acquire fails closed with ErrStaleProgram once the engine's
-// current program differs (SetProgram was called).
-type engineView struct {
-	eng  *Engine
-	prog *Program
-}
-
-func (v engineView) acquire() (*database.Store, *materialization, func(), error) {
-	db := v.eng.db
-	db.mu.RLock()
-	if v.prog != nil && v.eng.prog.Load() != v.prog {
-		db.mu.RUnlock()
-		return nil, nil, nil, fmt.Errorf("%w (program version %d)", ErrStaleProgram, v.prog.Version())
-	}
-	return db.store, db.mat, db.mu.RUnlock, nil
-}
-
-// fillEvalStats copies the bottom-up evaluator's statistics into the public
-// stats structure.
-func fillEvalStats(dst *Stats, stats *eval.Stats) {
-	if stats == nil {
-		return
-	}
-	dst.Derivations = stats.Derivations
-	dst.Iterations = stats.Iterations
-	dst.JoinProbes = stats.JoinProbes
-	dst.Strata = stats.Strata
-	dst.IndexProbes = stats.IndexProbes
-	dst.IndexHits = stats.IndexHits
-	dst.CompiledPlans = stats.CompiledPlans
-	dst.PlanOps = stats.PlanOps
-	dst.OpProbes = stats.OpProbes
-	dst.OpScans = stats.OpScans
-	dst.ScanRows = stats.ScanRows
-	dst.StoppedEarly = stats.StoppedEarly
-	dst.ParallelComponents = stats.ParallelComponents
-	dst.WorkerRounds = stats.WorkerRounds
 }
 
 func wrapLimit(err error) error {

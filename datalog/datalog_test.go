@@ -14,29 +14,23 @@ const ancestorProgram = `
 	anc(X, Y) :- par(X, Z), anc(Z, Y).
 `
 
-func chainEngine(t *testing.T, n int) *Engine {
+func chainFixture(t *testing.T, n int) fixture {
 	t.Helper()
-	eng, err := NewEngine(ancestorProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := newFixture(t, ancestorProgram)
 	for i := 0; i < n; i++ {
-		if err := eng.Assert("par", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
+		if err := fx.db.Assert("par", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return eng
+	return fx
 }
 
 func TestQuickstartFlow(t *testing.T) {
-	eng, err := NewEngine(ancestorProgram)
-	if err != nil {
+	fx := newFixture(t, ancestorProgram)
+	if err := fx.db.AssertText("par(john, mary). par(mary, sue). par(sue, kim)."); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AssertText("par(john, mary). par(mary, sue). par(sue, kim)."); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Query("anc(john, Y)", Options{})
+	res, err := fx.snap().Query("anc(john, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +58,10 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestAllStrategiesAgree(t *testing.T) {
-	eng := chainEngine(t, 12)
+	fx := chainFixture(t, 12)
 	var want map[string]bool
 	for _, strat := range Strategies() {
-		res, err := eng.Query("anc(n4, Y)", Options{Strategy: strat, MaxIterations: 500})
+		res, err := fx.snap().Query("anc(n4, Y)", Options{Strategy: strat, MaxIterations: 500})
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -88,26 +82,26 @@ func TestAllStrategiesAgree(t *testing.T) {
 }
 
 func TestPartialSipAndSemijoinOptions(t *testing.T) {
-	eng := chainEngine(t, 10)
-	full, err := eng.Query("anc(n0, Y)", Options{Strategy: MagicSets, Sip: SipFull})
+	fx := chainFixture(t, 10)
+	full, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: MagicSets, Sip: SipFull})
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := eng.Query("anc(n0, Y)", Options{Strategy: MagicSets, Sip: SipPartial})
+	partial, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: MagicSets, Sip: SipPartial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full.Answers) != len(partial.Answers) {
 		t.Errorf("full/partial sip answers differ: %d vs %d", len(full.Answers), len(partial.Answers))
 	}
-	semijoin, err := eng.Query("anc(n0, Y)", Options{Strategy: Counting, Semijoin: true})
+	semijoin, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: Counting, Semijoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(semijoin.Answers) != len(full.Answers) {
 		t.Errorf("semijoin counting answers differ: %d vs %d", len(semijoin.Answers), len(full.Answers))
 	}
-	guards, err := eng.Query("anc(n0, Y)", Options{Strategy: MagicSets, KeepAllGuards: true})
+	guards, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: MagicSets, KeepAllGuards: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +111,12 @@ func TestPartialSipAndSemijoinOptions(t *testing.T) {
 }
 
 func TestStatsReflectRestriction(t *testing.T) {
-	eng := chainEngine(t, 30)
-	naive, err := eng.Query("anc(n25, Y)", Options{Strategy: SemiNaive})
+	fx := chainFixture(t, 30)
+	naive, err := fx.snap().Query("anc(n25, Y)", Options{Strategy: SemiNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	magicRes, err := eng.Query("anc(n25, Y)", Options{Strategy: MagicSets})
+	magicRes, err := fx.snap().Query("anc(n25, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +130,8 @@ func TestStatsReflectRestriction(t *testing.T) {
 }
 
 func TestRewriteWithoutEvaluation(t *testing.T) {
-	eng := chainEngine(t, 3)
-	res, err := eng.Rewrite("anc(n0, Y)", Options{Strategy: SupplementaryMagicSets})
+	fx := chainFixture(t, 3)
+	res, err := fx.prog.Rewrite("anc(n0, Y)", Options{Strategy: SupplementaryMagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,20 +141,17 @@ func TestRewriteWithoutEvaluation(t *testing.T) {
 	if !strings.Contains(res.RewrittenProgram, "sup_2_2") {
 		t.Errorf("expected supplementary predicates:\n%s", res.RewrittenProgram)
 	}
-	if _, err := eng.Rewrite("anc(n0, Y)", Options{Strategy: Naive}); err == nil {
+	if _, err := fx.prog.Rewrite("anc(n0, Y)", Options{Strategy: Naive}); err == nil {
 		t.Error("Rewrite with a non-rewriting strategy must error")
 	}
 }
 
 func TestAnalyze(t *testing.T) {
-	eng, err := NewEngine(`
+	fx := newFixture(t, `
 		a(X, Y) :- p(X, Y).
 		a(X, Y) :- a(X, Z), a(Z, Y).
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.Analyze("a(x, Y)", Options{})
+	rep, err := fx.prog.Analyze("a(x, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,20 +161,17 @@ func TestAnalyze(t *testing.T) {
 }
 
 func TestListReverseThroughFacade(t *testing.T) {
-	eng, err := NewEngine(`
+	fx := newFixture(t, `
 		append(V, [], [V]) :- elem(V).
 		append(V, [W | X], [W | Y]) :- append(V, X, Y).
 		reverse([], []) :- emptylist(X).
 		reverse([V | X], Y) :- reverse(X, Z), append(V, Z, Y).
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AssertText("elem(a). elem(b). elem(c). emptylist(nil)."); err != nil {
+	if err := fx.db.AssertText("elem(a). elem(b). elem(c). emptylist(nil)."); err != nil {
 		t.Fatal(err)
 	}
 	for _, strat := range []Strategy{MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting, TopDown} {
-		res, err := eng.Query("reverse([a, b, c], Y)", Options{Strategy: strat, MaxIterations: 100})
+		res, err := fx.snap().Query("reverse([a, b, c], Y)", Options{Strategy: strat, MaxIterations: 100})
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -193,79 +181,73 @@ func TestListReverseThroughFacade(t *testing.T) {
 	}
 	// The unrewritten list program is unsafe for bottom-up evaluation; the
 	// facade must surface the error rather than loop.
-	if _, err := eng.Query("reverse([a, b], Y)", Options{Strategy: SemiNaive, MaxIterations: 20, MaxFacts: 1000}); err == nil {
+	if _, err := fx.snap().Query("reverse([a, b], Y)", Options{Strategy: SemiNaive, MaxIterations: 20, MaxFacts: 1000}); err == nil {
 		t.Error("expected an error for direct bottom-up evaluation of the list program")
 	}
 }
 
 func TestLimitsSurfaceAsErrLimitExceeded(t *testing.T) {
-	eng, err := NewEngine(ancestorProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := newFixture(t, ancestorProgram)
 	// Cyclic data defeats counting; the limit must surface as
 	// ErrLimitExceeded while the answers of magic remain available.
 	for i := 0; i < 5; i++ {
-		eng.Assert("par", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", (i+1)%5))
+		fx.db.Assert("par", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", (i+1)%5))
 	}
-	_, err = eng.Query("anc(c0, Y)", Options{Strategy: Counting, MaxIterations: 40})
+	_, err := fx.snap().Query("anc(c0, Y)", Options{Strategy: Counting, MaxIterations: 40})
 	if !errors.Is(err, ErrLimitExceeded) {
 		t.Errorf("expected ErrLimitExceeded, got %v", err)
 	}
-	res, err := eng.Query("anc(c0, Y)", Options{Strategy: MagicSets})
+	res, err := fx.snap().Query("anc(c0, Y)", Options{Strategy: MagicSets})
 	if err != nil || len(res.Answers) != 5 {
 		t.Errorf("magic on cyclic data: %v, %v", res.Answers, err)
 	}
 }
 
-func TestEngineErrors(t *testing.T) {
-	if _, err := NewEngine("anc(X, Y) :- par(X, Y"); err == nil {
+func TestCompileAndQueryErrors(t *testing.T) {
+	if _, err := Compile("anc(X, Y) :- par(X, Y"); err == nil {
 		t.Error("syntax error must be reported")
 	}
-	if _, err := NewEngine("?- p(X)."); err == nil {
+	if _, err := Compile("?- p(X)."); err == nil {
 		t.Error("queries in the program text must be rejected")
 	}
-	if _, err := NewEngine("p(X) :- q(X). p(X, Y) :- q(X), q(Y)."); err == nil {
+	if _, err := Compile("p(X) :- q(X). p(X, Y) :- q(X), q(Y)."); err == nil {
 		t.Error("arity conflicts must be rejected")
 	}
-	eng := chainEngine(t, 2)
-	if err := eng.AssertText("anc(X, Y) :- par(X, Y)."); err == nil {
+	fx := chainFixture(t, 2)
+	if err := fx.db.AssertText("anc(X, Y) :- par(X, Y)."); err == nil {
 		t.Error("AssertText must reject rules")
 	}
-	if err := eng.Assert("par", 3.14); err == nil {
+	if err := fx.db.Assert("par", 3.14); err == nil {
 		t.Error("unsupported argument types must be rejected")
 	}
-	if _, err := eng.Query("anc(X, Y", Options{}); err == nil {
+	if _, err := fx.snap().Query("anc(X, Y", Options{}); err == nil {
 		t.Error("query syntax error must be reported")
 	}
-	if _, err := eng.Query("anc(n0, Y)", Options{Strategy: "bogus"}); err == nil {
+	if _, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: "bogus"}); err == nil {
 		t.Error("unknown strategy must be rejected")
 	}
-	if _, err := eng.Query("anc(n0, Y)", Options{Sip: "bogus"}); err == nil {
+	if _, err := fx.snap().Query("anc(n0, Y)", Options{Sip: "bogus"}); err == nil {
 		t.Error("unknown sip policy must be rejected")
 	}
-	if _, err := eng.Query("par(n0, Y)", Options{}); err == nil {
+	if _, err := fx.snap().Query("par(n0, Y)", Options{}); err == nil {
 		t.Error("queries on base predicates must be rejected by the rewriting strategies")
 	}
 }
 
-func TestEngineAccessors(t *testing.T) {
-	eng := chainEngine(t, 4)
-	if eng.Rules() != 2 {
-		t.Errorf("Rules = %d", eng.Rules())
+func TestProgramAndDatabaseAccessors(t *testing.T) {
+	fx := chainFixture(t, 4)
+	if fx.prog.Rules() != 2 {
+		t.Errorf("Rules = %d", fx.prog.Rules())
 	}
-	if eng.FactCount("par") != 4 || eng.FactCount("missing") != 0 {
+	if fx.db.FactCount("par") != 4 || fx.db.FactCount("missing") != 0 {
 		t.Errorf("FactCount wrong")
 	}
-	if !strings.Contains(eng.ProgramText(), "anc(X, Y) :- par(X, Y).") {
-		t.Errorf("ProgramText = %q", eng.ProgramText())
+	if !strings.Contains(fx.prog.Text(), "anc(X, Y) :- par(X, Y).") {
+		t.Errorf("ProgramText = %q", fx.prog.Text())
 	}
 	// Facts may also arrive embedded in the program text.
-	eng2, err := NewEngine("anc(X, Y) :- par(X, Y). par(a, b).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng2.FactCount("par") != 1 {
+	fx2 := newFixture(t, "anc(X, Y) :- par(X, Y). par(a, b).")
+	if fx2.db.FactCount("par") != 1 {
 		t.Error("facts in the program text must populate the database")
 	}
 }
@@ -284,17 +266,14 @@ func TestParseStrategy(t *testing.T) {
 }
 
 func TestInt64Assert(t *testing.T) {
-	eng, err := NewEngine("bigger(X, Y) :- num(X), num(Y), above(X, Y).")
-	if err != nil {
+	fx := newFixture(t, "bigger(X, Y) :- num(X), num(Y), above(X, Y).")
+	if err := fx.db.Assert("num", int64(4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Assert("num", int64(4)); err != nil {
+	if err := fx.db.Assert("num", 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Assert("num", 7); err != nil {
-		t.Fatal(err)
-	}
-	if eng.FactCount("num") != 2 {
+	if fx.db.FactCount("num") != 2 {
 		t.Error("integer facts not stored")
 	}
 }
@@ -315,22 +294,19 @@ func TestGreedySipPolicy(t *testing.T) {
 	// The textual body order of lives_in_big_city is hostile to a
 	// left-to-right sip (the recursive literal comes first); the greedy sip
 	// reorders it and still returns the right answers.
-	eng, err := NewEngine(`
+	fx := newFixture(t, `
 		reach(X, Y) :- edge(X, Y).
 		reach(X, Y) :- edge(X, Z), reach(Z, Y).
 		report(X, Y) :- reach(Z, Y), start(X, Z).
 	`)
+	if err := fx.db.AssertText("edge(h1, h2). edge(h2, h3). start(root, h1)."); err != nil {
+		t.Fatal(err)
+	}
+	greedy, err := fx.snap().Query("report(root, Y)", Options{Strategy: MagicSets, Sip: SipGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AssertText("edge(h1, h2). edge(h2, h3). start(root, h1)."); err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := eng.Query("report(root, Y)", Options{Strategy: MagicSets, Sip: SipGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ltr, err := eng.Query("report(root, Y)", Options{Strategy: MagicSets, Sip: SipFull})
+	ltr, err := fx.snap().Query("report(root, Y)", Options{Strategy: MagicSets, Sip: SipFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,21 +325,18 @@ func TestSimplifyOption(t *testing.T) {
 	// The nonlinear ancestor rewriting contains the tautological rule
 	// magic_a^bf(X) :- magic_a^bf(X); with Simplify it disappears and the
 	// answers are unchanged.
-	eng, err := NewEngine(`
+	fx := newFixture(t, `
 		a(X, Y) :- p(X, Y).
 		a(X, Y) :- a(X, Z), a(Z, Y).
 	`)
+	if err := fx.db.AssertText("p(x1, x2). p(x2, x3). p(x3, x4)."); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := fx.prog.Rewrite("a(x1, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AssertText("p(x1, x2). p(x2, x3). p(x3, x4)."); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := eng.Rewrite("a(x1, Y)", Options{Strategy: MagicSets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simplified, err := eng.Rewrite("a(x1, Y)", Options{Strategy: MagicSets, Simplify: true})
+	simplified, err := fx.prog.Rewrite("a(x1, Y)", Options{Strategy: MagicSets, Simplify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,11 +347,11 @@ func TestSimplifyOption(t *testing.T) {
 	if strings.Contains(simplified.RewrittenProgram, "magic_a^bf(X) :- magic_a^bf(X).") {
 		t.Error("tautological rule survived simplification")
 	}
-	a1, err := eng.Query("a(x1, Y)", Options{Strategy: MagicSets})
+	a1, err := fx.snap().Query("a(x1, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := eng.Query("a(x1, Y)", Options{Strategy: MagicSets, Simplify: true})
+	a2, err := fx.snap().Query("a(x1, Y)", Options{Strategy: MagicSets, Simplify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,9 +105,9 @@ func TestCompileArityErrorHasPosition(t *testing.T) {
 }
 
 // loadChain asserts a p-chain c0 -> c1 -> ... -> cn.
-func loadChain(t *testing.T, eng *Engine, n int) {
+func loadChain(t *testing.T, fx fixture, n int) {
 	t.Helper()
-	txn := eng.Database().Begin()
+	txn := fx.db.Begin()
 	for i := 0; i < n; i++ {
 		if err := txn.Assert("p", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1)); err != nil {
 			t.Fatal(err)
@@ -123,12 +123,9 @@ func loadChain(t *testing.T, eng *Engine, n int) {
 // same answers, terminating, Stats.DivergenceFallback set.
 func TestDivergenceFallback(t *testing.T) {
 	for _, strat := range []Strategy{Counting, SupplementaryCounting} {
-		eng, err := NewEngine(nonlinearAncestor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loadChain(t, eng, 8)
-		res, err := eng.Query("a(c0, Y)", Options{Strategy: strat})
+		fx := newFixture(t, nonlinearAncestor)
+		loadChain(t, fx, 8)
+		res, err := fx.snap().Query("a(c0, Y)", Options{Strategy: strat})
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -142,7 +139,7 @@ func TestDivergenceFallback(t *testing.T) {
 			t.Errorf("%s: got %d answers, want 8", strat, len(res.Answers))
 		}
 		// The reference answer under magic sets agrees.
-		ref, err := eng.Query("a(c0, Y)", Options{Strategy: MagicSets})
+		ref, err := fx.snap().Query("a(c0, Y)", Options{Strategy: MagicSets})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,25 +160,19 @@ func TestDivergenceFallback(t *testing.T) {
 
 // TestDivergenceFail: OnDivergence=fail refuses the form fast.
 func TestDivergenceFail(t *testing.T) {
-	eng, err := NewEngine(nonlinearAncestor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadChain(t, eng, 4)
-	_, err = eng.Query("a(c0, Y)", Options{Strategy: Counting, OnDivergence: DivergenceFail})
+	fx := newFixture(t, nonlinearAncestor)
+	loadChain(t, fx, 4)
+	_, err := fx.snap().Query("a(c0, Y)", Options{Strategy: Counting, OnDivergence: DivergenceFail})
 	if !errors.Is(err, ErrCountingDiverges) {
 		t.Fatalf("err = %v, want ErrCountingDiverges", err)
 	}
-	if _, err := eng.Prepare("a(c0, Y)", Options{Strategy: SupplementaryCounting, OnDivergence: DivergenceFail}); !errors.Is(err, ErrCountingDiverges) {
+	if _, err := fx.snap().Prepare("a(c0, Y)", Options{Strategy: SupplementaryCounting, OnDivergence: DivergenceFail}); !errors.Is(err, ErrCountingDiverges) {
 		t.Errorf("Prepare err = %v, want ErrCountingDiverges", err)
 	}
 	// A non-divergent form under the same policy runs normally.
-	lin, err := NewEngine("a(X, Y) :- p(X, Y).\na(X, Y) :- p(X, Z), a(Z, Y).\n")
-	if err != nil {
-		t.Fatal(err)
-	}
+	lin := newFixture(t, "a(X, Y) :- p(X, Y).\na(X, Y) :- p(X, Z), a(Z, Y).\n")
 	loadChain(t, lin, 4)
-	res, err := lin.Query("a(c0, Y)", Options{Strategy: Counting, OnDivergence: DivergenceFail})
+	res, err := lin.snap().Query("a(c0, Y)", Options{Strategy: Counting, OnDivergence: DivergenceFail})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,18 +184,15 @@ func TestDivergenceFail(t *testing.T) {
 // TestDivergencePolicySplitsForms: the three policies prepare different
 // artifacts for the same query text, so they must not share a cached form.
 func TestDivergencePolicySplitsForms(t *testing.T) {
-	eng, err := NewEngine(nonlinearAncestor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadChain(t, eng, 4)
+	fx := newFixture(t, nonlinearAncestor)
+	loadChain(t, fx, 4)
 	// Warm the fallback form first.
-	res, err := eng.Query("a(c0, Y)", Options{Strategy: Counting})
+	res, err := fx.snap().Query("a(c0, Y)", Options{Strategy: Counting})
 	if err != nil || !res.Stats.DivergenceFallback {
 		t.Fatalf("warm-up: err=%v stats=%+v", err, res.Stats)
 	}
 	// The run policy must not reuse the fallback preparation.
-	res, err = eng.Query("a(c0, Y)", Options{Strategy: Counting, OnDivergence: DivergenceRun, MaxIterations: 25, MaxFacts: 20000})
+	res, err = fx.snap().Query("a(c0, Y)", Options{Strategy: Counting, OnDivergence: DivergenceRun, MaxIterations: 25, MaxFacts: 20000})
 	if !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("DivergenceRun after fallback: err=%v (res=%v)", err, res)
 	}
@@ -240,12 +228,9 @@ func TestDivergenceOracle(t *testing.T) {
 			t.Fatalf("%s: not flagged: %v", tc.name, diags)
 		}
 		for _, strat := range []Strategy{Counting, SupplementaryCounting} {
-			eng, err := NewEngine(tc.rules)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loadChain(t, eng, 6)
-			_, err = eng.Query(tc.query, Options{
+			fx := newFixture(t, tc.rules)
+			loadChain(t, fx, 6)
+			_, err = fx.snap().Query(tc.query, Options{
 				Strategy:       strat,
 				OnDivergence:   DivergenceRun,
 				MaxDerivations: 50000,
@@ -275,13 +260,10 @@ func TestDivergenceOracle(t *testing.T) {
 				t.Fatalf("trial %d: linear ancestor flagged divergent", trial)
 			}
 		}
-		eng, err := NewEngine(rules)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fx := newFixture(t, rules)
 		// Random DAG edges i -> j (i < j) over a random node count.
 		n := 5 + rng.Intn(12)
-		txn := eng.Database().Begin()
+		txn := fx.db.Begin()
 		for i := 0; i < n; i++ {
 			if err := txn.Assert("p", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1)); err != nil {
 				t.Fatal(err)
@@ -297,7 +279,7 @@ func TestDivergenceOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, strat := range []Strategy{Counting, SupplementaryCounting} {
-			res, err := eng.Query("a(c0, Y)", Options{
+			res, err := fx.snap().Query("a(c0, Y)", Options{
 				Strategy:       strat,
 				OnDivergence:   DivergenceRun,
 				MaxDerivations: 50000,

@@ -232,8 +232,8 @@ func TestMaterializedViewsRematerializeOnReopen(t *testing.T) {
 	if got := db2.FactCount("path"); got != 10 {
 		t.Fatalf("rematerialized path has %d facts, want 10", got)
 	}
-	eng := NewEngineWith(prog, db2)
-	res, err := eng.Query("path(a, X)", Options{})
+	fx := fixture{prog, db2}
+	res, err := fx.snap().Query("path(a, X)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

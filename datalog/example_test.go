@@ -18,8 +18,8 @@ func sorted(res *datalog.Result) []string {
 	return out
 }
 
-// Compile a program once into an immutable, shareable Program, pair it with
-// a Database, and query it.
+// Compile a program once into an immutable, shareable Program, bind it to a
+// pinned version of a Database, and query it.
 func ExampleCompile() {
 	prog, err := datalog.Compile(`
 		anc(X, Y) :- par(X, Y).
@@ -32,8 +32,7 @@ func ExampleCompile() {
 	if err := db.AssertText(`par(john, mary). par(mary, sue).`); err != nil {
 		panic(err)
 	}
-	eng := datalog.NewEngineWith(prog, db)
-	res, err := eng.Query("anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets})
+	res, err := db.Snapshot().With(prog).Query("anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets})
 	if err != nil {
 		panic(err)
 	}
@@ -83,8 +82,8 @@ func ExampleDatabase_Snapshot() {
 		panic(err)
 	}
 
-	// ... the live engine sees it, the snapshot does not.
-	live, err := datalog.NewEngineWith(prog, db).Query("anc(john, Y)", datalog.Options{})
+	// ... a snapshot taken now sees it, the earlier one does not.
+	live, err := db.Snapshot().With(prog).Query("anc(john, Y)", datalog.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -115,8 +114,7 @@ func ExampleDatabase_Materialize() {
 		panic(err)
 	}
 
-	eng := datalog.NewEngineWith(prog, db)
-	res, err := eng.Query("anc(john, Y)", datalog.Options{})
+	res, err := db.Snapshot().With(prog).Query("anc(john, Y)", datalog.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -127,7 +125,7 @@ func ExampleDatabase_Materialize() {
 	if err := db.RetractText(`par(mary, sue).`); err != nil {
 		panic(err)
 	}
-	res, err = eng.Query("anc(john, Y)", datalog.Options{})
+	res, err = db.Snapshot().With(prog).Query("anc(john, Y)", datalog.Options{})
 	if err != nil {
 		panic(err)
 	}

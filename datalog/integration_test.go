@@ -38,33 +38,51 @@ const (
 	`
 )
 
-// assertChain adds a parent chain n0 -> ... -> n(length) to the engine.
-func assertChain(t testing.TB, eng *datalog.Engine, pred string, length int) {
+// fixture is the external-package twin of the in-package test fixture: a
+// compiled program and its database, read through snapshots only.
+type fixture struct {
+	prog *datalog.Program
+	db   *datalog.Database
+}
+
+func newFixture(t testing.TB, src string) fixture {
+	t.Helper()
+	prog, err := datalog.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fixture{prog, datalog.NewDatabase()}
+}
+
+func (f fixture) snap() *datalog.Snapshot { return f.db.Snapshot().With(f.prog) }
+
+// assertChain adds a parent chain n0 -> ... -> n(length) to the database.
+func assertChain(t testing.TB, fx fixture, pred string, length int) {
 	t.Helper()
 	for i := 0; i < length; i++ {
-		if err := eng.Assert(pred, fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
+		if err := fx.db.Assert(pred, fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 // assertLayers adds an acyclic up/flat/down same-generation structure.
-func assertLayers(t testing.TB, eng *datalog.Engine, leaves, depth int) {
+func assertLayers(t testing.TB, fx fixture, leaves, depth int) {
 	t.Helper()
 	name := func(layer, i int) string { return fmt.Sprintf("l%d_%d", layer, i) }
 	for layer := 0; layer < depth; layer++ {
 		for i := 0; i < leaves; i++ {
-			if err := eng.Assert("up", name(layer, i), name(layer+1, i)); err != nil {
+			if err := fx.db.Assert("up", name(layer, i), name(layer+1, i)); err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.Assert("down", name(layer+1, i), name(layer, i)); err != nil {
+			if err := fx.db.Assert("down", name(layer+1, i), name(layer, i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for layer := 0; layer <= depth; layer++ {
 		for i := 0; i < leaves-1; i++ {
-			if err := eng.Assert("flat", name(layer, i), name(layer, i+1)); err != nil {
+			if err := fx.db.Assert("flat", name(layer, i), name(layer, i+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -103,9 +121,9 @@ func optionsName(o datalog.Options) string {
 // theorems 3.1, 4.1, 5.1, 6.1 and 7.1 chained together). Strategies listed
 // in skip are exempted (e.g. counting on data where it diverges); they must
 // instead fail with ErrLimitExceeded when given a bound.
-func checkAgreement(t *testing.T, eng *datalog.Engine, query string, skip map[datalog.Strategy]bool) {
+func checkAgreement(t *testing.T, fx fixture, query string, skip map[datalog.Strategy]bool) {
 	t.Helper()
-	baseline, err := eng.Query(query, datalog.Options{Strategy: datalog.SemiNaive})
+	baseline, err := fx.snap().Query(query, datalog.Options{Strategy: datalog.SemiNaive})
 	if err != nil {
 		t.Fatalf("semi-naive baseline: %v", err)
 	}
@@ -128,13 +146,13 @@ func checkAgreement(t *testing.T, eng *datalog.Engine, query string, skip map[da
 			opts.OnDivergence = datalog.DivergenceRun
 			opts.MaxIterations = 25
 			opts.MaxFacts = 20000
-			_, err := eng.Query(query, opts)
+			_, err := fx.snap().Query(query, opts)
 			if !errors.Is(err, datalog.ErrLimitExceeded) {
 				t.Errorf("%s: expected ErrLimitExceeded on this workload, got %v", optionsName(opts), err)
 			}
 			continue
 		}
-		res, err := eng.Query(query, opts)
+		res, err := fx.snap().Query(query, opts)
 		if err != nil {
 			t.Errorf("%s: %v", optionsName(opts), err)
 			continue
@@ -153,19 +171,13 @@ func checkAgreement(t *testing.T, eng *datalog.Engine, query string, skip map[da
 }
 
 func TestIntegrationAncestorChain(t *testing.T) {
-	eng, err := datalog.NewEngine(ancestorSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertChain(t, eng, "p", 25)
-	checkAgreement(t, eng, "a(n7, Y)", nil)
+	fx := newFixture(t, ancestorSrc)
+	assertChain(t, fx, "p", 25)
+	checkAgreement(t, fx, "a(n7, Y)", nil)
 }
 
 func TestIntegrationAncestorTree(t *testing.T) {
-	eng, err := datalog.NewEngine(ancestorSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := newFixture(t, ancestorSrc)
 	// A binary tree of depth 5 rooted at r.
 	var addTree func(node string, depth int)
 	id := 0
@@ -176,62 +188,50 @@ func TestIntegrationAncestorTree(t *testing.T) {
 		for c := 0; c < 2; c++ {
 			id++
 			child := fmt.Sprintf("t%d", id)
-			if err := eng.Assert("p", node, child); err != nil {
+			if err := fx.db.Assert("p", node, child); err != nil {
 				t.Fatal(err)
 			}
 			addTree(child, depth-1)
 		}
 	}
 	addTree("r", 5)
-	checkAgreement(t, eng, "a(r, Y)", nil)
+	checkAgreement(t, fx, "a(r, Y)", nil)
 }
 
 func TestIntegrationNonlinearAncestor(t *testing.T) {
-	eng, err := datalog.NewEngine(nonlinearAncestorSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertChain(t, eng, "p", 7)
+	fx := newFixture(t, nonlinearAncestorSrc)
+	assertChain(t, fx, "p", 7)
 	// Theorem 10.3: counting diverges for the nonlinear ancestor program
 	// regardless of the data; every other strategy agrees with semi-naive.
-	checkAgreement(t, eng, "a(n2, Y)", map[datalog.Strategy]bool{
+	checkAgreement(t, fx, "a(n2, Y)", map[datalog.Strategy]bool{
 		datalog.Counting:              true,
 		datalog.SupplementaryCounting: true,
 	})
 }
 
 func TestIntegrationNestedSameGeneration(t *testing.T) {
-	eng, err := datalog.NewEngine(nestedSameGenSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLayers(t, eng, 6, 3)
+	fx := newFixture(t, nestedSameGenSrc)
+	assertLayers(t, fx, 6, 3)
 	for i := 0; i < 6; i++ {
-		if err := eng.Assert("b1", fmt.Sprintf("l0_%d", i), fmt.Sprintf("m%d", i)); err != nil {
+		if err := fx.db.Assert("b1", fmt.Sprintf("l0_%d", i), fmt.Sprintf("m%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Assert("b2", fmt.Sprintf("m%d", i), fmt.Sprintf("o%d", i)); err != nil {
+		if err := fx.db.Assert("b2", fmt.Sprintf("m%d", i), fmt.Sprintf("o%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	checkAgreement(t, eng, "p(l0_0, Y)", nil)
+	checkAgreement(t, fx, "p(l0_0, Y)", nil)
 }
 
 func TestIntegrationNonlinearSameGeneration(t *testing.T) {
-	eng, err := datalog.NewEngine(nonlinearSameGenSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLayers(t, eng, 10, 3)
-	checkAgreement(t, eng, "sg(l0_0, Y)", nil)
+	fx := newFixture(t, nonlinearSameGenSrc)
+	assertLayers(t, fx, 10, 3)
+	checkAgreement(t, fx, "sg(l0_0, Y)", nil)
 }
 
 func TestIntegrationListReverse(t *testing.T) {
-	eng, err := datalog.NewEngine(listReverseSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AssertText("elem(a). elem(b). elem(c). elem(d). elem(e). emptylist(nil)."); err != nil {
+	fx := newFixture(t, listReverseSrc)
+	if err := fx.db.AssertText("elem(a). elem(b). elem(c). elem(d). elem(e). emptylist(nil)."); err != nil {
 		t.Fatal(err)
 	}
 	// The unrewritten program is unsafe bottom-up, so compare the rewriting
@@ -239,7 +239,7 @@ func TestIntegrationListReverse(t *testing.T) {
 	want := "([e, d, c, b, a])"
 	for _, opts := range append([]datalog.Options{{Strategy: datalog.TopDown}}, rewritingStrategies...) {
 		opts.MaxIterations = 500
-		res, err := eng.Query("reverse([a, b, c, d, e], Y)", opts)
+		res, err := fx.snap().Query("reverse([a, b, c, d, e], Y)", opts)
 		if err != nil {
 			t.Errorf("%s: %v", optionsName(opts), err)
 			continue
@@ -256,10 +256,7 @@ func TestIntegrationListReverse(t *testing.T) {
 // legitimately make it diverge).
 func TestIntegrationRandomGraphs(t *testing.T) {
 	f := func(seed uint16) bool {
-		eng, err := datalog.NewEngine(ancestorSrc)
-		if err != nil {
-			return false
-		}
+		fx := newFixture(t, ancestorSrc)
 		state := int64(seed)*99991 + 7
 		next := func(m int) int {
 			state = state*6364136223846793005 + 1442695040888963407
@@ -272,12 +269,12 @@ func TestIntegrationRandomGraphs(t *testing.T) {
 		nodes := 6 + next(5)
 		edges := 8 + next(10)
 		for i := 0; i < edges; i++ {
-			if err := eng.Assert("p", fmt.Sprintf("v%d", next(nodes)), fmt.Sprintf("v%d", next(nodes))); err != nil {
+			if err := fx.db.Assert("p", fmt.Sprintf("v%d", next(nodes)), fmt.Sprintf("v%d", next(nodes))); err != nil {
 				return false
 			}
 		}
 		query := fmt.Sprintf("a(v%d, Y)", next(nodes))
-		baseline, err := eng.Query(query, datalog.Options{Strategy: datalog.SemiNaive})
+		baseline, err := fx.snap().Query(query, datalog.Options{Strategy: datalog.SemiNaive})
 		if err != nil {
 			return false
 		}
@@ -289,7 +286,7 @@ func TestIntegrationRandomGraphs(t *testing.T) {
 			{Strategy: datalog.MagicSets, Sip: datalog.SipPartial},
 			{Strategy: datalog.SupplementaryMagicSets},
 		} {
-			res, err := eng.Query(query, opts)
+			res, err := fx.snap().Query(query, opts)
 			if err != nil {
 				return false
 			}
@@ -315,10 +312,7 @@ func TestIntegrationRandomGraphs(t *testing.T) {
 // the counting strategies must also terminate and agree.
 func TestIntegrationRandomDAGsWithCounting(t *testing.T) {
 	f := func(seed uint16) bool {
-		eng, err := datalog.NewEngine(ancestorSrc)
-		if err != nil {
-			return false
-		}
+		fx := newFixture(t, ancestorSrc)
 		state := int64(seed)*104729 + 13
 		next := func(m int) int {
 			state = state*6364136223846793005 + 1442695040888963407
@@ -333,12 +327,12 @@ func TestIntegrationRandomDAGsWithCounting(t *testing.T) {
 		for i := 0; i < edges; i++ {
 			a := next(nodes - 1)
 			b := a + 1 + next(nodes-a-1)
-			if err := eng.Assert("p", fmt.Sprintf("v%d", a), fmt.Sprintf("v%d", b)); err != nil {
+			if err := fx.db.Assert("p", fmt.Sprintf("v%d", a), fmt.Sprintf("v%d", b)); err != nil {
 				return false
 			}
 		}
 		query := "a(v0, Y)"
-		baseline, err := eng.Query(query, datalog.Options{Strategy: datalog.SemiNaive})
+		baseline, err := fx.snap().Query(query, datalog.Options{Strategy: datalog.SemiNaive})
 		if err != nil {
 			return false
 		}
@@ -352,7 +346,7 @@ func TestIntegrationRandomDAGsWithCounting(t *testing.T) {
 			{Strategy: datalog.SupplementaryCounting, MaxIterations: 500},
 			{Strategy: datalog.SupplementaryCounting, Semijoin: true, MaxIterations: 500},
 		} {
-			res, err := eng.Query(query, opts)
+			res, err := fx.snap().Query(query, opts)
 			if err != nil {
 				return false
 			}
@@ -373,15 +367,12 @@ func TestIntegrationRandomDAGsWithCounting(t *testing.T) {
 	}
 }
 
-// TestIntegrationEngineReuse runs several different queries (and binding
-// patterns) against one engine instance to check there is no cross-query
-// state leakage.
-func TestIntegrationEngineReuse(t *testing.T) {
-	eng, err := datalog.NewEngine(ancestorSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertChain(t, eng, "p", 15)
+// TestIntegrationProgramReuse runs several different queries (and binding
+// patterns) against one program and database to check there is no
+// cross-query state leakage.
+func TestIntegrationProgramReuse(t *testing.T) {
+	fx := newFixture(t, ancestorSrc)
+	assertChain(t, fx, "p", 15)
 	queries := []struct {
 		q    string
 		want int
@@ -393,7 +384,7 @@ func TestIntegrationEngineReuse(t *testing.T) {
 		{"a(n9, n2)", 0},
 	}
 	for _, tc := range queries {
-		res, err := eng.Query(tc.q, datalog.Options{Strategy: datalog.MagicSets})
+		res, err := fx.snap().Query(tc.q, datalog.Options{Strategy: datalog.MagicSets})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.q, err)
 		}
@@ -402,10 +393,10 @@ func TestIntegrationEngineReuse(t *testing.T) {
 		}
 	}
 	// Adding more facts after a query must be reflected by the next query.
-	if err := eng.Assert("p", "n15", "n16"); err != nil {
+	if err := fx.db.Assert("p", "n15", "n16"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Query("a(n0, Y)", datalog.Options{Strategy: datalog.MagicSets})
+	res, err := fx.snap().Query("a(n0, Y)", datalog.Options{Strategy: datalog.MagicSets})
 	if err != nil || len(res.Answers) != 16 {
 		t.Errorf("after adding a fact: %d answers, err %v", len(res.Answers), err)
 	}
@@ -415,10 +406,7 @@ func TestIntegrationEngineReuse(t *testing.T) {
 // other direction (second argument bound), which exercises a different
 // adornment (a^fb / a^bb) and its rewritings.
 func TestIntegrationDescendantDirection(t *testing.T) {
-	eng, err := datalog.NewEngine(ancestorSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertChain(t, eng, "p", 12)
-	checkAgreement(t, eng, "a(X, n9)", nil)
+	fx := newFixture(t, ancestorSrc)
+	assertChain(t, fx, "p", 12)
+	checkAgreement(t, fx, "a(X, n9)", nil)
 }

@@ -10,8 +10,8 @@
 // via per-row derivation counts for non-recursive predicates (counting) and
 // delete-and-rederive for recursive ones (DRed), so maintenance work is
 // proportional to the consequences of the change, never to the database.
-// Queries over materialized predicates — from the engine or from snapshots
-// taken after the registration — are answered by pure index lookups
+// Queries over materialized predicates — on snapshots taken after the
+// registration — are answered by pure index lookups
 // (Stats.MaterializedHit), skipping evaluation entirely.
 
 package datalog
@@ -91,12 +91,11 @@ type MaterializedStats struct {
 // program's derived predicates — one-shot, prepared or from snapshots taken
 // after this call — become pure index lookups (Stats.MaterializedHit).
 //
-// The program must be the same *Program instance later queries run (an
-// engine created with NewEngineWith(prog, db), or snapshots bound to prog):
-// queries of any other program, and queries with Options.NoMaterialize,
-// evaluate from scratch as usual. Facts embedded in the program's source
-// text are not loaded (as with NewEngineWith); load them first through a
-// transaction. The call fails if a derived predicate of the program already
+// The program must be the same *Program instance later snapshots are bound
+// to (Snapshot.With): queries of any other program, and queries with
+// Options.NoMaterialize, evaluate from scratch as usual. Facts embedded in
+// the program's source text are not loaded; commit them first with
+// Database.LoadFacts. The call fails if a derived predicate of the program already
 // holds stored base facts — a predicate cannot be both asserted and derived
 // once materialized (Txn.Commit rejects such writes afterwards).
 //
@@ -104,7 +103,7 @@ type MaterializedStats struct {
 // relations are dropped and recomputed under the new program); use
 // Dematerialize to just drop it. The initial computation runs to fixpoint
 // under the write lock, so it is intended for terminating programs — the
-// safety analysis (Engine.Analyze) tells which ones qualify.
+// safety analysis (Program.Analyze) tells which ones qualify.
 func (db *Database) Materialize(prog *Program) error {
 	if prog == nil {
 		return fmt.Errorf("datalog: Materialize requires a non-nil program")
@@ -139,8 +138,8 @@ func (db *Database) Materialize(prog *Program) error {
 // Dematerialize drops the database's materialization, if any: the derived
 // relations are removed from the store and commits stop running
 // maintenance. Snapshots taken while the materialization was live keep
-// their pinned view of it (and keep answering from it); future queries
-// against the live database evaluate from scratch again.
+// their pinned view of it (and keep answering from it); queries on later
+// snapshots evaluate from scratch again.
 func (db *Database) Dematerialize() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -190,14 +189,8 @@ func (db *Database) MaterializedStats() (MaterializedStats, bool) {
 	}, true
 }
 
-// Materialize materializes the engine's current program in its database:
-// shorthand for Database.Materialize(Engine.Program()). Queries through
-// this engine (and snapshots it takes afterwards) then answer from the
-// stored IDB by pure lookup.
-func (e *Engine) Materialize() error { return e.db.Materialize(e.prog.Load()) }
-
 // applyBatchLocked is the single commit path behind Txn.Commit and
-// loadFacts: it applies the validated batch to the store and, when a
+// LoadFacts: it applies the validated batch to the store and, when a
 // materialization is registered, first rejects writes to its derived
 // predicates and afterwards runs incremental maintenance inside the same
 // write-lock critical section — no reader ever observes the base facts of a

@@ -35,9 +35,9 @@ func TestMaterializeBasic(t *testing.T) {
 	if err := db.Materialize(prog); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngineWith(prog, db)
+	fx := fixture{prog, db}
 
-	res, err := eng.Query("anc(john, Y)", Options{})
+	res, err := fx.snap().Query("anc(john, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMaterializeBasic(t *testing.T) {
 
 	// The fast path must not fire when asked not to, and the slow path must
 	// agree with the stored IDB.
-	cold, err := eng.Query("anc(john, Y)", Options{Strategy: SemiNaive, NoMaterialize: true})
+	cold, err := fx.snap().Query("anc(john, Y)", Options{Strategy: SemiNaive, NoMaterialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +93,19 @@ func TestMaterializeMaintainsAcrossCommits(t *testing.T) {
 	if err := db.Materialize(prog); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngineWith(prog, db)
+	fx := fixture{prog, db}
 
 	check := func(stage string) {
 		t.Helper()
 		for _, q := range []string{"anc(X, Y)", "grandpar(X, Y)", "anc(a, Y)"} {
-			hot, err := eng.Query(q, Options{})
+			hot, err := fx.snap().Query(q, Options{})
 			if err != nil {
 				t.Fatalf("%s: %s: %v", stage, q, err)
 			}
 			if !hot.Stats.MaterializedHit {
 				t.Fatalf("%s: %s did not hit the materialization", stage, q)
 			}
-			cold, err := eng.Query(q, Options{Strategy: SemiNaive, NoMaterialize: true})
+			cold, err := fx.snap().Query(q, Options{Strategy: SemiNaive, NoMaterialize: true})
 			if err != nil {
 				t.Fatalf("%s: %s (cold): %v", stage, q, err)
 			}
@@ -154,7 +154,7 @@ func TestMaterializeDifferential(t *testing.T) {
 	if err := db.Materialize(prog); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngineWith(prog, db)
+	fx := fixture{prog, db}
 
 	const nodes = 9
 	rng := rand.New(rand.NewSource(7))
@@ -184,7 +184,7 @@ func TestMaterializeDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range queries {
-			hot, err := eng.Query(q, Options{})
+			hot, err := fx.snap().Query(q, Options{})
 			if err != nil {
 				t.Fatalf("commit %d: %s: %v", commit, q, err)
 			}
@@ -195,7 +195,7 @@ func TestMaterializeDifferential(t *testing.T) {
 				if strings.Contains(q, "X") && (st == Counting || st == SupplementaryCounting) {
 					continue // the counting rewritings require a bound argument
 				}
-				cold, err := eng.Query(q, Options{Strategy: st, NoMaterialize: true})
+				cold, err := fx.snap().Query(q, Options{Strategy: st, NoMaterialize: true})
 				if err != nil {
 					t.Fatalf("commit %d: %s [%s]: %v", commit, q, st, err)
 				}
@@ -254,17 +254,17 @@ func TestDematerialize(t *testing.T) {
 	if err := db.Materialize(prog); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngineWith(prog, db)
-	snap := eng.Snapshot()
+	fx := fixture{prog, db}
+	snap := fx.snap()
 
 	db.Dematerialize()
 	if _, ok := db.MaterializedStats(); ok {
 		t.Fatal("MaterializedStats still reports a registration")
 	}
-	// The live engine evaluates from scratch again — and still answers
+	// A snapshot taken now evaluates from scratch again — and still answers
 	// correctly, because the derived relations were dropped from the store
 	// (stale IDB rows must not be mistaken for base facts).
-	res, err := eng.Query("anc(a, Y)", Options{})
+	res, err := fx.snap().Query("anc(a, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +311,8 @@ func TestMaterializeReplace(t *testing.T) {
 	if db.FactCount("anc") != 0 {
 		t.Fatalf("anc still holds %d stored rows after replacement", db.FactCount("anc"))
 	}
-	eng1 := NewEngineWith(prog1, db)
-	res, err := eng1.Query("anc(a, Y)", Options{})
+	fx1 := fixture{prog1, db}
+	res, err := fx1.snap().Query("anc(a, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,12 +337,12 @@ func TestMaterializeSnapshotConsistency(t *testing.T) {
 	if err := db.Materialize(prog); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngineWith(prog, db)
-	before := eng.Snapshot()
+	fx := fixture{prog, db}
+	before := fx.snap()
 	if err := db.AssertText(`par(b, c).`); err != nil {
 		t.Fatal(err)
 	}
-	after := eng.Snapshot()
+	after := fx.snap()
 
 	bres, err := before.Query("anc(a, Y)", Options{})
 	if err != nil {
@@ -363,17 +363,15 @@ func TestMaterializeSnapshotConsistency(t *testing.T) {
 	}
 }
 
-// TestMaterializeEngineShorthand covers Engine.Materialize and the prepared
-// and streaming paths over a materialized predicate.
-func TestMaterializeEngineShorthand(t *testing.T) {
-	eng, err := NewEngine(matRules + `par(a, b). par(b, c).`)
-	if err != nil {
+// TestMaterializePreparedAndStream covers the prepared and streaming paths
+// over a materialized predicate (the facts come embedded in the program
+// text, committed by LoadFacts before the registration).
+func TestMaterializePreparedAndStream(t *testing.T) {
+	fx := newFixture(t, matRules+`par(a, b). par(b, c).`)
+	if err := fx.db.Materialize(fx.prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	pq, err := eng.Prepare("anc(a, Y)", Options{})
+	pq, err := fx.snap().Prepare("anc(a, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,18 +48,14 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestInvalidOptionsRejectedAtEveryEntryPoint pins that each query entry
-// point — live one-shot, live prepare, snapshot one-shot, snapshot prepare,
-// stream, Rewrite — rejects bad options with the validation error rather
-// than evaluating.
+// point — one-shot, prepare, stream, Rewrite — rejects bad options with the
+// validation error rather than evaluating.
 func TestInvalidOptionsRejectedAtEveryEntryPoint(t *testing.T) {
-	eng, err := NewEngine(`
+	fx := newFixture(t, `
 		anc(X, Y) :- par(X, Y).
 		anc(X, Y) :- par(X, Z), anc(Z, Y).
 		par(john, mary).
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := Options{FirstN: -1}
 	check := func(what, wantErr string, err error) {
 		t.Helper()
@@ -68,13 +64,9 @@ func TestInvalidOptionsRejectedAtEveryEntryPoint(t *testing.T) {
 		}
 	}
 	const wantErr = "Options.FirstN is negative"
-	_, err = eng.Query("anc(john, Y)", bad)
-	check("Engine.Query", wantErr, err)
-	_, err = eng.Prepare("anc(john, Y)", bad)
-	check("Engine.Prepare", wantErr, err)
-	_, err = eng.Rewrite("anc(john, Y)", Options{Strategy: "nope"})
-	check("Engine.Rewrite", `unknown strategy "nope"`, err)
-	snap := eng.Snapshot()
+	_, err := fx.prog.Rewrite("anc(john, Y)", Options{Strategy: "nope"})
+	check("Program.Rewrite", `unknown strategy "nope"`, err)
+	snap := fx.snap()
 	_, err = snap.Query("anc(john, Y)", bad)
 	check("Snapshot.Query", wantErr, err)
 	_, err = snap.Prepare("anc(john, Y)", bad)

@@ -1,7 +1,6 @@
 package datalog
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -32,13 +31,13 @@ func randomGraphFacts(nodes, edges int, seed uint64) string {
 // run-time scheduling choice and must never change the fixpoint, whichever
 // rewriting produced the evaluated program.
 func TestParallelStrategiesDifferential(t *testing.T) {
-	eng := chainEngine(t, 12)
+	fx := chainFixture(t, 12)
 	for _, strat := range Strategies() {
-		seq, err := eng.Query("anc(n4, Y)", Options{Strategy: strat, MaxIterations: 500, Parallelism: 1})
+		seq, err := fx.snap().Query("anc(n4, Y)", Options{Strategy: strat, MaxIterations: 500, Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", strat, err)
 		}
-		par, err := eng.Query("anc(n4, Y)", Options{Strategy: strat, MaxIterations: 500, Parallelism: 8})
+		par, err := fx.snap().Query("anc(n4, Y)", Options{Strategy: strat, MaxIterations: 500, Parallelism: 8})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", strat, err)
 		}
@@ -56,10 +55,10 @@ func TestParallelStrategiesDifferential(t *testing.T) {
 // identically under parallel evaluation: the run stops early, yields
 // exactly N answers, and reports StoppedEarly just like the sequential run.
 func TestParallelFirstNStopsEarly(t *testing.T) {
-	eng := chainEngine(t, 30)
+	fx := chainFixture(t, 30)
 	for _, strat := range []Strategy{MagicSets, SemiNaive} {
 		for _, p := range []int{1, 8} {
-			res, err := eng.Query("anc(n0, Y)", Options{Strategy: strat, FirstN: 3, Parallelism: p})
+			res, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: strat, FirstN: 3, Parallelism: p})
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", strat, p, err)
 			}
@@ -78,18 +77,15 @@ func TestParallelFirstNStopsEarly(t *testing.T) {
 // checks the facade surfaces the parallel counters while the answers stay
 // identical to the sequential run.
 func TestParallelShardRoundsAtFacade(t *testing.T) {
-	eng, err := NewEngine(ancestorProgram)
+	fx := newFixture(t, ancestorProgram)
+	if err := fx.db.AssertText(randomGraphFacts(150, 300, 11)); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := fx.snap().Query("anc(X, Y)", Options{Strategy: SemiNaive, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AssertText(randomGraphFacts(150, 300, 11)); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := eng.Query("anc(X, Y)", Options{Strategy: SemiNaive, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := eng.Query("anc(X, Y)", Options{Strategy: SemiNaive, Parallelism: 8})
+	par, err := fx.snap().Query("anc(X, Y)", Options{Strategy: SemiNaive, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +106,11 @@ func TestParallelShardRoundsAtFacade(t *testing.T) {
 
 // TestParallelEvaluationUnderRace is the -race stress test of the ISSUE:
 // parallel fixpoint evaluations (their own worker pools inside) run
-// concurrently over shared snapshots while transactions commit and
-// SetProgram swaps rules under them. The snapshot goroutines verify the
+// concurrently over shared snapshots while transactions commit, with two
+// programs bound to the one database. The snapshot goroutines verify the
 // parallel evaluator never observes a concurrent commit; the prepared
-// runner verifies stale handles still fail closed with ErrStaleProgram.
+// runner verifies every handle answers under the program its snapshot
+// bound, whichever program the neighbouring goroutines run.
 func TestParallelEvaluationUnderRace(t *testing.T) {
 	prog1, err := Compile(ancRules)
 	if err != nil {
@@ -123,17 +120,16 @@ func TestParallelEvaluationUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngineWith(prog1, NewDatabase())
-	if err := eng.AssertText(chainFacts(0, 20)); err != nil {
+	db := NewDatabase()
+	if err := db.AssertText(chainFacts(0, 20)); err != nil {
 		t.Fatal(err)
 	}
 
 	const (
 		commits      = 40
 		snapQueries  = 15
-		liveQueries  = 15
+		freshQueries = 15
 		preparedRuns = 15
-		swaps        = 20
 	)
 	popts := Options{Strategy: MagicSets, Parallelism: 4}
 	var wg sync.WaitGroup
@@ -150,7 +146,7 @@ func TestParallelEvaluationUnderRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < commits; i++ {
-			txn := eng.Database().Begin()
+			txn := db.Begin()
 			if err := txn.Assert("par", fmt.Sprintf("n%d", 20+i), fmt.Sprintf("n%d", 21+i)); err != nil {
 				report("txn assert: %v", err)
 				return
@@ -169,7 +165,7 @@ func TestParallelEvaluationUnderRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < snapQueries; i++ {
-				snap := eng.Database().Snapshot().With(prog1)
+				snap := db.Snapshot().With(prog1)
 				want := snap.FactCount("par")
 				r1, err := snap.Query("anc(n0, Y)", popts)
 				if err != nil {
@@ -190,56 +186,45 @@ func TestParallelEvaluationUnderRace(t *testing.T) {
 		}()
 	}
 
-	// Live one-shot readers: any of the two programs is a valid answer
-	// shape; only evaluation errors are failures.
+	// One-shot readers on a fresh snapshot per query, alternating between
+	// the two programs; only evaluation errors are failures.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < liveQueries; i++ {
-			if _, err := eng.Query("anc(n0, Y)", popts); err != nil {
-				report("live query: %v", err)
+		for i := 0; i < freshQueries; i++ {
+			prog := []*Program{prog1, prog2}[i%2]
+			if _, err := db.Snapshot().With(prog).Query("anc(n0, Y)", popts); err != nil {
+				report("fresh-snapshot query: %v", err)
 				return
 			}
 		}
 	}()
 
-	// Prepared runner: every run must either succeed with its program's
-	// answer shape or fail closed as stale.
+	// Prepared runner: every run answers with the shape of the program its
+	// snapshot bound, over exactly the facts it pinned.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < preparedRuns; i++ {
-			prepProg := eng.Program()
-			pq, err := eng.Prepare("anc(n0, Y)", popts)
+			prog := []*Program{prog2, prog1}[i%2]
+			snap := db.Snapshot().With(prog)
+			want := snap.FactCount("par")
+			if prog == prog2 {
+				want = 1 // the non-transitive program: par(n0, n1) only
+			}
+			pq, err := snap.Prepare("anc(n0, Y)", popts)
 			if err != nil {
 				report("prepare: %v", err)
 				return
 			}
 			res, err := pq.Run()
-			switch {
-			case errors.Is(err, ErrStaleProgram):
-				// fail-closed: acceptable, the program was swapped
-			case err != nil:
+			if err != nil {
 				report("prepared run: %v", err)
 				return
-			case prepProg == prog2 && len(res.Answers) > 1:
-				report("prepared run returned %d answers under the non-transitive program", len(res.Answers))
-				return
 			}
-		}
-	}()
-
-	// Program swapper.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < swaps; i++ {
-			p := prog1
-			if i%2 == 0 {
-				p = prog2
-			}
-			if err := eng.SetProgram(p); err != nil {
-				report("set program: %v", err)
+			if len(res.Answers) != want {
+				report("prepared run under program v%d at v%d: %d answers, want %d",
+					prog.Version(), snap.Version(), len(res.Answers), want)
 				return
 			}
 		}

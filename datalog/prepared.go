@@ -3,12 +3,12 @@
 // The paper's division of labor is that adornment and rewriting happen once
 // per query *form* — a predicate plus a binding pattern — while evaluation
 // cost varies with the data and the bound constants. PreparedQuery is that
-// division made operational: Engine.Prepare runs parse → adorn → rewrite →
+// division made operational: Snapshot.Prepare runs parse → adorn → rewrite →
 // simplify → compile exactly once and keeps the result; PreparedQuery.Run
 // re-instantiates only the seed facts and the answer selection for each
 // call's constants and evaluates the precompiled pipelines against a
-// copy-on-write overlay of the engine's store. Engine.Query uses the same
-// machinery transparently through a per-engine LRU keyed by query form.
+// copy-on-write overlay of the snapshot's store. Snapshot.Query uses the
+// same machinery transparently through the program's LRU of query forms.
 package datalog
 
 import (
@@ -23,7 +23,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/database"
 	"repro/internal/eval"
-	"repro/internal/parser"
 	"repro/internal/rewrite"
 	"repro/internal/topdown"
 )
@@ -54,26 +53,19 @@ type preparedForm struct {
 // PreparedQuery is a query form compiled once for repeated evaluation: the
 // adorned program, the rewriting, and the bottom-up join pipelines are
 // built at Prepare time and shared by every Run — including concurrent
-// ones — while each Run supplies its own bound constants and reads through
-// the view it was prepared on: the engine's current facts (Engine.Prepare),
-// or a pinned snapshot (Snapshot.Prepare). The handle itself additionally
-// carries the constants of the prepared query text (the defaults of Run())
-// and the caller's runtime limits, so two Prepare calls sharing a form
-// still run with their own constants and limits.
-//
-// An engine-bound handle is pinned to the program it was prepared against:
-// after Engine.SetProgram its runs fail closed with ErrStaleProgram.
-// Snapshot-bound handles never go stale (the snapshot pins its program).
+// ones — while each Run supplies its own bound constants and reads the
+// snapshot the handle was prepared on (Snapshot.Prepare), which pins facts
+// and program together. The handle itself additionally carries the
+// constants of the prepared query text (the defaults of Run()) and the
+// caller's runtime limits, so two Prepare calls sharing a form still run
+// with their own constants and limits. To read a later commit version,
+// prepare the same form on that version's snapshot: the form is cached on
+// the program, so this compiles nothing (Stats.PlanCacheHit).
 type PreparedQuery struct {
-	// view is where runs read their facts (live engine or snapshot); an
-	// engine view also carries the program pin the staleness check compares
-	// against.
-	view runView
-	// prog identifies the program the form was prepared from, for the
-	// materialized-view fast path only (it matches by pointer against the
-	// view's registration; staleness is the view's concern, not this
-	// field's).
-	prog *Program
+	// snap is where runs read their facts; snap.prog is the program the form
+	// was prepared from (the materialized-view fast path matches it by
+	// pointer against the snapshot's registration).
+	snap *Snapshot
 	opts Options
 	// atom is the parsed query atom; its ground arguments are the default
 	// bound constants of Run().
@@ -83,32 +75,6 @@ type PreparedQuery struct {
 	boundPos []int
 	// form is the shared per-form preparation (cached on the program).
 	form *preparedForm
-}
-
-// Prepare compiles a query form once — parse, adorn, rewrite, simplify and
-// the bottom-up plan analysis all happen here — so that Run only evaluates.
-// The form is keyed by predicate, binding pattern, strategy and sip policy
-// and cached on the engine's current program, so preparing the same form
-// twice returns the cached preparation. The query's constants become the
-// default arguments of Run; runs with different constants reuse the same
-// compiled form, because the rewritten program depends only on the form
-// (the constants occur only in the seed facts and the answer selection).
-// The handle reads the engine's live facts and is pinned to the program it
-// was prepared against — see PreparedQuery.
-func (e *Engine) Prepare(querySrc string, opts Options) (*PreparedQuery, error) {
-	q, err := parser.ParseQuery(querySrc)
-	if err != nil {
-		return nil, fmt.Errorf("datalog: %w", err)
-	}
-	if err := normalizeOptions(&opts); err != nil {
-		return nil, err
-	}
-	prog := e.prog.Load()
-	form, _, err := prog.preparedFor(q, opts, e.db.store.Table())
-	if err != nil {
-		return nil, err
-	}
-	return handleFor(engineView{eng: e, prog: prog}, prog, form, q, opts), nil
 }
 
 // normalizeOptions validates the options (see Options.Validate) and
@@ -131,22 +97,20 @@ func normalizeOptions(opts *Options) error {
 	return nil
 }
 
-// Run evaluates the prepared query against the engine's current facts. It
-// is RunCtx with a background context.
+// Run evaluates the prepared query against its snapshot. It is RunCtx with
+// a background context.
 func (pq *PreparedQuery) Run(args ...any) (*Result, error) {
 	return pq.RunCtx(context.Background(), args...)
 }
 
-// RunCtx evaluates the prepared query against the engine's current facts,
-// under the caller's context: a deadline or cancellation interrupts the
-// evaluation and the returned error wraps ctx.Err(), distinct from
-// ErrLimitExceeded. With no arguments the constants of the prepared query
-// text are used; with arguments, they replace the query's bound constants
-// positionally (strings become symbolic constants, int/int64 become
-// integers, exactly as in Engine.Assert). RunCtx is safe for concurrent
-// use, also with other prepared queries and with Engine.Query;
-// Engine.Assert and Engine.Retract block until in-flight runs finish and
-// vice versa.
+// RunCtx evaluates the prepared query against its snapshot, under the
+// caller's context: a deadline or cancellation interrupts the evaluation
+// and the returned error wraps ctx.Err(), distinct from ErrLimitExceeded.
+// With no arguments the constants of the prepared query text are used; with
+// arguments, they replace the query's bound constants positionally (strings
+// become symbolic constants, int/int64 become integers, exactly as in
+// Database.Assert). RunCtx is safe for concurrent use, also with other
+// queries on the same snapshot and with commits to the database.
 func (pq *PreparedQuery) RunCtx(ctx context.Context, args ...any) (*Result, error) {
 	bound, err := pq.resolveArgs(args)
 	if err != nil {
@@ -160,9 +124,9 @@ func (pq *PreparedQuery) RunCtx(ctx context.Context, args ...any) (*Result, erro
 // order, without ever rendering values to strings. Combined with
 // Options.FirstN the evaluation itself is cut off as soon as enough answers
 // exist, so the time to the first yielded row of a point query is the time
-// to derive one answer, not the whole answer set. The engine's read lock is
-// released before the first yield, so a consumer may process rows at its
-// own pace (the yielded values remain valid indefinitely).
+// to derive one answer, not the whole answer set. Evaluation has finished
+// before the first yield, so a consumer may process rows at its own pace
+// (the yielded values remain valid indefinitely).
 //
 // Evaluation errors — a context cancellation, an exceeded limit — are
 // yielded as the final (nil, err) pair after the sound answers found before
@@ -298,12 +262,13 @@ func formKey(q ast.Query, opts Options) string {
 	return b.String()
 }
 
-// planCacheCap bounds the number of prepared query forms the engine keeps;
+// planCacheCap bounds the number of prepared query forms a planCache keeps;
 // beyond it the least recently used form is evicted (a workload usually has
 // few forms, so the cap only guards against unbounded ad-hoc query shapes).
 const planCacheCap = 128
 
-// planCache is the engine's LRU of prepared query forms, with a
+// planCache is a program's LRU of prepared query forms (per symbol table,
+// see Program.plans), with a
 // single-flight on cold misses: concurrent first queries of one form share
 // a single build instead of each paying the full
 // parse/adorn/rewrite/compile pipeline.
@@ -374,23 +339,8 @@ func (c *planCache) getOrBuild(key string, build func() (*preparedForm, error)) 
 	return slot.form, waiting, slot.err
 }
 
-// handleFor wraps the shared per-form artifacts in a PreparedQuery carrying
-// this caller's query constants, options and read view: two Prepare calls
-// that share a form still run with their own constants and runtime limits,
-// and against their own view (live engine or pinned snapshot).
-func handleFor(view runView, prog *Program, form *preparedForm, q ast.Query, opts Options) *PreparedQuery {
-	pq := &PreparedQuery{view: view, prog: prog, opts: opts, atom: q.Atom, form: form}
-	for i, arg := range q.Atom.Args {
-		if ast.IsGround(arg) {
-			pq.boundPos = append(pq.boundPos, i)
-		}
-	}
-	return pq
-}
-
-// runMaterialized evaluates the prepared form and fills Result.Answers —
-// the typed values plus the deprecated rendered view — from the answer
-// rows. Streaming goes through runCore directly and skips the rendering.
+// runMaterialized evaluates the prepared form and fills Result.Answers from
+// the answer rows. Streaming goes through runCore directly.
 func (pq *PreparedQuery) runMaterialized(ctx context.Context, bound []ast.Term, opts Options, cacheHit bool) (*Result, error) {
 	res, rows, err := pq.runCore(ctx, bound, opts, cacheHit)
 	if res != nil {
@@ -410,21 +360,17 @@ func (pq *PreparedQuery) runCore(ctx context.Context, bound []ast.Term, opts Opt
 			return nil, nil, fmt.Errorf("datalog: bound argument %d (%s) is not ground", i, t)
 		}
 	}
-	if res, rows, ok, err := pq.runLookup(bound, opts, cacheHit); ok {
-		return res, rows, err
+	if res, rows, ok := pq.runLookup(bound, opts, cacheHit); ok {
+		return res, rows, nil
 	}
-	switch pq.opts.Strategy {
-	case Naive, SemiNaive:
-		return pq.runDirect(ctx, bound, opts, cacheHit)
-	case TopDown:
+	if pq.opts.Strategy == TopDown {
 		return pq.runTopDown(ctx, bound, opts, cacheHit)
-	default:
-		return pq.runRewritten(ctx, bound, opts, cacheHit)
 	}
+	return pq.runBottomUp(ctx, bound, opts, cacheHit)
 }
 
-// runLookup is the materialized-view fast path: when the view's store keeps
-// a materialization of exactly this query's program (Database.Materialize)
+// runLookup is the materialized-view fast path: when the snapshot pinned a
+// materialization of exactly this query's program (Database.Materialize)
 // covering the queried predicate, the answer is read straight out of the
 // stored IDB relation — a pure index lookup, no evaluation — and ok reports
 // that the result is final. Any mismatch (no registration, a different
@@ -432,30 +378,22 @@ func (pq *PreparedQuery) runCore(ctx context.Context, bound []ast.Term, opts Opt
 // strategy dispatch with ok=false. The whole-strategy semantics are
 // preserved because the maintained IDB is, by the maintenance invariant,
 // exactly the fixpoint a from-scratch evaluation would compute.
-func (pq *PreparedQuery) runLookup(bound []ast.Term, opts Options, cacheHit bool) (*Result, []Row, bool, error) {
-	if opts.NoMaterialize || pq.prog == nil {
-		return nil, nil, false, nil
-	}
-	store, mat, release, err := pq.view.acquire()
-	if err != nil {
-		// A stale prepared query fails identically on every path.
-		return nil, nil, true, err
+func (pq *PreparedQuery) runLookup(bound []ast.Term, opts Options, cacheHit bool) (*Result, []Row, bool) {
+	mat := pq.snap.mat
+	if opts.NoMaterialize || mat == nil || mat.prog != pq.snap.prog {
+		return nil, nil, false
 	}
 	atom := pq.atomWith(bound)
 	key := atom.PredKey()
-	if mat == nil || mat.prog != pq.prog || !mat.derived[key] {
-		release()
-		return nil, nil, false, nil
+	if !mat.derived[key] {
+		return nil, nil, false
 	}
-	rows := pq.answerRows(store, key, atom, opts.FirstN)
-	facts := store.FactCount(key)
-	release()
 	mat.hits.Add(1)
 	res := &Result{Safety: pq.form.safetyCopy()}
 	pq.stampStats(res, cacheHit, false)
 	res.Stats.MaterializedHit = true
-	res.Stats.DerivedFacts = facts
-	return res, rows, true, nil
+	res.Stats.DerivedFacts = pq.snap.store.FactCount(key)
+	return res, pq.answerRows(pq.snap.store, key, atom, opts.FirstN), true
 }
 
 // stopAfterN builds the StopEarly predicate for Options.FirstN: evaluation
@@ -477,10 +415,7 @@ func (pq *PreparedQuery) stampStats(res *Result, cacheHit bool, withSip bool) {
 	res.Stats.PlanCacheHit = cacheHit
 	res.Stats.DivergenceFallback = pq.form.divergenceFallback
 	if withSip {
-		res.Stats.Sip = pq.opts.Sip
-		if res.Stats.Sip == "" {
-			res.Stats.Sip = SipFull
-		}
+		res.Stats.Sip = pq.opts.Sip // normalized at prepare time, never ""
 	}
 }
 
@@ -492,41 +427,6 @@ func (f *preparedForm) safetyCopy() *SafetyReport {
 	}
 	s := *f.safety
 	return &s
-}
-
-// runDirect evaluates the unrewritten program bottom-up and selects the
-// answers matching the instantiated query atom.
-func (pq *PreparedQuery) runDirect(ctx context.Context, bound []ast.Term, opts Options, cacheHit bool) (*Result, []Row, error) {
-	atom := pq.atomWith(bound)
-	evalOpts := evalOptions(opts)
-	evalOpts.StopEarly = stopAfterN(opts.FirstN, atom.PredKey(), atom)
-	evalOpts.StopEarlyPred = atom.PredKey()
-	edb, _, release, err := pq.view.acquire()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	var store *database.Store
-	var stats *eval.Stats
-	if pq.opts.Strategy == Naive {
-		store, stats, err = pq.form.prepared.EvaluateNaiveCtx(ctx, edb, nil, evalOpts)
-	} else {
-		store, stats, err = pq.form.prepared.EvaluateCtx(ctx, edb, nil, evalOpts)
-	}
-	res := &Result{}
-	pq.stampStats(res, cacheHit, false)
-	fillEvalStats(&res.Stats, stats)
-	var rows []Row
-	if store != nil {
-		for _, key := range pq.form.derivedKeys {
-			res.Stats.DerivedFacts += store.FactCount(key)
-		}
-		rows = pq.answerRows(store, atom.PredKey(), atom, opts.FirstN)
-	}
-	if err != nil {
-		return res, rows, wrapLimit(err)
-	}
-	return res, rows, nil
 }
 
 // answerRows reads the typed answer rows out of an evaluated store, capped
@@ -555,12 +455,7 @@ func (pq *PreparedQuery) runTopDown(ctx context.Context, bound []ast.Term, opts 
 		MaxDerivations: opts.MaxDerivations,
 		FirstN:         opts.FirstN,
 	}
-	edb, _, release, err := pq.view.acquire()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	tres, err := topdown.EvaluateCtx(ctx, &ad, edb, tdOpts)
+	tres, err := topdown.EvaluateCtx(ctx, &ad, pq.snap.store, tdOpts)
 	res := &Result{Safety: pq.form.safetyCopy()}
 	pq.stampStats(res, cacheHit, true)
 	var rows []Row
@@ -572,49 +467,60 @@ func (pq *PreparedQuery) runTopDown(ctx context.Context, bound []ast.Term, opts 
 		res.Stats.Iterations = tres.Stats.Passes
 		res.Stats.StoppedEarly = tres.Stats.StoppedEarly
 	}
-	if err != nil {
-		return res, rows, wrapLimit(err)
-	}
-	return res, rows, nil
+	return res, rows, wrapLimit(err)
 }
 
-// runRewritten evaluates the precompiled rewritten program with the seed
-// facts re-instantiated for this call's constants, over a copy-on-write
-// overlay of the engine's store.
-func (pq *PreparedQuery) runRewritten(ctx context.Context, bound []ast.Term, opts Options, cacheHit bool) (*Result, []Row, error) {
-	seeds, pattern, err := pq.form.rewriting.Parameterize(bound)
-	if err != nil {
-		return nil, nil, fmt.Errorf("datalog: %w", err)
+// runBottomUp is the one bottom-up run. A direct strategy (Naive,
+// SemiNaive) evaluates the unrewritten program without seeds and selects
+// the answers matching the instantiated query atom; a rewriting strategy
+// evaluates the precompiled rewritten program with the seed facts
+// re-instantiated for this call's constants and reads the rewriting's
+// answer predicate. Either way the evaluation writes to a copy-on-write
+// overlay of the snapshot's store.
+func (pq *PreparedQuery) runBottomUp(ctx context.Context, bound []ast.Term, opts Options, cacheHit bool) (*Result, []Row, error) {
+	form := pq.form
+	var (
+		seeds   []ast.Atom
+		pattern ast.Atom
+		predKey string
+	)
+	if rw := form.rewriting; rw != nil {
+		var err error
+		if seeds, pattern, err = rw.Parameterize(bound); err != nil {
+			return nil, nil, fmt.Errorf("datalog: %w", err)
+		}
+		predKey = rw.AnswerPred
+	} else {
+		pattern = pq.atomWith(bound)
+		predKey = pattern.PredKey()
 	}
 	evalOpts := evalOptions(opts)
-	evalOpts.StopEarly = stopAfterN(opts.FirstN, pq.form.rewriting.AnswerPred, pattern)
-	evalOpts.StopEarlyPred = pq.form.rewriting.AnswerPred
-	edb, _, release, err := pq.view.acquire()
-	if err != nil {
-		return nil, nil, err
+	evalOpts.StopEarly = stopAfterN(opts.FirstN, predKey, pattern)
+	evalOpts.StopEarlyPred = predKey
+	evaluate := form.prepared.EvaluateCtx
+	if pq.opts.Strategy == Naive {
+		evaluate = form.prepared.EvaluateNaiveCtx
 	}
-	defer release()
-	store, stats, evalErr := pq.form.prepared.EvaluateCtx(ctx, edb, seeds, evalOpts)
+	store, stats, err := evaluate(ctx, pq.snap.store, seeds, evalOpts)
 
-	res := &Result{RewrittenProgram: pq.form.rewrittenSrc, Safety: pq.form.safetyCopy()}
-	pq.stampStats(res, cacheHit, true)
-	res.Stats.RewrittenRules = pq.form.rewrittenRules
+	res := &Result{RewrittenProgram: form.rewrittenSrc, Safety: form.safetyCopy()}
+	pq.stampStats(res, cacheHit, form.rewriting != nil)
+	res.Stats.RewrittenRules = form.rewrittenRules
 	for _, s := range seeds {
 		res.Seeds = append(res.Seeds, s.String())
 	}
-	fillEvalStats(&res.Stats, stats)
+	if stats != nil {
+		res.Stats.Counters = stats.Counters
+	}
 	var rows []Row
 	if store != nil {
-		for _, key := range pq.form.derivedKeys {
+		for _, key := range form.derivedKeys {
 			res.Stats.DerivedFacts += store.FactCount(key)
 		}
-		for _, key := range pq.form.auxKeys {
+		for _, key := range form.auxKeys {
 			res.Stats.AuxFacts += store.FactCount(key)
 		}
-		rows = pq.answerRows(store, pq.form.rewriting.AnswerPred, pattern, opts.FirstN)
+		rows = pq.answerRows(store, predKey, pattern, opts.FirstN)
 	}
-	if evalErr != nil {
-		return res, rows, wrapLimit(evalErr)
-	}
-	return res, rows, nil
+	return res, rows, wrapLimit(err)
 }

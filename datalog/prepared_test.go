@@ -8,9 +8,9 @@ import (
 )
 
 // TestPreparedDifferential proves PreparedQuery.Run returns the same answer
-// sets and fact counts as a cold one-shot Engine.Query, for every strategy,
+// sets and fact counts as a cold one-shot Snapshot.Query, for every strategy,
 // sip policy and a range of bound constants. The one-shot reference runs on
-// a fresh engine each time so its form cache is guaranteed cold.
+// a freshly compiled program each time so its form cache is guaranteed cold.
 func TestPreparedDifferential(t *testing.T) {
 	const n = 40
 	constants := []string{"n0", "n10", "n25", "n39", "nowhere"}
@@ -30,11 +30,11 @@ func TestPreparedDifferential(t *testing.T) {
 		{Strategy: SupplementaryCounting},
 		{Strategy: SupplementaryCounting, Semijoin: true},
 	}
-	eng := chainEngine(t, n)
+	fx := chainFixture(t, n)
 	for _, opts := range variants {
 		name := fmt.Sprintf("%s/%s", opts.Strategy, opts.Sip)
 		t.Run(name, func(t *testing.T) {
-			pq, err := eng.Prepare("anc(n5, Y)", opts)
+			pq, err := fx.snap().Prepare("anc(n5, Y)", opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,8 +43,8 @@ func TestPreparedDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Run(%s): %v", c, err)
 				}
-				ref := chainEngine(t, n)
-				want, err := ref.Query(fmt.Sprintf("anc(%s, Y)", c), opts)
+				ref := chainFixture(t, n)
+				want, err := ref.snap().Query(fmt.Sprintf("anc(%s, Y)", c), opts)
 				if err != nil {
 					t.Fatalf("one-shot Query(%s): %v", c, err)
 				}
@@ -81,8 +81,8 @@ func TestPreparedDifferential(t *testing.T) {
 // the same constants again — CompiledPlans is 0 on every run while
 // RewrittenRules still reports the (cached) rewritten program.
 func TestPreparedCompileOnce(t *testing.T) {
-	eng := chainEngine(t, 120)
-	pq, err := eng.Prepare("anc(n100, Y)", Options{Strategy: MagicSets})
+	fx := chainFixture(t, 120)
+	pq, err := fx.snap().Prepare("anc(n100, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +124,18 @@ func TestPreparedCompileOnce(t *testing.T) {
 	}
 }
 
-// TestQueryFormCache checks Engine.Query transparently reuses preparations
-// across calls that differ only in their constants.
+// TestQueryFormCache checks Snapshot.Query transparently reuses preparations
+// across calls (and snapshots) that differ only in their constants.
 func TestQueryFormCache(t *testing.T) {
-	eng := chainEngine(t, 30)
-	cold, err := eng.Query("anc(n10, Y)", Options{Strategy: MagicSets})
+	fx := chainFixture(t, 30)
+	cold, err := fx.snap().Query("anc(n10, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.PlanCacheHit || cold.Stats.CompiledPlans == 0 {
 		t.Fatalf("cold query: hit=%v compiled=%d, want a miss that compiles", cold.Stats.PlanCacheHit, cold.Stats.CompiledPlans)
 	}
-	warm, err := eng.Query("anc(n20, Y)", Options{Strategy: MagicSets})
+	warm, err := fx.snap().Query("anc(n20, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestQueryFormCache(t *testing.T) {
 		t.Fatalf("warm query answers = %d, want 10", len(warm.Answers))
 	}
 	// A different binding pattern is a different form.
-	other, err := eng.Query("anc(X, n20)", Options{Strategy: MagicSets})
+	other, err := fx.snap().Query("anc(X, n20)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestQueryFormCache(t *testing.T) {
 
 // TestPreparedRunArguments exercises the argument checking of Run.
 func TestPreparedRunArguments(t *testing.T) {
-	eng := chainEngine(t, 5)
-	pq, err := eng.Prepare("anc(n0, Y)", Options{})
+	fx := chainFixture(t, 5)
+	pq, err := fx.snap().Prepare("anc(n0, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +175,12 @@ func TestPreparedRunArguments(t *testing.T) {
 	if len(res.Answers) != 5 {
 		t.Errorf("zero-arg Run answers = %d, want 5", len(res.Answers))
 	}
-	// Integer constants are converted like Engine.Assert.
-	num, err := NewEngine(`succ(X, Y) :- next(X, Y).`)
-	if err != nil {
+	// Integer constants are converted like Database.Assert.
+	num := newFixture(t, `succ(X, Y) :- next(X, Y).`)
+	if err := num.db.Assert("next", 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := num.Assert("next", 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	npq, err := num.Prepare("succ(1, Y)", Options{})
+	npq, err := num.snap().Prepare("succ(1, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,15 +197,15 @@ func TestPreparedRunArguments(t *testing.T) {
 // Prepare calls of the same form share the compiled artifacts but must each
 // keep their own constants and runtime limits.
 func TestPrepareSharedFormKeepsOwnConstants(t *testing.T) {
-	eng := chainEngine(t, 10)
-	pq1, err := eng.Prepare("anc(n1, Y)", Options{Strategy: MagicSets})
+	fx := chainFixture(t, 10)
+	pq1, err := fx.snap().Prepare("anc(n1, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pq1.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pq2, err := eng.Prepare("anc(n7, Y)", Options{Strategy: MagicSets})
+	pq2, err := fx.snap().Prepare("anc(n7, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +217,7 @@ func TestPrepareSharedFormKeepsOwnConstants(t *testing.T) {
 		t.Fatalf("anc(n7, Y) through a shared form = %d answers, want 3", len(res.Answers))
 	}
 	// Runtime limits belong to the handle, not the cached form.
-	limited, err := eng.Prepare("anc(n1, Y)", Options{Strategy: MagicSets, MaxDerivations: 1})
+	limited, err := fx.snap().Prepare("anc(n1, Y)", Options{Strategy: MagicSets, MaxDerivations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +229,13 @@ func TestPrepareSharedFormKeepsOwnConstants(t *testing.T) {
 	}
 }
 
-// TestPreparedSeesAsserts checks prepared plans are not snapshots of the
-// data: facts asserted after Prepare are visible to later runs.
-func TestPreparedSeesAsserts(t *testing.T) {
-	eng := chainEngine(t, 3)
-	pq, err := eng.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
+// TestPreparedFormSurvivesCommit: a handle reads the snapshot it was
+// prepared on, forever; the compiled form is not tied to that version. The
+// same form prepared on the next version's snapshot is a cache hit that
+// compiles nothing and sees the new facts.
+func TestPreparedFormSurvivesCommit(t *testing.T) {
+	fx := chainFixture(t, 3)
+	pq, err := fx.snap().Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,23 +246,36 @@ func TestPreparedSeesAsserts(t *testing.T) {
 	if len(res.Answers) != 3 {
 		t.Fatalf("answers before assert = %d, want 3", len(res.Answers))
 	}
-	if err := eng.Assert("par", "n3", "n4"); err != nil {
+	if err := fx.db.Assert("par", "n3", "n4"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = pq.Run()
+	if res, err = pq.Run(); err != nil || len(res.Answers) != 3 {
+		t.Fatalf("handle of the pinned version after the commit: %d answers, err %v; want 3", len(res.Answers), err)
+	}
+	next, err := fx.snap().Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = next.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Answers) != 4 {
-		t.Fatalf("answers after assert = %d, want 4", len(res.Answers))
+		t.Fatalf("answers on the next version = %d, want 4", len(res.Answers))
+	}
+	if !res.Stats.PlanCacheHit || res.Stats.CompiledPlans != 0 {
+		t.Fatalf("next version's run: hit=%v compiled=%d, want the cached form with 0 compiles",
+			res.Stats.PlanCacheHit, res.Stats.CompiledPlans)
 	}
 }
 
-// TestConcurrentQueriesAndAsserts hammers one engine from many goroutines —
-// prepared runs, one-shot queries across strategies, and interleaved
-// asserts — and checks every result is consistent with some state the chain
-// passed through. Run under -race this is the concurrency safety test for
-// the serving layer.
+// TestConcurrentQueriesAndAsserts hammers one database from many goroutines
+// — prepared runs (a handle pinned before the writes, and the form prepared
+// again on a fresh snapshot per round), one-shot queries across strategies,
+// and interleaved asserts — and checks every result is consistent with some
+// state the chain passed through, the pinned handle with exactly the state
+// it pinned. Run under -race this is the concurrency safety test for the
+// serving layer.
 func TestConcurrentQueriesAndAsserts(t *testing.T) {
 	const (
 		initial = 30
@@ -271,8 +283,8 @@ func TestConcurrentQueriesAndAsserts(t *testing.T) {
 		workers = 4
 		rounds  = 25
 	)
-	eng := chainEngine(t, initial)
-	pq, err := eng.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
+	fx := chainFixture(t, initial)
+	pq, err := fx.snap().Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +305,18 @@ func TestConcurrentQueriesAndAsserts(t *testing.T) {
 				var res *Result
 				var err error
 				if w%2 == 0 {
-					res, err = pq.Run()
+					if res, err = pq.Run(); err == nil && len(res.Answers) != initial {
+						err = fmt.Errorf("pinned handle: answers = %d, want exactly %d", len(res.Answers), initial)
+					}
+					var fresh *PreparedQuery
+					if err == nil {
+						fresh, err = fx.snap().Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
+					}
+					if err == nil {
+						res, err = fresh.Run()
+					}
 				} else {
-					res, err = eng.Query("anc(n0, Y)", strategies[(w+i)%len(strategies)])
+					res, err = fx.snap().Query("anc(n0, Y)", strategies[(w+i)%len(strategies)])
 				}
 				if err != nil {
 					errs <- err
@@ -312,7 +333,7 @@ func TestConcurrentQueriesAndAsserts(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < extra; i++ {
-			if err := eng.Assert("par", fmt.Sprintf("n%d", initial+i), fmt.Sprintf("n%d", initial+i+1)); err != nil {
+			if err := fx.db.Assert("par", fmt.Sprintf("n%d", initial+i), fmt.Sprintf("n%d", initial+i+1)); err != nil {
 				errs <- err
 				return
 			}
@@ -325,7 +346,7 @@ func TestConcurrentQueriesAndAsserts(t *testing.T) {
 	}
 	// After the dust settles every strategy agrees on the final chain.
 	for _, opts := range strategies {
-		res, err := eng.Query("anc(n0, Y)", opts)
+		res, err := fx.snap().Query("anc(n0, Y)", opts)
 		if err != nil {
 			t.Fatal(err)
 		}

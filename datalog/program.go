@@ -5,10 +5,10 @@
 // the query form, never on the extensional database. Compile makes that
 // split first-class — a Program is parsed, arity-checked and stratified
 // exactly once, is immutable afterwards, and can therefore be shared by any
-// number of engines, snapshots and goroutines. All the per-query-form work
+// number of databases, snapshots and goroutines. All the per-query-form work
 // (adorn → rewrite → simplify → compile, see prepared.go) is cached on the
-// Program itself, keyed by the symbol table the facts intern into, so two
-// engines serving the same program each reuse one preparation per form.
+// Program itself, keyed by the symbol table the facts intern into, so every
+// snapshot of one database reuses one preparation per form.
 
 package datalog
 
@@ -33,19 +33,16 @@ var programIDs atomic.Uint64
 
 // Program is a compiled, immutable rule program: parse, arity checking and
 // the dependency-graph (SCC) stratification all happen once, in Compile, and
-// the result is safe to share across engines and goroutines. A Program
-// carries a process-unique version (Version) that identifies it to the
-// prepared-query machinery: the per-form caches are program-private, and an
-// Engine whose program was hot-swapped with SetProgram fails prepared
-// queries of the previous program closed with ErrStaleProgram.
+// the result is safe to share across databases and goroutines. A Program
+// carries a process-unique version (Version); the per-form caches are
+// program-private, so swapping rules is just binding the next snapshot to
+// another Program.
 type Program struct {
 	id   uint64
 	prog *ast.Program
-	// facts are the ground facts embedded in the compiled source text;
-	// NewEngine loads them into its fresh database (matching the historical
-	// behavior of program texts that mix rules and facts). Engines composed
-	// explicitly from a Program and an existing Database do not load them —
-	// SetProgram in particular never touches the data.
+	// facts are the ground facts embedded in the compiled source text. They
+	// are data, not rules: nothing reads them but Database.LoadFacts, which
+	// commits them when the caller asks (see EmbeddedFacts).
 	facts   []ast.Atom
 	arities map[string]int
 	// diags are the compile-time analysis findings (warnings and infos; a
@@ -76,16 +73,16 @@ const maxProgramTables = 16
 
 // Compile parses, analyzes and stratifies a rule program once and returns
 // the immutable compiled form. The source may contain ground facts
-// (NewEngine loads them; see Program); it must not contain queries — those
-// are passed per call to Query/Prepare, which is exactly the program/query
-// split the magic transformations rely on. Compile runs the full
+// (Database.LoadFacts commits them; queries never see them otherwise); it
+// must not contain queries — those are passed per call to Query/Prepare,
+// which is exactly the program/query split the magic transformations rely
+// on. Compile runs the full
 // static-analysis suite (internal/lint): diagnostics of severity error —
 // arity conflicts, negated literals, unstratifiable negation — fail the
 // compile with their source positions in the message; warnings and infos
 // are retained on the Program (see Diagnostics, CompileStrict). The
-// returned Program is safe for concurrent use and sharing; pair it with a
-// Database via NewEngineWith, or hot-swap it into a live engine with
-// SetProgram.
+// returned Program is safe for concurrent use and sharing; bind it to a
+// pinned version of a Database with Snapshot.With.
 func Compile(programSrc string) (*Program, error) {
 	unit, err := parser.Parse(programSrc)
 	if err != nil {
@@ -129,10 +126,9 @@ func Compile(programSrc string) (*Program, error) {
 }
 
 // Version returns the program's process-unique identity, assigned at
-// Compile time and strictly increasing across Compile calls. It is the
-// version the prepared-form machinery keys on: a PreparedQuery remembers the
-// program version it was compiled against, and an engine refuses to run it
-// once SetProgram installed a program with a different version.
+// Compile time and strictly increasing across Compile calls
+// (MaterializedStats.ProgramVersion reports which program a database keeps
+// materialized).
 func (p *Program) Version() uint64 { return p.id }
 
 // Text returns the program in source syntax.
@@ -140,6 +136,17 @@ func (p *Program) Text() string { return p.prog.String() }
 
 // Rules returns the number of rules in the program.
 func (p *Program) Rules() int { return len(p.prog.Rules) }
+
+// EmbeddedFacts returns the number of ground facts written in the compiled
+// source text and the position of the first one (the zero Position when
+// there are none). They are not part of the rules: commit them with
+// Database.LoadFacts, or keep rules and data in separate texts.
+func (p *Program) EmbeddedFacts() (n int, first Position) {
+	if len(p.facts) > 0 {
+		first = Position{Line: p.facts[0].Pos.Line, Col: p.facts[0].Pos.Col}
+	}
+	return len(p.facts), first
+}
 
 // plansFor returns the program's prepared-form cache for stores interning
 // into tab, creating it on first use.
@@ -151,7 +158,7 @@ func (p *Program) plansFor(tab *intern.Table) *planCache {
 		// Move the table to the back (most recently used), so a long-lived
 		// database in constant use is never the eviction victim just for
 		// being the oldest entry. In place: this runs under p.mu on every
-		// query of every engine sharing the program.
+		// query of every snapshot sharing the program.
 		if n := len(p.tables); p.tables[n-1] != tab {
 			for i, t := range p.tables {
 				if t == tab {
@@ -183,17 +190,84 @@ func (p *Program) preparedFor(q ast.Query, opts Options, tab *intern.Table) (for
 	})
 }
 
-// adorn adorns the program for one query under the options' sip policy.
-func (p *Program) adorn(q ast.Query, opts Options) (*adorn.Program, error) {
+// analyze adorns the program for one query under the options' sip policy
+// and runs the Section 10 safety analysis on the adorned program: the steps
+// every adorning strategy, Rewrite and Analyze share.
+func (p *Program) analyze(q ast.Query, opts Options) (*adorn.Program, *SafetyReport, error) {
 	strat, err := sipStrategy(opts.Sip)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ad, err := adorn.Adorn(p.prog, q, strat)
 	if err != nil {
+		return nil, nil, fmt.Errorf("datalog: %w", err)
+	}
+	r := safety.Analyze(ad)
+	return ad, &SafetyReport{
+		IsDatalog:                 r.IsDatalog,
+		MagicSafe:                 r.MagicSafe,
+		MagicSafeReason:           r.MagicSafeReason,
+		CountingSafe:              r.CountingSafe,
+		CountingDivergesOnAllData: r.CountingMayDivergeOnAllData,
+	}, nil
+}
+
+// rewriteAdorned applies the options' rewriting (and Options.Simplify) to
+// an adorned program.
+func rewriteAdorned(ad *adorn.Program, opts Options) (*rewrite.Rewriting, error) {
+	rw := rewriter(opts)
+	if rw == nil {
+		return nil, fmt.Errorf("datalog: strategy %q does not rewrite the program", opts.Strategy)
+	}
+	rewriting, err := rw.Rewrite(ad)
+	if err != nil {
 		return nil, fmt.Errorf("datalog: %w", err)
 	}
-	return ad, nil
+	if opts.Simplify {
+		rewrite.Simplify(rewriting)
+	}
+	return rewriting, nil
+}
+
+// Rewrite returns the rewritten program (and its seeds) for a query without
+// evaluating it. It is the programmatic face of the paper's transformations
+// and, like them, never looks at a database. The requested strategy is
+// rewritten as asked: Options.OnDivergence applies to evaluation only.
+func (p *Program) Rewrite(querySrc string, opts Options) (*Result, error) {
+	q, err := parseQuery(querySrc)
+	if err != nil {
+		return nil, err
+	}
+	if err := normalizeOptions(&opts); err != nil {
+		return nil, err
+	}
+	ad, report, err := p.analyze(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	rewriting, err := rewriteAdorned(ad, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{RewrittenProgram: rewriting.Program.String(), Safety: report}
+	res.Stats.Strategy = opts.Strategy
+	res.Stats.Sip = opts.Sip
+	res.Stats.RewrittenRules = len(rewriting.Program.Rules)
+	for _, s := range rewriting.Seeds {
+		res.Seeds = append(res.Seeds, s.String())
+	}
+	return res, nil
+}
+
+// Analyze runs the Section 10 safety analysis for a query without evaluating
+// it.
+func (p *Program) Analyze(querySrc string, opts Options) (*SafetyReport, error) {
+	q, err := parseQuery(querySrc)
+	if err != nil {
+		return nil, err
+	}
+	_, report, err := p.analyze(q, opts)
+	return report, err
 }
 
 // buildForm builds the per-form artifacts for one query and option set, for
@@ -210,26 +284,22 @@ func (p *Program) buildForm(q ast.Query, opts Options, tab *intern.Table) (*prep
 		for key := range p.prog.DerivedPredicates() {
 			form.derivedKeys = append(form.derivedKeys, key)
 		}
-	case TopDown:
-		ad, err := p.adorn(q, opts)
+	case TopDown, MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting:
+		ad, report, err := p.analyze(q, opts)
 		if err != nil {
 			return nil, err
 		}
-		form.adorned = ad
-		form.safety = publicSafety(safety.Analyze(ad))
-	case MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting:
-		ad, err := p.adorn(q, opts)
-		if err != nil {
-			return nil, err
+		form.adorned, form.safety = ad, report
+		if opts.Strategy == TopDown {
+			break
 		}
-		form.safety = publicSafety(safety.Analyze(ad))
 		// The divergence consultation of Section 10: when Theorem 10.3
 		// proves the counting strategies diverge for this form on every
 		// database, don't run them — fall back to the equivalent magic
 		// rewriting (the answers are identical by Theorems 5.1/7.1) or fail
 		// fast, per Options.OnDivergence.
 		if (opts.Strategy == Counting || opts.Strategy == SupplementaryCounting) &&
-			form.safety.CountingDivergesOnAllData {
+			report.CountingDivergesOnAllData {
 			switch opts.OnDivergence {
 			case DivergenceRun:
 				// The caller explicitly asked for the divergent evaluation
@@ -246,22 +316,14 @@ func (p *Program) buildForm(q ast.Query, opts Options, tab *intern.Table) (*prep
 				}
 			}
 		}
-		rw, err := rewriter(opts)
+		rewriting, err := rewriteAdorned(ad, opts)
 		if err != nil {
 			return nil, err
-		}
-		rewriting, err := rw.Rewrite(ad)
-		if err != nil {
-			return nil, fmt.Errorf("datalog: %w", err)
-		}
-		if opts.Simplify {
-			rewrite.Simplify(rewriting)
 		}
 		pp, err := eval.Prepare(rewriting.Program, tab)
 		if err != nil {
 			return nil, fmt.Errorf("datalog: %w", err)
 		}
-		form.adorned = ad
 		form.rewriting = rewriting
 		form.prepared = pp
 		form.rewrittenSrc = rewriting.Program.String()

@@ -6,15 +6,12 @@ import (
 	"testing"
 )
 
-// forestEngine loads the ancestor program over `trees` complete binary par
+// forestFixture loads the ancestor program over `trees` complete binary par
 // trees of the given depth; tree t's nodes are named t<t>_<path>, its root
 // t<t>_r.
-func forestEngine(t *testing.T, trees, depth int) *Engine {
+func forestFixture(t *testing.T, trees, depth int) fixture {
 	t.Helper()
-	eng, err := NewEngine(ancestorProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := newFixture(t, ancestorProgram)
 	var b strings.Builder
 	for tr := 0; tr < trees; tr++ {
 		level := []string{fmt.Sprintf("t%d_r", tr)}
@@ -30,10 +27,10 @@ func forestEngine(t *testing.T, trees, depth int) *Engine {
 			level = next
 		}
 	}
-	if err := eng.AssertText(b.String()); err != nil {
+	if err := fx.db.AssertText(b.String()); err != nil {
 		t.Fatal(err)
 	}
-	return eng
+	return fx
 }
 
 // TestMagicWorkIndependentOfIrrelevantFacts states Theorem 9.1 as a work
@@ -48,10 +45,10 @@ func TestMagicWorkIndependentOfIrrelevantFacts(t *testing.T) {
 	for _, strategy := range []Strategy{MagicSets, SupplementaryMagicSets} {
 		var base Stats
 		for i, trees := range []int{2, 11, 101} { // 1, 10, 100 irrelevant trees
-			eng := forestEngine(t, trees, depth)
+			fx := forestFixture(t, trees, depth)
 			for _, p := range []int{1, 8} {
 				label := fmt.Sprintf("%s, %d trees, parallelism %d", strategy, trees, p)
-				res, err := eng.Query("anc(t0_ra, Y)", Options{Strategy: strategy, Parallelism: p})
+				res, err := fx.snap().Query("anc(t0_ra, Y)", Options{Strategy: strategy, Parallelism: p})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

@@ -1,13 +1,12 @@
-// Snapshot: an immutable, pinned-version view of a Database.
+// Snapshot: an immutable, pinned-version view of a Database, and the one
+// place queries read from.
 //
 // A snapshot observes exactly the facts of one commit version: commits that
-// land after the snapshot was taken are invisible to it, forever. That is
-// the consistency unit the live engine cannot offer — two queries against
-// the live store may straddle a commit, two queries against one snapshot
-// never do. Snapshots are cheap (facts are shared copy-on-write, see
-// Database.Snapshot) and lock-free to read: snapshot queries do not take
-// the database lock at all, so they proceed even while large commits hold
-// the write lock.
+// land after the snapshot was taken are invisible to it, forever. Two
+// queries against one snapshot therefore never straddle a commit. Snapshots
+// are cheap (facts are shared copy-on-write, see Database.Snapshot) and
+// lock-free to read: queries do not take the database lock at all, so they
+// proceed even while large commits hold the write lock.
 
 package datalog
 
@@ -17,15 +16,15 @@ import (
 	"fmt"
 	"iter"
 
+	"repro/internal/ast"
 	"repro/internal/database"
 	"repro/internal/parser"
 )
 
 // ErrNoProgram is returned (wrapped) by snapshot queries when the snapshot
 // has no program bound: Database.Snapshot pins data only — bind rules with
-// Snapshot.With, or take the snapshot through Engine.Snapshot, which pins
-// the engine's current program alongside the data.
-var ErrNoProgram = errors.New("datalog: snapshot has no program bound (use Snapshot.With or Engine.Snapshot)")
+// Snapshot.With.
+var ErrNoProgram = errors.New("datalog: snapshot has no program bound (use Snapshot.With)")
 
 // Snapshot is an immutable view of a Database pinned at one commit version,
 // optionally bound to a compiled Program. All queries against one snapshot
@@ -40,10 +39,10 @@ type Snapshot struct {
 	prog  *Program        // bound program, nil for data-only snapshots
 	// mat is the materialization registration captured when the snapshot was
 	// taken (nil when none was live): queries of the registered program
-	// answer from the pinned IDB relations by pure lookup, exactly as live
-	// queries do — and keep doing so even after the database drops or
-	// replaces its materialization, because the snapshot pinned the derived
-	// relations along with the base facts.
+	// answer from the pinned IDB relations by pure lookup — and keep doing
+	// so even after the database drops or replaces its materialization,
+	// because the snapshot pinned the derived relations along with the base
+	// facts.
 	mat *materialization
 }
 
@@ -68,12 +67,40 @@ func (s *Snapshot) With(prog *Program) *Snapshot {
 	return &Snapshot{store: s.store, prog: prog, mat: s.mat}
 }
 
-// program returns the bound program or the ErrNoProgram failure.
-func (s *Snapshot) program() (*Program, error) {
+// prepare is the front half of every query: parse the query text, validate
+// and normalize the options, and fetch (or build) the form's preparation
+// from the bound program's cache. hit reports a warm form.
+func (s *Snapshot) prepare(querySrc string, opts Options) (pq *PreparedQuery, hit bool, err error) {
 	if s.prog == nil {
-		return nil, fmt.Errorf("%w", ErrNoProgram)
+		return nil, false, fmt.Errorf("%w", ErrNoProgram)
 	}
-	return s.prog, nil
+	q, err := parseQuery(querySrc)
+	if err != nil {
+		return nil, false, err
+	}
+	if err := normalizeOptions(&opts); err != nil {
+		return nil, false, err
+	}
+	form, hit, err := s.prog.preparedFor(q, opts, s.store.Table())
+	if err != nil {
+		return nil, false, err
+	}
+	pq = &PreparedQuery{snap: s, opts: opts, atom: q.Atom, form: form}
+	for i, arg := range q.Atom.Args {
+		if ast.IsGround(arg) {
+			pq.boundPos = append(pq.boundPos, i)
+		}
+	}
+	return pq, hit, nil
+}
+
+// parseQuery parses one query atom such as "anc(john, Y)".
+func parseQuery(querySrc string) (ast.Query, error) {
+	q, err := parser.ParseQuery(querySrc)
+	if err != nil {
+		return q, fmt.Errorf("datalog: %w", err)
+	}
+	return q, nil
 }
 
 // Query evaluates a query against the pinned view. It is QueryCtx with a
@@ -83,54 +110,35 @@ func (s *Snapshot) Query(querySrc string, opts Options) (*Result, error) {
 }
 
 // QueryCtx evaluates a query such as "anc(john, Y)" against the pinned view
-// under the caller's context. It behaves exactly like Engine.QueryCtx —
-// same options, same prepared-form caching on the bound program — except
-// that it reads the snapshot's facts: concurrent commits to the underlying
-// database are never observed, and repeated queries against one snapshot
-// are mutually consistent. Snapshot queries take no database lock.
+// under the caller's context: a deadline or cancellation interrupts the
+// evaluation (whatever the strategy) and the returned error wraps ctx.Err(),
+// distinct from ErrLimitExceeded. The query runs through the bound
+// program's prepared-form cache: the first query of a form pays for
+// parse → adorn → rewrite → compile, repeat queries of the same form (same
+// predicate, binding pattern, strategy and sip — the constants may differ)
+// reuse the cached preparation and only evaluate; Stats.PlanCacheHit reports
+// which case a result was. Concurrent commits to the underlying database
+// are never observed, and no database lock is taken.
 func (s *Snapshot) QueryCtx(ctx context.Context, querySrc string, opts Options) (*Result, error) {
-	prog, err := s.program()
+	pq, hit, err := s.prepare(querySrc, opts)
 	if err != nil {
 		return nil, err
 	}
-	q, err := parser.ParseQuery(querySrc)
-	if err != nil {
-		return nil, fmt.Errorf("datalog: %w", err)
-	}
-	if err := normalizeOptions(&opts); err != nil {
-		return nil, err
-	}
-	form, hit, err := prog.preparedFor(q, opts, s.store.Table())
-	if err != nil {
-		return nil, err
-	}
-	pq := handleFor(snapView{s}, prog, form, q, opts)
-	return pq.runMaterialized(ctx, q.BoundConstants(), opts, hit)
+	return pq.runMaterialized(ctx, pq.boundConstants(), pq.opts, hit)
 }
 
-// Prepare compiles a query form for repeated evaluation against the pinned
-// view (see Engine.Prepare; the preparation is shared with the engine-side
-// cache of the same program and symbol table). Prepared queries bound to a
-// snapshot never go stale: the snapshot pins its program as well as its
-// facts, so SetProgram on some engine sharing the program does not affect
-// them.
+// Prepare compiles a query form once — parse, adorn, rewrite, simplify and
+// the bottom-up plan analysis all happen here — so that Run only evaluates
+// against the pinned view. The form is keyed by predicate, binding pattern,
+// strategy and sip policy and cached on the bound program, so preparing the
+// same form twice — on this snapshot or on a later one of the same database
+// — returns the cached preparation. The query's constants become the
+// default arguments of Run; runs with different constants reuse the same
+// compiled form, because the rewritten program depends only on the form
+// (the constants occur only in the seed facts and the answer selection).
 func (s *Snapshot) Prepare(querySrc string, opts Options) (*PreparedQuery, error) {
-	prog, err := s.program()
-	if err != nil {
-		return nil, err
-	}
-	q, err := parser.ParseQuery(querySrc)
-	if err != nil {
-		return nil, fmt.Errorf("datalog: %w", err)
-	}
-	if err := normalizeOptions(&opts); err != nil {
-		return nil, err
-	}
-	form, _, err := prog.preparedFor(q, opts, s.store.Table())
-	if err != nil {
-		return nil, err
-	}
-	return handleFor(snapView{s}, prog, form, q, opts), nil
+	pq, _, err := s.prepare(querySrc, opts)
+	return pq, err
 }
 
 // Stream evaluates a query against the pinned view and returns a cursor
@@ -150,12 +158,4 @@ func (s *Snapshot) Stream(ctx context.Context, querySrc string, opts Options) it
 			}
 		}
 	}
-}
-
-// snapView is the runView of snapshot-bound queries: the pinned store is
-// immutable, so acquiring it needs no lock and can never report staleness.
-type snapView struct{ snap *Snapshot }
-
-func (v snapView) acquire() (*database.Store, *materialization, func(), error) {
-	return v.snap.store, v.snap.mat, func() {}, nil
 }

@@ -19,20 +19,17 @@ func chainFacts(from, to int) string {
 }
 
 // TestSnapshotPinsAnswers pins the core isolation property: a snapshot
-// returns identical answers before and after a commit, while the live
-// engine sees the new facts.
+// returns identical answers before and after a commit, while a snapshot
+// taken after it sees the new facts.
 func TestSnapshotPinsAnswers(t *testing.T) {
-	eng, err := NewEngine(ancRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AssertText(chainFacts(0, 10)); err != nil {
+	fx := newFixture(t, ancRules)
+	if err := fx.db.AssertText(chainFacts(0, 10)); err != nil {
 		t.Fatal(err)
 	}
 
-	snap := eng.Snapshot()
-	if snap.Version() != eng.Database().Version() {
-		t.Fatalf("snapshot version %d != db version %d", snap.Version(), eng.Database().Version())
+	snap := fx.snap()
+	if snap.Version() != fx.db.Version() {
+		t.Fatalf("snapshot version %d != db version %d", snap.Version(), fx.db.Version())
 	}
 
 	for _, opts := range []Options{{Strategy: MagicSets}, {Strategy: SemiNaive}, {Strategy: TopDown}} {
@@ -45,7 +42,7 @@ func TestSnapshotPinsAnswers(t *testing.T) {
 		}
 
 		// Commit more chain behind the snapshot's back.
-		if err := eng.AssertText(chainFacts(10, 15)); err != nil {
+		if err := fx.db.AssertText(chainFacts(10, 15)); err != nil {
 			t.Fatal(err)
 		}
 
@@ -58,34 +55,31 @@ func TestSnapshotPinsAnswers(t *testing.T) {
 				opts.Strategy, before.AnswerSet(), after.AnswerSet())
 		}
 
-		live, err := eng.Query("anc(n0, Y)", opts)
+		live, err := fx.snap().Query("anc(n0, Y)", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(live.Answers) != len(before.Answers)+5 {
-			t.Fatalf("%s: live engine sees %d answers, want %d", opts.Strategy, len(live.Answers), len(before.Answers)+5)
+			t.Fatalf("%s: a fresh snapshot sees %d answers, want %d", opts.Strategy, len(live.Answers), len(before.Answers)+5)
 		}
 	}
 }
 
 // TestSnapshotMutualConsistency pins that two queries against one snapshot
 // observe the same state even with a commit between them — the guarantee
-// two live queries do not have.
+// queries on two snapshots do not have.
 func TestSnapshotMutualConsistency(t *testing.T) {
-	eng, err := NewEngine(ancRules)
-	if err != nil {
+	fx := newFixture(t, ancRules)
+	if err := fx.db.AssertText(chainFacts(0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AssertText(chainFacts(0, 5)); err != nil {
-		t.Fatal(err)
-	}
-	snap := eng.Snapshot()
+	snap := fx.snap()
 
 	r1, err := snap.Query("anc(n0, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Database().Assert("par", "n5", "n6"); err != nil {
+	if err := fx.db.Assert("par", "n5", "n6"); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := snap.Query("anc(n0, Y)", Options{})
@@ -98,27 +92,24 @@ func TestSnapshotMutualConsistency(t *testing.T) {
 	if snap.FactCount("par") != 5 {
 		t.Fatalf("snapshot FactCount = %d, want 5", snap.FactCount("par"))
 	}
-	if eng.FactCount("par") != 6 {
-		t.Fatalf("live FactCount = %d, want 6", eng.FactCount("par"))
+	if fx.db.FactCount("par") != 6 {
+		t.Fatalf("live FactCount = %d, want 6", fx.db.FactCount("par"))
 	}
 }
 
 // TestSnapshotPrepareAndStream covers the remaining snapshot query surface:
 // prepared runs and streaming cursors read the pinned view.
 func TestSnapshotPrepareAndStream(t *testing.T) {
-	eng, err := NewEngine(ancRules)
-	if err != nil {
+	fx := newFixture(t, ancRules)
+	if err := fx.db.AssertText(chainFacts(0, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AssertText(chainFacts(0, 8)); err != nil {
-		t.Fatal(err)
-	}
-	snap := eng.Snapshot()
+	snap := fx.snap()
 	pq, err := snap.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AssertText(chainFacts(8, 12)); err != nil {
+	if err := fx.db.AssertText(chainFacts(8, 12)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,113 +179,89 @@ func TestDataOnlySnapshotNeedsProgram(t *testing.T) {
 	}
 }
 
-// TestSetProgramSwapsRulesAndFailsStalePrepared pins the hot-swap contract:
-// one-shot queries follow the new program, prepared queries of the old one
-// fail closed with ErrStaleProgram (runs and streams), and snapshots taken
-// before the swap keep their program.
-func TestSetProgramSwapsRulesAndFailsStalePrepared(t *testing.T) {
-	eng, err := NewEngine(ancRules)
+// TestSnapshotPinsItsProgram: a rule change is binding the next snapshot to
+// another Program. Snapshots (and handles prepared on them) bound to the
+// old program keep answering under it, over the same pinned data, and With
+// leaves its receiver unchanged.
+func TestSnapshotPinsItsProgram(t *testing.T) {
+	fx := newFixture(t, ancRules)
+	if err := fx.db.AssertText(chainFacts(0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	old := fx.snap()
+	pq, err := old.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AssertText(chainFacts(0, 4)); err != nil {
-		t.Fatal(err)
-	}
-
-	stale, err := eng.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	preSwap := eng.Snapshot()
 
 	// The replacement program derives only direct parenthood.
 	prog2, err := Compile(`anc(X, Y) :- par(X, Y).`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog2.Version() <= eng.Program().Version() {
-		t.Fatalf("replacement program version %d not newer than %d", prog2.Version(), eng.Program().Version())
+	if prog2.Version() <= fx.prog.Version() {
+		t.Fatalf("replacement program version %d not newer than %d", prog2.Version(), fx.prog.Version())
 	}
-	if err := eng.SetProgram(prog2); err != nil {
-		t.Fatal(err)
+	swapped := old.With(prog2)
+	if old.Program() != fx.prog || swapped.Program() != prog2 || swapped.Version() != old.Version() {
+		t.Fatalf("With must bind the new program to the same pinned version and leave the receiver alone")
 	}
 
-	// One-shot queries run the new rules against the unchanged data.
-	res, err := eng.Query("anc(n0, Y)", Options{Strategy: MagicSets})
+	// The new rules run against the unchanged data, one-shot and prepared.
+	res, err := swapped.Query("anc(n0, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Answers) != 1 {
-		t.Fatalf("after swap got %d answers, want 1 (non-transitive program)", len(res.Answers))
+		t.Fatalf("under the replacement program got %d answers, want 1 (non-transitive program)", len(res.Answers))
 	}
-
-	// The stale prepared query fails closed.
-	if _, err := stale.Run(); !errors.Is(err, ErrStaleProgram) {
-		t.Fatalf("stale prepared Run = %v, want ErrStaleProgram", err)
-	}
-	sawStale := false
-	for row, err := range stale.Stream(context.Background()) {
-		if row != nil {
-			t.Fatalf("stale Stream yielded a row: %v", row)
-		}
-		if !errors.Is(err, ErrStaleProgram) {
-			t.Fatalf("stale Stream error = %v, want ErrStaleProgram", err)
-		}
-		sawStale = true
-	}
-	if !sawStale {
-		t.Fatal("stale Stream yielded nothing")
-	}
-
-	// Re-preparing against the engine picks up the new program.
-	fresh, err := eng.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
+	fresh, err := swapped.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res, err := fresh.Run(); err != nil || len(res.Answers) != 1 {
-		t.Fatalf("fresh prepared run = %d answers, %v; want 1, nil", len(res.Answers), err)
+		t.Fatalf("prepared run under the replacement program = %d answers, %v; want 1, nil", len(res.Answers), err)
 	}
 
-	// The pre-swap snapshot still runs the old (transitive) program.
-	res, err = preSwap.Query("anc(n0, Y)", Options{Strategy: MagicSets})
+	// The old snapshot and its handle still run the old (transitive) program.
+	res, err = old.Query("anc(n0, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Answers) != 4 {
-		t.Fatalf("pre-swap snapshot got %d answers, want 4", len(res.Answers))
+		t.Fatalf("old snapshot got %d answers, want 4", len(res.Answers))
 	}
-
-	// Swapping the original program back revives nothing: the stale handle
-	// pinned the *pointer*, and the original is still that pointer, so it
-	// works again — pin the exact semantics so it is a deliberate contract.
-	if err := eng.SetProgram(preSwap.Program()); err != nil {
-		t.Fatal(err)
+	n := 0
+	for _, err := range pq.Stream(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
 	}
-	if _, err := stale.Run(); err != nil {
-		t.Fatalf("prepared query of the re-installed program = %v, want success", err)
+	if n != 4 {
+		t.Fatalf("handle prepared before the rule change streamed %d rows, want 4", n)
 	}
 }
 
-// TestProgramSharedAcrossEngines pins that one compiled Program serves
-// several engines over different databases.
-func TestProgramSharedAcrossEngines(t *testing.T) {
+// TestProgramSharedAcrossDatabases pins that one compiled Program serves
+// several databases.
+func TestProgramSharedAcrossDatabases(t *testing.T) {
 	prog, err := Compile(ancRules)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engA := NewEngineWith(prog, NewDatabase())
-	engB := NewEngineWith(prog, NewDatabase())
-	if err := engA.AssertText(chainFacts(0, 3)); err != nil {
+	a, b := fixture{prog, NewDatabase()}, fixture{prog, NewDatabase()}
+	if err := a.db.AssertText(chainFacts(0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := engB.AssertText("par(x, y)."); err != nil {
+	if err := b.db.AssertText("par(x, y)."); err != nil {
 		t.Fatal(err)
 	}
-	resA, err := engA.Query("anc(n0, Y)", Options{})
+	resA, err := a.snap().Query("anc(n0, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := engB.Query("anc(x, Y)", Options{})
+	resB, err := b.snap().Query("anc(x, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,10 +272,10 @@ func TestProgramSharedAcrossEngines(t *testing.T) {
 
 // TestSnapshotIsolationUnderRace is the -race stress test of the ISSUE:
 // transactions commit, snapshot queries read their pinned version, one-shot
-// queries hit the live store, and SetProgram swaps rules — all
-// concurrently. The snapshot goroutines verify they never observe a
-// concurrent commit; the prepared-query goroutine verifies stale handles
-// fail closed with ErrStaleProgram and never return wrong-program answers.
+// queries pin a fresh version each, and two programs are bound to the one
+// database — all concurrently. The snapshot goroutines verify they never
+// observe a concurrent commit; the prepared-query goroutine verifies a
+// handle never returns wrong-program answers.
 func TestSnapshotIsolationUnderRace(t *testing.T) {
 	prog1, err := Compile(ancRules)
 	if err != nil {
@@ -318,17 +285,16 @@ func TestSnapshotIsolationUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngineWith(prog1, NewDatabase())
-	if err := eng.AssertText(chainFacts(0, 20)); err != nil {
+	db := NewDatabase()
+	if err := db.AssertText(chainFacts(0, 20)); err != nil {
 		t.Fatal(err)
 	}
 
 	const (
 		commits      = 40
 		snapQueries  = 30
-		liveQueries  = 30
+		freshQueries = 30
 		preparedRuns = 30
-		swaps        = 20
 	)
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
@@ -344,7 +310,7 @@ func TestSnapshotIsolationUnderRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < commits; i++ {
-			txn := eng.Database().Begin()
+			txn := db.Begin()
 			if err := txn.Assert("par", fmt.Sprintf("n%d", 20+i), fmt.Sprintf("n%d", 21+i)); err != nil {
 				report("txn assert: %v", err)
 				return
@@ -365,7 +331,7 @@ func TestSnapshotIsolationUnderRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < snapQueries; i++ {
-				snap := eng.Database().Snapshot().With(prog1)
+				snap := db.Snapshot().With(prog1)
 				want := snap.FactCount("par")
 				r1, err := snap.Query("anc(n0, Y)", Options{Strategy: MagicSets})
 				if err != nil {
@@ -386,57 +352,46 @@ func TestSnapshotIsolationUnderRace(t *testing.T) {
 		}()
 	}
 
-	// Live one-shot readers: any of the two programs is a valid answer
-	// shape; only evaluation errors are failures.
+	// One-shot readers on a fresh snapshot per query, alternating between
+	// the two programs; only evaluation errors are failures.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < liveQueries; i++ {
-			if _, err := eng.Query("anc(n0, Y)", Options{Strategy: MagicSets}); err != nil {
-				report("live query: %v", err)
+		for i := 0; i < freshQueries; i++ {
+			prog := []*Program{prog1, prog2}[i%2]
+			if _, err := db.Snapshot().With(prog).Query("anc(n0, Y)", Options{Strategy: MagicSets}); err != nil {
+				report("fresh-snapshot query: %v", err)
 				return
 			}
 		}
 	}()
 
-	// Prepared runner: prepares against the engine's current program and
-	// runs; every run must either succeed with that program's answer shape
-	// or fail closed as stale.
+	// Prepared runner: prepares on a fresh snapshot, alternating programs;
+	// every run answers with the shape of the program its snapshot bound,
+	// over exactly the facts it pinned.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < preparedRuns; i++ {
-			prepProg := eng.Program()
-			pq, err := eng.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
+			prog := []*Program{prog2, prog1}[i%2]
+			snap := db.Snapshot().With(prog)
+			want := snap.FactCount("par")
+			if prog == prog2 {
+				want = 1 // the non-transitive program: par(n0, n1) only
+			}
+			pq, err := snap.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
 			if err != nil {
 				report("prepare: %v", err)
 				return
 			}
 			res, err := pq.Run()
-			switch {
-			case errors.Is(err, ErrStaleProgram):
-				// fail-closed: acceptable, the program was swapped
-			case err != nil:
+			if err != nil {
 				report("prepared run: %v", err)
 				return
-			case prepProg == prog2 && len(res.Answers) > 1:
-				report("prepared run returned %d answers under the non-transitive program", len(res.Answers))
-				return
 			}
-		}
-	}()
-
-	// Program swapper.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < swaps; i++ {
-			p := prog1
-			if i%2 == 0 {
-				p = prog2
-			}
-			if err := eng.SetProgram(p); err != nil {
-				report("set program: %v", err)
+			if len(res.Answers) != want {
+				report("prepared run under program v%d at v%d: %d answers, want %d",
+					prog.Version(), snap.Version(), len(res.Answers), want)
 				return
 			}
 		}
@@ -467,8 +422,7 @@ func TestSnapshotZeroArityTupleRace(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngineWith(prog, db)
-	snap := eng.Snapshot()
+	snap := db.Snapshot().With(prog)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -3,6 +3,8 @@ package datalog
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/eval"
 )
 
 // TestStatsJSONGolden pins the JSON wire shape of Stats: the field names are
@@ -12,35 +14,37 @@ import (
 // omitempty.
 func TestStatsJSONGolden(t *testing.T) {
 	full := Stats{
-		Strategy:           Counting,
-		Sip:                SipPartial,
-		RewrittenRules:     7,
-		DerivedFacts:       100,
-		AuxFacts:           40,
-		Derivations:        2000,
-		Iterations:         12,
-		JoinProbes:         5000,
-		Strata:             3,
-		IndexProbes:        600,
-		IndexHits:          550,
-		CompiledPlans:      9,
-		PlanOps:            31,
-		OpProbes:           450,
-		OpScans:            20,
-		ScanRows:           4450,
+		Strategy:       Counting,
+		Sip:            SipPartial,
+		RewrittenRules: 7,
+		DerivedFacts:   100,
+		AuxFacts:       40,
+		Counters: eval.Counters{
+			Derivations:        2000,
+			Iterations:         12,
+			JoinProbes:         5000,
+			Strata:             3,
+			IndexProbes:        600,
+			IndexHits:          550,
+			CompiledPlans:      9,
+			PlanOps:            31,
+			OpProbes:           450,
+			OpScans:            20,
+			ScanRows:           4450,
+			StoppedEarly:       true,
+			ParallelComponents: 2,
+			WorkerRounds:       16,
+		},
 		PlanCacheHit:       true,
-		StoppedEarly:       true,
 		MaterializedHit:    true,
-		ParallelComponents: 2,
-		WorkerRounds:       16,
 		DivergenceFallback: true,
 	}
 	const wantFull = `{"strategy":"counting","sip":"partial","rewritten_rules":7,` +
 		`"derived_facts":100,"aux_facts":40,"derivations":2000,"iterations":12,` +
 		`"join_probes":5000,"strata":3,"index_probes":600,"index_hits":550,` +
 		`"compiled_plans":9,"plan_ops":31,"op_probes":450,"op_scans":20,"scan_rows":4450,` +
-		`"plan_cache_hit":true,"stopped_early":true,"materialized_hit":true,` +
-		`"parallel_components":2,"worker_rounds":16,"divergence_fallback":true}`
+		`"stopped_early":true,"parallel_components":2,"worker_rounds":16,` +
+		`"plan_cache_hit":true,"materialized_hit":true,"divergence_fallback":true}`
 	gotFull, err := json.Marshal(full)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +53,7 @@ func TestStatsJSONGolden(t *testing.T) {
 		t.Errorf("full Stats JSON drifted:\n got %s\nwant %s", gotFull, wantFull)
 	}
 
-	minimal := Stats{Strategy: MagicSets, DerivedFacts: 1, Derivations: 1, Iterations: 1}
+	minimal := Stats{Strategy: MagicSets, DerivedFacts: 1, Counters: eval.Counters{Derivations: 1, Iterations: 1}}
 	const wantMinimal = `{"strategy":"magic","derived_facts":1,"derivations":1,"iterations":1}`
 	gotMinimal, err := json.Marshal(minimal)
 	if err != nil {

@@ -6,18 +6,15 @@ import "testing"
 // index statistics of the bottom-up evaluator: strata counts for both the
 // unrewritten and the rewritten program, and index probe/hit counters.
 func TestEvaluationStatsExposed(t *testing.T) {
-	eng, err := NewEngine(`
+	fx := newFixture(t, `
 		anc(X, Y) :- par(X, Y).
 		anc(X, Y) :- par(X, Z), anc(Z, Y).
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AssertText(`par(a, b). par(b, c). par(c, d).`); err != nil {
+	if err := fx.db.AssertText(`par(a, b). par(b, c). par(c, d).`); err != nil {
 		t.Fatal(err)
 	}
 
-	direct, err := eng.Query("anc(a, Y)", Options{Strategy: SemiNaive})
+	direct, err := fx.snap().Query("anc(a, Y)", Options{Strategy: SemiNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +25,7 @@ func TestEvaluationStatsExposed(t *testing.T) {
 		t.Error("semi-naive reported no index probes")
 	}
 
-	magic, err := eng.Query("anc(a, Y)", Options{Strategy: MagicSets})
+	magic, err := fx.snap().Query("anc(a, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +43,7 @@ func TestEvaluationStatsExposed(t *testing.T) {
 	}
 
 	// The top-down strategy does not run the bottom-up scheduler.
-	td, err := eng.Query("anc(a, Y)", Options{Strategy: TopDown})
+	td, err := fx.snap().Query("anc(a, Y)", Options{Strategy: TopDown})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,23 +9,20 @@ import (
 )
 
 // TestAbandonedStreamsReleaseLocks pins the serving-layer liveness
-// invariant behind PreparedQuery.Stream: the engine's read lock and any
-// snapshot pin are released before the first row is yielded, so a client
-// that stops consuming a stream mid-iteration (a disconnected HTTP
-// consumer, a FirstN break) can never wedge concurrent commits. The test
-// abandons many streams — live-engine and snapshot-bound, across
-// goroutines — while a committer keeps writing; if an abandoned stream held
-// the store's lock the committer would deadlock and the test would time out
-// (and -race would flag any unsynchronized access to the shared store).
+// invariant behind PreparedQuery.Stream: a stream holds no database lock —
+// not while evaluating, not while yielding — so a client that stops
+// consuming a stream mid-iteration (a disconnected HTTP consumer, a FirstN
+// break) can never wedge concurrent commits. The test abandons many
+// streams — on fresh snapshots and on one shared across goroutines — while
+// a committer keeps writing; if an abandoned stream held the store's lock
+// the committer would deadlock and the test would time out (and -race would
+// flag any unsynchronized access to the shared store).
 func TestAbandonedStreamsReleaseLocks(t *testing.T) {
-	eng, err := NewEngine(`
+	fx := newFixture(t, `
 		anc(X, Y) :- par(X, Y).
 		anc(X, Y) :- par(X, Z), anc(Z, Y).
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := eng.Database()
+	db := fx.db
 	txn := db.Begin()
 	for i := 0; i < 100; i++ {
 		if err := txn.Assert("par", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
@@ -42,10 +39,11 @@ func TestAbandonedStreamsReleaseLocks(t *testing.T) {
 		maxCommits = 600 // keep the EDB bounded so evaluations stay cheap
 	)
 	stop := make(chan struct{})
+	shared := fx.snap()
 	var wg sync.WaitGroup
 
-	// The committer: every commit takes the database write lock, so it makes
-	// progress only while no abandoned stream is still holding a read lock.
+	// The committer: every commit takes the database write lock, so it would
+	// stall if an abandoned stream were still holding a read lock.
 	committed := make(chan int, 1)
 	wg.Add(1)
 	go func() {
@@ -76,13 +74,11 @@ func TestAbandonedStreamsReleaseLocks(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < streamsPer; i++ {
-				var pq *PreparedQuery
-				var err error
+				snap := shared
 				if i%2 == 0 {
-					pq, err = eng.Prepare("anc(n0, Y)", Options{})
-				} else {
-					pq, err = eng.Snapshot().Prepare("anc(n0, Y)", Options{})
+					snap = fx.snap()
 				}
+				pq, err := snap.Prepare("anc(n0, Y)", Options{})
 				if err != nil {
 					t.Error(err)
 					return

@@ -8,21 +8,18 @@ import (
 	"time"
 )
 
-// cycleEngine builds an engine whose par relation is a cycle of n nodes: the
+// cycleFixture builds a fixture whose par relation is a cycle of n nodes: the
 // counting rewritings diverge on it (Theorem 10.3 in practice), which is the
 // workload the cancellation tests interrupt.
-func cycleEngine(t *testing.T, n int) *Engine {
+func cycleFixture(t *testing.T, n int) fixture {
 	t.Helper()
-	eng, err := NewEngine(ancestorProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := newFixture(t, ancestorProgram)
 	for i := 0; i < n; i++ {
-		if err := eng.Assert("par", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", (i+1)%n)); err != nil {
+		if err := fx.db.Assert("par", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", (i+1)%n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return eng
+	return fx
 }
 
 // TestDeadlineInterruptsDivergentCounting is the acceptance scenario of the
@@ -30,12 +27,12 @@ func cycleEngine(t *testing.T, n int) *Engine {
 // back promptly with a context.DeadlineExceeded-wrapped error — not hang,
 // and not report ErrLimitExceeded (no limit was configured).
 func TestDeadlineInterruptsDivergentCounting(t *testing.T) {
-	eng := cycleEngine(t, 8)
+	fx := cycleFixture(t, 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 
 	start := time.Now()
-	_, err := eng.QueryCtx(ctx, "anc(n0, Y)", Options{Strategy: Counting})
+	_, err := fx.snap().QueryCtx(ctx, "anc(n0, Y)", Options{Strategy: Counting})
 	elapsed := time.Since(start)
 
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -55,8 +52,8 @@ func TestDeadlineInterruptsDivergentCounting(t *testing.T) {
 func TestCancelMidFixpoint(t *testing.T) {
 	for _, strat := range []Strategy{Counting, SupplementaryCounting} {
 		t.Run(string(strat), func(t *testing.T) {
-			eng := cycleEngine(t, 8)
-			pq, err := eng.Prepare("anc(n0, Y)", Options{Strategy: strat})
+			fx := cycleFixture(t, 8)
+			pq, err := fx.snap().Prepare("anc(n0, Y)", Options{Strategy: strat})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,11 +77,11 @@ func TestCancelMidFixpoint(t *testing.T) {
 // TestPreCancelledContext pins that an already-cancelled context stops the
 // evaluation before any fixpoint work happens, for every strategy.
 func TestPreCancelledContext(t *testing.T) {
-	eng := chainEngine(t, 20)
+	fx := chainFixture(t, 20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, strat := range Strategies() {
-		if _, err := eng.QueryCtx(ctx, "anc(n0, Y)", Options{Strategy: strat}); !errors.Is(err, context.Canceled) {
+		if _, err := fx.snap().QueryCtx(ctx, "anc(n0, Y)", Options{Strategy: strat}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", strat, err)
 		}
 	}
@@ -95,12 +92,12 @@ func TestPreCancelledContext(t *testing.T) {
 // materialized result, and for the deterministic bottom-up strategies they
 // are exactly its k-answer prefix.
 func TestStreamFirstNDifferential(t *testing.T) {
-	eng := chainEngine(t, 30)
+	fx := chainFixture(t, 30)
 	const query = "anc(n5, Y)"
 	for _, strat := range Strategies() {
 		for _, k := range []int{1, 3, 1000} {
 			t.Run(fmt.Sprintf("%s/first-%d", strat, k), func(t *testing.T) {
-				full, err := eng.Query(query, Options{Strategy: strat})
+				full, err := fx.snap().Query(query, Options{Strategy: strat})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,7 +106,7 @@ func TestStreamFirstNDifferential(t *testing.T) {
 					want = k
 				}
 
-				pq, err := eng.Prepare(query, Options{Strategy: strat, FirstN: k})
+				pq, err := fx.snap().Prepare(query, Options{Strategy: strat, FirstN: k})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,12 +147,12 @@ func TestStreamFirstNDifferential(t *testing.T) {
 // TestFirstNStopsEvaluationEarly pins that FirstN = 1 on a long chain does
 // materially less work than the full run, and reports it via StoppedEarly.
 func TestFirstNStopsEvaluationEarly(t *testing.T) {
-	eng := chainEngine(t, 200)
-	full, err := eng.Query("anc(n10, Y)", Options{Strategy: MagicSets})
+	fx := chainFixture(t, 200)
+	full, err := fx.snap().Query("anc(n10, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := eng.Query("anc(n10, Y)", Options{Strategy: MagicSets, FirstN: 1})
+	first, err := fx.snap().Query("anc(n10, Y)", Options{Strategy: MagicSets, FirstN: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +179,8 @@ func TestFirstNStopsEvaluationEarly(t *testing.T) {
 func TestStreamErrorYieldedLast(t *testing.T) {
 	// Semi-naive on a chain with a fact limit below the full closure: the
 	// first rule derives some anc(n0, _) answers before the limit trips.
-	eng := chainEngine(t, 30)
-	pq, err := eng.Prepare("anc(n0, Y)", Options{Strategy: SemiNaive, MaxFacts: 40})
+	fx := chainFixture(t, 30)
+	pq, err := fx.snap().Prepare("anc(n0, Y)", Options{Strategy: SemiNaive, MaxFacts: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +208,8 @@ func TestStreamErrorYieldedLast(t *testing.T) {
 // TestStreamBreakAbandonsRest pins that breaking out of the loop is safe and
 // leaves the engine reusable.
 func TestStreamBreakAbandonsRest(t *testing.T) {
-	eng := chainEngine(t, 30)
-	pq, err := eng.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
+	fx := chainFixture(t, 30)
+	pq, err := fx.snap().Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +235,14 @@ func TestStreamBreakAbandonsRest(t *testing.T) {
 // TestTypedValues exercises the Value accessors across all three kinds,
 // including values that outlive the query and the deprecated rendered view.
 func TestTypedValues(t *testing.T) {
-	eng, err := NewEngine(`
+	fx := newFixture(t, `
 		item(N, P) :- stock(N, P).
 		wrapped(box(N, P)) :- stock(N, P).
 	`)
-	if err != nil {
+	if err := fx.db.Assert("stock", "widget", 41); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Assert("stock", "widget", 41); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Query("item(X, Y)", Options{Strategy: SemiNaive})
+	res, err := fx.snap().Query("item(X, Y)", Options{Strategy: SemiNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +273,7 @@ func TestTypedValues(t *testing.T) {
 		t.Errorf("Answer.String() = %q, want %q", got, want)
 	}
 
-	comp, err := eng.Query("wrapped(X)", Options{Strategy: SemiNaive})
+	comp, err := fx.snap().Query("wrapped(X)", Options{Strategy: SemiNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +296,7 @@ func TestTypedValues(t *testing.T) {
 	}
 
 	// Values survive the query and later writes to the engine.
-	if err := eng.Assert("stock", "gadget", 7); err != nil {
+	if err := fx.db.Assert("stock", "gadget", 7); err != nil {
 		t.Fatal(err)
 	}
 	if name, _ := a.Vals[0].Symbol(); name != "widget" {
@@ -313,8 +307,8 @@ func TestTypedValues(t *testing.T) {
 // TestTypedValuesTopDown pins that the top-down strategy surfaces the same
 // typed interface (its values are term-backed rather than ID-backed).
 func TestTypedValuesTopDown(t *testing.T) {
-	eng := chainEngine(t, 5)
-	res, err := eng.Query("anc(n0, Y)", Options{Strategy: TopDown})
+	fx := chainFixture(t, 5)
+	res, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: TopDown})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,32 +326,35 @@ func TestTypedValuesTopDown(t *testing.T) {
 }
 
 // TestRetract pins the Assert mirror: facts disappear under the write lock
-// and prepared forms see the shrunken EDB on their next run.
+// and the prepared form sees the shrunken EDB on the next version's
+// snapshot.
 func TestRetract(t *testing.T) {
-	eng := chainEngine(t, 10)
-	pq, err := eng.Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
-	if err != nil {
-		t.Fatal(err)
+	fx := chainFixture(t, 10)
+	run := func() *Result {
+		t.Helper()
+		pq, err := fx.snap().Prepare("anc(n0, Y)", Options{Strategy: MagicSets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pq.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	res, err := pq.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run()
 	if len(res.Answers) != 10 {
 		t.Fatalf("answers before retract = %d, want 10", len(res.Answers))
 	}
 
 	// Cut the chain at n5 -> n6: the prepared form must now stop at n5.
-	if err := eng.Retract("par", "n5", "n6"); err != nil {
+	if err := fx.db.Retract("par", "n5", "n6"); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.FactCount("par"); got != 9 {
+	if got := fx.db.FactCount("par"); got != 9 {
 		t.Fatalf("par facts after retract = %d, want 9", got)
 	}
-	res, err = pq.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = run()
 	if len(res.Answers) != 5 {
 		t.Fatalf("answers after retract = %d, want 5", len(res.Answers))
 	}
@@ -366,20 +363,17 @@ func TestRetract(t *testing.T) {
 	}
 
 	// Retracting an absent fact is a no-op; RetractText mirrors AssertText.
-	if err := eng.Retract("par", "n5", "n6"); err != nil {
+	if err := fx.db.Retract("par", "n5", "n6"); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RetractText("par(n0, n1). par(n1, n2)."); err != nil {
+	if err := fx.db.RetractText("par(n0, n1). par(n1, n2)."); err != nil {
 		t.Fatal(err)
 	}
-	res, err = pq.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = run()
 	if len(res.Answers) != 0 {
 		t.Fatalf("answers after cutting the chain head = %d, want 0", len(res.Answers))
 	}
-	if err := eng.RetractText("anc(X, Y) :- par(X, Y)."); err == nil {
+	if err := fx.db.RetractText("anc(X, Y) :- par(X, Y)."); err == nil {
 		t.Error("RetractText accepted a rule")
 	}
 }

@@ -14,11 +14,8 @@ const ancRules = `
 // TestTxnCommitAtomicVisibility pins that nothing buffered in a transaction
 // is visible before Commit, and everything is after.
 func TestTxnCommitAtomicVisibility(t *testing.T) {
-	eng, err := NewEngine(ancRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := eng.Database()
+	fx := newFixture(t, ancRules)
+	db := fx.db
 	txn := db.Begin()
 	if err := txn.Assert("par", "john", "mary"); err != nil {
 		t.Fatal(err)
@@ -44,7 +41,7 @@ func TestTxnCommitAtomicVisibility(t *testing.T) {
 	if v := db.Version(); v != 1 {
 		t.Fatalf("version after one commit = %d, want 1", v)
 	}
-	res, err := eng.Query("anc(john, Y)", Options{})
+	res, err := fx.snap().Query("anc(john, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +56,8 @@ func TestTxnCommitAtomicVisibility(t *testing.T) {
 // including when the caller goes on to Commit anyway (the poisoned
 // transaction refuses).
 func TestTxnRollbackPinsNothingCommitted(t *testing.T) {
-	eng, err := NewEngine(ancRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := eng.Database()
+	fx := newFixture(t, ancRules)
+	db := fx.db
 	if err := db.AssertText("par(john, mary)."); err != nil {
 		t.Fatal(err)
 	}
@@ -109,39 +103,36 @@ func TestTxnRollbackPinsNothingCommitted(t *testing.T) {
 // mid-batch error left the facts before it committed; now AssertText is one
 // transaction and an error anywhere leaves the database untouched.
 func TestAssertTextAllOrNothing(t *testing.T) {
-	eng, err := NewEngine(ancRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AssertText("par(john, mary)."); err != nil {
+	fx := newFixture(t, ancRules)
+	if err := fx.db.AssertText("par(john, mary)."); err != nil {
 		t.Fatal(err)
 	}
 
 	// Arity error in the third fact: the first two must not stick.
-	err = eng.AssertText("par(a, b). par(b, c). par(oops).")
+	err := fx.db.AssertText("par(a, b). par(b, c). par(oops).")
 	if err == nil {
 		t.Fatal("want arity error")
 	}
 	if !strings.Contains(err.Error(), "arity") {
 		t.Fatalf("error %q does not mention arity", err)
 	}
-	if got := eng.FactCount("par"); got != 1 {
+	if got := fx.db.FactCount("par"); got != 1 {
 		t.Fatalf("mid-batch arity error committed a prefix: %d facts, want 1", got)
 	}
 
 	// Parse error at the end of the text: same guarantee.
-	if err := eng.AssertText("par(c, d). par(d, "); err == nil {
+	if err := fx.db.AssertText("par(c, d). par(d, "); err == nil {
 		t.Fatal("want parse error")
 	}
-	if got := eng.FactCount("par"); got != 1 {
+	if got := fx.db.FactCount("par"); got != 1 {
 		t.Fatalf("mid-batch parse error committed a prefix: %d facts, want 1", got)
 	}
 
 	// Rules are still rejected, atomically.
-	if err := eng.AssertText("par(e, f). anc(X, Y) :- par(X, Y)."); err == nil {
+	if err := fx.db.AssertText("par(e, f). anc(X, Y) :- par(X, Y)."); err == nil {
 		t.Fatal("want facts-only error")
 	}
-	if got := eng.FactCount("par"); got != 1 {
+	if got := fx.db.FactCount("par"); got != 1 {
 		t.Fatalf("rejected rule text committed a prefix: %d facts, want 1", got)
 	}
 }
@@ -150,11 +141,8 @@ func TestAssertTextAllOrNothing(t *testing.T) {
 // semantics: retracts apply before asserts, so retract+assert of one fact
 // leaves it present, and batch retracts actually remove.
 func TestTxnRetractThenAssertOrder(t *testing.T) {
-	eng, err := NewEngine(ancRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := eng.Database()
+	fx := newFixture(t, ancRules)
+	db := fx.db
 	if err := db.AssertText("par(a, b). par(b, c)."); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +163,7 @@ func TestTxnRetractThenAssertOrder(t *testing.T) {
 	if got := db.FactCount("par"); got != 1 {
 		t.Fatalf("FactCount = %d, want 1 (a,b kept; b,c removed)", got)
 	}
-	res, err := eng.Query("anc(a, Y)", Options{})
+	res, err := fx.snap().Query("anc(a, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,5 +223,60 @@ func TestTxnArityValidatedAgainstStore(t *testing.T) {
 	}
 	if got, want := db.FactCount("p"), 1; got != want {
 		t.Fatalf("refused batch changed p: %d facts, want %d", got, want)
+	}
+}
+
+// TestEmbeddedFactsLoadExplicitly: ground facts in a program text are data,
+// and the one way they reach a database is LoadFacts — one transaction, so
+// one version bump; loading them again changes no fact; a rules-only
+// program is a no-op that bumps nothing; and a database they were not
+// loaded into answers without them.
+func TestEmbeddedFactsLoadExplicitly(t *testing.T) {
+	prog, err := Compile("anc(X, Y) :- par(X, Y).\n par(a, b). par(b, c).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, first := prog.EmbeddedFacts(); n != 2 || first != (Position{Line: 2, Col: 2}) {
+		t.Fatalf("EmbeddedFacts = %d at %s, want 2 at 2:2", n, first)
+	}
+	db := NewDatabase()
+	query := func() int {
+		t.Helper()
+		res, err := db.Snapshot().With(prog).Query("anc(a, Y)", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Answers)
+	}
+	if got := query(); got != 0 || db.Version() != 0 {
+		t.Fatalf("before LoadFacts: %d answers at version %d, want 0 at 0", got, db.Version())
+	}
+	if err := db.LoadFacts(prog); err != nil {
+		t.Fatal(err)
+	}
+	if got := query(); got != 1 || db.Version() != 1 || db.FactCount("par") != 2 {
+		t.Fatalf("after LoadFacts: %d answers, version %d, %d par facts; want 1, 1, 2", got, db.Version(), db.FactCount("par"))
+	}
+	if err := db.LoadFacts(prog); err != nil {
+		t.Fatal(err)
+	}
+	// Like every non-empty commit it is a new version; the facts are a set.
+	if got := query(); got != 1 || db.Version() != 2 || db.FactCount("par") != 2 {
+		t.Fatalf("after a second LoadFacts: %d answers, version %d, %d par facts; want 1, 2, 2", got, db.Version(), db.FactCount("par"))
+	}
+
+	rules, err := Compile("anc(X, Y) :- par(X, Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, first := rules.EmbeddedFacts(); n != 0 || first != (Position{}) {
+		t.Fatalf("rules-only EmbeddedFacts = %d at %s, want none", n, first)
+	}
+	before := db.Version()
+	if err := db.LoadFacts(rules); err != nil {
+		t.Fatal(err)
+	}
+	if db.Version() != before {
+		t.Fatalf("LoadFacts of a rules-only program moved the version %d -> %d", before, db.Version())
 	}
 }

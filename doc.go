@@ -32,9 +32,10 @@
 // bulk-inserted under one write-lock acquisition); Database.Snapshot pins
 // the current commit version as an immutable view in O(#relations), on
 // which any number of queries are mutually consistent and lock-free; and
-// Engine remains the thin compatibility wrapper pairing a Program with a
-// Database, with SetProgram hot-swapping rules (stale prepared queries fail
-// closed with datalog.ErrStaleProgram).
+// Snapshot.With binds a Program to that view. That is the one way to run a
+// query — there is no read path over the live store, so nothing holds a
+// lock while evaluating and a rule change is just binding the next snapshot
+// to another Program.
 //
 // On top of the split sits incremental view maintenance:
 // Database.Materialize registers a Program whose derived relations are
@@ -42,7 +43,7 @@
 // deltas seeded from exactly the facts the batch changed, with per-row
 // derivation counts (non-recursive predicates) or delete-and-rederive
 // (recursive ones) handling retraction without recomputation. Queries over
-// materialized predicates, live or snapshot-pinned, skip evaluation
+// materialized predicates skip evaluation
 // entirely and answer by index lookup (Stats.MaterializedHit); maintenance
 // cost is proportional to the batch's consequences, not the database (see
 // EXPERIMENTS.md).
@@ -77,9 +78,9 @@
 // codes, human and JSON output.
 //
 // Query forms (predicate + binding pattern + strategy + sip) are adorned,
-// rewritten and compiled once — explicitly via Engine.Prepare /
-// PreparedQuery.RunCtx, or transparently inside Engine.QueryCtx and
-// Snapshot.QueryCtx — cached on the Program, and each run evaluates the
+// rewritten and compiled once — explicitly via Snapshot.Prepare /
+// PreparedQuery.RunCtx, or transparently inside Snapshot.QueryCtx — cached
+// on the Program (so the next version's snapshot reuses them), and each run evaluates the
 // shared compiled pipelines against a copy-on-write overlay of the store,
 // so repeated queries never re-rewrite the program or copy the extensional
 // database. Every run takes a context.Context, threaded through the
@@ -91,7 +92,7 @@
 // syntax is lazy), and PreparedQuery.Stream yields them as an iter.Seq2
 // cursor — with Options.FirstN the evaluation itself stops as soon as N
 // answers exist, checked between delta rounds, which is what makes
-// existence-style point queries cheap. Engines, databases and snapshots are
-// safe for concurrent use: commits serialize against live-engine queries,
-// snapshot queries run without locks entirely.
+// existence-style point queries cheap. Programs, databases and snapshots
+// are safe for concurrent use: commits serialize against each other only,
+// queries run without locks entirely.
 package repro

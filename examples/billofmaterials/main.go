@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	eng, err := datalog.NewEngine(`
+	prog, err := datalog.Compile(`
 		% direct components and transitive sub-parts
 		subpart(A, P) :- component(A, P).
 		subpart(A, P) :- component(A, Q), subpart(Q, P).
@@ -32,7 +32,8 @@ func main() {
 	}
 
 	// Two product lines; only the bicycle is queried below.
-	err = eng.AssertText(`
+	db := datalog.NewDatabase()
+	err = db.AssertText(`
 		component(bicycle, frame).
 		component(bicycle, wheel).
 		component(wheel, rim).
@@ -63,13 +64,15 @@ func main() {
 		log.Fatal(err)
 	}
 
+	snap := db.Snapshot().With(prog)
+
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
 	// Explode the bicycle only. A parts catalogue is queried per product, so
 	// prepare the form once and run it per item — here with the bound
 	// constant of the prepared text, then for any other product by argument.
-	explode, err := eng.Prepare("subpart(bicycle, P)", datalog.Options{Strategy: datalog.SupplementaryMagicSets})
+	explode, err := snap.Prepare("subpart(bicycle, P)", datalog.Options{Strategy: datalog.SupplementaryMagicSets})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func main() {
 
 	// Which suppliers are involved in the bicycle? Stream the answers: rows
 	// come back as typed values straight from the interned store.
-	sources, err := eng.Prepare("certified_source(bicycle, S)", datalog.Options{Strategy: datalog.MagicSets})
+	sources, err := snap.Prepare("certified_source(bicycle, S)", datalog.Options{Strategy: datalog.MagicSets})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func main() {
 	// An existence check ("is the car an assembly at all?") wants one
 	// answer, not the whole explosion: FirstN = 1 cuts the fixpoint off at
 	// the first sub-part instead of deriving the car's full part tree.
-	one, err := eng.Prepare("subpart(car, P)", datalog.Options{Strategy: datalog.MagicSets, FirstN: 1})
+	one, err := snap.Prepare("subpart(car, P)", datalog.Options{Strategy: datalog.MagicSets, FirstN: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func main() {
 	// Show that the restriction is real: the unrewritten bottom-up strategy
 	// also explodes the car and its certificates, the rewritten program only
 	// derives facts about the bicycle (plus its auxiliary magic facts).
-	naive, err := eng.QueryCtx(ctx, "subpart(bicycle, P)", datalog.Options{Strategy: datalog.SemiNaive})
+	naive, err := snap.QueryCtx(ctx, "subpart(bicycle, P)", datalog.Options{Strategy: datalog.SemiNaive})
 	if err != nil {
 		log.Fatal(err)
 	}

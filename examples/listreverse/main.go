@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	eng, err := datalog.NewEngine(`
+	prog, err := datalog.Compile(`
 		append(V, [], [V]) :- elem(V).
 		append(V, [W | X], [W | Y]) :- append(V, X, Y).
 		reverse([], []) :- emptylist(X).
@@ -29,16 +29,18 @@ func main() {
 	}
 	// The elem/emptylist relations replace the paper's bodiless clauses; see
 	// DESIGN.md for the substitution.
-	if err := eng.AssertText("elem(a). elem(b). elem(c). elem(d). emptylist(nil)."); err != nil {
+	db := datalog.NewDatabase()
+	if err := db.AssertText("elem(a). elem(b). elem(c). elem(d). emptylist(nil)."); err != nil {
 		log.Fatal(err)
 	}
+	snap := db.Snapshot().With(prog)
 
 	query := "reverse([a, b, c, d], Y)"
 
 	// First show what the safety analysis of Section 10 says about the
 	// program: it is not Datalog, but every recursive call shrinks the bound
 	// list, so both magic and counting are safe (Theorem 10.1).
-	report, err := eng.Analyze(query, datalog.Options{})
+	report, err := prog.Analyze(query, datalog.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,12 +49,12 @@ func main() {
 
 	// Direct bottom-up evaluation is hopeless; the engine reports the
 	// unsafety instead of looping.
-	if _, err := eng.Query(query, datalog.Options{Strategy: datalog.SemiNaive, MaxFacts: 10000}); err != nil {
+	if _, err := snap.Query(query, datalog.Options{Strategy: datalog.SemiNaive, MaxFacts: 10000}); err != nil {
 		fmt.Printf("direct bottom-up evaluation fails as expected: %v\n\n", shorten(err))
 	}
 
 	// The magic-sets rewriting turns it into a terminating fixpoint.
-	res, err := eng.Query(query, datalog.Options{Strategy: datalog.MagicSets})
+	res, err := snap.Query(query, datalog.Options{Strategy: datalog.MagicSets})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func main() {
 	// The counting rewriting works here too (the data is a list, hence
 	// acyclic), and the supplementary variants agree.
 	for _, strat := range []datalog.Strategy{datalog.SupplementaryMagicSets, datalog.Counting, datalog.SupplementaryCounting, datalog.TopDown} {
-		r, err := eng.Query(query, datalog.Options{Strategy: strat})
+		r, err := snap.Query(query, datalog.Options{Strategy: strat})
 		if err != nil {
 			log.Fatalf("%s: %v", strat, err)
 		}

@@ -6,10 +6,8 @@
 // The API has four pieces, mirroring the paper's program/data split:
 // Compile builds the immutable rule program, NewDatabase the versioned fact
 // store, Database.Begin a buffered atomic transaction, and
-// Database/Engine.Snapshot an immutable pinned-version view for consistent
-// reads. (The monolithic datalog.NewEngine + AssertText + Query surface
-// still works and now routes through these pieces; see the package docs'
-// migration note.)
+// Database.Snapshot an immutable pinned-version view — bound to the program
+// with Snapshot.With, it is the one place queries read from.
 //
 // Run with:
 //
@@ -28,7 +26,7 @@ import (
 func main() {
 	// Compile the rules once: parse, arity checking and stratification all
 	// happen here, and the immutable result could be shared by any number
-	// of engines and goroutines.
+	// of databases and goroutines.
 	prog, err := datalog.Compile(`
 		anc(X, Y) :- par(X, Y).
 		anc(X, Y) :- par(X, Z), anc(Z, Y).
@@ -57,12 +55,11 @@ func main() {
 	}
 	fmt.Printf("database at version %d with %d facts\n\n", db.Version(), db.TotalFacts())
 
-	// Pair the program with the database. The engine answers queries against
-	// the live store; Snapshot pins facts and rules together as an immutable
-	// view, so every query against it is mutually consistent no matter what
-	// commits land concurrently — take one per request.
-	eng := datalog.NewEngineWith(prog, db)
-	snap := eng.Snapshot()
+	// Pair the program with the database: Snapshot pins the current facts
+	// and With binds the rules, giving an immutable view. Every query against
+	// it is mutually consistent no matter what commits land concurrently —
+	// take one per request.
+	snap := db.Snapshot().With(prog)
 
 	// Queries run under a context: a server would pass its request context
 	// here, and a runaway evaluation is cancelled at the deadline instead of
@@ -96,17 +93,17 @@ func main() {
 	if err := db.Assert("par", "kim", "pat"); err != nil {
 		log.Fatal(err)
 	}
-	// ...and the snapshot provably does not see it, while the live engine
-	// does: that is the consistency unit per-query overlays cannot offer.
+	// ...and the snapshot provably does not see it, while a snapshot taken
+	// now does: that is the consistency unit per-query overlays cannot offer.
 	pinned, err := snap.QueryCtx(ctx, "anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets})
 	if err != nil {
 		log.Fatal(err)
 	}
-	live, err := eng.QueryCtx(ctx, "anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets})
+	live, err := db.Snapshot().With(prog).QueryCtx(ctx, "anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nafter a concurrent commit (version %d): snapshot still %d answers, live engine %d\n",
+	fmt.Printf("\nafter a concurrent commit (version %d): snapshot still %d answers, a fresh one %d\n",
 		db.Version(), len(pinned.Answers), len(live.Answers))
 
 	// An existence check needs just one answer: prepare the form on the

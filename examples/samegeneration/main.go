@@ -22,21 +22,21 @@ import (
 // buildFamily asserts a layered family: `width` people per generation and
 // `depth` generations. up(x, parent), down(parent, x) and flat(x, sibling)
 // within each generation.
-func buildFamily(eng *datalog.Engine, width, depth int) error {
+func buildFamily(db *datalog.Database, width, depth int) error {
 	person := func(layer, i int) string { return fmt.Sprintf("g%d_p%d", layer, i) }
 	for layer := 0; layer < depth; layer++ {
 		for i := 0; i < width; i++ {
-			if err := eng.Assert("up", person(layer, i), person(layer+1, i)); err != nil {
+			if err := db.Assert("up", person(layer, i), person(layer+1, i)); err != nil {
 				return err
 			}
-			if err := eng.Assert("down", person(layer+1, i), person(layer, i)); err != nil {
+			if err := db.Assert("down", person(layer+1, i), person(layer, i)); err != nil {
 				return err
 			}
 		}
 	}
 	for layer := 0; layer <= depth; layer++ {
 		for i := 0; i < width-1; i++ {
-			if err := eng.Assert("flat", person(layer, i), person(layer, i+1)); err != nil {
+			if err := db.Assert("flat", person(layer, i), person(layer, i+1)); err != nil {
 				return err
 			}
 		}
@@ -45,7 +45,7 @@ func buildFamily(eng *datalog.Engine, width, depth int) error {
 }
 
 func main() {
-	eng, err := datalog.NewEngine(`
+	prog, err := datalog.Compile(`
 		sg(X, Y) :- flat(X, Y).
 		sg(X, Y) :- up(X, Z1), sg(Z1, Z2), flat(Z2, Z3), sg(Z3, Z4), down(Z4, Y).
 	`)
@@ -53,9 +53,11 @@ func main() {
 		log.Fatal(err)
 	}
 	const width, depth = 12, 3
-	if err := buildFamily(eng, width, depth); err != nil {
+	db := datalog.NewDatabase()
+	if err := buildFamily(db, width, depth); err != nil {
 		log.Fatal(err)
 	}
+	snap := db.Snapshot().With(prog)
 	fmt.Printf("family: %d people per generation, %d generations\n\n", width, depth+1)
 
 	query := "sg(g0_p0, Y)"
@@ -77,7 +79,7 @@ func main() {
 	fmt.Printf("%-34s %8s %10s %10s %12s\n", "strategy", "answers", "facts", "aux", "derivations")
 	var first map[string]bool
 	for _, opts := range strategies {
-		res, err := eng.QueryCtx(ctx, query, opts)
+		res, err := snap.QueryCtx(ctx, query, opts)
 		if err != nil {
 			log.Fatalf("%s: %v", opts.Strategy, err)
 		}
@@ -106,7 +108,7 @@ func main() {
 	// Consume the answers through the streaming cursor: typed rows, no
 	// rendered []string view built at all.
 	fmt.Printf("\npeople of the same generation as g0_p0: ")
-	pq, err := eng.Prepare(query, datalog.Options{Strategy: datalog.MagicSets})
+	pq, err := snap.Prepare(query, datalog.Options{Strategy: datalog.MagicSets})
 	if err != nil {
 		log.Fatal(err)
 	}

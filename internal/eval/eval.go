@@ -104,55 +104,39 @@ func (o Options) parallelism() int {
 	return min(max(p, 1), maxParallelism)
 }
 
-// Stats records the work done by an evaluation. The fact and derivation
-// counters are the quantities the paper's optimality discussion (Section 9)
-// and the performance study it cites ([5]) reason about.
-type Stats struct {
-	// Strategy is the name of the evaluator that produced the stats.
-	Strategy string
-	// Iterations is the number of fixpoint iterations performed.
-	Iterations int
+// Counters are the work counters of one bottom-up evaluation that are
+// reported unchanged all the way out: Stats embeds them here, the public
+// datalog.Stats embeds them again, and the json tags are the wire names of
+// cmd/datalogd responses — the one declaration of each. The fact and
+// derivation counters are the quantities the paper's optimality discussion
+// (Section 9) and the performance study it cites ([5]) reason about.
+type Counters struct {
 	// Derivations is the number of successful rule instantiations, including
-	// ones that re-derive an already known fact.
-	Derivations int64
-	// NewFacts is the number of distinct derived facts added to the store.
-	NewFacts int
+	// ones that re-derive an already known fact (body instantiations for the
+	// top-down strategy).
+	Derivations int64 `json:"derivations"`
+	// Iterations is the number of fixpoint iterations (top-down: passes).
+	Iterations int `json:"iterations"`
 	// JoinProbes counts tuple match attempts during body evaluation: every
 	// candidate tuple the executor tested against a body literal, whether it
 	// came from an indexed probe or a scan and whether or not the post-probe
-	// filtering on the literal's free positions accepted it. For a compiled
-	// evaluation it is exactly IndexHits + ScanRows: the candidates indexed
-	// lookups returned plus the rows unindexed scans walked.
-	JoinProbes int64
-	// RuleFirings counts successful instantiations per rule index.
-	RuleFirings map[int]int64
-	// FactsByPredicate counts the distinct derived facts per predicate key.
-	FactsByPredicate map[string]int
+	// filtering on the literal's free positions accepted it. It is the
+	// executor-level proxy for the join work the Section 9 cost model counts;
+	// for a compiled evaluation it is exactly IndexHits + ScanRows.
+	JoinProbes int64 `json:"join_probes,omitempty"`
 	// Strata is the number of strongly connected components of the
 	// derived-predicate dependency graph the semi-naive evaluator scheduled
-	// (0 for the naive evaluator, which iterates over the whole program).
-	Strata int
-	// DeltaRuleEvals counts rule evaluations performed in delta iterations;
-	// SkippedRuleEvals counts the rule evaluations the scheduler skipped
-	// without running: a delta occurrence whose predicate had an empty delta
-	// or belonged to an already completed stratum, or a full-store pass over
-	// a body with an empty relation.
-	DeltaRuleEvals   int64
-	SkippedRuleEvals int64
+	// (0 for the naive evaluator, which iterates over the whole program, and
+	// for the top-down strategy).
+	Strata int `json:"strata,omitempty"`
 	// IndexProbes is the number of bound-column index lookups the evaluation
 	// performed against the store (main and delta sides); IndexHits is the
 	// number of tuples those lookups returned. A JoinProbes match attempt fed
 	// by a scan appears in neither. Both are counted by the evaluation that
 	// issued the lookup, so they stay exact when several evaluations probe
 	// the same base relations concurrently.
-	IndexProbes int64
-	IndexHits   int64
-	// ScanRows is the number of rows visited by scan ops (body steps with no
-	// bound column, which walk the whole relation). OpScans counts such ops,
-	// ScanRows their cost: it grows with the size of the scanned relations,
-	// so for a magic-rewritten program it shows directly whether evaluation
-	// touched only the relevant facts or the whole EDB.
-	ScanRows int64
+	IndexProbes int64 `json:"index_probes,omitempty"`
+	IndexHits   int64 `json:"index_hits,omitempty"`
 	// CompiledPlans counts the join pipelines compiled during this
 	// evaluation (one per rule and leading-literal variant executed for the
 	// first time), and PlanOps the total number of pipeline ops across them
@@ -160,28 +144,53 @@ type Stats struct {
 	// reuses a Prepared program's already compiled pipelines reports 0 for
 	// both — which is how callers observe that the compile work was
 	// amortized away.
-	CompiledPlans int
-	PlanOps       int
+	CompiledPlans int `json:"compiled_plans,omitempty"`
+	PlanOps       int `json:"plan_ops,omitempty"`
 	// OpProbes counts executed pipeline probe ops (index-driven steps) and
 	// OpScans executed scan ops (steps with no bound column). Together they
 	// describe how often the compiled executor could drive a join through an
 	// index versus falling back to scanning a relation.
-	OpProbes int64
-	OpScans  int64
-	// StoppedEarly reports that Options.StopEarly truncated the evaluation
-	// before it reached a fixpoint: the store holds a sound but possibly
-	// incomplete set of derived facts.
-	StoppedEarly bool
+	OpProbes int64 `json:"op_probes,omitempty"`
+	OpScans  int64 `json:"op_scans,omitempty"`
+	// ScanRows is the number of rows visited by scan ops. OpScans counts
+	// such ops, ScanRows their cost: it grows with the size of the scanned
+	// relations, so for a magic-rewritten program it shows directly whether
+	// evaluation touched only the relevant facts or the whole EDB.
+	ScanRows int64 `json:"scan_rows,omitempty"`
+	// StoppedEarly reports that Options.StopEarly (the public Options.FirstN)
+	// truncated the evaluation before it reached a fixpoint: the store holds
+	// a sound but possibly incomplete set of derived facts.
+	StoppedEarly bool `json:"stopped_early,omitempty"`
 	// ParallelComponents is the number of components the worker pool ran (0
 	// when the calling goroutine ran them all — Parallelism 1, a naive
 	// evaluation, or a StopEarly callback with no StopEarlyPred).
-	// WorkerRounds counts the per-shard
-	// round executions of hash-partitioned delta rounds: a partitioned round
-	// with K shards adds K, a non-partitioned round adds nothing, so the
-	// counter being positive is how callers observe that intra-round
-	// partitioning actually engaged.
-	ParallelComponents int
-	WorkerRounds       int64
+	// WorkerRounds counts the per-shard round executions of hash-partitioned
+	// delta rounds: a partitioned round with K shards adds K, a
+	// non-partitioned round adds nothing, so the counter being positive is
+	// how callers observe that intra-round partitioning actually engaged.
+	ParallelComponents int   `json:"parallel_components,omitempty"`
+	WorkerRounds       int64 `json:"worker_rounds,omitempty"`
+}
+
+// Stats records the work done by an evaluation: the shared Counters plus
+// the bookkeeping only this package's callers read.
+type Stats struct {
+	Counters
+	// Strategy is the name of the evaluator that produced the stats.
+	Strategy string
+	// NewFacts is the number of distinct derived facts added to the store.
+	NewFacts int
+	// RuleFirings counts successful instantiations per rule index.
+	RuleFirings map[int]int64
+	// FactsByPredicate counts the distinct derived facts per predicate key.
+	FactsByPredicate map[string]int
+	// DeltaRuleEvals counts rule evaluations performed in delta iterations;
+	// SkippedRuleEvals counts the rule evaluations the scheduler skipped
+	// without running: a delta occurrence whose predicate had an empty delta
+	// or belonged to an already completed stratum, or a full-store pass over
+	// a body with an empty relation.
+	DeltaRuleEvals   int64
+	SkippedRuleEvals int64
 }
 
 // addFiring records a successful rule instantiation.

@@ -146,7 +146,7 @@ func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.LoadProgram(req.Source, req.Strict, req.Activate)
 	if err != nil {
 		code, status := CodeCompileFailed, http.StatusUnprocessableEntity
-		if len(s.programs) >= maxPrograms {
+		if errors.Is(err, errRegistryFull) {
 			code, status = CodeOverCapacity, http.StatusTooManyRequests
 		}
 		writeErr(w, status, code, err.Error(), tenant, nil)

@@ -25,6 +25,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -109,9 +110,19 @@ func New(db *datalog.Database, cfg Config) *Server {
 // cmd/datalogd seeds facts through it).
 func (s *Server) Database() *datalog.Database { return s.db }
 
+// errRegistryFull is returned (wrapped) by LoadProgram when maxPrograms
+// programs are registered already: an admission failure (over_capacity),
+// as opposed to every other LoadProgram error, which is the source's fault
+// (compile_failed).
+var errRegistryFull = errors.New("program registry is full")
+
 // LoadProgram compiles and registers a program exactly as POST /v1/programs
 // would, for boot-time loading (cmd/datalogd -program). When activate is
-// set (or no default exists yet) it becomes the default program.
+// set (or no default exists yet) it becomes the default program. A source
+// carrying ground facts is refused, like one carrying a query: a program
+// is rules only here, and silently dropping the facts would answer every
+// query over them with nothing. (Loading them instead would make a
+// WAL-backed server log a duplicate batch on every boot.)
 func (s *Server) LoadProgram(source string, strict, activate bool) (*ProgramResponse, error) {
 	compile := datalog.Compile
 	if strict {
@@ -121,10 +132,14 @@ func (s *Server) LoadProgram(source string, strict, activate bool) (*ProgramResp
 	if err != nil {
 		return nil, err
 	}
+	if n, first := prog.EmbeddedFacts(); n > 0 {
+		return nil, fmt.Errorf("datalog: %s: the program text contains %d ground fact(s), the first one here; "+
+			"a served program is rules only — commit facts through POST /v1/txn (or datalogd -facts)", first, n)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.programs) >= maxPrograms {
-		return nil, fmt.Errorf("program registry is full (%d programs)", maxPrograms)
+		return nil, fmt.Errorf("%w (%d programs)", errRegistryFull, maxPrograms)
 	}
 	s.programSeq++
 	entry := &programEntry{

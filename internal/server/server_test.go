@@ -523,3 +523,103 @@ func TestStreamPinsSnapshot(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// uploadProgram posts a source to /v1/programs and returns the status and,
+// on a refusal, the wire error. It reports transport failures as err so
+// that goroutines other than the test's own can call it.
+func uploadProgram(url, source string) (status int, code, message string, err error) {
+	body, err := json.Marshal(ProgramRequest{Source: source})
+	if err != nil {
+		return 0, "", "", err
+	}
+	resp, err := http.Post(url+"/v1/programs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, "", "", err
+	}
+	defer resp.Body.Close()
+	var reply struct {
+		Error *WireError `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		return resp.StatusCode, "", "", err
+	}
+	if reply.Error != nil {
+		code, message = reply.Error.Code, reply.Error.Message
+	}
+	return resp.StatusCode, code, message, nil
+}
+
+// postProgram is uploadProgram for the test's own goroutine.
+func postProgram(t *testing.T, url, source string) (status int, code, message string) {
+	t.Helper()
+	status, code, message, err := uploadProgram(url, source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, code, message
+}
+
+// TestProgramWithEmbeddedFactsIsRefused: a source mixing rules and ground
+// facts used to be accepted with the facts silently dropped, so every query
+// over them answered nothing. It is refused like a source carrying a query,
+// with the count, the first position and where facts do go; nothing is
+// registered.
+func TestProgramWithEmbeddedFactsIsRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if st, code, _ := postProgram(t, ts.URL, "anc(X, Y) :- par(X, Y)."); st != http.StatusOK {
+		t.Fatalf("rules-only source: status %d (%s)", st, code)
+	}
+	st, code, msg := postProgram(t, ts.URL, "anc(X, Y) :- par(X, Y).\n  par(a, b).")
+	if st != http.StatusUnprocessableEntity || code != CodeCompileFailed {
+		t.Fatalf("rules + one fact: status %d code %q, want 422 %s", st, code, CodeCompileFailed)
+	}
+	for _, want := range []string{"2:3", "1 ground fact", "/v1/txn"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("refusal %q does not mention %q", msg, want)
+		}
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.programs) != 1 || s.defaultProgram != "p1" {
+		t.Fatalf("registry after the refusal: %d programs, default %q; want the first upload only", len(s.programs), s.defaultProgram)
+	}
+}
+
+// TestFullRegistryStillReportsCompileErrors: with the registry at its cap a
+// valid upload is an admission failure (429) but a broken one is still the
+// source's fault (422) — the handler used to report both as 429 by peeking
+// at the registry size, without the lock, after the fact. The concurrent
+// wave is for the race detector.
+func TestFullRegistryStillReportsCompileErrors(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	accepted := 0
+	for i := 0; i < maxPrograms+8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, code, _, err := uploadProgram(ts.URL, ancProgram)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err != nil:
+				t.Error(err)
+			case st == http.StatusOK:
+				accepted++
+			case st != http.StatusTooManyRequests || code != CodeOverCapacity:
+				t.Errorf("upload past the cap: status %d code %q, want 429 %s", st, code, CodeOverCapacity)
+			}
+		}()
+	}
+	wg.Wait()
+	if accepted != maxPrograms {
+		t.Fatalf("accepted %d uploads, want exactly the cap %d", accepted, maxPrograms)
+	}
+	if st, code, _ := postProgram(t, ts.URL, "anc(X :-"); st != http.StatusUnprocessableEntity || code != CodeCompileFailed {
+		t.Errorf("syntax error with a full registry: status %d code %q, want 422 %s", st, code, CodeCompileFailed)
+	}
+	if st, code, _ := postProgram(t, ts.URL, ancProgram); st != http.StatusTooManyRequests || code != CodeOverCapacity {
+		t.Errorf("valid source with a full registry: status %d code %q, want 429 %s", st, code, CodeOverCapacity)
+	}
+}
