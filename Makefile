@@ -49,12 +49,13 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needs to be run on:" >&2; echo "$$out" >&2; exit 1; fi
 
-# Non-test Go lines of the three core packages: the figure ROADMAP open item
-# 3 states its goal in, so every simplicity PR quotes the same number. The
-# target fails above LOC_CEILING, the total the last simplicity PR reached:
-# the figure only goes up by an edit to this line, which a reviewer sees.
+# Non-test Go lines of the three core packages: the figure the ROADMAP north
+# star ("the least code") and open item 6 state their goals in, so every
+# simplicity PR quotes the same number. The target fails above LOC_CEILING,
+# the total the last simplicity PR reached: the figure only goes up by an
+# edit to this line, which shows in the diff.
 LOC_PKGS := internal/eval datalog internal/database
-LOC_CEILING := 7876
+LOC_CEILING := 7657
 loc:
 	@total=0; for d in $(LOC_PKGS); do \
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \

@@ -938,10 +938,13 @@ func BenchmarkSnapshotOverhead(b *testing.B) {
 // size, not the EDB size. The point-query/* variants compare a bound query
 // over the materialized predicate (a pure index lookup) against cold
 // re-derivation of the same answer through the magic rewriting and through
-// whole-program semi-naive evaluation.
+// whole-program semi-naive evaluation. The counting/* variants run the same
+// toggles against a non-recursive grandparent program, which is maintained
+// by derivation counting instead of DRed.
 func BenchmarkMaterializedMaintenance(b *testing.B) {
 	const chainLen = 10
-	build := func(b *testing.B, chains int) *datalog.Database {
+	const grandparSrc = `g(X, Y) :- p(X, Z), p(Z, Y).`
+	build := func(b *testing.B, chains int, src string) *datalog.Database {
 		b.Helper()
 		db := datalog.NewDatabase()
 		txn := db.Begin()
@@ -955,7 +958,7 @@ func BenchmarkMaterializedMaintenance(b *testing.B) {
 		if err := txn.Commit(); err != nil {
 			b.Fatal(err)
 		}
-		prog, err := datalog.Compile(ancestorSrc)
+		prog, err := datalog.Compile(src)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -983,29 +986,34 @@ func BenchmarkMaterializedMaintenance(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, cfg := range []struct{ chains, batch int }{
-		{100, 10},   // small EDB, fixed batch
-		{1000, 10},  // 10x the EDB, same batch: ns/op should barely move
-		{1000, 1},   // batch sweep at fixed EDB: ns/op should track batch
-		{1000, 100}, //
+	for _, algo := range []struct{ name, src string }{
+		{"maintain", ancestorSrc},
+		{"counting", grandparSrc},
 	} {
-		name := fmt.Sprintf("maintain/edb=%d/batch=%d", cfg.chains*chainLen, cfg.batch)
-		b.Run(name, func(b *testing.B) {
-			db := build(b, cfg.chains)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				toggle(b, db, cfg.batch, true)
-				toggle(b, db, cfg.batch, false)
-			}
-			b.StopTimer()
-			if ms, ok := db.MaterializedStats(); ok {
-				b.ReportMetric(float64(ms.Facts), "idb-facts")
-			}
-		})
+		for _, cfg := range []struct{ chains, batch int }{
+			{100, 10},   // small EDB, fixed batch
+			{1000, 10},  // 10x the EDB, same batch: ns/op should barely move
+			{1000, 1},   // batch sweep at fixed EDB: ns/op should track batch
+			{1000, 100}, //
+		} {
+			name := fmt.Sprintf("%s/edb=%d/batch=%d", algo.name, cfg.chains*chainLen, cfg.batch)
+			b.Run(name, func(b *testing.B) {
+				db := build(b, cfg.chains, algo.src)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					toggle(b, db, cfg.batch, true)
+					toggle(b, db, cfg.batch, false)
+				}
+				b.StopTimer()
+				if ms, ok := db.MaterializedStats(); ok {
+					b.ReportMetric(float64(ms.Facts), "idb-facts")
+				}
+			})
+		}
 	}
 
-	db := build(b, 1000)
+	db := build(b, 1000, ancestorSrc)
 	prog, err := datalog.Compile(ancestorSrc)
 	if err != nil {
 		b.Fatal(err)

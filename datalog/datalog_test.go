@@ -3,6 +3,7 @@ package datalog
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,6 +77,36 @@ func TestAllStrategiesAgree(t *testing.T) {
 		for k := range want {
 			if !got[k] {
 				t.Errorf("%s: missing answer %s", strat, k)
+			}
+		}
+	}
+}
+
+// TestMagicConstantBoundLiterals covers derived body literals bound only by
+// constants, which no sip arc enters (r(n0, Y) below), and zero-arity query
+// predicates, whose answer relation has no adornment suffix. Both magic
+// rewritings used to answer nothing for them.
+func TestMagicConstantBoundLiterals(t *testing.T) {
+	fx := newFixture(t, `
+		r(X, Y) :- e(X, Y).
+		q(Y) :- r(n0, Y).
+		hit :- r(n0, n1).
+		ok :- e(X, Y).
+		e(n0, n1). e(n1, n2).
+	`)
+	want := map[string]map[string]bool{
+		"q(Y)": {"(n1)": true},
+		"hit":  {"()": true},
+		"ok":   {"()": true},
+	}
+	for q, w := range want {
+		for _, st := range []Strategy{SemiNaive, MagicSets, SupplementaryMagicSets} {
+			res, err := fx.snap().Query(q, Options{Strategy: st})
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", q, st, err)
+			}
+			if got := res.AnswerSet(); !reflect.DeepEqual(got, w) {
+				t.Errorf("%s [%s] = %v, want %v", q, st, got, w)
 			}
 		}
 	}

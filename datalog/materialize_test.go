@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -396,4 +398,226 @@ func TestMaterializePreparedAndStream(t *testing.T) {
 	if want := map[string]bool{"b": true, "c": true}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("streamed %v, want %v", got, want)
 	}
+}
+
+// matShape is one program of the wider maintenance differential: the facts
+// its commits assert and retract, the queries checked after every commit,
+// and whether the facts can form cycles (the counting rewritings diverge on
+// cyclic data, so they are only compared on acyclic shapes).
+type matShape struct {
+	name    string
+	src     string
+	fact    func(rng *rand.Rand) string
+	cyclic  bool
+	queries []string
+}
+
+// edgeFact draws one fact over nodes n0..n5; acyclic facts only point from a
+// lower to a higher node.
+func edgeFact(pred string, cyclic bool) func(rng *rand.Rand) string {
+	return func(rng *rand.Rand) string {
+		i, j := rng.Intn(6), rng.Intn(6)
+		if !cyclic {
+			i = rng.Intn(5)
+			j = i + 1 + rng.Intn(5-i)
+		}
+		return fmt.Sprintf("%s(n%d, n%d).", pred, i, j)
+	}
+}
+
+// anyOf draws from one of the given fact generators.
+func anyOf(gens ...func(rng *rand.Rand) string) func(rng *rand.Rand) string {
+	return func(rng *rand.Rand) string { return gens[rng.Intn(len(gens))](rng) }
+}
+
+// checkMaterializedShape commits random batches to a database materializing
+// the shape's program and the same batches to a plain twin, and after every
+// commit requires the materialized answers of each query to equal cold
+// SemiNaive, Magic and supplementary Magic evaluation on the twin (and, on
+// acyclic data, the counting rewritings for queries with a bound argument).
+// The twin matters: a cold evaluation on the materialized database itself
+// starts from the stored IDB rows, so it cannot see a row maintenance failed
+// to delete.
+func checkMaterializedShape(t *testing.T, sh matShape, seed int64, commits int) {
+	t.Helper()
+	prog := mustCompile(t, sh.src)
+	db, plain := NewDatabase(), NewDatabase()
+	if err := db.Materialize(prog); err != nil {
+		t.Fatal(err)
+	}
+	fx, twin := fixture{prog, db}, fixture{prog, plain}
+	rng := rand.New(rand.NewSource(seed))
+	for commit := 0; commit < commits; commit++ {
+		var retracts, asserts []string
+		for op := 0; op < 1+rng.Intn(4); op++ {
+			if f := sh.fact(rng); rng.Intn(3) == 0 {
+				retracts = append(retracts, f)
+			} else {
+				asserts = append(asserts, f)
+			}
+		}
+		if rng.Intn(4) == 0 {
+			// Retract and re-assert one fact: a net no-op for maintenance.
+			f := sh.fact(rng)
+			retracts = append(retracts, f)
+			asserts = append(asserts, f)
+		}
+		for _, d := range []*Database{db, plain} {
+			txn := d.Begin()
+			if err := txn.RetractText(strings.Join(retracts, " ")); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.AssertText(strings.Join(asserts, " ")); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatalf("%s/seed=%d: commit %d: %v", sh.name, seed, commit, err)
+			}
+		}
+		snap, cold := fx.snap(), twin.snap()
+		for _, q := range sh.queries {
+			hot, err := snap.Query(q, Options{})
+			if err != nil {
+				t.Fatalf("%s/seed=%d: commit %d: %s: %v", sh.name, seed, commit, q, err)
+			}
+			if !hot.Stats.MaterializedHit {
+				t.Fatalf("%s/seed=%d: commit %d: %s did not hit the materialization", sh.name, seed, commit, q)
+			}
+			strategies := []Strategy{SemiNaive, MagicSets, SupplementaryMagicSets}
+			if !sh.cyclic && strings.Contains(q, "(n") {
+				strategies = append(strategies, Counting, SupplementaryCounting)
+			}
+			for _, st := range strategies {
+				res, err := cold.Query(q, Options{Strategy: st})
+				if err != nil {
+					t.Fatalf("%s/seed=%d: commit %d: %s [%s]: %v", sh.name, seed, commit, q, st, err)
+				}
+				if !reflect.DeepEqual(hot.AnswerSet(), res.AnswerSet()) {
+					t.Fatalf("%s/seed=%d: commit %d: %s: materialized %v != %s %v",
+						sh.name, seed, commit, q, hot.AnswerSet(), st, res.AnswerSet())
+				}
+			}
+		}
+	}
+}
+
+// TestMaterializeDifferentialShapes widens TestMaterializeDifferential to
+// cyclic graphs, non-linear recursion, same-generation, a compound head, a
+// counting-maintained predicate over a DRed one, and zero-arity predicates.
+func TestMaterializeDifferentialShapes(t *testing.T) {
+	reach := `
+		reach(X, Y) :- e(X, Y).
+		reach(X, Y) :- e(X, Z), reach(Z, Y).
+	`
+	nonlinear := `
+		reach(X, Y) :- e(X, Y).
+		reach(X, Y) :- reach(X, Z), reach(Z, Y).
+	`
+	shapes := []matShape{
+		{name: "cyclic", src: reach, fact: edgeFact("e", true), cyclic: true,
+			queries: []string{"reach(X, Y)", "reach(n0, Y)", "reach(X, n0)"}},
+		{name: "nonlinear-cyclic", src: nonlinear, fact: edgeFact("e", true), cyclic: true,
+			queries: []string{"reach(X, Y)", "reach(n0, Y)"}},
+		{name: "nonlinear-acyclic", src: nonlinear, fact: edgeFact("e", false),
+			queries: []string{"reach(X, Y)", "reach(n0, Y)"}},
+		{name: "samegen", src: `
+				sg(X, Y) :- flat(X, Y).
+				sg(X, Y) :- up(X, Z1), sg(Z1, Z2), down(Z2, Y).
+			`, fact: anyOf(edgeFact("up", false), edgeFact("flat", true), edgeFact("down", true)), cyclic: true,
+			queries: []string{"sg(X, Y)", "sg(n0, Y)"}},
+		// w is counting-maintained (non-recursive) over reach, which DRed
+		// maintains, and builds a compound term in its head.
+		{name: "compound", src: reach + `w(f(X), Y) :- reach(X, Y), two(Y, X).`,
+			fact: anyOf(edgeFact("e", true), edgeFact("two", true)), cyclic: true,
+			queries: []string{"w(X, Y)", "w(f(n0), Y)", "reach(n1, Y)"}},
+	}
+	for _, sh := range shapes {
+		for seed := int64(0); seed < 12; seed++ {
+			checkMaterializedShape(t, sh, seed, 30)
+		}
+	}
+	zero := matShape{name: "zero-arity", src: reach + `
+			ok :- e(X, Y).
+			r(X) :- e(X, Y).
+			hit :- r(n0).
+			far :- reach(n0, n5).
+		`, fact: edgeFact("e", true), cyclic: true,
+		queries: []string{"ok", "hit", "far", "r(X)"}}
+	for seed := int64(0); seed < 20; seed++ {
+		checkMaterializedShape(t, zero, seed, 25)
+	}
+}
+
+// TestMaterializeMaintenanceVsReaders runs maintaining commits next to
+// concurrent snapshot readers (run it with -race): maintenance writes the
+// derived relations and probes the shared base relations, building their
+// lazy indexes, while readers probe the same relations through pinned
+// snapshots. Every pinned snapshot's materialized answers must equal its
+// NoMaterialize answers.
+func TestMaterializeMaintenanceVsReaders(t *testing.T) {
+	prog := mustCompile(t, matRules+`back(X) :- anc(X, Y), par(Y, X).`)
+	db := NewDatabase()
+	if err := db.Materialize(prog); err != nil {
+		t.Fatal(err)
+	}
+	fx := fixture{prog, db}
+	queries := []string{"anc(X, Y)", "anc(n0, Y)", "grandpar(X, Y)", "back(X)"}
+	stop := make(chan struct{})
+	var checked atomic.Int64 // snapshots the readers have checked
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := fx.snap()
+				for _, q := range queries {
+					hot, err := snap.Query(q, Options{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					cold, err := snap.Query(q, Options{Strategy: SemiNaive, NoMaterialize: true})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !hot.Stats.MaterializedHit || !reflect.DeepEqual(hot.AnswerSet(), cold.AnswerSet()) {
+						t.Errorf("version %d: %s: materialized %v (hit %v) != rederived %v",
+							snap.Version(), q, hot.AnswerSet(), hot.Stats.MaterializedHit, cold.AnswerSet())
+						return
+					}
+				}
+				checked.Add(1)
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(3))
+	fact := edgeFact("par", true)
+	// Keep committing until the readers have checked enough snapshots to
+	// overlap many commits, however the goroutines are scheduled.
+	for commit := 0; commit < 150 || checked.Load() < 100 && !t.Failed(); commit++ {
+		txn := db.Begin()
+		for op := 0; op < 1+rng.Intn(3); op++ {
+			var err error
+			if rng.Intn(3) == 0 {
+				err = txn.RetractText(fact(rng))
+			} else {
+				err = txn.AssertText(fact(rng))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

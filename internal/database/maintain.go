@@ -11,7 +11,7 @@ import (
 // counts for counting-based maintenance of non-recursive predicates, row-level
 // membership and bulk deletion by ID row, eager term-tuple materialization
 // (so maintained base relations stay safe for concurrent snapshot readers),
-// and store-level registration helpers.
+// and dropping a materialization's relations.
 
 // EnableCounts switches the relation to counted mode: every row carries a
 // derivation count, maintained through IncRow/AddAt and compacted by the
@@ -125,24 +125,6 @@ func (r *Relation) MaterializeTuples() {
 			r.materialize(pos)
 		}
 	}
-}
-
-// Attach registers an existing relation in the store under its name without
-// copying; it must intern into the store's symbol table. The maintenance
-// layer uses it to present one set of relations through a side store — e.g.
-// the whole EDB as the "everything is new" insertion delta during initial
-// materialization. An attached relation is shared, so the attaching store
-// must be used read-only; the arity-mismatch and duplicate-name cases are
-// programming errors.
-func (s *Store) Attach(r *Relation) {
-	if r.Table() != s.tab {
-		panic("database: Attach across symbol tables")
-	}
-	if _, ok := s.relations[r.Name]; ok {
-		panic(fmt.Sprintf("database: Attach of duplicate relation %s", r.Name))
-	}
-	s.relations[r.Name] = r
-	s.order = append(s.order, r.Name)
 }
 
 // DropRelation removes the named relation from a live base store, reporting

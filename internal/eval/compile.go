@@ -34,6 +34,16 @@
 // at most one variant per body literal and store side, each compiled once
 // and shared.
 //
+// Sources. A step names a body position, not a relation: the caller points
+// it at a view (plan.go) before the pipeline runs. The evaluator's view is
+// the main store's relation, or the delta store's for the delta occurrence.
+// Incremental maintenance (maintain.go) runs the same delta-led variants with
+// the lead reading the batch's Δ and every other position the OLD or NEW
+// state its exactly-once argument assigns. It adds one variant of its own,
+// for DRed's rescue check: lead len(body) puts a guard step first that
+// matches the rule head against the deletion candidates, and sip.GreedyOrder
+// then orders the body with the head's variables bound.
+//
 // Boundness is fully static: a variable is bound exactly when an earlier
 // literal in the chosen order (or an earlier argument of the same literal)
 // contains it, which coincides with the dynamic substitution of the reference
@@ -89,12 +99,20 @@ func (c *compiler) regOf(name string) int {
 
 // compileRule lowers one rule variant into a pipeline: the join starts at
 // the literal at v.lead, which reads from the delta store when v.fromDelta is
-// set. The produced pipeline is immutable (all run-time scratch lives in a
-// per-evaluation pipeScratch), so it can be shared by concurrent evaluations
-// of the same Prepared program.
+// set. A lead of len(body) names the rescue variant of DRed maintenance: a
+// guard step matching the rule head against candidate rows leads, and the
+// body follows with the head's variables bound. The produced pipeline is
+// immutable (all run-time scratch lives in a per-evaluation pipeScratch), so
+// it can be shared by concurrent evaluations of the same Prepared program.
 func compileRule(pp *Prepared, v variantKey) *pipeline {
 	ruleIdx := v.rule
 	r := pp.program.Rules[ruleIdx]
+	c := &compiler{tab: pp.tab, regs: make(map[string]int), bound: make(map[string]bool)}
+	pl := &pipeline{ruleIdx: ruleIdx, rule: r, headOK: true}
+	if v.lead == len(r.Body) {
+		pl.steps = append(pl.steps, c.compileStep(r.Head, v.lead, false))
+	}
+
 	var order []int
 	if pp.shapes[ruleIdx].textual {
 		// Preserve the textual order: affine arithmetic matching is
@@ -104,38 +122,10 @@ func compileRule(pp *Prepared, v variantKey) *pipeline {
 			order[i] = i
 		}
 	} else {
-		order = sip.GreedyOrder(r.Body, nil, v.lead)
+		order = sip.GreedyOrder(r.Body, c.bound, v.lead)
 	}
-
-	c := &compiler{tab: pp.tab, regs: make(map[string]int), bound: make(map[string]bool)}
-	pl := &pipeline{ruleIdx: ruleIdx, rule: r, headOK: true}
-
 	for _, pos := range order {
-		lit := r.Body[pos]
-		st := step{lit: lit, key: lit.PredKey(), fromDelta: v.fromDelta && pos == v.lead}
-		// First pass: decide bound vs free per argument against the
-		// pre-literal bound set, mirroring the term-space oracle which
-		// derives the probe columns from the substitution before the
-		// literal binds anything.
-		isBound := make([]bool, len(lit.Args))
-		for i, arg := range lit.Args {
-			isBound[i] = c.allVarsBound(arg)
-		}
-		c.preBound = make(map[string]bool, len(c.bound))
-		for v := range c.bound {
-			c.preBound[v] = true
-		}
-		for i, arg := range lit.Args {
-			arg = ast.EvalArith(arg)
-			if isBound[i] {
-				st.cols = append(st.cols, i)
-				st.vals = append(st.vals, c.compileVal(arg))
-			} else {
-				st.free = append(st.free, i)
-				st.ops = append(st.ops, c.compilePat(arg))
-			}
-		}
-		pl.steps = append(pl.steps, st)
+		pl.steps = append(pl.steps, c.compileStep(r.Body[pos], pos, v.fromDelta && pos == v.lead))
 	}
 
 	// Head: every argument must be covered by the body for the rule to be
@@ -161,6 +151,33 @@ func compileRule(pp *Prepared, v variantKey) *pipeline {
 
 	pl.nregs = c.nregs
 	return pl
+}
+
+// compileStep lowers one literal, at body position pos, into a step.
+func (c *compiler) compileStep(lit ast.Atom, pos int, fromDelta bool) step {
+	st := step{lit: lit, key: lit.PredKey(), pos: pos, fromDelta: fromDelta}
+	// First pass: decide bound vs free per argument against the pre-literal
+	// bound set, mirroring the term-space oracle which derives the probe
+	// columns from the substitution before the literal binds anything.
+	isBound := make([]bool, len(lit.Args))
+	for i, arg := range lit.Args {
+		isBound[i] = c.allVarsBound(arg)
+	}
+	c.preBound = make(map[string]bool, len(c.bound))
+	for v := range c.bound {
+		c.preBound[v] = true
+	}
+	for i, arg := range lit.Args {
+		arg = ast.EvalArith(arg)
+		if isBound[i] {
+			st.cols = append(st.cols, i)
+			st.vals = append(st.vals, c.compileVal(arg))
+		} else {
+			st.free = append(st.free, i)
+			st.ops = append(st.ops, c.compilePat(arg))
+		}
+	}
+	return st
 }
 
 // allVarsBound reports whether every variable of the term is statically

@@ -246,8 +246,9 @@ func (s *Stats) String() string {
 // index, the body position leading the join, and whether that literal reads
 // the delta store (a semi-naive delta round) or the main store like the rest
 // of the body (a full-store pass, led by its smallest relation). lead is -1
-// only for the full-store variant of a body that keeps its textual order, so
-// a rule has at most 2·|body| variants.
+// only for the full-store variant of a body that keeps its textual order, and
+// len(body) only for maintenance's head-led rescue variant (compileRule), so
+// a rule has at most 2·|body| + 2 variants.
 type variantKey struct {
 	rule      int
 	lead      int
@@ -446,11 +447,10 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 }
 
 // pipelineFor returns the runnable pipeline for the rule with the body
-// literal at deltaPos (if >= 0) matched against the delta store, fetching (or
-// compiling) the shared variant and binding it to this evaluation's scratch
-// buffers on first use. A full-store pass (deltaPos < 0) has its leading
-// literal chosen here, from the sizes the body relations have right now; nil
-// means one of them is empty, so the rule cannot fire and need not run.
+// literal at deltaPos (if >= 0) matched against the delta store. A full-store
+// pass (deltaPos < 0) has its leading literal chosen here, from the sizes the
+// body relations have right now; nil means one of them is empty, so the rule
+// cannot fire and need not run.
 func (ctx *evalContext) pipelineFor(ruleIdx, deltaPos int) *runPipe {
 	key := variantKey{rule: ruleIdx, lead: deltaPos, fromDelta: true}
 	if deltaPos < 0 {
@@ -461,6 +461,13 @@ func (ctx *evalContext) pipelineFor(ruleIdx, deltaPos int) *runPipe {
 		}
 		key = variantKey{rule: ruleIdx, lead: lead}
 	}
+	return ctx.variant(key)
+}
+
+// variant returns the runnable pipeline of one variant, fetching (or
+// compiling) the shared pipeline and binding it to this evaluation's scratch
+// buffers on first use.
+func (ctx *evalContext) variant(key variantKey) *runPipe {
 	if rp, ok := ctx.bound[key]; ok {
 		return rp
 	}
@@ -535,7 +542,7 @@ func (ctx *evalContext) fireRule(ruleIdx int, deltaPos int, delta *database.Stor
 		return nil
 	}
 	pl := rp.pl
-	return pl.run(ctx, rp.sc, delta, func(row []intern.ID) error {
+	return pl.run(ctx, rp.sc.fromStores(pl, ctx.store, delta), func(row []intern.ID) error {
 		added, err := ctx.insertRow(ctx.store, pl.headKey, pl.headArity, row)
 		if err != nil {
 			return err
@@ -568,7 +575,7 @@ func (ctx *evalContext) fireRuleInto(ruleIdx, deltaPos int, delta, out *database
 	if err != nil {
 		return fmt.Errorf("eval: %w", err)
 	}
-	return pl.run(ctx, rp.sc, delta, func(row []intern.ID) error {
+	return pl.run(ctx, rp.sc.fromStores(pl, ctx.store, delta), func(row []intern.ID) error {
 		if main.ContainsRow(row) {
 			return nil
 		}

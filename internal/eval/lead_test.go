@@ -71,7 +71,7 @@ func assertLeadInvariant(t *testing.T, label string, prog *ast.Program, edb *dat
 		for changed := true; changed; {
 			changed = false
 			for ri, pl := range pipes {
-				err := pl.run(ctx, pl.newScratch(), nil, func(row []intern.ID) error {
+				err := pl.run(ctx, pl.newScratch().fromStores(pl, ctx.store, nil), func(row []intern.ID) error {
 					added, err := ctx.insertRow(ctx.store, pl.headKey, pl.headArity, row)
 					if added {
 						changed = true

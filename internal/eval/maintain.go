@@ -1,9 +1,10 @@
 package eval
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
-	"repro/internal/ast"
 	"repro/internal/database"
 	"repro/internal/depgraph"
 	"repro/internal/intern"
@@ -46,6 +47,13 @@ import (
 // copying relations, as views over the live store plus the captured delta
 // ("include these relations, skip rows present in those"), so a pass costs
 // O(consequences of Δ), never O(EDB).
+//
+// Every join runs on the evaluator's compiled pipelines (plan.go). A pass is
+// the rule's delta-led variant, with each step's view set to the state its
+// body position is assigned; the argument above is positional, so the join
+// order the compiler picks changes the cost of a pass, never the
+// instantiations it finds. DRed's rescue check is one run of the rule's
+// head-led variant over all still-dead candidates at once.
 
 // MaintainStats records the work done by one maintenance run (one committed
 // batch, or the initial materialization).
@@ -68,15 +76,18 @@ type MaintainStats struct {
 }
 
 // Maintainer incrementally maintains the IDB of one prepared program inside
-// a base store. It is stateless between runs — all maintenance state (the
-// derivation counts) lives in the store's relations — so a Maintainer may be
-// shared, but runs must be serialized by the caller like any other store
-// write (the transaction layer runs them under the database write lock).
+// a base store. All maintenance state (the derivation counts) lives in the
+// store's relations; the Maintainer keeps only a reusable evaluation context,
+// so runs must be serialized by the caller like any other store write (the
+// transaction layer runs them under the database write lock).
 type Maintainer struct {
 	pp *Prepared
 	// counting maps each derived predicate to its maintenance algorithm:
 	// true for counting (non-recursive component), false for DRed.
 	counting map[string]bool
+	// ctx runs the compiled pipelines; it keeps the pipelines runs have used
+	// with their scratch buffers.
+	ctx *evalContext
 }
 
 // NewMaintainer builds a maintainer for the prepared program.
@@ -87,7 +98,13 @@ func NewMaintainer(pp *Prepared) *Maintainer {
 			counting[p] = !comp.Recursive
 		}
 	}
-	return &Maintainer{pp: pp, counting: counting}
+	ctx := &evalContext{
+		prep:  pp,
+		ctx:   context.Background(),
+		bound: make(map[variantKey]*runPipe),
+		stats: &Stats{},
+	}
+	return &Maintainer{pp: pp, counting: counting, ctx: ctx}
 }
 
 // Prepared returns the prepared program the maintainer maintains.
@@ -99,33 +116,13 @@ func (m *Maintainer) Counting(pred string) bool { return m.counting[pred] }
 
 // Materialize computes the program's IDB from scratch into the store,
 // creating (and, for counting predicates, count-enabling) one relation per
-// derived predicate. It is the insertion phase of Maintain run with the
-// whole existing EDB as the insertion delta: the "old" state is empty, so
-// the resulting derivation counts are exact. Options limits (MaxIterations
-// per component, MaxFacts) apply as in evaluation.
+// derived predicate. It is the insertion phase of Maintain with every base
+// relation as its own insertion delta: the OLD state is empty, so the
+// resulting derivation counts are exact. Options limits apply as in
+// evaluation: MaxIterations per component, MaxFacts and MaxDerivations.
 func (m *Maintainer) Materialize(store *database.Store, opts Options) (*MaintainStats, error) {
-	if store.Table() != m.pp.tab {
-		return nil, fmt.Errorf("eval: maintain: store interns into a different symbol table than the prepared program")
-	}
-	for key := range m.pp.derived {
-		rel, err := store.Relation(key, m.pp.arities[key])
-		if err != nil {
-			return nil, fmt.Errorf("eval: maintain: %w", err)
-		}
-		if m.counting[key] {
-			rel.EnableCounts()
-		}
-	}
-	// Present the whole EDB as the insertion delta through a side store that
-	// attaches (not copies) the base relations; the views then make the old
-	// state empty (store minus plus) and the new state the store itself.
-	plus := database.NewStoreWith(store.Table())
-	for _, name := range store.Names() {
-		if !m.pp.derived[name] {
-			plus.Attach(store.Existing(name))
-		}
-	}
-	return m.run(store, database.NewStoreWith(store.Table()), plus, true, opts)
+	none := database.NewStoreWith(store.Table())
+	return m.run(store, none, none, true, opts)
 }
 
 // Maintain updates the program's IDB in the store after one committed batch
@@ -134,39 +131,7 @@ func (m *Maintainer) Materialize(store *database.Store, opts Options) (*Maintain
 // already reflect the batch (Apply has run). On error the IDB relations are
 // in an undefined state and the caller must drop the materialization.
 func (m *Maintainer) Maintain(store, minus, plus *database.Store, opts Options) (*MaintainStats, error) {
-	if store.Table() != m.pp.tab {
-		return nil, fmt.Errorf("eval: maintain: store interns into a different symbol table than the prepared program")
-	}
 	return m.run(store, minus, plus, false, opts)
-}
-
-// exclusion skips rows present in `in` (unless also present in `unless`,
-// which DRed uses for "still-dead deletion candidates"). Nil relations make
-// the exclusion inert.
-type exclusion struct {
-	in     *database.Relation
-	unless *database.Relation
-}
-
-// relView presents one body predicate in one of its batch states (OLD, NEW
-// or Δ) as a virtual relation: the union of the include relations (which
-// must be pairwise disjoint) minus the excluded rows. Membership filtering
-// over the captured delta keeps view enumeration O(Δ-consequences) without
-// ever copying a base relation.
-type relView struct {
-	include []*database.Relation
-	exclude []exclusion
-}
-
-func (v relView) excluded(row []intern.ID) bool {
-	for _, ex := range v.exclude {
-		if ex.in != nil && ex.in.ContainsRow(row) {
-			if ex.unless == nil || !ex.unless.ContainsRow(row) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // maintPhase distinguishes the two halves of a maintenance run.
@@ -177,12 +142,16 @@ const (
 	phaseInsert                   // transition S' -> S' ∪ Δ⁺
 )
 
+// emitFunc receives a derived head row; the row is only valid during the
+// call.
+type emitFunc func(key string, row []intern.ID) error
+
 // maintRun is the per-batch state of one maintenance run.
 type maintRun struct {
 	m     *Maintainer
 	pp    *Prepared
 	store *database.Store
-	tab   *intern.Table
+	ctx   *evalContext
 	// minusE and plusE hold the batch's captured EDB delta.
 	minusE, plusE *database.Store
 	// idbMinus and idbPlus accumulate the set-level IDB deltas computed by
@@ -193,16 +162,33 @@ type maintRun struct {
 	// predicates, as counted side relations.
 	dec, inc map[string]*database.Relation
 	initial  bool
-	opts     Options
 	stats    *MaintainStats
 }
 
 func (m *Maintainer) run(store, minus, plus *database.Store, initial bool, opts Options) (*MaintainStats, error) {
+	if store.Table() != m.pp.tab {
+		return nil, fmt.Errorf("eval: maintain: store interns into a different symbol table than the prepared program")
+	}
+	if initial {
+		for key := range m.pp.derived {
+			rel, err := store.Relation(key, m.pp.arities[key])
+			if err != nil {
+				return nil, fmt.Errorf("eval: maintain: %w", err)
+			}
+			if m.counting[key] {
+				rel.EnableCounts()
+			}
+		}
+	}
+	ctx := m.ctx
+	ctx.store, ctx.opts, ctx.reader = store, opts, store.Table().Reader()
+	clear(ctx.stats.RuleFirings)
+	*ctx.stats = Stats{RuleFirings: ctx.stats.RuleFirings}
 	mr := &maintRun{
 		m:        m,
 		pp:       m.pp,
 		store:    store,
-		tab:      store.Table(),
+		ctx:      ctx,
 		minusE:   minus,
 		plusE:    plus,
 		idbMinus: make(map[string]*database.Relation),
@@ -210,7 +196,6 @@ func (m *Maintainer) run(store, minus, plus *database.Store, initial bool, opts 
 		dec:      make(map[string]*database.Relation),
 		inc:      make(map[string]*database.Relation),
 		initial:  initial,
-		opts:     opts,
 		stats:    &MaintainStats{},
 	}
 	if minus.TotalFacts() > 0 {
@@ -243,194 +228,185 @@ func (mr *maintRun) side(mp map[string]*database.Relation, key string, arity int
 	if r, ok := mp[key]; ok {
 		return r
 	}
-	r := database.NewRelationWith(mr.tab, key, arity)
+	r := database.NewRelationWith(mr.store.Table(), key, arity)
 	mp[key] = r
 	return r
 }
 
-// rowOf interns the ground head atom's arguments into an ID row.
-func (mr *maintRun) rowOf(head ast.Atom) []intern.ID {
-	row := make([]intern.ID, len(head.Args))
-	for i, a := range head.Args {
-		row[i] = mr.tab.Intern(a)
+// fact renders a row for an error message.
+func (mr *maintRun) fact(key string, row []intern.ID) string {
+	t := make(database.Tuple, len(row))
+	for i, id := range row {
+		t[i] = mr.ctx.reader.Term(id)
 	}
-	return row
+	return key + t.String()
 }
 
-// minusOf returns the deletion delta of a body predicate: the captured EDB
-// retract for base predicates, the pending set-level IDB deletions for
-// derived ones.
-func (mr *maintRun) minusOf(key string) *database.Relation {
-	if mr.pp.derived[key] {
+// delta returns a body predicate's change in the phase: the captured EDB
+// delta for base predicates (on initial materialization, the whole base
+// relation), the pending set-level IDB delta for derived ones.
+func (mr *maintRun) delta(ph maintPhase, key string) *database.Relation {
+	derived := mr.pp.derived[key]
+	switch {
+	case derived && ph == phaseDelete:
 		return mr.idbMinus[key]
-	}
-	return mr.minusE.Existing(key)
-}
-
-// plusOf is minusOf for the insertion delta.
-func (mr *maintRun) plusOf(key string) *database.Relation {
-	if mr.pp.derived[key] {
+	case derived:
 		return mr.idbPlus[key]
-	}
-	return mr.plusE.Existing(key)
-}
-
-// oldView returns the body predicate's state before the phase's transition.
-// During deletion the store still holds the asserted EDB facts (Apply ran
-// retracts and asserts together), so OLD adds the removed rows back and
-// skips the added ones; IDB deletions are pending, so the store relation is
-// the old state as is. During insertion the EDB old state skips the added
-// rows and IDB additions are pending.
-func (mr *maintRun) oldView(ph maintPhase, key string) relView {
-	base := mr.store.Existing(key)
-	if mr.pp.derived[key] {
-		return relView{include: []*database.Relation{base}}
-	}
-	switch ph {
-	case phaseDelete:
-		return relView{
-			include: []*database.Relation{base, mr.minusE.Existing(key)},
-			exclude: []exclusion{{in: mr.plusE.Existing(key)}},
-		}
+	case ph == phaseDelete:
+		return mr.minusE.Existing(key)
+	case mr.initial:
+		return mr.store.Existing(key)
 	default:
-		return relView{
-			include: []*database.Relation{base},
-			exclude: []exclusion{{in: mr.plusE.Existing(key)}},
-		}
+		return mr.plusE.Existing(key)
 	}
 }
 
-// newView returns the body predicate's state after the phase's transition,
-// with pending IDB deltas folded in.
-func (mr *maintRun) newView(ph maintPhase, key string) relView {
+// state returns a body predicate's state before (OLD) or after (NEW) the
+// phase's transition. During deletion the store already holds the batch's
+// asserted EDB rows (Apply ran retracts and asserts together), so both
+// states skip them and OLD adds the removed rows back; IDB deletions are
+// still pending, so the store relation is their OLD state as is. During
+// insertion OLD skips the asserted rows — on initial materialization there
+// is no OLD state at all — and NEW adds the pending IDB additions.
+func (mr *maintRun) state(ph maintPhase, isNew bool, key string) relView {
 	base := mr.store.Existing(key)
 	if mr.pp.derived[key] {
-		if ph == phaseDelete {
-			return relView{
-				include: []*database.Relation{base},
-				exclude: []exclusion{{in: mr.idbMinus[key]}},
-			}
-		}
-		return relView{include: []*database.Relation{base, mr.idbPlus[key]}}
-	}
-	if ph == phaseDelete {
-		return relView{
-			include: []*database.Relation{base},
-			exclude: []exclusion{{in: mr.plusE.Existing(key)}},
+		switch {
+		case !isNew:
+			return union(nil, base)
+		case ph == phaseDelete:
+			return union(mr.idbMinus[key], base)
+		default:
+			return union(nil, base, mr.idbPlus[key])
 		}
 	}
-	return relView{include: []*database.Relation{base}}
+	asserted := mr.plusE.Existing(key)
+	switch {
+	case ph == phaseDelete && !isNew:
+		return union(asserted, base, mr.minusE.Existing(key))
+	case ph == phaseDelete:
+		return union(asserted, base)
+	case isNew:
+		return union(nil, base)
+	case mr.initial:
+		return relView{}
+	default:
+		return union(asserted, base)
+	}
 }
 
-// matchView enumerates the substitutions extending s that satisfy the body
-// literal against the view: the literal's ground arguments under s select the
-// candidate tuples, the rest are matched against each.
-func (mr *maintRun) matchView(lit ast.Atom, v relView, s ast.Subst, yield func(ast.Subst) error) error {
-	inst := s.ApplyAtom(lit)
-	var cols []int
-	var vals []ast.Term
-	for i, arg := range inst.Args {
-		arg = ast.EvalArith(arg)
-		inst.Args[i] = arg
-		if ast.IsGround(arg) {
-			if ast.ContainsArith(arg) {
-				return fmt.Errorf("eval: maintain: argument %d of %s contains uninterpreted arithmetic after grounding", i, lit)
-			}
-			cols = append(cols, i)
-			vals = append(vals, arg)
+// union is the view of the given relations minus the rows of skip, if any.
+func union(skip *database.Relation, include ...*database.Relation) relView {
+	v := relView{include: include}
+	if skip != nil {
+		v.exclude = []exclusion{{in: skip}}
+	}
+	return v
+}
+
+// fire runs rule ri through its compiled variant led by body position lead
+// (len(body): the head-led rescue variant; -1: a body-less rule). The lead
+// step reads leadView and every other step view(pos, key); each derived head
+// row goes to emit.
+func (mr *maintRun) fire(ri, lead int, leadView relView, view func(pos int, key string) relView, emit emitFunc) error {
+	rp := mr.ctx.variant(variantKey{rule: ri, lead: lead, fromDelta: true})
+	pl, sc := rp.pl, rp.sc
+	for i := range pl.steps {
+		if st := &pl.steps[i]; st.pos == lead {
+			sc.views[i] = leadView
+		} else {
+			sc.views[i] = view(st.pos, st.key)
 		}
 	}
-	for _, rel := range v.include {
-		if rel == nil || rel.Len() == 0 {
-			continue
+	err := pl.run(mr.ctx, sc, func(row []intern.ID) error { return emit(pl.headKey, row) })
+	clear(sc.views) // the scratch outlives this run; its batch relations need not
+	return err
+}
+
+// deltaPass fires every rule of the component once per body position i
+// outside the component whose phase delta is non-empty: the lead at i reads
+// that delta, every other position pos reads view(i, pos, key). A body-less
+// rule fires once, on initial materialization (its one derivation never
+// changes with the EDB). Over a non-recursive component, with view assigning
+// NEW left of i and OLD right of it, this is the exactly-once enumeration.
+func (mr *maintRun) deltaPass(comp depgraph.Component, ph maintPhase, view func(i, pos int, key string) relView, emit emitFunc) error {
+	for _, ri := range comp.Rules {
+		body := mr.pp.program.Rules[ri].Body
+		if len(body) == 0 && ph == phaseInsert && mr.initial {
+			if err := mr.fire(ri, -1, relView{}, nil, emit); err != nil {
+				return err
+			}
 		}
-		for _, pos := range rel.Lookup(cols, vals) {
-			if v.excluded(rel.Row(pos)) {
+		for i, lit := range body {
+			d := mr.delta(ph, lit.PredKey())
+			if d == nil || d.Len() == 0 || slices.Contains(comp.DeltaPositions[ri], i) {
 				continue
 			}
-			s2 := s.Clone()
-			if ast.MatchAtom(inst, rel.Tuple(pos), s2) {
-				if err := yield(s2); err != nil {
-					return err
-				}
+			rest := func(pos int, key string) relView { return view(i, pos, key) }
+			if err := mr.fire(ri, i, union(nil, d), rest, emit); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// fireRule enumerates the rule body with the literal at deltaPos matched
-// against deltaView and every other literal against viewAt's choice, calling
-// onHead for each derived ground head.
-//
-// The enumeration starts at the delta position and then greedily picks the
-// most-bound remaining literal: the delta is the small side of every
-// maintenance join, so driving the walk from it is what bounds a pass by the
-// consequences of Δ instead of the size of the base relations (a left-to-
-// right walk would scan a whole base relation whenever the delta sits to the
-// right of an unbound literal). The exactly-once counting argument is
-// positional — each body position keeps the OLD/NEW/Δ view assigned by its
-// index in the rule, whatever order the positions are enumerated in — so
-// reordering changes the join cost, never the set of instantiations found.
-func (mr *maintRun) fireRule(ri, deltaPos int, deltaView relView, viewAt func(pos int, key string) relView, onHead func(ast.Atom) error) error {
-	r := mr.pp.program.Rules[ri]
-	viewOf := func(i int) relView {
-		if i == deltaPos {
-			return deltaView
-		}
-		return viewAt(i, r.Body[i].PredKey())
+// exactlyOnce is the view assignment of a counting pass led by position i.
+func (mr *maintRun) exactlyOnce(ph maintPhase) func(i, pos int, key string) relView {
+	return func(i, pos int, key string) relView { return mr.state(ph, pos < i, key) }
+}
+
+// seed is the first pass of a recursive component's phase: deltaPass with
+// every position but the lead reading view.
+func (mr *maintRun) seed(comp depgraph.Component, ph maintPhase, view func(key string) relView) func(emit emitFunc) error {
+	return func(emit emitFunc) error {
+		return mr.deltaPass(comp, ph, func(_, _ int, key string) relView { return view(key) }, emit)
 	}
-	remaining := make([]int, 0, len(r.Body))
-	for i := range r.Body {
-		if i != deltaPos {
-			remaining = append(remaining, i)
+}
+
+// rounds runs a recursive component's semi-naive loop: seed is the first
+// pass, and then, while the last pass produced rows, each round fires every
+// rule once per body position of the component's own predicates, led by the
+// rows of the previous pass and reading view(key) everywhere else. isNew
+// decides whether a head row is new; new rows feed the next round.
+func (mr *maintRun) rounds(comp depgraph.Component, seed func(emit emitFunc) error, view func(key string) relView, isNew func(key string, row []intern.ID) (bool, error)) error {
+	round := database.NewStoreWith(mr.store.Table())
+	next := database.NewStoreWith(mr.store.Table())
+	emit := func(key string, row []intern.ID) error {
+		if fresh, err := isNew(key, row); err != nil || !fresh {
+			return err
 		}
+		rel, err := next.Relation(key, len(row))
+		if err == nil {
+			_, err = rel.InsertRow(row)
+		}
+		return err
 	}
-	boundArgs := func(lit ast.Atom, s ast.Subst) int {
-		n := 0
-		for _, arg := range s.ApplyAtom(lit).Args {
-			if ast.IsGround(ast.EvalArith(arg)) {
-				n++
-			}
-		}
-		return n
+	rest := func(pos int, key string) relView { return view(key) }
+	if err := seed(emit); err != nil {
+		return err
 	}
-	var walk func(rem []int, s ast.Subst) error
-	walk = func(rem []int, s ast.Subst) error {
-		if len(rem) == 0 {
-			return mr.emitHead(ri, r, s, onHead)
+	for n := 1; next.TotalFacts() > 0; n++ {
+		round, next = next, round
+		next.Reset()
+		mr.stats.Rounds++
+		if max := mr.ctx.opts.MaxIterations; max > 0 && n > max {
+			return fmt.Errorf("%w: more than %d maintenance rounds", ErrLimitExceeded, max)
 		}
-		// Pick the literal with the most ground arguments under the current
-		// substitution; ties resolve to rule order.
-		best := 0
-		if len(rem) > 1 {
-			bestScore := boundArgs(r.Body[rem[0]], s)
-			for j := 1; j < len(rem); j++ {
-				if score := boundArgs(r.Body[rem[j]], s); score > bestScore {
-					best, bestScore = j, score
+		for _, ri := range comp.Rules {
+			body := mr.pp.program.Rules[ri].Body
+			for _, pos := range comp.DeltaPositions[ri] {
+				d := round.Existing(body[pos].PredKey())
+				if d == nil || d.Len() == 0 {
+					continue
+				}
+				if err := mr.fire(ri, pos, union(nil, d), rest, emit); err != nil {
+					return err
 				}
 			}
 		}
-		i := rem[best]
-		rest := make([]int, 0, len(rem)-1)
-		rest = append(rest, rem[:best]...)
-		rest = append(rest, rem[best+1:]...)
-		return mr.matchView(r.Body[i], viewOf(i), s, func(s2 ast.Subst) error { return walk(rest, s2) })
 	}
-	return mr.matchView(r.Body[deltaPos], deltaView, ast.NewSubst(), func(s ast.Subst) error {
-		return walk(remaining, s)
-	})
-}
-
-func (mr *maintRun) emitHead(ri int, r ast.Rule, s ast.Subst, onHead func(ast.Atom) error) error {
-	head := s.ApplyAtom(r.Head)
-	for j, arg := range head.Args {
-		head.Args[j] = ast.EvalArith(arg)
-	}
-	if !ast.IsGroundAtom(head) {
-		return fmt.Errorf("%w: rule %d (%s) produced %s", ErrNonGroundFact, ri, r, head)
-	}
-	return onHead(head)
+	return nil
 }
 
 // deletionPhase computes and applies the IDB consequences of the batch's
@@ -442,7 +418,7 @@ func (mr *maintRun) deletionPhase() error {
 		if comp.Recursive {
 			err = mr.deleteDRed(comp)
 		} else {
-			err = mr.deleteCounting(comp)
+			err = mr.deltaPass(comp, phaseDelete, mr.exactlyOnce(phaseDelete), mr.decrement)
 		}
 		if err != nil {
 			return err
@@ -451,248 +427,97 @@ func (mr *maintRun) deletionPhase() error {
 	return mr.applyDeletions()
 }
 
-// deleteCounting runs the exactly-once deletion enumeration for a
-// non-recursive component: for each rule and each body position i with a
-// non-empty deletion delta, positions left of i see the NEW (post-deletion)
-// state, i sees Δ⁻, and positions right of i see the OLD state. Every dead
-// instantiation is counted at exactly one i, so the pending decrements
-// mirror the derivation counts exactly; a tuple whose decrements reach its
-// stored count becomes a set-level deletion feeding later components.
-func (mr *maintRun) deleteCounting(comp depgraph.Component) error {
-	viewLeft := func(pos int, key string) relView { return mr.newView(phaseDelete, key) }
-	onHead := func(head ast.Atom) error {
-		key := head.PredKey()
-		row := mr.rowOf(head)
-		rel := mr.store.Existing(key)
-		pos := -1
-		if rel != nil {
-			pos = rel.RowPos(row)
-		}
-		if pos < 0 {
-			return fmt.Errorf("eval: maintain: retract consequence %s is not stored (derivation counts out of sync)", head)
-		}
-		decRel := mr.side(mr.dec, key, len(head.Args))
-		pending, _, err := decRel.IncRow(row, 1)
-		if err != nil {
-			return err
-		}
-		mr.stats.Decrements++
-		stored := rel.CountAt(pos)
-		if pending > stored {
-			return fmt.Errorf("eval: maintain: %s decremented below zero (derivation counts out of sync)", head)
-		}
-		if pending == stored {
-			mr.side(mr.idbMinus, key, len(head.Args)).InsertRow(row)
-			mr.stats.Deleted++
-		}
-		return nil
+// decrement records one dead derivation of a counting predicate's row. Every
+// dead instantiation is counted exactly once, so the pending decrements
+// mirror the derivation counts; a row whose decrements reach its stored
+// count becomes a set-level deletion feeding later components.
+func (mr *maintRun) decrement(key string, row []intern.ID) error {
+	rel := mr.store.Existing(key)
+	pos := -1
+	if rel != nil {
+		pos = rel.RowPos(row)
 	}
-	for _, ri := range comp.Rules {
-		r := mr.pp.program.Rules[ri]
-		for i := range r.Body {
-			d := mr.minusOf(r.Body[i].PredKey())
-			if d == nil || d.Len() == 0 {
-				continue
-			}
-			deltaView := relView{include: []*database.Relation{d}}
-			viewAt := func(pos int, key string) relView {
-				if pos < i {
-					return viewLeft(pos, key)
-				}
-				return mr.oldView(phaseDelete, key)
-			}
-			if err := mr.fireRule(ri, i, deltaView, viewAt, onHead); err != nil {
-				return err
-			}
-		}
+	if pos < 0 {
+		return fmt.Errorf("eval: maintain: retract consequence %s is not stored (derivation counts out of sync)", mr.fact(key, row))
+	}
+	pending, _, err := mr.side(mr.dec, key, len(row)).IncRow(row, 1)
+	if err != nil {
+		return err
+	}
+	mr.stats.Decrements++
+	stored := rel.CountAt(pos)
+	if pending > stored {
+		return fmt.Errorf("eval: maintain: %s decremented below zero (derivation counts out of sync)", mr.fact(key, row))
+	}
+	if pending == stored {
+		mr.side(mr.idbMinus, key, len(row)).InsertRow(row)
+		mr.stats.Deleted++
 	}
 	return nil
 }
 
-// deleteDRed runs delete-and-rederive for a recursive component: first the
-// deletion candidates are over-approximated by propagating forward from the
-// delta over OLD views (any derivation that used a deleted fact marks its
-// head), then candidates with a surviving alternative derivation are rescued
-// and their consequences restored by a semi-naive forward pass; what remains
-// dead becomes the component's set-level deletion.
+// deleteDRed runs delete-and-rederive for a recursive component. The
+// overestimate propagates the deletion forward over OLD views: any
+// derivation that used a deleted fact marks its head a candidate. The
+// rescue then keeps every candidate that still has a derivation in the
+// post-deletion state with the still-dead candidates excluded: first each
+// rule's head-led variant checks all candidates at once, then the rescued
+// rows, which come back into view as they are found, propagate
+// semi-naively. What remains dead becomes the component's set-level deletion.
 func (mr *maintRun) deleteDRed(comp depgraph.Component) error {
-	inComp := make(map[string]bool, len(comp.Preds))
-	for _, p := range comp.Preds {
-		inComp[p] = true
-	}
+	tab := mr.store.Table()
 	cand := make(map[string]*database.Relation)
 	redone := make(map[string]*database.Relation)
 	for _, p := range comp.Preds {
-		cand[p] = database.NewRelationWith(mr.tab, p, mr.pp.arities[p])
-		redone[p] = database.NewRelationWith(mr.tab, p, mr.pp.arities[p])
+		cand[p] = database.NewRelationWith(tab, p, mr.pp.arities[p])
+		redone[p] = database.NewRelationWith(tab, p, mr.pp.arities[p])
 	}
 
-	oldAt := func(pos int, key string) relView { return mr.oldView(phaseDelete, key) }
+	old := func(key string) relView { return mr.state(phaseDelete, false, key) }
+	err := mr.rounds(comp, mr.seed(comp, phaseDelete, old), old, func(key string, row []intern.ID) (bool, error) {
+		// An over-approximated derivation can combine facts that never
+		// coexisted; a head that is not stored cannot be deleted.
+		if rel := mr.store.Existing(key); rel == nil || !rel.ContainsRow(row) {
+			return false, nil
+		}
+		return cand[key].InsertRow(row)
+	})
+	if err != nil {
+		return err
+	}
 
-	// Overestimation. Round 0 seeds from the deltas of base and
-	// earlier-component predicates; later rounds propagate through the
-	// component's own predicates (the candidate sets are the delta).
-	round := database.NewStoreWith(mr.tab)
-	next := database.NewStoreWith(mr.tab)
-	overHead := func(head ast.Atom) error {
-		key := head.PredKey()
-		if !inComp[key] {
-			return fmt.Errorf("eval: maintain: rule of component %v derived %s", comp.Preds, head)
+	cur := func(key string) relView {
+		v := mr.state(phaseDelete, true, key)
+		if c, ok := cand[key]; ok {
+			v.exclude = append(v.exclude, exclusion{in: c, unless: redone[key]})
 		}
-		row := mr.rowOf(head)
-		rel := mr.store.Existing(key)
-		if rel == nil || !rel.ContainsRow(row) {
-			// An over-approximated derivation can combine facts that never
-			// coexisted; a head that is not stored cannot be deleted.
-			return nil
-		}
-		if added, err := cand[key].InsertRow(row); err != nil {
-			return err
-		} else if added {
-			if _, err := must2(next.Relation(key, len(head.Args))).InsertRow(row); err != nil {
+		return v
+	}
+	check := func(emit emitFunc) error {
+		for _, ri := range comp.Rules {
+			r := mr.pp.program.Rules[ri]
+			key := r.Head.PredKey()
+			guard := union(redone[key], cand[key])
+			if err := mr.fire(ri, len(r.Body), guard, func(_ int, key string) relView { return cur(key) }, emit); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for _, ri := range comp.Rules {
-		r := mr.pp.program.Rules[ri]
-		for i := range r.Body {
-			key := r.Body[i].PredKey()
-			if inComp[key] {
-				continue // same-component deltas are handled by the rounds below
-			}
-			d := mr.minusOf(key)
-			if d == nil || d.Len() == 0 {
-				continue
-			}
-			if err := mr.fireRule(ri, i, relView{include: []*database.Relation{d}}, oldAt, overHead); err != nil {
-				return err
-			}
+	err = mr.rounds(comp, check, cur, func(key string, row []intern.ID) (bool, error) {
+		if !cand[key].ContainsRow(row) {
+			return false, nil
 		}
-	}
-	rounds := 0
-	for next.TotalFacts() > 0 {
-		round, next = next, round
-		next.Reset()
-		rounds++
-		mr.stats.Rounds++
-		if mr.opts.MaxIterations > 0 && rounds > mr.opts.MaxIterations {
-			return fmt.Errorf("%w: more than %d deletion rounds", ErrLimitExceeded, mr.opts.MaxIterations)
+		added, err := redone[key].InsertRow(row)
+		if added {
+			mr.stats.Rederived++
 		}
-		for _, ri := range comp.Rules {
-			r := mr.pp.program.Rules[ri]
-			for _, pos := range comp.DeltaPositions[ri] {
-				d := round.Existing(r.Body[pos].PredKey())
-				if d == nil || d.Len() == 0 {
-					continue
-				}
-				if err := mr.fireRule(ri, pos, relView{include: []*database.Relation{d}}, oldAt, overHead); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	// Rederivation. curAt is the post-deletion state with still-dead
-	// candidates excluded: rescued rows (redone) come back into view as they
-	// are found, so support may flow through them.
-	curAt := func(pos int, key string) relView {
-		v := mr.newView(phaseDelete, key)
-		if inComp[key] {
-			v.exclude = append(v.exclude, exclusion{in: cand[key], unless: redone[key]})
-		}
-		return v
-	}
-	// Seed pass: every candidate that matches some rule head and whose body
-	// is satisfiable in the candidate-excluded state has an alternative
-	// derivation.
-	round.Reset()
-	next.Reset()
-	errSupported := fmt.Errorf("supported")
-	supported := func(key string, tuple database.Tuple) (bool, error) {
-		for _, ri := range comp.Rules {
-			r := mr.pp.program.Rules[ri]
-			if r.Head.PredKey() != key {
-				continue
-			}
-			s := ast.NewSubst()
-			if !ast.MatchAtom(r.Head, tuple, s) {
-				continue
-			}
-			var walk func(i int, s ast.Subst) error
-			walk = func(i int, s ast.Subst) error {
-				if i == len(r.Body) {
-					return errSupported
-				}
-				return mr.matchView(r.Body[i], curAt(i, r.Body[i].PredKey()), s, func(s2 ast.Subst) error {
-					return walk(i+1, s2)
-				})
-			}
-			switch err := walk(0, s); err {
-			case nil:
-				continue
-			case errSupported:
-				return true, nil
-			default:
-				return false, err
-			}
-		}
-		return false, nil
-	}
-	for _, p := range comp.Preds {
-		c := cand[p]
-		for pos := 0; pos < c.Len(); pos++ {
-			ok, err := supported(p, c.Tuple(pos))
-			if err != nil {
-				return err
-			}
-			if ok {
-				if _, err := redone[p].InsertRow(c.Row(pos)); err != nil {
-					return err
-				}
-				if _, err := must2(next.Relation(p, c.Arity)).InsertRow(c.Row(pos)); err != nil {
-					return err
-				}
-				mr.stats.Rederived++
-			}
-		}
-	}
-	// Propagate rescues semi-naively: a rescued tuple can support other
-	// candidates one derivation step away.
-	rescueHead := func(head ast.Atom) error {
-		key := head.PredKey()
-		if !inComp[key] {
-			return nil
-		}
-		row := mr.rowOf(head)
-		if !cand[key].ContainsRow(row) || redone[key].ContainsRow(row) {
-			return nil
-		}
-		if _, err := redone[key].InsertRow(row); err != nil {
-			return err
-		}
-		mr.stats.Rederived++
-		_, err := must2(next.Relation(key, len(head.Args))).InsertRow(row)
+		return added, err
+	})
+	if err != nil {
 		return err
 	}
-	for next.TotalFacts() > 0 {
-		round, next = next, round
-		next.Reset()
-		mr.stats.Rounds++
-		for _, ri := range comp.Rules {
-			r := mr.pp.program.Rules[ri]
-			for _, pos := range comp.DeltaPositions[ri] {
-				d := round.Existing(r.Body[pos].PredKey())
-				if d == nil || d.Len() == 0 {
-					continue
-				}
-				if err := mr.fireRule(ri, pos, relView{include: []*database.Relation{d}}, curAt, rescueHead); err != nil {
-					return err
-				}
-			}
-		}
-	}
+
 	// Whatever was not rescued is truly dead.
 	for _, p := range comp.Preds {
 		c := cand[p]
@@ -728,7 +553,7 @@ func (mr *maintRun) applyDeletions() error {
 			}
 			spos := rel.RowPos(row)
 			if spos < 0 {
-				return fmt.Errorf("eval: maintain: decrement target %s%s missing", key, decRel.Tuple(pos))
+				return fmt.Errorf("eval: maintain: decrement target %s missing", mr.fact(key, row))
 			}
 			rel.AddAt(spos, -decRel.CountAt(pos))
 		}
@@ -753,14 +578,18 @@ func (mr *maintRun) applyDeletions() error {
 
 // insertionPhase computes and applies the IDB consequences of the batch's
 // asserts (or, on initial materialization, of the whole EDB), one component
-// at a time in dependency order.
+// at a time in dependency order: counting components increment, recursive
+// ones run a plain semi-naive insertion — counts are not kept there (they
+// diverge on cycles), so duplicate derivations are harmless and every
+// position but the lead reads the NEW state.
 func (mr *maintRun) insertionPhase() error {
+	cur := func(key string) relView { return mr.state(phaseInsert, true, key) }
 	for _, comp := range mr.pp.plan.Components {
 		var err error
 		if comp.Recursive {
-			err = mr.insertRecursive(comp)
+			err = mr.rounds(comp, mr.seed(comp, phaseInsert, cur), cur, mr.insertDRed)
 		} else {
-			err = mr.insertCounting(comp)
+			err = mr.deltaPass(comp, phaseInsert, mr.exactlyOnce(phaseInsert), mr.increment)
 		}
 		if err != nil {
 			return err
@@ -769,152 +598,42 @@ func (mr *maintRun) insertionPhase() error {
 	return mr.applyInsertions()
 }
 
-// countingInsertHead accumulates one derivation-count increment for the
-// derived head and records a set-level addition the first time an unstored
-// tuple appears.
-func (mr *maintRun) countingInsertHead(head ast.Atom) error {
-	key := head.PredKey()
-	row := mr.rowOf(head)
-	incRel := mr.side(mr.inc, key, len(head.Args))
-	if _, _, err := incRel.IncRow(row, 1); err != nil {
+// increment accumulates one derivation-count increment for a counting
+// predicate's row and records a set-level addition the first time an
+// unstored row appears.
+func (mr *maintRun) increment(key string, row []intern.ID) error {
+	if _, _, err := mr.side(mr.inc, key, len(row)).IncRow(row, 1); err != nil {
 		return err
 	}
 	mr.stats.Increments++
 	if rel := mr.store.Existing(key); rel != nil && rel.ContainsRow(row) {
 		return nil
 	}
-	added, err := mr.side(mr.idbPlus, key, len(head.Args)).InsertRow(row)
-	if err != nil {
+	added, err := mr.side(mr.idbPlus, key, len(row)).InsertRow(row)
+	if err != nil || !added {
 		return err
 	}
-	if added {
-		mr.stats.Added++
-		if mr.opts.MaxFacts > 0 && mr.stats.Added > mr.opts.MaxFacts {
-			return fmt.Errorf("%w: more than %d facts", ErrLimitExceeded, mr.opts.MaxFacts)
-		}
-	}
-	return nil
+	return mr.countAdded()
 }
 
-// insertCounting runs the exactly-once insertion enumeration for a
-// non-recursive component: positions left of the delta see the NEW state,
-// the delta position sees Δ⁺, positions right of it see the OLD
-// (pre-insertion) state, so each new instantiation increments exactly once
-// — at i = max of its delta-touched positions. Empty-body rules fire once,
-// during initial materialization only (their single derivation never
-// changes with the EDB).
-func (mr *maintRun) insertCounting(comp depgraph.Component) error {
-	for _, ri := range comp.Rules {
-		r := mr.pp.program.Rules[ri]
-		if len(r.Body) == 0 {
-			if mr.initial {
-				if err := mr.emitHead(ri, r, ast.NewSubst(), mr.countingInsertHead); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		for i := range r.Body {
-			d := mr.plusOf(r.Body[i].PredKey())
-			if d == nil || d.Len() == 0 {
-				continue
-			}
-			deltaView := relView{include: []*database.Relation{d}}
-			viewAt := func(pos int, key string) relView {
-				if pos < i {
-					return mr.newView(phaseInsert, key)
-				}
-				return mr.oldView(phaseInsert, key)
-			}
-			if err := mr.fireRule(ri, i, deltaView, viewAt, mr.countingInsertHead); err != nil {
-				return err
-			}
-		}
+// insertDRed records a row derived for a recursive predicate, reporting
+// whether it is new to the store.
+func (mr *maintRun) insertDRed(key string, row []intern.ID) (bool, error) {
+	if rel := mr.store.Existing(key); rel != nil && rel.ContainsRow(row) {
+		return false, nil
 	}
-	return nil
+	added, err := mr.side(mr.idbPlus, key, len(row)).InsertRow(row)
+	if err != nil || !added {
+		return false, err
+	}
+	return true, mr.countAdded()
 }
 
-// insertRecursive runs a plain semi-naive insertion for a recursive
-// component: counts are not kept (they diverge on cycles), so duplicate
-// derivations are harmless and every non-delta position can use the NEW
-// view. Round 0 seeds from base and earlier-component deltas; later rounds
-// propagate through the component's own delta positions.
-func (mr *maintRun) insertRecursive(comp depgraph.Component) error {
-	newAt := func(pos int, key string) relView { return mr.newView(phaseInsert, key) }
-	round := database.NewStoreWith(mr.tab)
-	next := database.NewStoreWith(mr.tab)
-	onHead := func(head ast.Atom) error {
-		key := head.PredKey()
-		row := mr.rowOf(head)
-		if rel := mr.store.Existing(key); rel != nil && rel.ContainsRow(row) {
-			return nil
-		}
-		plusRel := mr.side(mr.idbPlus, key, len(head.Args))
-		added, err := plusRel.InsertRow(row)
-		if err != nil {
-			return err
-		}
-		if added {
-			mr.stats.Added++
-			if mr.opts.MaxFacts > 0 && mr.stats.Added > mr.opts.MaxFacts {
-				return fmt.Errorf("%w: more than %d facts", ErrLimitExceeded, mr.opts.MaxFacts)
-			}
-			if _, err := must2(next.Relation(key, len(head.Args))).InsertRow(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, ri := range comp.Rules {
-		r := mr.pp.program.Rules[ri]
-		if len(r.Body) == 0 {
-			if mr.initial {
-				if err := mr.emitHead(ri, r, ast.NewSubst(), onHead); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		for i := range r.Body {
-			key := r.Body[i].PredKey()
-			var d *database.Relation
-			if inSlice(comp.Preds, key) {
-				// The component's own predicates gained tuples in this phase
-				// only through idbPlus, which round 0 has not produced yet;
-				// pending additions from this very loop are picked up by the
-				// delta rounds below.
-				continue
-			}
-			d = mr.plusOf(key)
-			if d == nil || d.Len() == 0 {
-				continue
-			}
-			if err := mr.fireRule(ri, i, relView{include: []*database.Relation{d}}, newAt, onHead); err != nil {
-				return err
-			}
-		}
-	}
-	rounds := 0
-	for next.TotalFacts() > 0 {
-		round, next = next, round
-		next.Reset()
-		rounds++
-		mr.stats.Rounds++
-		if mr.opts.MaxIterations > 0 && rounds > mr.opts.MaxIterations {
-			return fmt.Errorf("%w: more than %d insertion rounds", ErrLimitExceeded, mr.opts.MaxIterations)
-		}
-		for _, ri := range comp.Rules {
-			r := mr.pp.program.Rules[ri]
-			for _, pos := range comp.DeltaPositions[ri] {
-				d := round.Existing(r.Body[pos].PredKey())
-				if d == nil || d.Len() == 0 {
-					continue
-				}
-				if err := mr.fireRule(ri, pos, relView{include: []*database.Relation{d}}, newAt, onHead); err != nil {
-					return err
-				}
-			}
-		}
+// countAdded counts one set-level IDB addition against Options.MaxFacts.
+func (mr *maintRun) countAdded() error {
+	mr.stats.Added++
+	if max := mr.ctx.opts.MaxFacts; max > 0 && mr.stats.Added > max {
+		return fmt.Errorf("%w: more than %d facts", ErrLimitExceeded, max)
 	}
 	return nil
 }
@@ -953,22 +672,4 @@ func (mr *maintRun) applyInsertions() error {
 		}
 	}
 	return nil
-}
-
-func inSlice(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// must2 unwraps a side-store relation accessor that cannot fail (fresh
-// stores, consistent arities).
-func must2(r *database.Relation, err error) *database.Relation {
-	if err != nil {
-		panic(fmt.Sprintf("eval: maintain: side relation access failed: %v", err))
-	}
-	return r
 }

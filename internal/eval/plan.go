@@ -8,6 +8,11 @@
 // No substitution maps are allocated and no terms are materialized while the
 // pipeline runs; terms are only read back out of the store by the caller.
 //
+// A step reads a view (relView): the union of some relations minus excluded
+// rows. The evaluator points each view at the one main or delta relation the
+// step reads; incremental maintenance (maintain.go) points them at the OLD,
+// NEW and Δ states of a committed batch, so both run the same executor.
+//
 // The pattern programs replicate the semantics of ast.Match exactly,
 // including the affine-arithmetic case (a pattern such as I+1 or (K*2)+2
 // matches an integer by solving for the single unbound variable, which is
@@ -433,12 +438,53 @@ func (p *patNode) matchStruct(rd *intern.Reader, regs []intern.ID, target intern
 	return true
 }
 
-// step is one body literal lowered into the pipeline: a probe (or scan) of
-// one relation plus the pattern ops for its unbound columns.
+// exclusion skips rows present in `in` (unless also present in `unless`,
+// which DRed uses for "still-dead deletion candidates"). Nil relations make
+// the exclusion inert.
+type exclusion struct {
+	in     *database.Relation
+	unless *database.Relation
+}
+
+// relView is the source of one pipeline step: the union of the include
+// relations (pairwise disjoint; nil entries are empty) minus the excluded
+// rows. Filtering by membership lets maintenance present a relation's state
+// before or after a batch without copying it.
+type relView struct {
+	include []*database.Relation
+	exclude []exclusion
+}
+
+func (v *relView) excluded(row []intern.ID) bool {
+	for _, ex := range v.exclude {
+		if ex.in != nil && ex.in.ContainsRow(row) {
+			if ex.unless == nil || !ex.unless.ContainsRow(row) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// empty reports whether the view has no relation at all to read.
+func (v *relView) empty() bool {
+	for _, rel := range v.include {
+		if rel != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// step is one literal lowered into the pipeline: a probe (or scan) of one
+// view plus the pattern ops for its unbound columns.
 type step struct {
 	// lit is the original literal, kept for error messages.
 	lit ast.Atom
 	key string
+	// pos is the literal's body position; the head guard of a rescue variant
+	// (compileRule) has position len(body). Maintenance assigns views by it.
+	pos int
 	// fromDelta routes the step to the delta store instead of the main one;
 	// the semi-naive scheduler picks the variant compiled for the occurrence
 	// it is driving.
@@ -485,11 +531,14 @@ type pipeline struct {
 }
 
 // pipeScratch is the per-evaluation mutable state of one pipeline: the
-// register file, the probe buffer of each step, and the head-row buffer.
+// register file, the source view and probe buffer of each step, and the
+// head-row buffer. rels backs the one-relation views of the evaluator.
 type pipeScratch struct {
 	regs    []intern.ID
 	headRow []intern.ID
 	probes  [][]intern.ID
+	views   []relView
+	rels    []*database.Relation
 }
 
 // newScratch allocates scratch buffers sized for the pipeline.
@@ -498,6 +547,8 @@ func (pl *pipeline) newScratch() *pipeScratch {
 		regs:    make([]intern.ID, pl.nregs),
 		headRow: make([]intern.ID, pl.headArity),
 		probes:  make([][]intern.ID, len(pl.steps)),
+		views:   make([]relView, len(pl.steps)),
+		rels:    make([]*database.Relation, len(pl.steps)),
 	}
 	for i := range pl.steps {
 		sc.probes[i] = make([]intern.ID, len(pl.steps[i].cols))
@@ -505,45 +556,59 @@ func (pl *pipeline) newScratch() *pipeScratch {
 	return sc
 }
 
-// run executes the pipeline against the context's store (and the delta store
-// for the step compiled as the delta occurrence), invoking emit with the
-// head ID row for every successful body instantiation. The emitted slice is
-// reused across firings; emit must copy it if it retains it (Relation.
-// InsertRow does).
-func (pl *pipeline) run(ctx *evalContext, sc *pipeScratch, delta *database.Store, emit func(row []intern.ID) error) error {
-	rd := &ctx.reader
-	regs := sc.regs
-	// Resolve the step relations once per run: the set of relations cannot
-	// change while the pipeline runs (derived relations are pre-created and
-	// delta rounds write to the next round's store).
-	rels := make([]*database.Relation, len(pl.steps))
+// fromStores points every step at one relation of main, or of delta for the
+// step compiled as the delta occurrence: the sources of every evaluator pass.
+// The relations are resolved once per run, since the set of relations cannot
+// change while a pipeline runs (derived relations are pre-created and delta
+// rounds write to the next round's store).
+func (sc *pipeScratch) fromStores(pl *pipeline, main, delta *database.Store) *pipeScratch {
 	for i := range pl.steps {
 		st := &pl.steps[i]
 		if st.fromDelta {
-			rels[i] = delta.Existing(st.key)
+			sc.rels[i] = delta.Existing(st.key)
 		} else {
-			rels[i] = ctx.store.Existing(st.key)
+			sc.rels[i] = main.Existing(st.key)
 		}
+		sc.views[i] = relView{include: sc.rels[i : i+1]}
 	}
+	return sc
+}
+
+// run executes the pipeline over the step views in sc, invoking emit with
+// the head ID row for every successful body instantiation. The emitted slice
+// is reused across firings; emit must copy it if it retains it (Relation.
+// InsertRow does).
+func (pl *pipeline) run(ctx *evalContext, sc *pipeScratch, emit func(row []intern.ID) error) error {
+	rd := &ctx.reader
+	regs := sc.regs
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(pl.steps) {
 			return pl.fire(ctx, sc, rd, emit)
 		}
 		st := &pl.steps[i]
-		rel := rels[i]
-		if rel == nil {
+		v := &sc.views[i]
+		if v.empty() {
 			return nil
 		}
 		if len(st.cols) == 0 {
 			ctx.stats.OpScans++
-			n := rel.Len() // snapshot: rows inserted during the scan belong to the next pass
-			for pos := 0; pos < n; pos++ {
-				ctx.stats.JoinProbes++
-				ctx.stats.ScanRows++
-				if st.matchRow(rd, regs, rel.Row(pos)) {
-					if err := rec(i + 1); err != nil {
-						return err
+			for _, rel := range v.include {
+				if rel == nil {
+					continue
+				}
+				n := rel.Len() // snapshot: rows inserted during the scan belong to the next pass
+				for pos := 0; pos < n; pos++ {
+					ctx.stats.JoinProbes++
+					ctx.stats.ScanRows++
+					row := rel.Row(pos)
+					if len(v.exclude) > 0 && v.excluded(row) {
+						continue
+					}
+					if st.matchRow(rd, regs, row) {
+						if err := rec(i + 1); err != nil {
+							return err
+						}
 					}
 				}
 			}
@@ -571,14 +636,23 @@ func (pl *pipeline) run(ctx *evalContext, sc *pipeScratch, delta *database.Store
 			return nil
 		}
 		ctx.stats.OpProbes++
-		positions := rel.LookupIDs(st.cols, probeIDs)
-		ctx.stats.IndexProbes++
-		ctx.stats.IndexHits += int64(len(positions))
-		for _, pos := range positions {
-			ctx.stats.JoinProbes++
-			if st.matchRow(rd, regs, rel.Row(pos)) {
-				if err := rec(i + 1); err != nil {
-					return err
+		for _, rel := range v.include {
+			if rel == nil {
+				continue
+			}
+			positions := rel.LookupIDs(st.cols, probeIDs)
+			ctx.stats.IndexProbes++
+			ctx.stats.IndexHits += int64(len(positions))
+			for _, pos := range positions {
+				ctx.stats.JoinProbes++
+				row := rel.Row(pos)
+				if len(v.exclude) > 0 && v.excluded(row) {
+					continue
+				}
+				if st.matchRow(rd, regs, row) {
+					if err := rec(i + 1); err != nil {
+						return err
+					}
 				}
 			}
 		}

@@ -51,11 +51,14 @@ func (rw *Rewriter) Rewrite(ad *adorn.Program) (*rewrite.Rewriting, error) {
 	if err := rewrite.ValidateAdorned(ad); err != nil {
 		return nil, err
 	}
+	// The answer relation's key is the pattern's PredKey, which a zero-arity
+	// query (empty adornment) names without the "^" of ad.QueryPred.
+	answer := ast.Atom{Pred: ad.Query.Atom.Pred, Adorn: ad.QueryAdornment, Args: ad.Query.Atom.Args}
 	out := &rewrite.Rewriting{
 		Name:            rw.Name(),
 		Adorned:         ad,
-		AnswerPred:      ad.QueryPred,
-		AnswerPattern:   ast.Atom{Pred: ad.Query.Atom.Pred, Adorn: ad.QueryAdornment, Args: ad.Query.Atom.Args},
+		AnswerPred:      answer.PredKey(),
+		AnswerPattern:   answer,
 		AnswerArity:     len(ad.Query.Atom.Args),
 		AnswerIndexArgs: 0,
 		AuxPredicates:   make(map[string]bool),
@@ -111,6 +114,7 @@ func (rw *Rewriter) magicRulesFor(ad *adorn.Program, ruleIdx int, ar adorn.Rule)
 		}
 		arcs := g.ArcsInto(pos)
 		if len(arcs) == 0 {
+			out = append(out, rewrite.ConstantMagicRule(r, lit))
 			continue
 		}
 		head := rewrite.MagicAtom(lit)

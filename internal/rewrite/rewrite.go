@@ -181,6 +181,19 @@ func SeedAtom(ad *adorn.Program) ast.Atom {
 // magic_p^a over the bound head arguments.
 func HeadMagicAtom(r ast.Rule) ast.Atom { return MagicAtom(r.Head) }
 
+// ConstantMagicRule returns the magic rule of a derived body occurrence that
+// no sip arc enters but that still has bound arguments, which are then all
+// constants (hit :- r(n0)). The occurrence is relevant whenever its rule is:
+// its magic fact follows from the head's magic literal, or holds outright
+// when the head has no bound argument.
+func ConstantMagicRule(r ast.Rule, lit ast.Atom) ast.Rule {
+	rule := ast.Rule{Head: MagicAtom(lit)}
+	if r.Head.Adorn.BoundCount() > 0 {
+		rule.Body = []ast.Atom{HeadMagicAtom(r)}
+	}
+	return rule
+}
+
 // IsDerivedOccurrence reports whether a body occurrence refers to a derived
 // predicate of the original program (the occurrence carries an adornment or
 // its unadorned name is a derived predicate).

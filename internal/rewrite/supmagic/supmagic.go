@@ -49,11 +49,14 @@ func (rw *Rewriter) Rewrite(ad *adorn.Program) (*rewrite.Rewriting, error) {
 	if err := rewrite.ValidateAdorned(ad); err != nil {
 		return nil, err
 	}
+	// The answer relation's key is the pattern's PredKey, which a zero-arity
+	// query (empty adornment) names without the "^" of ad.QueryPred.
+	answer := ast.Atom{Pred: ad.Query.Atom.Pred, Adorn: ad.QueryAdornment, Args: ad.Query.Atom.Args}
 	out := &rewrite.Rewriting{
 		Name:            rw.Name(),
 		Adorned:         ad,
-		AnswerPred:      ad.QueryPred,
-		AnswerPattern:   ast.Atom{Pred: ad.Query.Atom.Pred, Adorn: ad.QueryAdornment, Args: ad.Query.Atom.Args},
+		AnswerPred:      answer.PredKey(),
+		AnswerPattern:   answer,
 		AnswerArity:     len(ad.Query.Atom.Args),
 		AnswerIndexArgs: 0,
 		AuxPredicates:   make(map[string]bool),
@@ -106,6 +109,11 @@ func (rw *Rewriter) rewriteRule(ad *adorn.Program, ruleIdx int, ar adorn.Rule) (
 	lastIdx, order, err := g.LastWithArc()
 	if err != nil {
 		return nil, nil, ast.Rule{}, fmt.Errorf("supmagic: rule %d: %w", ruleIdx, err)
+	}
+	for pos, lit := range r.Body {
+		if rewrite.IsDerivedOccurrence(ad, lit) && lit.Adorn.BoundCount() > 0 && len(g.ArcsInto(pos)) == 0 {
+			magic = append(magic, rewrite.ConstantMagicRule(r, lit))
+		}
 	}
 
 	// Rules in which no body literal receives bindings (or whose head is
