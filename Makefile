@@ -53,7 +53,9 @@ fmt-check:
 # star ("the least code") and open item 6 state their goals in, so every
 # simplicity PR quotes the same number. The target fails above LOC_CEILING,
 # the total the last simplicity PR reached: the figure only goes up by an
-# edit to this line, which shows in the diff.
+# edit to this line, which shows in the diff. The `module` line (non-test Go
+# lines outside benchmark/, the figure open item 7 states its exit in) is
+# informational and has no ceiling.
 LOC_PKGS := internal/eval datalog internal/database
 LOC_CEILING := 7657
 loc:
@@ -61,6 +63,7 @@ loc:
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); done; \
 	printf '%-18s %6d\n' total $$total; \
+	printf '%-18s %6d\n' module $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l); \
 	if [ $$total -gt $(LOC_CEILING) ]; then \
 		echo "loc: $$total non-test lines exceed LOC_CEILING=$(LOC_CEILING) (Makefile)" >&2; exit 1; fi
 

@@ -7,9 +7,10 @@
 //
 // The public API lives in package repro/datalog; the command-line tools are
 // cmd/magicsets (rewrite and evaluate a query), cmd/datalogvet (the static
-// analyzer: lint a program without evaluating it), cmd/benchtables
-// (regenerate every experiment documented in EXPERIMENTS.md) and
-// cmd/benchjson (archive benchmark runs as JSON, see `make bench-json`).
+// analyzer: lint a program without evaluating it) and cmd/benchjson
+// (archive benchmark runs as JSON, see `make bench-json`). The paper's
+// experiments E1–E11 are golden tests: `go test ./internal/analysis`
+// regenerates them and compares each with internal/analysis/testdata.
 // The root package itself holds only the repository-level benchmarks in
 // bench_test.go.
 //

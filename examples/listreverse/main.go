@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// The elem/emptylist relations replace the paper's bodiless clauses; see
-	// DESIGN.md for the substitution.
+	// paperPrograms in internal/analysis/paper_test.go for the substitution.
 	db := datalog.NewDatabase()
 	if err := db.AssertText("elem(a). elem(b). elem(c). elem(d). emptylist(nil)."); err != nil {
 		log.Fatal(err)

@@ -135,7 +135,7 @@ func Adorn(p *ast.Program, q ast.Query, strategy sip.Strategy) (*Program, error)
 		OriginalDerived: derived,
 		SipStrategy:     strategy.Name(),
 	}
-	out.QueryPred = q.Atom.Pred + "^" + string(out.QueryAdornment)
+	out.QueryPred = ast.Atom{Pred: q.Atom.Pred, Adorn: out.QueryAdornment}.PredKey()
 
 	type adornedPred struct {
 		pred  string
@@ -167,8 +167,7 @@ func Adorn(p *ast.Program, q ast.Query, strategy sip.Strategy) (*Program, error)
 				passed := g.PassedVars(i)
 				a := ast.AdornmentFor(lit.Args, passed)
 				lit.Adorn = a
-				key := lit.Pred + "^" + string(a)
-				if !marked[key] {
+				if key := lit.PredKey(); !marked[key] {
 					marked[key] = true
 					queue = append(queue, adornedPred{pred: lit.Pred, adorn: a})
 				}

@@ -141,6 +141,16 @@ func TestAdornmentWithFreeQuery(t *testing.T) {
 	checkRules(t, ad, want)
 }
 
+// TestZeroArityQueryPred checks that a zero-arity query, whose adornment is
+// empty, names its adorned predicate the way its rules' heads do: without
+// the "^" that an adorned key carries.
+func TestZeroArityQueryPred(t *testing.T) {
+	ad := adornSrc(t, "r(X) :- e(X).\nhit :- r(n0).\n", "hit", sip.FullLeftToRight())
+	if got, want := ad.QueryPred, ad.Rules[0].Rule.Head.PredKey(); got != want {
+		t.Errorf("QueryPred = %q, want the first rule's head key %q", got, want)
+	}
+}
+
 func TestAdornmentSecondArgumentBound(t *testing.T) {
 	// Query a(X, john): the full left-to-right sip evaluates p(X, Z) with
 	// nothing bound, which makes Z available sideways; together with the

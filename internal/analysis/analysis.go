@@ -1,8 +1,8 @@
 // Package analysis implements the comparisons behind Section 9 of Beeri &
 // Ramakrishnan, "On the Power of Magic": the sip-optimality of the
-// generalized magic-sets rewriting (Theorem 9.1) and the bookkeeping used by
-// the experiment harness to compare strategies by the number of facts and
-// subqueries they generate.
+// generalized magic-sets rewriting (Theorem 9.1) and the bookkeeping the
+// E1–E11 golden tests (paper_test.go) use to compare strategies by the
+// number of facts and subqueries they generate.
 //
 // The reference "sip strategy" is the memoizing top-down evaluator of
 // package topdown: its goal set is the set Q of queries and its memo tables

@@ -4,12 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/adorn"
 	"repro/internal/ast"
 	"repro/internal/database"
 	"repro/internal/eval"
 	"repro/internal/parser"
-	"repro/internal/rewrite"
 	"repro/internal/rewrite/magic"
 	"repro/internal/rewrite/supmagic"
 	"repro/internal/sip"
@@ -17,37 +15,13 @@ import (
 	"repro/internal/workload"
 )
 
-const (
-	ancestorSrc = `
-		anc(X, Y) :- par(X, Y).
-		anc(X, Y) :- par(X, Z), anc(Z, Y).
-	`
-	nonlinearSameGenSrc = `
-		sg(X, Y) :- flat(X, Y).
-		sg(X, Y) :- up(X, Z1), sg(Z1, Z2), flat(Z2, Z3), sg(Z3, Z4), down(Z4, Y).
-	`
-)
-
-func adornAndRewrite(t *testing.T, src, query string) (*adorn.Program, *rewrite.Rewriting) {
-	t.Helper()
-	ad, err := adorn.Adorn(parser.MustParseProgram(src), parser.MustParseQuery(query), sip.FullLeftToRight())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw, err := magic.New(magic.Options{}).Rewrite(ad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ad, rw
-}
-
 // TestTheorem91AncestorChain verifies sip-optimality of GMS on the ancestor
 // program over a chain: the magic facts are exactly the subqueries of the
 // reference top-down strategy and the adorned facts are exactly its answers.
 func TestTheorem91AncestorChain(t *testing.T) {
-	edb, _ := workload.ParentChain("par", 15)
-	ad, rw := adornAndRewrite(t, ancestorSrc, "anc(n4, Y)")
-	report, err := VerifySipOptimality(ad, rw, edb)
+	edb, _ := workload.ParentChain("p", 15)
+	ad := mustAdorn(t, ancestor, "a(n4, Y)", sip.FullLeftToRight())
+	report, err := VerifySipOptimality(ad, mustRewrite(t, magic.New(magic.Options{}), ad), edb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,19 +43,11 @@ func TestTheorem91AncestorChain(t *testing.T) {
 // its query set Q coincides with the queries of a compressed sip; for
 // partial sips (which deliberately forget context) the bottom-up magic
 // program generates additional subqueries, which is exactly the behaviour
-// Lemma 9.3 describes and the magic-package Lemma 9.3 test covers.
+// Lemma 9.3 describes and TestPartialSipGeneratesSupersetOfQueries covers.
 func TestTheorem91SameGeneration(t *testing.T) {
 	sg := workload.SameGenerationLayers(5, 2, true)
-	ad, err := adorn.Adorn(parser.MustParseProgram(nonlinearSameGenSrc),
-		parser.MustParseQuery("sg(l0_0, Y)"), sip.FullLeftToRight())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw, err := magic.New(magic.Options{}).Rewrite(ad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := VerifySipOptimality(ad, rw, sg.Store)
+	ad := mustAdorn(t, nonlinSG, "sg(l0_0, Y)", sip.FullLeftToRight())
+	report, err := VerifySipOptimality(ad, mustRewrite(t, magic.New(magic.Options{}), ad), sg.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,22 +57,14 @@ func TestTheorem91SameGeneration(t *testing.T) {
 	}
 }
 
-// TestPartialSipGeneratesSupersetOfQueries documents the flip side of the
-// previous test: under the partial sip, the magic program's subqueries are a
-// superset of the compressed-sip reference's subqueries, never a subset
-// (Lemma 9.3 in terms of queries).
+// TestPartialSipGeneratesSupersetOfQueries documents the flip side of
+// TestTheorem91SameGeneration: under the partial sip, the magic
+// program's subqueries are a superset of the compressed-sip reference's
+// subqueries, never a subset (Lemma 9.3 in terms of queries).
 func TestPartialSipGeneratesSupersetOfQueries(t *testing.T) {
 	sg := workload.SameGenerationLayers(5, 2, true)
-	ad, err := adorn.Adorn(parser.MustParseProgram(nonlinearSameGenSrc),
-		parser.MustParseQuery("sg(l0_0, Y)"), sip.PartialLeftToRight())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw, err := magic.New(magic.Options{}).Rewrite(ad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := VerifySipOptimality(ad, rw, sg.Store)
+	ad := mustAdorn(t, nonlinSG, "sg(l0_0, Y)", sip.PartialLeftToRight())
+	report, err := VerifySipOptimality(ad, mustRewrite(t, magic.New(magic.Options{}), ad), sg.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,17 +83,15 @@ func TestPartialSipGeneratesSupersetOfQueries(t *testing.T) {
 // unrewritten program, and its auxiliary (magic) facts are a minority of the
 // facts it does compute.
 func TestMeasureRewritingAndProgram(t *testing.T) {
-	edb, start := workload.ParentChain("par", 40)
-	query := parser.MustParseQuery("anc(n35, Y)")
-	_ = start
-	prog := parser.MustParseProgram(ancestorSrc)
-	naive := MeasureProgram("naive bottom-up", prog, query, edb, eval.Options{})
+	edb, _ := workload.ParentChain("p", 40)
+	prog := parser.MustParseProgram(paperPrograms[ancestor].src)
+	naive := MeasureProgram("naive bottom-up", prog, parser.MustParseQuery("a(n35, Y)"), edb, eval.Options{})
 	if naive.Err != nil {
 		t.Fatal(naive.Err)
 	}
 
-	ad, rw := adornAndRewrite(t, ancestorSrc, "anc(n35, Y)")
-	magicRun := MeasureRewriting("magic", rw, edb, eval.Options{})
+	ad := mustAdorn(t, ancestor, "a(n35, Y)", sip.FullLeftToRight())
+	magicRun := MeasureRewriting("magic", mustRewrite(t, magic.New(magic.Options{}), ad), edb, eval.Options{})
 	if magicRun.Err != nil {
 		t.Fatal(magicRun.Err)
 	}
@@ -168,15 +124,8 @@ func TestMeasureRewritingAndProgram(t *testing.T) {
 // TestSupplementaryMeasure checks the GSMS run is measured with its sup_
 // predicates counted as auxiliary facts.
 func TestSupplementaryMeasure(t *testing.T) {
-	edb, _ := workload.ParentChain("par", 20)
-	ad, err := adorn.Adorn(parser.MustParseProgram(ancestorSrc), parser.MustParseQuery("anc(n0, Y)"), sip.FullLeftToRight())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw, err := supmagic.New(supmagic.Options{}).Rewrite(ad)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edb, _ := workload.ParentChain("p", 20)
+	rw := mustRewrite(t, supmagic.New(supmagic.Options{}), mustAdorn(t, ancestor, "a(n0, Y)", sip.FullLeftToRight()))
 	run := MeasureRewriting("supplementary magic", rw, edb, eval.Options{})
 	if run.Err != nil {
 		t.Fatal(run.Err)
@@ -217,8 +166,9 @@ func workloadWithQ() *database.Store {
 // TestVerifySipOptimalityErrors exercises the error paths of the optimality
 // checker.
 func TestVerifySipOptimalityErrors(t *testing.T) {
-	edb, _ := workload.ParentChain("par", 3)
-	ad, rw := adornAndRewrite(t, ancestorSrc, "anc(n0, Y)")
+	edb, _ := workload.ParentChain("p", 3)
+	ad := mustAdorn(t, ancestor, "a(n0, Y)", sip.FullLeftToRight())
+	rw := mustRewrite(t, magic.New(magic.Options{}), ad)
 	if _, err := VerifySipOptimality(ad, nil, edb); err == nil {
 		t.Error("nil rewriting must be rejected")
 	}
@@ -226,7 +176,7 @@ func TestVerifySipOptimalityErrors(t *testing.T) {
 	// the evaluation error.
 	bad := *rw
 	badProg := parser.MustParseProgram(`
-		anc(X, W) :- par(X, Z).
+		a(X, W) :- p(X, Z).
 	`)
 	bad.Program = badProg
 	if _, err := VerifySipOptimality(ad, &bad, edb); err == nil {

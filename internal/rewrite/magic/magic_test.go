@@ -27,7 +27,8 @@ func semiNaive(prog *ast.Program, edb *database.Store, opts eval.Options) (*data
 // The Appendix A.1 problems and the running nonlinear same-generation
 // example. The paper's bodiless clauses (facts with variables) are given
 // explicit base-predicate bodies (elem, emptylist) so that they are rules;
-// this substitution is documented in DESIGN.md.
+// the substitution is explained at paperPrograms in
+// internal/analysis/paper_test.go.
 const (
 	ancestorSrc = `
 		a(X, Y) :- p(X, Y).

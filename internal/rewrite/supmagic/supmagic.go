@@ -49,14 +49,11 @@ func (rw *Rewriter) Rewrite(ad *adorn.Program) (*rewrite.Rewriting, error) {
 	if err := rewrite.ValidateAdorned(ad); err != nil {
 		return nil, err
 	}
-	// The answer relation's key is the pattern's PredKey, which a zero-arity
-	// query (empty adornment) names without the "^" of ad.QueryPred.
-	answer := ast.Atom{Pred: ad.Query.Atom.Pred, Adorn: ad.QueryAdornment, Args: ad.Query.Atom.Args}
 	out := &rewrite.Rewriting{
 		Name:            rw.Name(),
 		Adorned:         ad,
-		AnswerPred:      answer.PredKey(),
-		AnswerPattern:   answer,
+		AnswerPred:      ad.QueryPred,
+		AnswerPattern:   ast.Atom{Pred: ad.Query.Atom.Pred, Adorn: ad.QueryAdornment, Args: ad.Query.Atom.Args},
 		AnswerArity:     len(ad.Query.Atom.Args),
 		AnswerIndexArgs: 0,
 		AuxPredicates:   make(map[string]bool),

@@ -1,5 +1,5 @@
 // Package workload generates the synthetic databases used by the tests, the
-// examples and the experiment harness.
+// benchmarks and the paper's E1–E11 golden tests (internal/analysis).
 //
 // The paper evaluates its rewritings analytically on a handful of programs
 // (ancestor, same generation, list reverse) without publishing data sets;
