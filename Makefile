@@ -57,7 +57,7 @@ fmt-check:
 # lines outside benchmark/, the figure open item 7 states its exit in) is
 # informational and has no ceiling.
 LOC_PKGS := internal/eval datalog internal/database
-LOC_CEILING := 7657
+LOC_CEILING := 7239
 loc:
 	@total=0; for d in $(LOC_PKGS); do \
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \

@@ -374,9 +374,9 @@ func BenchmarkSameGeneration(b *testing.B) {
 }
 
 // BenchmarkCountingFixpoint evaluates the counting rewriting of the bound
-// ancestor query to fixpoint: the workload whose rule firings run the
-// arithmetic ops of the compiled pipelines (affine index matching in bodies,
-// integer construction in heads) rather than plain register copies.
+// ancestor query to fixpoint: the workload whose rule firings destructure
+// compound index terms in bodies and build them in heads rather than copy
+// plain registers.
 func BenchmarkCountingFixpoint(b *testing.B) {
 	edb, _ := workload.ParentChain("p", 128)
 	_, rw := mustRewrite(b, ancestorSrc, "a(n16, Y)", counting.New(counting.Options{Semijoin: true}))

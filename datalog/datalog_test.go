@@ -83,31 +83,82 @@ func TestAllStrategiesAgree(t *testing.T) {
 }
 
 // TestMagicConstantBoundLiterals covers derived body literals bound only by
-// constants, which no sip arc enters (r(n0, Y) below), and zero-arity query
-// predicates, whose answer relation has no adornment suffix. Both magic
-// rewritings used to answer nothing for them, and top-down looked up a
-// query key ("hit^") that no rule defines.
+// constants, which no sip arc enters (r(n0, Y), root(n0) and t(n0, W)
+// below), and zero-arity query predicates, whose answer relation has no
+// adornment suffix. Both magic rewritings used to answer nothing for them,
+// top-down looked up a query key ("hit^") that no rule defines, and both
+// counting rewritings derived no cnt fact for such a literal. The counting
+// rewritings need a bound query argument, so the zero- and free-argument
+// queries run under the other four strategies.
 func TestMagicConstantBoundLiterals(t *testing.T) {
 	fx := newFixture(t, `
 		r(X, Y) :- e(X, Y).
 		q(Y) :- r(n0, Y).
 		hit :- r(n0, n1).
 		ok :- e(X, Y).
+		near(X, Y) :- e(X, Y), root(n0).
+		root(Z) :- e(Z, W).
+		far(X, Y) :- e(X, Z), t(n0, W), t(Z, Y).
+		t(X, Y) :- e(X, Y).
+		t(X, Y) :- e(X, Z), t(Z, Y).
 		e(n0, n1). e(n1, n2).
 	`)
-	want := map[string]map[string]bool{
-		"q(Y)": {"(n1)": true},
-		"hit":  {"()": true},
-		"ok":   {"()": true},
+	cases := []struct {
+		query      string
+		want       map[string]bool
+		strategies []Strategy
+	}{
+		{"q(Y)", map[string]bool{"(n1)": true}, nil},
+		{"hit", map[string]bool{"()": true}, nil},
+		{"ok", map[string]bool{"()": true}, nil},
+		{"near(n0, Y)", map[string]bool{"(n1)": true}, Strategies()},
+		{"far(n0, Y)", map[string]bool{"(n2)": true}, Strategies()},
 	}
-	for q, w := range want {
-		for _, st := range []Strategy{SemiNaive, MagicSets, SupplementaryMagicSets, TopDown} {
-			res, err := fx.snap().Query(q, Options{Strategy: st})
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", q, st, err)
+	for _, tc := range cases {
+		strategies := tc.strategies
+		if strategies == nil {
+			strategies = []Strategy{SemiNaive, MagicSets, SupplementaryMagicSets, TopDown}
+		}
+		for _, st := range strategies {
+			for _, semijoin := range []bool{false, true} {
+				res, err := fx.snap().Query(tc.query, Options{Strategy: st, Semijoin: semijoin})
+				if err != nil {
+					t.Fatalf("%s [%s, semijoin=%v]: %v", tc.query, st, semijoin, err)
+				}
+				if got := res.AnswerSet(); !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("%s [%s, semijoin=%v] = %v, want %v", tc.query, st, semijoin, got, tc.want)
+				}
 			}
-			if got := res.AnswerSet(); !reflect.DeepEqual(got, w) {
-				t.Errorf("%s [%s] = %v, want %v", q, st, got, w)
+		}
+	}
+}
+
+// TestCountingDeepChains runs both counting rewritings past depth 63 with
+// and without the semijoin optimization. Their K and H indices are
+// sequences of rule and body-position numbers; encoded as the integers
+// K·m+i and H·t+j they passed int64 at depth 63 on ancestor (m = t = 2),
+// and the semijoin rules, which recover a parent's indices from its
+// child's, lost every deeper answer.
+func TestCountingDeepChains(t *testing.T) {
+	for _, n := range []int{64, 100, 200} {
+		fx := chainFixture(t, n)
+		magicRes, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: MagicSets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := magicRes.AnswerSet()
+		if len(want) != n {
+			t.Fatalf("chain %d: magic found %d answers", n, len(want))
+		}
+		for _, st := range []Strategy{Counting, SupplementaryCounting} {
+			for _, semijoin := range []bool{false, true} {
+				res, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: st, Semijoin: semijoin})
+				if err != nil {
+					t.Fatalf("chain %d [%s, semijoin=%v]: %v", n, st, semijoin, err)
+				}
+				if got := res.AnswerSet(); !reflect.DeepEqual(got, want) {
+					t.Errorf("chain %d [%s, semijoin=%v]: %d answers, want %d", n, st, semijoin, len(got), len(want))
+				}
 			}
 		}
 	}

@@ -142,9 +142,9 @@ func (v Value) Compound() (functor string, args []Value, ok bool) {
 	return c.Functor, args, true
 }
 
-// String renders the value in source syntax (lists as [a, b], arithmetic
-// infix, everything else as f(args)). Rendering happens on demand: a caller
-// that consumes values through Kind/Int/Symbol/Compound never pays for it.
+// String renders the value in source syntax (lists as [a, b], everything
+// else as f(args)). Rendering happens on demand: a caller that consumes
+// values through Kind/Int/Symbol/Compound never pays for it.
 func (v Value) String() string {
 	if v.rd != nil {
 		return v.rd.Term(v.id).String()

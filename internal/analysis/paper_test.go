@@ -310,9 +310,10 @@ func e11(t *testing.T, w *strings.Builder) {
 		}
 		fmt.Fprintf(w, "nested same generation, %d leaves x 3 layers (acyclic):\n%s\n", leaves, FormatRuns(runs))
 		sameAnswers(t, runs)
-		// Section 8: the semijoin drops the answer's bound column and
-		// computes no more facts.
-		if opt.AnswerArity >= plain.AnswerArity || runs[1].DerivedFacts > runs[0].DerivedFacts || runs[1].TotalFacts > runs[0].TotalFacts {
+		// Section 8: the semijoin drops the answer's bound column and the
+		// join literals its indices make redundant, so on acyclic data it
+		// computes exactly the facts of the plain rewriting.
+		if opt.AnswerArity >= plain.AnswerArity || runs[1].DerivedFacts != runs[0].DerivedFacts || runs[1].AuxFacts != runs[0].AuxFacts {
 			t.Errorf("%d leaves: %+v against %+v (Section 8)", leaves, runs[1], runs[0])
 		}
 	}

@@ -198,25 +198,6 @@ func TestQuickLengthPositive(t *testing.T) {
 	}
 }
 
-func TestQuickEvalArithPreservesGroundIntegers(t *testing.T) {
-	// Property: EvalArith on a term without arithmetic functors returns an
-	// equal term, and is idempotent in general.
-	f := func(a randTerm) bool {
-		e1 := EvalArith(a.T)
-		e2 := EvalArith(e1)
-		if !Equal(e1, e2) {
-			return false
-		}
-		if !ContainsArith(a.T) && !Equal(e1, a.T) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickRenameApartPreservesStructure(t *testing.T) {
 	// Property: renaming a rule apart preserves predicate names, arities and
 	// the pattern of variable sharing.

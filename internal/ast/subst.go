@@ -207,13 +207,6 @@ func UnifyAtoms(a, b Atom, s Subst) bool {
 // Match performs one-sided unification: it extends s so that pattern·s equals
 // the ground term, binding only variables of the pattern. It returns false if
 // the ground term does not match. The ground argument must be ground.
-//
-// As a special case, an arithmetic pattern that is affine in a single
-// unbound variable (such as I+1 or (K*2)+2, as generated by the counting
-// rewritings) matches an integer by solving for the variable, provided the
-// solution is an exact non-negative integer. This is what makes the
-// semijoin-optimized counting rules of Section 8 evaluable bottom-up: the
-// parent context's indices are recovered from the child's.
 func Match(pattern, ground Term, s Subst) bool {
 	pattern = walk(pattern, s)
 	switch x := pattern.(type) {
@@ -227,11 +220,6 @@ func Match(pattern, ground Term, s Subst) bool {
 		y, ok := ground.(Int)
 		return ok && x.Value == y.Value
 	case Compound:
-		if (x.Functor == FunctorAdd || x.Functor == FunctorMul) && len(x.Args) == 2 {
-			if target, ok := ground.(Int); ok {
-				return matchAffine(x, target, s)
-			}
-		}
 		y, ok := ground.(Compound)
 		if !ok || x.Functor != y.Functor || len(x.Args) != len(y.Args) {
 			return false
@@ -244,79 +232,6 @@ func Match(pattern, ground Term, s Subst) bool {
 		return true
 	}
 	return false
-}
-
-// matchAffine matches an arithmetic pattern against an integer by solving
-// the affine equation a·v + b = target for the single unbound variable v.
-// Patterns with no unbound variable are evaluated and compared; patterns
-// that are not affine in exactly one variable, or whose solution is not an
-// exact non-negative integer, do not match.
-func matchAffine(pattern Term, target Int, s Subst) bool {
-	varName, a, b, ok := affineForm(pattern, s)
-	if !ok {
-		return false
-	}
-	if varName == "" {
-		return b == target.Value
-	}
-	diff := target.Value - b
-	if a == 0 || diff%a != 0 {
-		return false
-	}
-	v := diff / a
-	if v < 0 {
-		return false
-	}
-	s[varName] = Int{Value: v}
-	return true
-}
-
-// affineForm decomposes a term into a·v + b with at most one unbound
-// variable v (named in varName; "" when the term is constant under s).
-func affineForm(t Term, s Subst) (varName string, a, b int64, ok bool) {
-	t = walk(t, s)
-	switch x := t.(type) {
-	case Int:
-		return "", 0, x.Value, true
-	case Var:
-		return x.Name, 1, 0, true
-	case Compound:
-		if len(x.Args) != 2 || (x.Functor != FunctorAdd && x.Functor != FunctorMul) {
-			return "", 0, 0, false
-		}
-		v1, a1, b1, ok1 := affineForm(x.Args[0], s)
-		v2, a2, b2, ok2 := affineForm(x.Args[1], s)
-		if !ok1 || !ok2 {
-			return "", 0, 0, false
-		}
-		if x.Functor == FunctorAdd {
-			switch {
-			case v1 == "" && v2 == "":
-				return "", 0, b1 + b2, true
-			case v1 == "":
-				return v2, a2, b1 + b2, true
-			case v2 == "":
-				return v1, a1, b1 + b2, true
-			case v1 == v2:
-				return v1, a1 + a2, b1 + b2, true
-			default:
-				return "", 0, 0, false
-			}
-		}
-		// Multiplication: one side must be constant.
-		switch {
-		case v1 == "" && v2 == "":
-			return "", 0, b1 * b2, true
-		case v1 == "":
-			return v2, a2 * b1, b2 * b1, true
-		case v2 == "":
-			return v1, a1 * b2, b1 * b2, true
-		default:
-			return "", 0, 0, false
-		}
-	default:
-		return "", 0, 0, false
-	}
 }
 
 // MatchAtom matches a (possibly non-ground) atom pattern against a ground

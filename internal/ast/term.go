@@ -10,7 +10,6 @@
 package ast
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,16 +38,15 @@ type Sym struct {
 	Name string
 }
 
-// Int is an integer constant. Integer constants are ordinary constants for
-// unification purposes, and additionally participate in the index arithmetic
-// generated by the counting rewritings (Sections 6-8 of the paper).
+// Int is an integer constant. Integers are ordinary constants: no functor
+// is interpreted, so 1 and f(1) are as unrelated as a and f(a).
 type Int struct {
 	Value int64
 }
 
 // Compound is a function symbol applied to arguments, e.g. cons(X, Xs) or
-// f(X, Z). The arithmetic functors "+" and "*" (always binary) are given an
-// interpreted meaning by EvalArith; all other functors are uninterpreted.
+// f(X, Z). Every functor is uninterpreted: the counting rewritings build
+// their index fields as compounds such as s(I) and k(K, 2).
 type Compound struct {
 	Functor string
 	Args    []Term
@@ -59,12 +57,8 @@ func (Sym) isTerm()      {}
 func (Int) isTerm()      {}
 func (Compound) isTerm() {}
 
-// Interpreted functors used by the counting rewritings for index arithmetic.
+// The list constructor and the empty list of the surface syntax.
 const (
-	// FunctorAdd is the binary addition functor used in counting indices.
-	FunctorAdd = "+"
-	// FunctorMul is the binary multiplication functor used in counting indices.
-	FunctorMul = "*"
 	// FunctorCons is the list constructor functor.
 	FunctorCons = "."
 	// SymNil is the empty-list constant.
@@ -84,12 +78,6 @@ func I(v int64) Term { return Int{Value: v} }
 func C(functor string, args ...Term) Term {
 	return Compound{Functor: functor, Args: args}
 }
-
-// Add returns the arithmetic term a + b used in counting indices.
-func Add(a, b Term) Term { return C(FunctorAdd, a, b) }
-
-// Mul returns the arithmetic term a * b used in counting indices.
-func Mul(a, b Term) Term { return C(FunctorMul, a, b) }
 
 // Nil returns the empty-list constant [].
 func Nil() Term { return Sym{Name: SymNil} }
@@ -116,17 +104,10 @@ func (s Sym) String() string { return s.Name }
 func (i Int) String() string { return strconv.FormatInt(i.Value, 10) }
 
 // String renders a compound term. List cells are rendered in [a, b | T]
-// notation, arithmetic terms infix, and everything else as f(args).
+// notation and everything else as f(args).
 func (c Compound) String() string {
-	switch c.Functor {
-	case FunctorCons:
-		if len(c.Args) == 2 {
-			return renderList(c)
-		}
-	case FunctorAdd, FunctorMul:
-		if len(c.Args) == 2 {
-			return fmt.Sprintf("(%s %s %s)", c.Args[0], c.Functor, c.Args[1])
-		}
+	if c.Functor == FunctorCons && len(c.Args) == 2 {
+		return renderList(c)
 	}
 	parts := make([]string, len(c.Args))
 	for i, a := range c.Args {
@@ -307,52 +288,6 @@ func symLen(t Term, mult map[string]int) int {
 	default:
 		return 1
 	}
-}
-
-// EvalArith normalizes the interpreted arithmetic functors "+" and "*" in a
-// term: every subterm of the form Int ⊕ Int is replaced by its integer value.
-// Non-arithmetic structure and any subterm containing variables or symbolic
-// constants are left unchanged. The counting rewritings rely on this to turn
-// fully bound index expressions such as (K*2)+2 into plain integers before
-// tuples are stored or matched.
-func EvalArith(t Term) Term {
-	c, ok := t.(Compound)
-	if !ok {
-		return t
-	}
-	args := make([]Term, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = EvalArith(a)
-	}
-	if (c.Functor == FunctorAdd || c.Functor == FunctorMul) && len(args) == 2 {
-		l, lok := args[0].(Int)
-		r, rok := args[1].(Int)
-		if lok && rok {
-			if c.Functor == FunctorAdd {
-				return Int{Value: l.Value + r.Value}
-			}
-			return Int{Value: l.Value * r.Value}
-		}
-	}
-	return Compound{Functor: c.Functor, Args: args}
-}
-
-// ContainsArith reports whether the term contains an interpreted arithmetic
-// functor ("+" or "*").
-func ContainsArith(t Term) bool {
-	c, ok := t.(Compound)
-	if !ok {
-		return false
-	}
-	if (c.Functor == FunctorAdd || c.Functor == FunctorMul) && len(c.Args) == 2 {
-		return true
-	}
-	for _, a := range c.Args {
-		if ContainsArith(a) {
-			return true
-		}
-	}
-	return false
 }
 
 // SortedVarNames returns the variable names of the set in sorted order.

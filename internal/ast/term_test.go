@@ -16,9 +16,6 @@ func TestTermConstructorsAndString(t *testing.T) {
 		{I(-7), "-7"},
 		{C("f", V("X"), S("a")), "f(X, a)"},
 		{C("g"), "g()"},
-		{Add(V("I"), I(1)), "(I + 1)"},
-		{Mul(V("K"), I(2)), "(K * 2)"},
-		{Add(Mul(V("K"), I(2)), I(2)), "((K * 2) + 2)"},
 		{Nil(), "[]"},
 		{List(S("a"), S("b"), S("c")), "[a, b, c]"},
 		{Cons(V("H"), V("T")), "[H | T]"},
@@ -131,38 +128,6 @@ func TestSymbolicLength(t *testing.T) {
 	c, m = SymbolicLength(S("a"))
 	if c != 1 || len(m) != 0 {
 		t.Errorf("SymbolicLength(a) = %d %v", c, m)
-	}
-}
-
-func TestEvalArith(t *testing.T) {
-	cases := []struct {
-		in   Term
-		want Term
-	}{
-		{Add(I(1), I(2)), I(3)},
-		{Mul(I(3), I(4)), I(12)},
-		{Add(Mul(I(2), I(5)), I(1)), I(11)},
-		{Add(V("I"), I(1)), Add(V("I"), I(1))},
-		{C("f", Add(I(1), I(1))), C("f", I(2))},
-		{S("a"), S("a")},
-		{Add(S("a"), I(1)), Add(S("a"), I(1))},
-	}
-	for _, tc := range cases {
-		if got := EvalArith(tc.in); !Equal(got, tc.want) {
-			t.Errorf("EvalArith(%s) = %s, want %s", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestContainsArith(t *testing.T) {
-	if !ContainsArith(Add(V("I"), I(1))) {
-		t.Error("expected Add term to contain arithmetic")
-	}
-	if !ContainsArith(C("f", V("X"), Mul(V("K"), I(2)))) {
-		t.Error("expected nested Mul to be detected")
-	}
-	if ContainsArith(C("f", V("X"))) || ContainsArith(S("a")) || ContainsArith(V("X")) {
-		t.Error("expected non-arithmetic terms to report false")
 	}
 }
 

@@ -47,11 +47,9 @@
 // Boundness is fully static: a variable is bound exactly when an earlier
 // literal in the chosen order (or an earlier argument of the same literal)
 // contains it, which coincides with the dynamic substitution of the reference
-// oracle in termspace_test.go. Rules whose bodies contain interpreted arithmetic
-// keep their textual order in every variant: affine matching ("I+1 matches 5
-// by solving for I") depends on which variables are bound when the literal
-// is reached, so reordering such a body could change its meaning, not just
-// its cost.
+// oracle in termspace_test.go. Every functor is uninterpreted, so a literal
+// means the same whatever is bound when it is reached: the join order
+// changes what a rule costs, never what it derives.
 package eval
 
 import (
@@ -60,30 +58,12 @@ import (
 	"repro/internal/sip"
 )
 
-// bodyHasArith reports whether any body argument contains an interpreted
-// arithmetic functor.
-func bodyHasArith(r ast.Rule) bool {
-	for _, lit := range r.Body {
-		for _, arg := range lit.Args {
-			if ast.ContainsArith(arg) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // compiler carries the per-rule compilation state.
 type compiler struct {
 	tab   *intern.Table
 	regs  map[string]int
 	bound map[string]bool
-	// preBound snapshots the bound set at the start of the literal being
-	// compiled: the variables the term-space oracle would substitute
-	// (and arithmetic-fold) when instantiating the literal. It decides the
-	// preFolded flag of arithmetic patterns.
-	preBound map[string]bool
-	nregs    int
+	nregs int
 }
 
 // regOf returns the register of a variable, allocating one on first sight.
@@ -113,18 +93,7 @@ func compileRule(pp *Prepared, v variantKey) *pipeline {
 		pl.steps = append(pl.steps, c.compileStep(r.Head, v.lead, false))
 	}
 
-	var order []int
-	if pp.shapes[ruleIdx].textual {
-		// Preserve the textual order: affine arithmetic matching is
-		// order-sensitive (see the package comment).
-		order = make([]int, len(r.Body))
-		for i := range order {
-			order[i] = i
-		}
-	} else {
-		order = sip.GreedyOrder(r.Body, c.bound, v.lead)
-	}
-	for _, pos := range order {
+	for _, pos := range sip.GreedyOrder(r.Body, c.bound, v.lead) {
 		pl.steps = append(pl.steps, c.compileStep(r.Body[pos], pos, v.fromDelta && pos == v.lead))
 	}
 
@@ -140,7 +109,7 @@ func compileRule(pp *Prepared, v variantKey) *pipeline {
 	}
 	if pl.headOK {
 		for _, arg := range r.Head.Args {
-			pl.head = append(pl.head, c.compileVal(ast.EvalArith(arg)))
+			pl.head = append(pl.head, c.compileVal(arg))
 		}
 	} else {
 		pl.boundRegs = make(map[string]int)
@@ -155,7 +124,7 @@ func compileRule(pp *Prepared, v variantKey) *pipeline {
 
 // compileStep lowers one literal, at body position pos, into a step.
 func (c *compiler) compileStep(lit ast.Atom, pos int, fromDelta bool) step {
-	st := step{lit: lit, key: lit.PredKey(), pos: pos, fromDelta: fromDelta}
+	st := step{key: lit.PredKey(), pos: pos, fromDelta: fromDelta}
 	// First pass: decide bound vs free per argument against the pre-literal
 	// bound set, mirroring the term-space oracle which derives the probe
 	// columns from the substitution before the literal binds anything.
@@ -163,12 +132,7 @@ func (c *compiler) compileStep(lit ast.Atom, pos int, fromDelta bool) step {
 	for i, arg := range lit.Args {
 		isBound[i] = c.allVarsBound(arg)
 	}
-	c.preBound = make(map[string]bool, len(c.bound))
-	for v := range c.bound {
-		c.preBound[v] = true
-	}
 	for i, arg := range lit.Args {
-		arg = ast.EvalArith(arg)
 		if isBound[i] {
 			st.cols = append(st.cols, i)
 			st.vals = append(st.vals, c.compileVal(arg))
@@ -199,10 +163,10 @@ func (c *compiler) allVarsBound(t ast.Term) bool {
 }
 
 // compileVal lowers a term whose variables are all bound into a value
-// expression. The term has already been constant-folded with ast.EvalArith.
+// expression.
 func (c *compiler) compileVal(t ast.Term) valExpr {
 	if ast.IsGround(t) {
-		return valExpr{kind: vConst, id: c.tab.Intern(t), arithGround: ast.ContainsArith(t)}
+		return valExpr{kind: vConst, id: c.tab.Intern(t)}
 	}
 	switch x := t.(type) {
 	case ast.Var:
@@ -211,9 +175,6 @@ func (c *compiler) compileVal(t ast.Term) valExpr {
 		args := make([]valExpr, len(x.Args))
 		for i, a := range x.Args {
 			args[i] = c.compileVal(a)
-		}
-		if (x.Functor == ast.FunctorAdd || x.Functor == ast.FunctorMul) && len(x.Args) == 2 {
-			return valExpr{kind: vArith, mul: x.Functor == ast.FunctorMul, args: args}
 		}
 		return valExpr{kind: vComp, functor: x.Functor, args: args}
 	}
@@ -236,24 +197,6 @@ func (c *compiler) compilePat(t ast.Term) patNode {
 		c.bound[x.Name] = true
 		return patNode{kind: pBind, reg: reg}
 	case ast.Compound:
-		if (x.Functor == ast.FunctorAdd || x.Functor == ast.FunctorMul) && len(x.Args) == 2 {
-			// Build the affine program against the pre-node bound set, then
-			// the structural branch (which marks the pattern's variables
-			// bound; the affine branch binds the same set when it succeeds).
-			preFolded := true
-			for _, v := range ast.Vars(t, nil) {
-				if !c.preBound[v] {
-					preFolded = false
-					break
-				}
-			}
-			aff := c.compileAff(t)
-			args := make([]patNode, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = c.compilePat(a)
-			}
-			return patNode{kind: pArith, functor: x.Functor, args: args, aff: aff, preFolded: preFolded}
-		}
 		args := make([]patNode, len(x.Args))
 		for i, a := range x.Args {
 			args[i] = c.compilePat(a)
@@ -261,32 +204,4 @@ func (c *compiler) compilePat(t ast.Term) patNode {
 		return patNode{kind: pComp, functor: x.Functor, args: args}
 	}
 	panic("eval: compilePat on non-term")
-}
-
-// compileAff lowers a pattern into an affine program, the compiled form of
-// ast.affineForm: integer leaves are constants, bound variables contribute
-// their run-time value, the statically unbound variable is the solve target,
-// and anything else poisons the form (afFail), making affine matching fail
-// exactly where the term-space oracle's does.
-func (c *compiler) compileAff(t ast.Term) *affNode {
-	switch x := t.(type) {
-	case ast.Int:
-		return &affNode{kind: afConst, c: x.Value}
-	case ast.Var:
-		if c.bound[x.Name] {
-			return &affNode{kind: afReg, reg: c.regOf(x.Name)}
-		}
-		return &affNode{kind: afVar, reg: c.regOf(x.Name)}
-	case ast.Compound:
-		if (x.Functor == ast.FunctorAdd || x.Functor == ast.FunctorMul) && len(x.Args) == 2 {
-			kind := afAdd
-			if x.Functor == ast.FunctorMul {
-				kind = afMul
-			}
-			return &affNode{kind: kind, l: c.compileAff(x.Args[0]), r: c.compileAff(x.Args[1])}
-		}
-		return &affNode{kind: afFail}
-	default:
-		return &affNode{kind: afFail}
-	}
 }

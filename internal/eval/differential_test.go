@@ -6,7 +6,7 @@ package eval
 // (termspace_test.go), with identical fact counts. The generators cover the
 // shapes the paper's rewritings
 // produce: ancestor and same-generation recursion, magic guards, compound
-// (list) destructuring, and the arithmetic index fields of the counting
+// (list) destructuring, and the compound index fields of the counting
 // rewritings, plus purely random flat rules with shared, repeated and
 // constant arguments.
 
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/adorn"
@@ -89,12 +88,6 @@ func assertSameError(t *testing.T, label string, prog *ast.Program, edb *databas
 	if _, err := termSpaceNaive(prog, edb); !errors.Is(err, oracleErr) {
 		t.Errorf("%s: term-space err = %v, want %v", label, err, oracleErr)
 	}
-}
-
-// isArithError recognizes the compiled executor's report of a ground argument
-// that still contains arithmetic (plan.go; the error has no sentinel).
-func isArithError(err error) bool {
-	return strings.Contains(err.Error(), "uninterpreted arithmetic after grounding")
 }
 
 // randomEdge draws a random par-style edge store over n nodes.
@@ -229,8 +222,8 @@ type rewrittenCase struct {
 
 // rewrittenCases returns ancestor and same-generation under the magic,
 // supplementary-magic and counting rewritings (the latter exercising
-// arithmetic index fields and affine matching, with and without the semijoin
-// optimization) over acyclic data.
+// compound index fields and their destructuring, with and without the
+// semijoin optimization) over acyclic data.
 func rewrittenCases(t *testing.T) []rewrittenCase {
 	t.Helper()
 	ancestor := parser.MustParseProgram(`
@@ -295,32 +288,15 @@ func TestDifferentialListPrograms(t *testing.T) {
 	}
 }
 
-// TestDifferentialArithmeticBodies covers hand-written shapes that force
-// every arithmetic path of the pipeline: affine solving in a body literal,
-// arithmetic head construction, and the uninterpreted-arithmetic error.
+// TestDifferentialArithmeticBodies covers hand-written shapes of the
+// counting rewritings' successor arithmetic, built with the AST
+// constructors the way the rewriters build them: an unbounded successor
+// counter stopped by a limit, and an unsafe head.
 func TestDifferentialArithmeticBodies(t *testing.T) {
-	// Affine body matching: idx(I) holds iff c(I+1) holds, solving for I.
-	// (The surface parser has no infix arithmetic, so these rules are built
-	// with the AST constructors, the way the counting rewriters build
-	// theirs.)
-	prog := ast.NewProgram(
-		ast.NewRule(ast.NewAtom("idx", ast.V("I")),
-			ast.NewAtom("c", ast.Add(ast.V("I"), ast.I(1)))),
-		ast.NewRule(ast.NewAtom("dbl", ast.V("J")),
-			ast.NewAtom("c", ast.Add(ast.Mul(ast.V("J"), ast.I(2)), ast.I(2)))),
-		ast.NewRule(ast.NewAtom("nxt", ast.Add(ast.V("K"), ast.I(1))),
-			ast.NewAtom("c", ast.V("K"))),
-	)
-	edb := database.NewStore()
-	for _, v := range []int64{0, 1, 2, 4, 6, 7, 12} {
-		edb.MustAddFact(ast.NewAtom("c", ast.I(v)))
-	}
-	assertSameFixpoint(t, "affine", prog, edb, Options{})
-
 	// Upward counter with a bound (the oracle would not terminate): eight
-	// rounds derive nat(1)..nat(8), the ninth trips the limit.
+	// rounds derive nat(s(0))..nat(s⁸(0)), the ninth trips the limit.
 	nat := ast.NewProgram(ast.NewRule(
-		ast.NewAtom("nat", ast.Add(ast.V("N"), ast.I(1))),
+		ast.NewAtom("nat", ast.C("s", ast.V("N"))),
 		ast.NewAtom("nat", ast.V("N")),
 	))
 	nedb := database.NewStore()
@@ -333,111 +309,13 @@ func TestDifferentialArithmeticBodies(t *testing.T) {
 		t.Errorf("bounded counter NewFacts = %d, want 8", stats.NewFacts)
 	}
 
-	// Uninterpreted arithmetic after grounding: p binds X to a symbol, so
-	// the ground probe value X+1 is an error in both executors.
-	bad := ast.NewProgram(ast.NewRule(
-		ast.NewAtom("r", ast.V("X")),
-		ast.NewAtom("p", ast.V("X")),
-		ast.NewAtom("q", ast.Add(ast.V("X"), ast.I(1))),
-	))
-	bedb := database.NewStore()
-	bedb.MustAddFact(ast.NewAtom("p", ast.S("a")))
-	bedb.MustAddFact(ast.NewAtom("q", ast.I(1)))
-	assertSameError(t, "uninterpreted arithmetic", bad, bedb, isArithError, errOracleArith)
-
 	// A head variable the body does not bind: firing the rule is an error.
 	unsafe := ast.NewProgram(ast.NewRule(
 		ast.NewAtom("r", ast.V("X"), ast.V("W")),
 		ast.NewAtom("p", ast.V("X")),
 	))
-	assertSameError(t, "non-ground head", unsafe, bedb,
+	uedb := database.NewStore()
+	uedb.MustAddFact(ast.NewAtom("p", ast.S("a")))
+	assertSameError(t, "non-ground head", unsafe, uedb,
 		func(err error) bool { return errors.Is(err, ErrNonGroundFact) }, errOracleNonGround)
-}
-
-// TestDifferentialStoredArithCompounds covers EDBs that store uninterpreted
-// constant arithmetic verbatim (facts asserted as (1+2) rather than 3). The
-// term-space oracle folds such values with ast.EvalArith whenever a
-// substituted argument is instantiated, so the compiled executor must
-// normalize register values the same way on probes, register-equality
-// tests, head construction, and keep the structural branch of an
-// arithmetic pattern whose variables were bound within the literal.
-func TestDifferentialStoredArithCompounds(t *testing.T) {
-	// Probe normalization: X binds to the compound (1+2) from p, the probe
-	// into q must fold it to 3.
-	probe := ast.NewProgram(ast.NewRule(
-		ast.NewAtom("h", ast.V("X")),
-		ast.NewAtom("p", ast.V("X")),
-		ast.NewAtom("q", ast.V("X")),
-	))
-	edb := database.NewStore()
-	edb.MustAddFact(ast.NewAtom("p", ast.Add(ast.I(1), ast.I(2))))
-	edb.MustAddFact(ast.NewAtom("q", ast.I(3)))
-	assertSameFixpoint(t, "probe-normalization", probe, edb, Options{})
-
-	// Head normalization: a head variable holding (1+2) must store 3, and
-	// one holding f((1+2)) must store f(3).
-	head := ast.NewProgram(
-		ast.NewRule(ast.NewAtom("out", ast.V("X")), ast.NewAtom("p", ast.V("X"))),
-		ast.NewRule(ast.NewAtom("out2", ast.V("Y")), ast.NewAtom("r", ast.V("Y"))),
-	)
-	hedb := database.NewStore()
-	hedb.MustAddFact(ast.NewAtom("p", ast.Add(ast.I(1), ast.I(2))))
-	hedb.MustAddFact(ast.NewAtom("r", ast.C("f", ast.Add(ast.I(1), ast.I(2)))))
-	assertSameFixpoint(t, "head-normalization", head, hedb, Options{})
-
-	// Register-equality test: the repeated variable X is bound to (1+2) by
-	// the first occurrence and must fold-match the stored 3 at the second.
-	rep := ast.NewProgram(ast.NewRule(
-		ast.NewAtom("h", ast.V("Y")),
-		ast.NewAtom("pair", ast.V("X"), ast.V("Y")),
-		ast.NewAtom("q", ast.V("X")),
-	))
-	redb := database.NewStore()
-	redb.MustAddFact(ast.NewAtom("pair", ast.Add(ast.I(1), ast.I(2)), ast.S("a")))
-	redb.MustAddFact(ast.NewAtom("q", ast.I(3)))
-	assertSameFixpoint(t, "test-normalization", rep, redb, Options{})
-
-	// Structural branch of a within-literal-bound arithmetic pattern: the
-	// pattern X+1 (X bound by the sibling argument of the same compound) is
-	// not folded at instantiation time, so it must structurally match the
-	// stored compound (2+1).
-	within := ast.NewProgram(ast.NewRule(
-		ast.NewAtom("h", ast.V("X")),
-		ast.NewAtom("p", ast.C("f", ast.V("X"), ast.Add(ast.V("X"), ast.I(1)))),
-	))
-	wedb := database.NewStore()
-	wedb.MustAddFact(ast.NewAtom("p", ast.C("f", ast.I(2), ast.Add(ast.I(2), ast.I(1)))))
-	wedb.MustAddFact(ast.NewAtom("p", ast.C("f", ast.I(4), ast.I(5))))
-	wedb.MustAddFact(ast.NewAtom("p", ast.C("f", ast.I(6), ast.I(8))))
-	assertSameFixpoint(t, "within-literal-structural", within, wedb, Options{})
-
-	// Pre-literal-bound arithmetic subpattern: Y is bound by the first
-	// literal, so instantiating g(X, Y+1) folds Y+1 to an integer, which
-	// must NOT structurally match a stored compound.
-	pre := ast.NewProgram(ast.NewRule(
-		ast.NewAtom("h", ast.V("X")),
-		ast.NewAtom("b", ast.V("Y")),
-		ast.NewAtom("p", ast.C("g", ast.V("X"), ast.Add(ast.V("Y"), ast.I(1)))),
-	))
-	pedb := database.NewStore()
-	pedb.MustAddFact(ast.NewAtom("b", ast.I(2)))
-	pedb.MustAddFact(ast.NewAtom("p", ast.C("g", ast.S("m"), ast.I(3))))
-	pedb.MustAddFact(ast.NewAtom("p", ast.C("g", ast.S("n"), ast.Add(ast.I(2), ast.I(1)))))
-	assertSameFixpoint(t, "pre-literal-folded", pre, pedb, Options{})
-}
-
-// TestDifferentialProbeMissDoesNotMaskArithError checks a probe column whose
-// value was never interned (X+1 = 6, and 6 occurs nowhere) does not
-// short-circuit past a later ground argument carrying uninterpreted
-// arithmetic: both executors must report the error, not silently succeed.
-func TestDifferentialProbeMissDoesNotMaskArithError(t *testing.T) {
-	prog := ast.NewProgram(ast.NewRule(
-		ast.NewAtom("h", ast.V("X")),
-		ast.NewAtom("b", ast.V("X")),
-		ast.NewAtom("p", ast.Add(ast.V("X"), ast.I(1)), ast.Add(ast.S("a"), ast.I(1))),
-	))
-	edb := database.NewStore()
-	edb.MustAddFact(ast.NewAtom("b", ast.I(5)))
-	edb.MustAddFact(ast.NewAtom("p", ast.I(0), ast.I(0)))
-	assertSameError(t, "probe miss", prog, edb, isArithError, errOracleArith)
 }

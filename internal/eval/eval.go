@@ -10,11 +10,9 @@
 // iteration, and the sideways information passing chosen at rewrite time is
 // what restricts the facts computed.
 //
-// The evaluators understand the interpreted arithmetic functors "+" and "*"
-// in rule heads and bodies, which the counting rewritings use for their
-// index fields; an arithmetic argument must be fully bound by the time it is
-// needed (the generated counting rules guarantee this by placing the cnt/
-// supcnt literal first).
+// No functor is interpreted: terms match by structure alone. The counting
+// rewritings' index fields are ordinary compounds such as s(I) and k(K, 2),
+// built in rule heads and destructured in bodies like any other term.
 package eval
 
 import (
@@ -246,9 +244,8 @@ func (s *Stats) String() string {
 // index, the body position leading the join, and whether that literal reads
 // the delta store (a semi-naive delta round) or the main store like the rest
 // of the body (a full-store pass, led by its smallest relation). lead is -1
-// only for the full-store variant of a body that keeps its textual order, and
-// len(body) only for maintenance's head-led rescue variant (compileRule), so
-// a rule has at most 2·|body| + 2 variants.
+// only for a body-less rule, and len(body) only for maintenance's head-led
+// rescue variant (compileRule), so a rule has at most 2·|body| + 2 variants.
 type variantKey struct {
 	rule      int
 	lead      int
@@ -263,9 +260,6 @@ type ruleShape struct {
 	// is bound).
 	bodyKeys []string
 	ground   []int
-	// textual marks a body containing interpreted arithmetic, which must run
-	// in its textual order (see compile.go).
-	textual bool
 }
 
 // Prepared is the reusable compiled form of a program for bottom-up
@@ -319,7 +313,7 @@ func PrepareWith(p *ast.Program, tab *intern.Table, plan *depgraph.Plan) (*Prepa
 				}
 			}
 		}
-		shapes[i] = ruleShape{bodyKeys: keys, ground: ground, textual: bodyHasArith(r)}
+		shapes[i] = ruleShape{bodyKeys: keys, ground: ground}
 	}
 	return &Prepared{
 		program:  p,
@@ -491,15 +485,8 @@ func (ctx *evalContext) variant(key variantKey) *runPipe {
 // moment the rule fires, and within a component rules fire in a fixed order
 // against relations that only this component writes, so it is the same at
 // every Parallelism.
-//
-// A body with interpreted arithmetic keeps its textual order (lead -1) and
-// always runs: matching it can raise the uninterpreted-arithmetic error
-// before an empty relation is reached, and skipping the rule would hide that.
 func (ctx *evalContext) fullStoreLead(ruleIdx int) (lead int, ok bool) {
 	shape := &ctx.prep.shapes[ruleIdx]
-	if shape.textual {
-		return -1, true
-	}
 	lead, fewest := -1, 0
 	for pos, key := range shape.bodyKeys {
 		n := ctx.store.FactCount(key)

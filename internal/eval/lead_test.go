@@ -33,7 +33,7 @@ func readsOwnHead(p *ast.Program) bool {
 }
 
 // assertLeadInvariant evaluates the program naively once per body position k,
-// with every reorderable rule's pipeline compiled to lead with its literal
+// with every rule's pipeline compiled to lead with its literal
 // k mod |body| — so every rule is led by every one of its literals — and
 // requires each run to reach the fixpoint of the term-space oracle: the
 // same store, the same number of new facts and, where the count does not
@@ -63,7 +63,7 @@ func assertLeadInvariant(t *testing.T, label string, prog *ast.Program, edb *dat
 		pipes := make([]*pipeline, len(prog.Rules))
 		for ri, r := range prog.Rules {
 			key := variantKey{rule: ri, lead: -1}
-			if !pp.shapes[ri].textual && len(r.Body) > 0 {
+			if len(r.Body) > 0 {
 				key.lead = k % len(r.Body)
 			}
 			pipes[ri] = compileRule(pp, key)

@@ -15,10 +15,7 @@ import (
 	"repro/internal/database"
 )
 
-var (
-	errOracleNonGround = errors.New("oracle: rule derived a non-ground fact")
-	errOracleArith     = errors.New("oracle: uninterpreted arithmetic after grounding")
-)
+var errOracleNonGround = errors.New("oracle: rule derived a non-ground fact")
 
 // oracle is a finished (or failed) reference evaluation.
 type oracle struct {
@@ -60,14 +57,11 @@ func (o *oracle) factsByPredicate(prog *ast.Program) map[string]int {
 
 // match extends s over the body literals of r from position i on and inserts
 // the head under every substitution that satisfies them all. A literal is
-// instantiated under s with its arithmetic folded; its ground arguments
+// instantiated under s; its ground arguments
 // select the candidate tuples, and the rest are matched against each.
 func (o *oracle) match(r ast.Rule, i int, s ast.Subst) error {
 	if i == len(r.Body) {
 		head := s.ApplyAtom(r.Head)
-		for j, arg := range head.Args {
-			head.Args[j] = ast.EvalArith(arg)
-		}
 		if !ast.IsGroundAtom(head) {
 			return fmt.Errorf("%w: %s from %s", errOracleNonGround, head, r)
 		}
@@ -86,12 +80,7 @@ func (o *oracle) match(r ast.Rule, i int, s ast.Subst) error {
 	var cols []int
 	var vals []ast.Term
 	for j, arg := range inst.Args {
-		arg = ast.EvalArith(arg)
-		inst.Args[j] = arg
 		if ast.IsGround(arg) {
-			if ast.ContainsArith(arg) {
-				return fmt.Errorf("%w: argument %d of %s", errOracleArith, j, r.Body[i])
-			}
 			cols = append(cols, j)
 			vals = append(vals, arg)
 		}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
 )
@@ -51,12 +50,6 @@ type Table struct {
 	kinds   []byte
 	intVals []int64
 	parts   []compParts
-	// hasArith is set once any interpreted-arithmetic compound ("+"/"*" of
-	// two arguments) is interned. While it is false — the overwhelmingly
-	// common case — the compiled pipelines can skip arithmetic
-	// normalization of register values entirely, because no stored ID can
-	// denote a foldable term.
-	hasArith atomic.Bool
 }
 
 // Term kinds recorded in Table.kinds.
@@ -247,17 +240,8 @@ func (tb *Table) appendTerm(t ast.Term, kind byte, intVal int64, parts compParts
 	tb.kinds = append(tb.kinds, kind)
 	tb.intVals = append(tb.intVals, intVal)
 	tb.parts = append(tb.parts, parts)
-	if kind == kindComp && len(parts.args) == 2 &&
-		(parts.functor == ast.FunctorAdd || parts.functor == ast.FunctorMul) {
-		tb.hasArith.Store(true)
-	}
 	return id
 }
-
-// HasArith reports whether any interpreted-arithmetic compound has been
-// interned into the table. A false result guarantees no stored ID denotes a
-// term that arithmetic normalization could change.
-func (tb *Table) HasArith() bool { return tb.hasArith.Load() }
 
 // Kind classifies the term interned under id. It panics if the ID was never
 // handed out by this table.
@@ -281,8 +265,7 @@ func kindOf(k byte) TermKind {
 
 // IntValue returns the integer value of an interned ID and whether the ID
 // denotes an integer constant at all. It is the ID-level counterpart of a
-// type assertion on ast.Int and is used by the compiled pipelines to
-// evaluate interpreted arithmetic without materializing terms.
+// type assertion on ast.Int.
 func (tb *Table) IntValue(id ID) (int64, bool) {
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -303,34 +286,6 @@ func (tb *Table) CompoundParts(id ID) (functor string, args []ID, ok bool) {
 	}
 	p := tb.parts[id]
 	return p.functor, p.args, true
-}
-
-// InternInt interns an integer value directly, without constructing an
-// ast.Int on the lookup path.
-func (tb *Table) InternInt(v int64) ID {
-	tb.mu.RLock()
-	id, ok := tb.ints[v]
-	tb.mu.RUnlock()
-	if ok {
-		return id
-	}
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	if id, ok := tb.ints[v]; ok {
-		return id
-	}
-	id = tb.appendTerm(ast.Int{Value: v}, kindInt, v, compParts{})
-	tb.ints[v] = id
-	return id
-}
-
-// FindInt looks up an integer value without interning it; a false result
-// means no stored tuple can contain the integer.
-func (tb *Table) FindInt(v int64) (ID, bool) {
-	tb.mu.RLock()
-	id, ok := tb.ints[v]
-	tb.mu.RUnlock()
-	return id, ok
 }
 
 // FindCompound looks up the compound term functor(args...) given the IDs of
@@ -417,7 +372,7 @@ func (tb *Table) Term(id ID) ast.Term {
 // while other goroutines intern new terms (appends may reallocate the
 // backing arrays, but the snapshot keeps the old, fully initialized one).
 // An ID minted after the snapshot transparently refreshes it under the
-// lock. Lookups that need the table's maps (FindInt, FindCompound) and all
+// lock. Lookups that need the table's maps (FindCompound) and all
 // interning still delegate to the locked table.
 type Reader struct {
 	tb      *Table
@@ -480,15 +435,6 @@ func (r *Reader) Kind(id ID) TermKind {
 	}
 	return kindOf(r.kinds[id])
 }
-
-// HasArith delegates to the table.
-func (r *Reader) HasArith() bool { return r.tb.HasArith() }
-
-// InternInt delegates to the table.
-func (r *Reader) InternInt(v int64) ID { return r.tb.InternInt(v) }
-
-// FindInt delegates to the table.
-func (r *Reader) FindInt(v int64) (ID, bool) { return r.tb.FindInt(v) }
 
 // InternCompound delegates to the table.
 func (r *Reader) InternCompound(functor string, args []ID) ID {

@@ -12,16 +12,17 @@
 //
 // # Index encoding
 //
-// The paper writes the modified rule's head indices as quotients (h/t) and
-// the body indices as products (h×t+j). This implementation uses the
-// equivalent forward-computable convention: a rule's head carries the
-// indices of its cnt/supcnt literal unchanged, and each indexed body
-// literal carries I+1, K·m+i, H·t+j, where m is the number of adorned
-// rules, i the 1-based rule number, t the maximum body length and j the
-// 1-based body position. When the semijoin optimization deletes the cnt
-// literal, the evaluator recovers the head indices by inverting these
-// affine expressions (see ast.Match), which is exactly the role the paper's
-// quotient notation plays.
+// The paper encodes the three index sequences as integers: I as the depth,
+// K and H as the numbers K·m+i and H·t+j (m the number of rules, t the
+// maximum body length), and writes the modified rule's head indices as the
+// quotients that invert them. This implementation builds the sequences
+// themselves as terms, which need no bound on their length: a rule's head
+// carries the indices of its cnt/supcnt literal unchanged, and each indexed
+// body literal carries s(I), k(K, i) and h(H, j), where i is the 1-based
+// rule number and j the 1-based body position. The seed's indices are
+// (0, 0, 0). When the semijoin optimization deletes the cnt literal, the
+// evaluator recovers the head indices by destructuring the child's, which
+// is exactly the role the paper's quotient notation plays.
 //
 // # Applicability
 //
@@ -80,8 +81,6 @@ type context struct {
 	ad      *adorn.Program
 	opts    Options
 	supp    bool
-	m       int // number of adorned rules (base of the rule-sequence encoding)
-	t       int // maximum body length (base of the position-sequence encoding)
 	reduced bool
 	// indexed reports whether an adorned predicate key gets index fields
 	// (derived with at least one bound argument).
@@ -97,11 +96,8 @@ func (rw *Rewriter) Rewrite(ad *adorn.Program) (*rewrite.Rewriting, error) {
 		return nil, fmt.Errorf("counting: the query %s has no bound argument; the counting rewritings require one", ad.Query)
 	}
 
-	ctx := &context{ad: ad, opts: rw.opts, supp: rw.supplementary, m: len(ad.Rules), t: 1, indexed: make(map[string]bool)}
+	ctx := &context{ad: ad, opts: rw.opts, supp: rw.supplementary, indexed: make(map[string]bool)}
 	for _, ar := range ad.Rules {
-		if len(ar.Rule.Body) > ctx.t {
-			ctx.t = len(ar.Rule.Body)
-		}
 		if ar.Rule.Head.Adorn.BoundCount() > 0 {
 			ctx.indexed[ar.Rule.Head.PredKey()] = true
 		}
@@ -214,13 +210,14 @@ func indexVarsFor(r ast.Rule) [3]ast.Term {
 	return [3]ast.Term{pick("I"), pick("K"), pick("H")}
 }
 
-// childIndices computes the index triple of a body occurrence: I+1, K·m+i,
-// H·t+j for rule number i (1-based) and body position j (1-based).
-func (c *context) childIndices(parent [3]ast.Term, ruleIdx, pos int) [3]ast.Term {
+// childIndices computes the index triple of a body occurrence: s(I),
+// k(K, i), h(H, j) for rule number i (1-based) and body position j
+// (1-based).
+func childIndices(parent [3]ast.Term, ruleIdx, pos int) [3]ast.Term {
 	return [3]ast.Term{
-		ast.Add(parent[0], ast.I(1)),
-		ast.Add(ast.Mul(parent[1], ast.I(int64(c.m))), ast.I(int64(ruleIdx+1))),
-		ast.Add(ast.Mul(parent[2], ast.I(int64(c.t))), ast.I(int64(pos+1))),
+		ast.C("s", parent[0]),
+		ast.C("k", parent[1], ast.I(int64(ruleIdx+1))),
+		ast.C("h", parent[2], ast.I(int64(pos+1))),
 	}
 }
 
@@ -307,15 +304,19 @@ func (c *context) rewriteRule(ruleIdx int, ar adorn.Rule) (cnt, sup []ast.Rule, 
 	}
 
 	// --- plain generalized counting ---
-	// Counting rules: one per indexed body occurrence with an incoming arc.
+	// Counting rules: one per indexed body occurrence. An occurrence that
+	// no arc enters has only constants as bound arguments and is relevant
+	// whenever the rule is, as in rewrite.ConstantMagicRule.
 	for _, pos := range order {
 		lit := r.Body[pos]
-		if !c.indexed[lit.PredKey()] || len(g.ArcsInto(pos)) == 0 {
+		if !c.indexed[lit.PredKey()] {
 			continue
 		}
-		head := c.cntAtom(lit, c.childIndices(idx, ruleIdx, pos))
-		body := c.arcBody(ruleIdx, r, g, pos, idx, order)
-		cnt = append(cnt, ast.Rule{Head: head, Body: body})
+		body := []ast.Atom{c.cntAtom(r.Head, idx)}
+		if len(g.ArcsInto(pos)) > 0 {
+			body = c.arcBody(ruleIdx, r, g, pos, idx, order)
+		}
+		cnt = append(cnt, ast.Rule{Head: c.cntAtom(lit, childIndices(idx, ruleIdx, pos)), Body: body})
 	}
 
 	// Modified rule.
@@ -329,7 +330,7 @@ func (c *context) rewriteRule(ruleIdx int, ar adorn.Rule) (cnt, sup []ast.Rule, 
 			if c.reduced {
 				pending = dropCovered(pending, g, pos)
 			}
-			pending = append(pending, pendingLit{atom: c.indexedAtom(lit, c.childIndices(idx, ruleIdx, pos)), origin: pos})
+			pending = append(pending, pendingLit{atom: c.indexedAtom(lit, childIndices(idx, ruleIdx, pos)), origin: pos})
 		} else {
 			pending = append(pending, pendingLit{atom: lit, origin: pos})
 		}
@@ -369,7 +370,7 @@ func (c *context) arcBody(ruleIdx int, r ast.Rule, g *sip.Graph, target int, idx
 			if c.reduced {
 				pending = dropCovered(pending, g, pos)
 			}
-			pending = append(pending, pendingLit{atom: c.indexedAtom(lit, c.childIndices(idx, ruleIdx, pos)), origin: pos})
+			pending = append(pending, pendingLit{atom: c.indexedAtom(lit, childIndices(idx, ruleIdx, pos)), origin: pos})
 		} else {
 			pending = append(pending, pendingLit{atom: lit, origin: pos})
 		}
@@ -390,20 +391,23 @@ func (c *context) rewriteRuleSupplementary(ruleIdx int, ar adorn.Rule, idx [3]as
 		}
 	}
 
-	// Degenerate case: no body literal receives bindings. The rule is only
-	// guarded by the head's cnt literal.
+	// Degenerate case: no body literal receives bindings. The rule, and the
+	// counting rule of every indexed occurrence (bound by constants only),
+	// is guarded by the head's cnt literal alone.
 	if lastIdx < 0 {
-		var body []ast.Atom
-		body = append(body, c.cntAtom(r.Head, idx))
+		guard := c.cntAtom(r.Head, idx)
+		body := []ast.Atom{guard}
 		for _, pos := range order {
 			lit := r.Body[pos]
 			if c.indexed[lit.PredKey()] {
-				body = append(body, c.indexedAtom(lit, c.childIndices(idx, ruleIdx, pos)))
+				child := childIndices(idx, ruleIdx, pos)
+				cnt = append(cnt, ast.Rule{Head: c.cntAtom(lit, child), Body: []ast.Atom{guard}})
+				body = append(body, c.indexedAtom(lit, child))
 			} else {
 				body = append(body, lit)
 			}
 		}
-		return nil, nil, ast.Rule{Head: c.indexedAtom(r.Head, idx), Body: body}, nil
+		return cnt, nil, ast.Rule{Head: c.indexedAtom(r.Head, idx), Body: body}, nil
 	}
 
 	// varOrder gives deterministic argument order for supcnt predicates.
@@ -485,23 +489,25 @@ func (c *context) rewriteRuleSupplementary(ruleIdx int, ar adorn.Rule, idx [3]as
 			if c.reduced && arcCoversPrefix(g, prevPos, order[:j-2]) {
 				pending = nil
 			}
-			pending = append(pending, pendingLit{atom: c.indexedAtom(prevLit, c.childIndices(idx, ruleIdx, prevPos)), origin: prevPos})
+			pending = append(pending, pendingLit{atom: c.indexedAtom(prevLit, childIndices(idx, ruleIdx, prevPos)), origin: prevPos})
 		} else {
 			pending = append(pending, pendingLit{atom: prevLit, origin: prevPos})
 		}
 		sup = append(sup, ast.Rule{Head: supAtom(j).atom, Body: atoms(pending)})
 	}
 
-	// Counting rules: cnt_q_ind(child indices, bound args) :- supcnt_j.
-	for j := 1; j <= m; j++ {
-		pos := order[j-1]
+	// Counting rules: cnt_q_ind(child indices, bound args) :- supcnt_j for
+	// the occurrence at order position j. An occurrence that no arc enters
+	// (bound by constants only) may follow the last arc-receiving one; it
+	// takes the last supplementary literal, supcnt_m.
+	for k, pos := range order {
 		lit := r.Body[pos]
-		if !c.indexed[lit.PredKey()] || len(g.ArcsInto(pos)) == 0 {
+		if !c.indexed[lit.PredKey()] {
 			continue
 		}
 		cnt = append(cnt, ast.Rule{
-			Head: c.cntAtom(lit, c.childIndices(idx, ruleIdx, pos)),
-			Body: []ast.Atom{supAtom(j).atom},
+			Head: c.cntAtom(lit, childIndices(idx, ruleIdx, pos)),
+			Body: []ast.Atom{supAtom(min(k+1, m)).atom},
 		})
 	}
 
@@ -515,7 +521,7 @@ func (c *context) rewriteRuleSupplementary(ruleIdx int, ar adorn.Rule, idx [3]as
 			if c.reduced && arcCoversPrefix(g, pos, order[:k]) {
 				pending = pending[:0]
 			}
-			pending = append(pending, pendingLit{atom: c.indexedAtom(lit, c.childIndices(idx, ruleIdx, pos)), origin: pos})
+			pending = append(pending, pendingLit{atom: c.indexedAtom(lit, childIndices(idx, ruleIdx, pos)), origin: pos})
 		} else {
 			pending = append(pending, pendingLit{atom: lit, origin: pos})
 		}

@@ -95,13 +95,13 @@ func dedent(s string) string {
 // TestAppendixA51AncestorGC reproduces Appendix A.5.1 before the semijoin
 // optimization, in the forward-computable index convention (see the package
 // documentation): the modified rule's head carries the indices of its cnt
-// literal and the body literals carry I+1, K·m+i, H·t+j.
+// literal and the body literals carry s(I), k(K, i), h(H, j).
 func TestAppendixA51AncestorGC(t *testing.T) {
 	res := rewriteSrc(t, ancestorSrc, "a(john, Y)", false, Options{})
 	checkGolden(t, res, `
-		cnt_a_ind^bf((I + 1), ((K * 2) + 2), ((H * 2) + 2), Z) :- cnt_a_ind^bf(I, K, H, X), p(X, Z).
+		cnt_a_ind^bf(s(I), k(K, 2), h(H, 2), Z) :- cnt_a_ind^bf(I, K, H, X), p(X, Z).
 		a_ind^bf(I, K, H, X, Y) :- cnt_a_ind^bf(I, K, H, X), p(X, Y).
-		a_ind^bf(I, K, H, X, Y) :- cnt_a_ind^bf(I, K, H, X), p(X, Z), a_ind^bf((I + 1), ((K * 2) + 2), ((H * 2) + 2), Z, Y).
+		a_ind^bf(I, K, H, X, Y) :- cnt_a_ind^bf(I, K, H, X), p(X, Z), a_ind^bf(s(I), k(K, 2), h(H, 2), Z, Y).
 		cnt_a_ind^bf(0, 0, 0, john).
 	`)
 	if res.AnswerPred != "a_ind^bf" || res.AnswerIndexArgs != 3 || res.DroppedAnswerBound {
@@ -115,9 +115,9 @@ func TestAppendixA51AncestorGC(t *testing.T) {
 func TestAppendixA51AncestorGCSemijoin(t *testing.T) {
 	res := rewriteSrc(t, ancestorSrc, "a(john, Y)", false, Options{Semijoin: true})
 	checkGolden(t, res, `
-		cnt_a_ind^bf((I + 1), ((K * 2) + 2), ((H * 2) + 2), Z) :- cnt_a_ind^bf(I, K, H, X), p(X, Z).
+		cnt_a_ind^bf(s(I), k(K, 2), h(H, 2), Z) :- cnt_a_ind^bf(I, K, H, X), p(X, Z).
 		a_ind^bf(I, K, H, Y) :- cnt_a_ind^bf(I, K, H, X), p(X, Y).
-		a_ind^bf(I, K, H, Y) :- a_ind^bf((I + 1), ((K * 2) + 2), ((H * 2) + 2), Y).
+		a_ind^bf(I, K, H, Y) :- a_ind^bf(s(I), k(K, 2), h(H, 2), Y).
 		cnt_a_ind^bf(0, 0, 0, john).
 	`)
 	if !res.DroppedAnswerBound {
@@ -132,10 +132,10 @@ func TestAppendixA51AncestorGCSemijoin(t *testing.T) {
 func TestExample6NonlinearSameGenerationGC(t *testing.T) {
 	res := rewriteSrc(t, nonlinearSameGenSrc, "sg(john, Y)", false, Options{})
 	checkGolden(t, res, `
-		cnt_sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 2), Z1) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1).
-		cnt_sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 4), Z3) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1), sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 2), Z1, Z2), flat(Z2, Z3).
+		cnt_sg_ind^bf(s(I), k(K, 2), h(H, 2), Z1) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1).
+		cnt_sg_ind^bf(s(I), k(K, 2), h(H, 4), Z3) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1), sg_ind^bf(s(I), k(K, 2), h(H, 2), Z1, Z2), flat(Z2, Z3).
 		sg_ind^bf(I, K, H, X, Y) :- cnt_sg_ind^bf(I, K, H, X), flat(X, Y).
-		sg_ind^bf(I, K, H, X, Y) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1), sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 2), Z1, Z2), flat(Z2, Z3), sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 4), Z3, Z4), down(Z4, Y).
+		sg_ind^bf(I, K, H, X, Y) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1), sg_ind^bf(s(I), k(K, 2), h(H, 2), Z1, Z2), flat(Z2, Z3), sg_ind^bf(s(I), k(K, 2), h(H, 4), Z3, Z4), down(Z4, Y).
 		cnt_sg_ind^bf(0, 0, 0, john).
 	`)
 }
@@ -147,10 +147,10 @@ func TestExample6NonlinearSameGenerationGC(t *testing.T) {
 func TestExample8SemijoinOptimization(t *testing.T) {
 	res := rewriteSrc(t, nonlinearSameGenSrc, "sg(john, Y)", false, Options{Semijoin: true})
 	checkGolden(t, res, `
-		cnt_sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 2), Z1) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1).
-		cnt_sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 4), Z3) :- sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 2), Z2), flat(Z2, Z3).
+		cnt_sg_ind^bf(s(I), k(K, 2), h(H, 2), Z1) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1).
+		cnt_sg_ind^bf(s(I), k(K, 2), h(H, 4), Z3) :- sg_ind^bf(s(I), k(K, 2), h(H, 2), Z2), flat(Z2, Z3).
 		sg_ind^bf(I, K, H, Y) :- cnt_sg_ind^bf(I, K, H, X), flat(X, Y).
-		sg_ind^bf(I, K, H, Y) :- sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 4), Z4), down(Z4, Y).
+		sg_ind^bf(I, K, H, Y) :- sg_ind^bf(s(I), k(K, 2), h(H, 4), Z4), down(Z4, Y).
 		cnt_sg_ind^bf(0, 0, 0, john).
 	`)
 }
@@ -160,13 +160,13 @@ func TestExample8SemijoinOptimization(t *testing.T) {
 func TestAppendixA53NestedSameGenerationGCSemijoin(t *testing.T) {
 	res := rewriteSrc(t, nestedSameGenSrc, "p(john, Y)", false, Options{Semijoin: true})
 	checkGolden(t, res, `
-		cnt_sg_ind^bf((I + 1), ((K * 4) + 2), ((H * 3) + 1), X) :- cnt_p_ind^bf(I, K, H, X).
-		cnt_p_ind^bf((I + 1), ((K * 4) + 2), ((H * 3) + 2), Z1) :- sg_ind^bf((I + 1), ((K * 4) + 2), ((H * 3) + 1), Z1).
-		cnt_sg_ind^bf((I + 1), ((K * 4) + 4), ((H * 3) + 2), Z1) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1).
+		cnt_sg_ind^bf(s(I), k(K, 2), h(H, 1), X) :- cnt_p_ind^bf(I, K, H, X).
+		cnt_p_ind^bf(s(I), k(K, 2), h(H, 2), Z1) :- sg_ind^bf(s(I), k(K, 2), h(H, 1), Z1).
+		cnt_sg_ind^bf(s(I), k(K, 4), h(H, 2), Z1) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1).
 		p_ind^bf(I, K, H, Y) :- cnt_p_ind^bf(I, K, H, X), b1(X, Y).
-		p_ind^bf(I, K, H, Y) :- p_ind^bf((I + 1), ((K * 4) + 2), ((H * 3) + 2), Z2), b2(Z2, Y).
+		p_ind^bf(I, K, H, Y) :- p_ind^bf(s(I), k(K, 2), h(H, 2), Z2), b2(Z2, Y).
 		sg_ind^bf(I, K, H, Y) :- cnt_sg_ind^bf(I, K, H, X), flat(X, Y).
-		sg_ind^bf(I, K, H, Y) :- sg_ind^bf((I + 1), ((K * 4) + 4), ((H * 3) + 2), Z2), down(Z2, Y).
+		sg_ind^bf(I, K, H, Y) :- sg_ind^bf(s(I), k(K, 4), h(H, 2), Z2), down(Z2, Y).
 		cnt_p_ind^bf(0, 0, 0, john).
 	`)
 }
@@ -177,13 +177,13 @@ func TestAppendixA53NestedSameGenerationGCSemijoin(t *testing.T) {
 // the paper, which leaves A.5.4 unoptimized.
 func TestAppendixA54ListReverseGC(t *testing.T) {
 	want := `
-		cnt_reverse_ind^bf((I + 1), ((K * 4) + 2), ((H * 2) + 1), X) :- cnt_reverse_ind^bf(I, K, H, [V | X]).
-		cnt_append_ind^bbf((I + 1), ((K * 4) + 2), ((H * 2) + 2), V, Z) :- cnt_reverse_ind^bf(I, K, H, [V | X]), reverse_ind^bf((I + 1), ((K * 4) + 2), ((H * 2) + 1), X, Z).
-		cnt_append_ind^bbf((I + 1), ((K * 4) + 4), ((H * 2) + 1), V, X) :- cnt_append_ind^bbf(I, K, H, V, [W | X]).
+		cnt_reverse_ind^bf(s(I), k(K, 2), h(H, 1), X) :- cnt_reverse_ind^bf(I, K, H, [V | X]).
+		cnt_append_ind^bbf(s(I), k(K, 2), h(H, 2), V, Z) :- cnt_reverse_ind^bf(I, K, H, [V | X]), reverse_ind^bf(s(I), k(K, 2), h(H, 1), X, Z).
+		cnt_append_ind^bbf(s(I), k(K, 4), h(H, 1), V, X) :- cnt_append_ind^bbf(I, K, H, V, [W | X]).
 		reverse_ind^bf(I, K, H, [], []) :- cnt_reverse_ind^bf(I, K, H, []), emptylist(X).
-		reverse_ind^bf(I, K, H, [V | X], Y) :- cnt_reverse_ind^bf(I, K, H, [V | X]), reverse_ind^bf((I + 1), ((K * 4) + 2), ((H * 2) + 1), X, Z), append_ind^bbf((I + 1), ((K * 4) + 2), ((H * 2) + 2), V, Z, Y).
+		reverse_ind^bf(I, K, H, [V | X], Y) :- cnt_reverse_ind^bf(I, K, H, [V | X]), reverse_ind^bf(s(I), k(K, 2), h(H, 1), X, Z), append_ind^bbf(s(I), k(K, 2), h(H, 2), V, Z, Y).
 		append_ind^bbf(I, K, H, V, [], [V]) :- cnt_append_ind^bbf(I, K, H, V, []), elem(V).
-		append_ind^bbf(I, K, H, V, [W | X], [W | Y]) :- cnt_append_ind^bbf(I, K, H, V, [W | X]), append_ind^bbf((I + 1), ((K * 4) + 4), ((H * 2) + 1), V, X, Y).
+		append_ind^bbf(I, K, H, V, [W | X], [W | Y]) :- cnt_append_ind^bbf(I, K, H, V, [W | X]), append_ind^bbf(s(I), k(K, 4), h(H, 1), V, X, Y).
 		cnt_reverse_ind^bf(0, 0, 0, [a, b, c]).
 	`
 	plain := rewriteSrc(t, listReverseSrc, "reverse([a, b, c], Y)", false, Options{})
@@ -201,9 +201,9 @@ func TestAppendixA61AncestorGSC(t *testing.T) {
 	res := rewriteSrc(t, ancestorSrc, "a(john, Y)", true, Options{})
 	checkGolden(t, res, `
 		supcnt_2_2(I, K, H, X, Z) :- cnt_a_ind^bf(I, K, H, X), p(X, Z).
-		cnt_a_ind^bf((I + 1), ((K * 2) + 2), ((H * 2) + 2), Z) :- supcnt_2_2(I, K, H, X, Z).
+		cnt_a_ind^bf(s(I), k(K, 2), h(H, 2), Z) :- supcnt_2_2(I, K, H, X, Z).
 		a_ind^bf(I, K, H, X, Y) :- cnt_a_ind^bf(I, K, H, X), p(X, Y).
-		a_ind^bf(I, K, H, X, Y) :- supcnt_2_2(I, K, H, X, Z), a_ind^bf((I + 1), ((K * 2) + 2), ((H * 2) + 2), Z, Y).
+		a_ind^bf(I, K, H, X, Y) :- supcnt_2_2(I, K, H, X, Z), a_ind^bf(s(I), k(K, 2), h(H, 2), Z, Y).
 		cnt_a_ind^bf(0, 0, 0, john).
 	`)
 }
@@ -217,9 +217,9 @@ func TestAppendixA61AncestorGSCSemijoin(t *testing.T) {
 	res := rewriteSrc(t, ancestorSrc, "a(john, Y)", true, Options{Semijoin: true})
 	checkGolden(t, res, `
 		supcnt_2_2(I, K, H, Z) :- cnt_a_ind^bf(I, K, H, X), p(X, Z).
-		cnt_a_ind^bf((I + 1), ((K * 2) + 2), ((H * 2) + 2), Z) :- supcnt_2_2(I, K, H, Z).
+		cnt_a_ind^bf(s(I), k(K, 2), h(H, 2), Z) :- supcnt_2_2(I, K, H, Z).
 		a_ind^bf(I, K, H, Y) :- cnt_a_ind^bf(I, K, H, X), p(X, Y).
-		a_ind^bf(I, K, H, Y) :- a_ind^bf((I + 1), ((K * 2) + 2), ((H * 2) + 2), Y).
+		a_ind^bf(I, K, H, Y) :- a_ind^bf(s(I), k(K, 2), h(H, 2), Y).
 		cnt_a_ind^bf(0, 0, 0, john).
 	`)
 }
@@ -229,15 +229,15 @@ func TestAppendixA61AncestorGSCSemijoin(t *testing.T) {
 func TestAppendixA63NestedSameGenerationGSCSemijoin(t *testing.T) {
 	res := rewriteSrc(t, nestedSameGenSrc, "p(john, Y)", true, Options{Semijoin: true})
 	checkGolden(t, res, `
-		supcnt_2_2(I, K, H, Z1) :- sg_ind^bf((I + 1), ((K * 4) + 2), ((H * 3) + 1), Z1).
+		supcnt_2_2(I, K, H, Z1) :- sg_ind^bf(s(I), k(K, 2), h(H, 1), Z1).
 		supcnt_4_2(I, K, H, Z1) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1).
-		cnt_sg_ind^bf((I + 1), ((K * 4) + 2), ((H * 3) + 1), X) :- cnt_p_ind^bf(I, K, H, X).
-		cnt_p_ind^bf((I + 1), ((K * 4) + 2), ((H * 3) + 2), Z1) :- supcnt_2_2(I, K, H, Z1).
-		cnt_sg_ind^bf((I + 1), ((K * 4) + 4), ((H * 3) + 2), Z1) :- supcnt_4_2(I, K, H, Z1).
+		cnt_sg_ind^bf(s(I), k(K, 2), h(H, 1), X) :- cnt_p_ind^bf(I, K, H, X).
+		cnt_p_ind^bf(s(I), k(K, 2), h(H, 2), Z1) :- supcnt_2_2(I, K, H, Z1).
+		cnt_sg_ind^bf(s(I), k(K, 4), h(H, 2), Z1) :- supcnt_4_2(I, K, H, Z1).
 		p_ind^bf(I, K, H, Y) :- cnt_p_ind^bf(I, K, H, X), b1(X, Y).
-		p_ind^bf(I, K, H, Y) :- p_ind^bf((I + 1), ((K * 4) + 2), ((H * 3) + 2), Z2), b2(Z2, Y).
+		p_ind^bf(I, K, H, Y) :- p_ind^bf(s(I), k(K, 2), h(H, 2), Z2), b2(Z2, Y).
 		sg_ind^bf(I, K, H, Y) :- cnt_sg_ind^bf(I, K, H, X), flat(X, Y).
-		sg_ind^bf(I, K, H, Y) :- sg_ind^bf((I + 1), ((K * 4) + 4), ((H * 3) + 2), Z2), down(Z2, Y).
+		sg_ind^bf(I, K, H, Y) :- sg_ind^bf(s(I), k(K, 4), h(H, 2), Z2), down(Z2, Y).
 		cnt_p_ind^bf(0, 0, 0, john).
 	`)
 }
@@ -249,12 +249,12 @@ func TestExample7NonlinearSameGenerationGSC(t *testing.T) {
 	res := rewriteSrc(t, nonlinearSameGenSrc, "sg(john, Y)", true, Options{})
 	checkGolden(t, res, `
 		supcnt_2_2(I, K, H, X, Z1) :- cnt_sg_ind^bf(I, K, H, X), up(X, Z1).
-		supcnt_2_3(I, K, H, X, Z2) :- supcnt_2_2(I, K, H, X, Z1), sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 2), Z1, Z2).
+		supcnt_2_3(I, K, H, X, Z2) :- supcnt_2_2(I, K, H, X, Z1), sg_ind^bf(s(I), k(K, 2), h(H, 2), Z1, Z2).
 		supcnt_2_4(I, K, H, X, Z3) :- supcnt_2_3(I, K, H, X, Z2), flat(Z2, Z3).
-		cnt_sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 2), Z1) :- supcnt_2_2(I, K, H, X, Z1).
-		cnt_sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 4), Z3) :- supcnt_2_4(I, K, H, X, Z3).
+		cnt_sg_ind^bf(s(I), k(K, 2), h(H, 2), Z1) :- supcnt_2_2(I, K, H, X, Z1).
+		cnt_sg_ind^bf(s(I), k(K, 2), h(H, 4), Z3) :- supcnt_2_4(I, K, H, X, Z3).
 		sg_ind^bf(I, K, H, X, Y) :- cnt_sg_ind^bf(I, K, H, X), flat(X, Y).
-		sg_ind^bf(I, K, H, X, Y) :- supcnt_2_4(I, K, H, X, Z3), sg_ind^bf((I + 1), ((K * 2) + 2), ((H * 5) + 4), Z3, Z4), down(Z4, Y).
+		sg_ind^bf(I, K, H, X, Y) :- supcnt_2_4(I, K, H, X, Z3), sg_ind^bf(s(I), k(K, 2), h(H, 4), Z3, Z4), down(Z4, Y).
 		cnt_sg_ind^bf(0, 0, 0, john).
 	`)
 }

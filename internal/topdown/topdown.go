@@ -434,7 +434,6 @@ func (e *evaluator) solveBody(g Goal, rule ast.Rule, order []int, idx int, s ast
 			if !lit.Adorn.Bound(i) {
 				continue
 			}
-			arg = ast.EvalArith(arg)
 			if !ast.IsGround(arg) {
 				return fmt.Errorf("topdown: bound argument %d of %s is not ground when the subgoal is generated", i, inst)
 			}
@@ -464,9 +463,7 @@ func (e *evaluator) solveBody(g Goal, rule ast.Rule, order []int, idx int, s ast
 	var cols []int
 	var vals []ast.Term
 	for i, arg := range inst.Args {
-		arg = ast.EvalArith(arg)
-		inst.Args[i] = arg
-		if ast.IsGround(arg) && !ast.ContainsArith(arg) {
+		if ast.IsGround(arg) {
 			cols = append(cols, i)
 			vals = append(vals, arg)
 		}
