@@ -55,17 +55,24 @@ fmt-check:
 # the total the last simplicity PR reached: the figure only goes up by an
 # edit to this line, which shows in the diff. The `module` line (non-test Go
 # lines outside benchmark/, the figure open item 7 states its exit in) is
-# informational and has no ceiling.
+# informational and has no ceiling. The `rewrite` line (non-test Go lines of
+# internal/rewrite and its subpackages, the four rewritings of the paper
+# built by one sip walk) is ratcheted the same way by REWRITE_LOC_CEILING.
 LOC_PKGS := internal/eval datalog internal/database
 LOC_CEILING := 7239
+REWRITE_LOC_CEILING := 895
 loc:
 	@total=0; for d in $(LOC_PKGS); do \
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); done; \
 	printf '%-18s %6d\n' total $$total; \
 	printf '%-18s %6d\n' module $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l); \
+	rw=$$(find internal/rewrite -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	printf '%-18s %6d\n' rewrite $$rw; \
 	if [ $$total -gt $(LOC_CEILING) ]; then \
-		echo "loc: $$total non-test lines exceed LOC_CEILING=$(LOC_CEILING) (Makefile)" >&2; exit 1; fi
+		echo "loc: $$total non-test lines exceed LOC_CEILING=$(LOC_CEILING) (Makefile)" >&2; exit 1; fi; \
+	if [ $$rw -gt $(REWRITE_LOC_CEILING) ]; then \
+		echo "loc: $$rw non-test lines in internal/rewrite exceed REWRITE_LOC_CEILING=$(REWRITE_LOC_CEILING) (Makefile)" >&2; exit 1; fi
 
 # Benchmark smoke run: one iteration of every benchmark, no unit tests.
 bench:

@@ -194,10 +194,6 @@ import (
 	"fmt"
 
 	"repro/internal/eval"
-	"repro/internal/rewrite"
-	"repro/internal/rewrite/counting"
-	gms "repro/internal/rewrite/magic"
-	"repro/internal/rewrite/supmagic"
 	"repro/internal/sip"
 	"repro/internal/topdown"
 )
@@ -517,23 +513,6 @@ func sipStrategy(p SipPolicy) (sip.Strategy, error) {
 		return sip.GreedyBoundFirst(), nil
 	default:
 		return nil, fmt.Errorf("datalog: unknown sip policy %q", p)
-	}
-}
-
-// rewriter maps a Strategy to its rewriter, or nil for non-rewriting
-// strategies.
-func rewriter(opts Options) rewrite.Rewriter {
-	switch opts.Strategy {
-	case MagicSets, "":
-		return gms.New(gms.Options{KeepAllGuards: opts.KeepAllGuards})
-	case SupplementaryMagicSets:
-		return supmagic.New(supmagic.Options{})
-	case Counting:
-		return counting.New(counting.Options{Semijoin: opts.Semijoin})
-	case SupplementaryCounting:
-		return counting.NewSupplementary(counting.Options{Semijoin: opts.Semijoin})
-	default:
-		return nil
 	}
 }
 

@@ -117,7 +117,7 @@ func (db *Database) Materialize(prog *Program) error {
 			return fmt.Errorf("datalog: cannot materialize: derived predicate %s already holds stored base facts", key)
 		}
 	}
-	pp, err := eval.PrepareWith(prog.prog, db.store.Table(), prog.plan)
+	pp, err := eval.PrepareWith(prog.prog, db.store.Table(), prog.plan, false)
 	if err != nil {
 		return fmt.Errorf("datalog: %w", err)
 	}

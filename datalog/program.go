@@ -212,14 +212,21 @@ func (p *Program) analyze(q ast.Query, opts Options) (*adorn.Program, *SafetyRep
 	}, nil
 }
 
-// rewriteAdorned applies the options' rewriting (and Options.Simplify) to
-// an adorned program.
+// rewriteAdorned runs the sip walk with the strategy's two axes (then
+// Options.Simplify) on an adorned program.
 func rewriteAdorned(ad *adorn.Program, opts Options) (*rewrite.Rewriting, error) {
-	rw := rewriter(opts)
-	if rw == nil {
+	var w rewrite.Walk
+	switch opts.Strategy {
+	case MagicSets, "":
+		w.KeepAllGuards = opts.KeepAllGuards
+	case SupplementaryMagicSets:
+		w.Supplementary = true
+	case Counting, SupplementaryCounting:
+		w = rewrite.Walk{Indexed: true, Supplementary: opts.Strategy == SupplementaryCounting, Semijoin: opts.Semijoin}
+	default:
 		return nil, fmt.Errorf("datalog: strategy %q does not rewrite the program", opts.Strategy)
 	}
-	rewriting, err := rw.Rewrite(ad)
+	rewriting, err := w.Rewrite(ad)
 	if err != nil {
 		return nil, fmt.Errorf("datalog: %w", err)
 	}
@@ -276,7 +283,7 @@ func (p *Program) buildForm(q ast.Query, opts Options, tab *intern.Table) (*prep
 	form := &preparedForm{}
 	switch opts.Strategy {
 	case Naive, SemiNaive:
-		pp, err := eval.PrepareWith(p.prog, tab, p.plan)
+		pp, err := eval.PrepareWith(p.prog, tab, p.plan, false)
 		if err != nil {
 			return nil, fmt.Errorf("datalog: %w", err)
 		}
@@ -320,7 +327,7 @@ func (p *Program) buildForm(q ast.Query, opts Options, tab *intern.Table) (*prep
 		if err != nil {
 			return nil, err
 		}
-		pp, err := eval.Prepare(rewriting.Program, tab)
+		pp, err := eval.PrepareWith(rewriting.Program, tab, nil, true)
 		if err != nil {
 			return nil, fmt.Errorf("datalog: %w", err)
 		}
@@ -329,7 +336,7 @@ func (p *Program) buildForm(q ast.Query, opts Options, tab *intern.Table) (*prep
 		form.rewrittenSrc = rewriting.Program.String()
 		form.rewrittenRules = len(rewriting.Program.Rules)
 		for key := range rewriting.Program.DerivedPredicates() {
-			if rewriting.AuxPredicates[key] {
+			if _, aux := rewriting.AuxPredicates[key]; aux {
 				form.auxKeys = append(form.auxKeys, key)
 			} else {
 				form.derivedKeys = append(form.derivedKeys, key)

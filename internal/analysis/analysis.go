@@ -83,7 +83,7 @@ func VerifySipOptimality(ad *adorn.Program, rw *rewrite.Rewriting, edb *database
 	if rw == nil || rw.Program == nil {
 		return nil, fmt.Errorf("analysis: nil rewriting")
 	}
-	pp, err := eval.Prepare(rw.Program, edb.Table())
+	pp, err := eval.PrepareWith(rw.Program, edb.Table(), nil, true)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
@@ -101,16 +101,14 @@ func VerifySipOptimality(ad *adorn.Program, rw *rewrite.Rewriting, edb *database
 	// Compare magic facts against the reference goal set Q. A magic fact
 	// magic_p^a(c̄) corresponds to the goal p^a(c̄).
 	magicKeys := make(map[string]bool)
-	for _, name := range store.Names() {
-		if !strings.HasPrefix(name, "magic_") {
+	for name, goal := range rw.AuxPredicates {
+		rel := store.Existing(name)
+		if goal == "" || rel == nil {
 			continue
 		}
-		rel := store.Existing(name)
 		report.MagicFacts += rel.Len()
-		predKey := strings.TrimPrefix(name, "magic_")
 		for _, t := range rel.Tuples() {
-			g := topdown.Goal{Pred: predKey, Bound: t}
-			key := ref.GoalKey(g)
+			key := ref.GoalKey(topdown.Goal{Pred: goal, Bound: t})
 			magicKeys[key] = true
 			if _, ok := ref.Goals[key]; !ok {
 				report.MagicNotInQ = append(report.MagicNotInQ, name+t.String())
@@ -200,7 +198,7 @@ func (r StrategyRun) AuxFraction() float64 {
 // database, so the caller's store gains no facts.
 func MeasureRewriting(name string, rw *rewrite.Rewriting, edb *database.Store, opts eval.Options) StrategyRun {
 	run := StrategyRun{Strategy: name}
-	pp, err := eval.Prepare(rw.Program, edb.Table())
+	pp, err := eval.PrepareWith(rw.Program, edb.Table(), nil, true)
 	if err != nil {
 		run.Err = err
 		return run
@@ -215,7 +213,7 @@ func MeasureRewriting(name string, rw *rewrite.Rewriting, edb *database.Store, o
 	run.Answers = len(eval.Answers(store, rw.AnswerPred, rw.AnswerPattern))
 	for key := range rw.Program.DerivedPredicates() {
 		n := store.FactCount(key)
-		if rw.AuxPredicates[key] {
+		if _, aux := rw.AuxPredicates[key]; aux {
 			run.AuxFacts += n
 		} else {
 			run.DerivedFacts += n

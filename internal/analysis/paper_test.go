@@ -305,15 +305,15 @@ func e11(t *testing.T, w *strings.Builder) {
 		plain := mustRewrite(t, counting.New(counting.Options{}), ad)
 		opt := mustRewrite(t, counting.New(counting.Options{Semijoin: true}), ad)
 		runs := []StrategyRun{
-			MeasureRewriting(fmt.Sprintf("GC (answer arity %d)", plain.AnswerArity), plain, sg.Store, counted),
-			MeasureRewriting(fmt.Sprintf("GC + semijoin (answer arity %d)", opt.AnswerArity), opt, sg.Store, counted),
+			MeasureRewriting(fmt.Sprintf("GC (answer arity %d)", len(plain.AnswerPattern.Args)), plain, sg.Store, counted),
+			MeasureRewriting(fmt.Sprintf("GC + semijoin (answer arity %d)", len(opt.AnswerPattern.Args)), opt, sg.Store, counted),
 		}
 		fmt.Fprintf(w, "nested same generation, %d leaves x 3 layers (acyclic):\n%s\n", leaves, FormatRuns(runs))
 		sameAnswers(t, runs)
 		// Section 8: the semijoin drops the answer's bound column and the
 		// join literals its indices make redundant, so on acyclic data it
 		// computes exactly the facts of the plain rewriting.
-		if opt.AnswerArity >= plain.AnswerArity || runs[1].DerivedFacts != runs[0].DerivedFacts || runs[1].AuxFacts != runs[0].AuxFacts {
+		if len(opt.AnswerPattern.Args) >= len(plain.AnswerPattern.Args) || runs[1].DerivedFacts != runs[0].DerivedFacts || runs[1].AuxFacts != runs[0].AuxFacts {
 			t.Errorf("%d leaves: %+v against %+v (Section 8)", leaves, runs[1], runs[0])
 		}
 	}

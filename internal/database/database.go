@@ -1036,6 +1036,13 @@ func (s *Store) Relation(name string, arity int) (*Relation, error) {
 	return r, nil
 }
 
+// Fresh installs an empty relation under a name the store does not hold
+// yet, hiding a base relation of that key (see eval.PrepareWith).
+func (s *Store) Fresh(name string, arity int) {
+	s.relations[name] = NewRelationWith(s.tab, name, arity)
+	s.order = append(s.order, name)
+}
+
 // Existing returns the relation with the given predicate key, or nil if
 // neither the store nor (for overlays) its base has such a relation.
 func (s *Store) Existing(name string) *Relation {

@@ -276,6 +276,7 @@ type Prepared struct {
 	plan    *depgraph.Plan
 	tab     *intern.Table
 	shapes  []ruleShape // parallel to program.Rules
+	own     bool        // derived relations start empty (PrepareWith)
 
 	mu       sync.Mutex
 	variants map[variantKey]*pipeline
@@ -285,15 +286,18 @@ type Prepared struct {
 // stores interning into tab. Pipelines are compiled lazily, on first
 // execution of each rule variant, and then shared across evaluations.
 func Prepare(p *ast.Program, tab *intern.Table) (*Prepared, error) {
-	return PrepareWith(p, tab, nil)
+	return PrepareWith(p, tab, nil, false)
 }
 
 // PrepareWith is Prepare with a precomputed dependency-graph plan for p: a
 // caller that has already stratified the program (datalog.Compile analyzes a
 // program once, at compile time) passes the plan in so preparing the same
 // program for another symbol table does not re-run the SCC analysis. A nil
-// plan is computed here, making Prepare a special case.
-func PrepareWith(p *ast.Program, tab *intern.Table, plan *depgraph.Plan) (*Prepared, error) {
+// plan is computed here, making Prepare a special case. own marks a
+// rewritten program (package rewrite), whose derived relations are its own:
+// each evaluation starts them empty instead of copying stored relations of
+// the same keys, such as a user's sup_2_2.
+func PrepareWith(p *ast.Program, tab *intern.Table, plan *depgraph.Plan, own bool) (*Prepared, error) {
 	arities, err := p.Arities()
 	if err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
@@ -322,6 +326,7 @@ func PrepareWith(p *ast.Program, tab *intern.Table, plan *depgraph.Plan) (*Prepa
 		plan:     plan,
 		tab:      tab,
 		shapes:   shapes,
+		own:      own,
 		variants: make(map[variantKey]*pipeline),
 	}, nil
 }
@@ -425,7 +430,9 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 	// also the copy-on-write point: every relation evaluation writes to
 	// becomes private here, so the shared base store is never mutated.
 	for key := range pp.derived {
-		if _, err := ctx.store.Relation(key, pp.arities[key]); err != nil {
+		if pp.own {
+			ctx.store.Fresh(key, pp.arities[key])
+		} else if _, err := ctx.store.Relation(key, pp.arities[key]); err != nil {
 			return nil, fmt.Errorf("eval: %w", err)
 		}
 	}

@@ -104,7 +104,7 @@ func TestAppendixA51AncestorGC(t *testing.T) {
 		a_ind^bf(I, K, H, X, Y) :- cnt_a_ind^bf(I, K, H, X), p(X, Z), a_ind^bf(s(I), k(K, 2), h(H, 2), Z, Y).
 		cnt_a_ind^bf(0, 0, 0, john).
 	`)
-	if res.AnswerPred != "a_ind^bf" || res.AnswerIndexArgs != 3 || res.DroppedAnswerBound {
+	if res.AnswerPred != "a_ind^bf" || len(res.AnswerPattern.Args) != 5 || res.DroppedAnswerBound {
 		t.Errorf("answer metadata wrong: %+v", res)
 	}
 }

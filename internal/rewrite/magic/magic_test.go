@@ -103,10 +103,10 @@ func TestAppendixA31Ancestor(t *testing.T) {
 		},
 		[]string{"magic_a^bf(john)"},
 	)
-	if res.AnswerPred != "a^bf" || res.AnswerIndexArgs != 0 || res.AnswerArity != 2 {
+	if res.AnswerPred != "a^bf" || len(res.AnswerPattern.Args) != 2 {
 		t.Errorf("answer metadata wrong: %+v", res)
 	}
-	if !res.AuxPredicates["magic_a^bf"] {
+	if res.AuxPredicates["magic_a^bf"] != "a^bf" {
 		t.Errorf("aux predicates = %v", res.AuxPredicates)
 	}
 }

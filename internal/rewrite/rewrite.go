@@ -1,13 +1,27 @@
-// Package rewrite defines the common interface and result type shared by the
-// program rewriting algorithms of the paper (generalized magic sets,
-// generalized supplementary magic sets, generalized counting and generalized
-// supplementary counting), together with helpers used by all of them.
+// Package rewrite implements the four program rewritings of the paper,
+// generalized magic sets, generalized supplementary magic sets, generalized
+// counting and generalized supplementary counting (Sections 4-7), as one
+// sip walk, Walk, and the semijoin optimization of Section 8.
 //
-// Every rewriter consumes an adorned program (package adorn) and produces a
-// new program plus a seed fact derived from the query; evaluating the
-// rewritten program bottom-up over the database extended with the seed
-// computes exactly the facts relevant to the query under the chosen sip
-// collection.
+// From an adorned program (package adorn) the walk builds, for each adorned
+// rule, the magic rules passing bindings along its sip's arcs and the
+// modified rule guarded by the head's magic literal, plus a seed fact from
+// the query; evaluating the result bottom-up computes exactly the facts
+// relevant to the query under the chosen sip collection. The rewritings
+// differ on two axes: supplementary ones store each rule's prefix joins in
+// a chain of supplementary predicates the other rules read, and indexed
+// (counting) ones add three index fields to the magic and derived
+// predicates. Packages magic, supmagic and counting set the axes.
+//
+// The index fields I, K and H hold the recursion depth, the sequence of
+// rules applied and the sequence of body positions expanded. The paper
+// encodes them as integers (K·m+i, H·t+j); the walk builds the sequences as
+// terms, which need no bound on their length: s(I), k(K, i) and h(H, j) for
+// the 1-based rule number i and body position j, from the seed's (0, 0, 0).
+//
+// One function names every generated predicate, fresh against the
+// program's predicates, and the walk records each one it creates in
+// Rewriting.AuxPredicates.
 package rewrite
 
 import (
@@ -37,15 +51,6 @@ type Rewriting struct {
 	// relevant tuples (query constants, and the (0,0,0) index triple for the
 	// counting rewritings) and its variables mark the projected positions.
 	AnswerPattern ast.Atom
-	// AnswerIndexArgs is the number of leading index arguments of the answer
-	// predicate that are not part of the original predicate's arguments
-	// (3 for the counting rewritings, 0 otherwise). Callers must skip these
-	// when projecting answers.
-	AnswerIndexArgs int
-	// AnswerArity is the arity of the answer predicate in the rewritten
-	// program (original arity plus index arguments minus any arguments
-	// removed by the semijoin optimization).
-	AnswerArity int
 	// DroppedAnswerBound reports that the bound arguments of the answer
 	// predicate were removed by the semijoin optimization (Theorem 8.3); the
 	// remaining non-index arguments correspond to the free positions of the
@@ -66,9 +71,11 @@ type Rewriting struct {
 	AnswerBoundArgs []int
 	// Adorned is the adorned program the rewriting was built from.
 	Adorned *adorn.Program
-	// AuxPredicates lists the auxiliary predicate keys introduced by the
-	// rewriting (magic_, sup_, cnt_, supcnt_ predicates).
-	AuxPredicates map[string]bool
+	// AuxPredicates maps the key of every auxiliary predicate the rewriting
+	// created, the seed's included, to the adorned predicate key whose
+	// bindings it carries: p^a for magic_p^a and cnt_p_ind^a, "" for the
+	// label and supplementary predicates.
+	AuxPredicates map[string]string
 }
 
 // String renders the rewritten rules followed by the seeds, in a stable
@@ -131,19 +138,6 @@ func (r *Rewriting) Parameterize(bound []ast.Term) (seeds []ast.Atom, answer ast
 	return seeds, answer, nil
 }
 
-// QueryBoundPositions returns the positions of the ground (bound) arguments
-// of the adorned program's query atom, in order — the positions
-// Parameterize's bound constants correspond to.
-func QueryBoundPositions(ad *adorn.Program) []int {
-	var out []int
-	for i, arg := range ad.Query.Atom.Args {
-		if ast.IsGround(arg) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Rewriter transforms an adorned program into an equivalent program whose
 // bottom-up evaluation implements the sip collection attached to the adorned
 // program.
@@ -152,53 +146,6 @@ type Rewriter interface {
 	Rewrite(ad *adorn.Program) (*Rewriting, error)
 	// Name identifies the algorithm.
 	Name() string
-}
-
-// MagicAtom returns the magic predicate occurrence for an adorned atom: the
-// predicate magic_p^a whose arguments are the bound arguments of the atom.
-// It returns a zero-arity atom when the adornment has no bound positions;
-// callers normally skip creating magic predicates in that case.
-func MagicAtom(a ast.Atom) ast.Atom {
-	return ast.Atom{
-		Pred:  "magic_" + a.Pred,
-		Adorn: a.Adorn,
-		Args:  a.BoundArgs(),
-	}
-}
-
-// SeedAtom builds the seed fact for the query of an adorned program: the
-// magic predicate of the adorned query predicate applied to the query's
-// bound constants.
-func SeedAtom(ad *adorn.Program) ast.Atom {
-	return ast.Atom{
-		Pred:  "magic_" + ad.Query.Atom.Pred,
-		Adorn: ad.QueryAdornment,
-		Args:  ad.Query.BoundConstants(),
-	}
-}
-
-// HeadMagicAtom returns the magic literal for the head of an adorned rule:
-// magic_p^a over the bound head arguments.
-func HeadMagicAtom(r ast.Rule) ast.Atom { return MagicAtom(r.Head) }
-
-// ConstantMagicRule returns the magic rule of a derived body occurrence that
-// no sip arc enters but that still has bound arguments, which are then all
-// constants (hit :- r(n0)). The occurrence is relevant whenever its rule is:
-// its magic fact follows from the head's magic literal, or holds outright
-// when the head has no bound argument.
-func ConstantMagicRule(r ast.Rule, lit ast.Atom) ast.Rule {
-	rule := ast.Rule{Head: MagicAtom(lit)}
-	if r.Head.Adorn.BoundCount() > 0 {
-		rule.Body = []ast.Atom{HeadMagicAtom(r)}
-	}
-	return rule
-}
-
-// IsDerivedOccurrence reports whether a body occurrence refers to a derived
-// predicate of the original program (the occurrence carries an adornment or
-// its unadorned name is a derived predicate).
-func IsDerivedOccurrence(ad *adorn.Program, a ast.Atom) bool {
-	return ad.OriginalDerived[a.Pred]
 }
 
 // ValidateAdorned performs the sanity checks shared by all rewriters.

@@ -19,21 +19,30 @@ func adorned(t *testing.T, src, query string) *adorn.Program {
 	return ad
 }
 
+// walkerFor returns the state of a magic-sets walk over ad.
+func walkerFor(ad *adorn.Program) *walker {
+	return &walker{Walk: &Walk{}, ad: ad, names: map[role]string{}, taken: map[string]bool{}, aux: map[string]string{}}
+}
+
 func TestMagicAtom(t *testing.T) {
+	w := walkerFor(nil)
 	a := ast.NewAdornedAtom("sg", "bf", ast.V("X"), ast.V("Y"))
-	m := MagicAtom(a)
+	m := w.magic(a, nil)
 	if m.Pred != "magic_sg" || m.Adorn != "bf" || len(m.Args) != 1 || m.Args[0].String() != "X" {
-		t.Errorf("MagicAtom = %s", m)
+		t.Errorf("magic atom = %s", m)
+	}
+	if w.aux["magic_sg^bf"] != "sg^bf" {
+		t.Errorf("aux predicates = %v", w.aux)
 	}
 	// All-free adornment yields a zero-arity magic atom.
 	free := ast.NewAdornedAtom("p", "ff", ast.V("X"), ast.V("Y"))
-	if got := MagicAtom(free); len(got.Args) != 0 {
-		t.Errorf("MagicAtom(ff) = %s", got)
+	if got := w.magic(free, nil); len(got.Args) != 0 {
+		t.Errorf("magic atom (ff) = %s", got)
 	}
 	// Multiple bound arguments keep their order.
 	multi := ast.NewAdornedAtom("append", "bbf", ast.V("V"), ast.V("X"), ast.V("Y"))
-	if got := MagicAtom(multi); got.String() != "magic_append^bbf(V, X)" {
-		t.Errorf("MagicAtom(bbf) = %s", got)
+	if got := w.magic(multi, nil); got.String() != "magic_append^bbf(V, X)" {
+		t.Errorf("magic atom (bbf) = %s", got)
 	}
 }
 
@@ -42,26 +51,31 @@ func TestSeedAndHeadMagicAtom(t *testing.T) {
 		anc(X, Y) :- par(X, Y).
 		anc(X, Y) :- par(X, Z), anc(Z, Y).
 	`, "anc(john, Y)")
-	seed := SeedAtom(ad)
-	if seed.String() != "magic_anc^bf(john)" {
+	res, err := (&Walk{}).Rewrite(ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed := res.Seeds[0]; seed.String() != "magic_anc^bf(john)" {
 		t.Errorf("seed = %s", seed)
 	}
-	head := HeadMagicAtom(ad.Rules[1].Rule)
-	if head.String() != "magic_anc^bf(X)" {
+	if head := res.Program.Rules[len(res.Program.Rules)-1].Body[0]; head.String() != "magic_anc^bf(X)" {
 		t.Errorf("head magic = %s", head)
 	}
 }
 
+// TestIsDerivedOccurrence: only derived occurrences with a bound argument
+// get magic rules.
 func TestIsDerivedOccurrence(t *testing.T) {
 	ad := adorned(t, `
 		p(X, Y) :- e(X, Y).
 		p(X, Y) :- e(X, Z), p(Z, Y).
 	`, "p(a, Y)")
+	w := walkerFor(ad)
 	rule := ad.Rules[1].Rule
-	if IsDerivedOccurrence(ad, rule.Body[0]) {
+	if w.target(rule.Body[0]) {
 		t.Error("e is a base predicate")
 	}
-	if !IsDerivedOccurrence(ad, rule.Body[1]) {
+	if !w.target(rule.Body[1]) {
 		t.Error("p is a derived predicate")
 	}
 }

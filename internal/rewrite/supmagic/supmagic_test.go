@@ -175,21 +175,6 @@ func TestExample5NonlinearSameGeneration(t *testing.T) {
 	}
 }
 
-func TestKeepUnusedVariablesOption(t *testing.T) {
-	// With the projection optimization disabled, sup_2_3 in Example 5 keeps
-	// Z1 even though no later literal needs it.
-	res := rewriteSrc(t, nonlinearSameGenSrc, "sg(john, Y)", sip.FullLeftToRight(), Options{KeepUnusedVariables: true})
-	found := false
-	for _, r := range res.Program.Rules {
-		if r.Head.Pred == "sup_2_3" && len(r.Head.Args) == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("KeepUnusedVariables should widen sup_2_3 to 3 arguments:\n%s", res)
-	}
-}
-
 // --- end-to-end evaluation ------------------------------------------------
 
 func parentChain(n int) *database.Store {
