@@ -19,6 +19,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/database"
 	"repro/internal/eval"
+	"repro/internal/intern"
 	"repro/internal/parser"
 	"repro/internal/rewrite"
 	"repro/internal/rewrite/counting"
@@ -445,7 +446,9 @@ func BenchmarkDatabaseInsertLookup(b *testing.B) {
 		}
 		hits := 0
 		for j := 0; j < 50; j++ {
-			hits += len(rel.Lookup([]int{0}, []ast.Term{ast.I(int64(j))}))
+			for cur := rel.Lookup([]int{0}, []ast.Term{ast.I(int64(j))}); cur.Next() >= 0; {
+				hits++
+			}
 		}
 		if hits != 200 {
 			b.Fatalf("hits = %d", hits)
@@ -1049,4 +1052,101 @@ func BenchmarkMaterializedMaintenance(b *testing.B) {
 	b.Run("point-query/rederive-seminaive", func(b *testing.B) {
 		point(b, datalog.Options{Strategy: datalog.SemiNaive, NoMaterialize: true}, false)
 	})
+}
+
+// pinSizes are the relation sizes the commit-after-pin and clone benchmarks
+// run at: the repository benchmark's 25,200-fact forest, and ten times it.
+var pinSizes = []struct {
+	name string
+	rows int
+}{{"25k", 25_000}, {"250k", 250_000}}
+
+// BenchmarkCommitAfterPin measures a one-fact commit to a relation of
+// rows=N facts with a built column index, after a snapshot: none taken
+// (snapshot=none), one taken and released before the commit
+// (snapshot=released), or one still live during the commit and released
+// after it (snapshot=live). A live snapshot makes the commit copy the
+// relation; a released one must leave it as cheap as no snapshot at all.
+// The commits alternately assert and retract one fact, so the relation
+// keeps its size.
+func BenchmarkCommitAfterPin(b *testing.B) {
+	prog, err := datalog.Compile(ancestorSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, size := range pinSizes {
+		db := datalog.NewDatabase()
+		txn := db.Begin()
+		for i := 0; i < size.rows; i++ {
+			if err := txn.Assert("p", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		// A bound read builds the index on p's first column, as a served
+		// magic query does.
+		snap := db.Snapshot().With(prog)
+		if _, err := snap.Query("a(n0, Y)", datalog.Options{FirstN: 1}); err != nil {
+			b.Fatal(err)
+		}
+		snap.Release()
+		present := false
+		for _, mode := range []string{"none", "released", "live"} {
+			b.Run(fmt.Sprintf("rows=%s/snapshot=%s", size.name, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var snap *datalog.Snapshot
+					if mode != "none" {
+						snap = db.Snapshot()
+					}
+					if mode == "released" {
+						snap.Release()
+					}
+					write := db.Assert
+					if present {
+						write = db.Retract
+					}
+					if err := write("p", "x", "y"); err != nil {
+						b.Fatal(err)
+					}
+					present = !present
+					if mode == "live" {
+						snap.Release()
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRelationClone measures the copy a commit makes of a relation a
+// live snapshot pins: rows=N arity-2 facts, committed term-backed, with one
+// built column index.
+func BenchmarkRelationClone(b *testing.B) {
+	for _, size := range pinSizes {
+		b.Run("rows="+size.name, func(b *testing.B) {
+			store := database.NewStore()
+			atoms := make([]ast.Atom, size.rows)
+			for i := range atoms {
+				atoms[i] = ast.NewAtom("p", ast.S(fmt.Sprintf("n%d", i/2)), ast.S(fmt.Sprintf("n%d", i)))
+			}
+			if _, _, err := store.Apply(nil, atoms); err != nil {
+				b.Fatal(err)
+			}
+			rel := store.Existing("p")
+			key, _ := store.Table().Find(ast.S("n0"))
+			if len(rel.LookupIDs([]int{0}, []intern.ID{key})) == 0 {
+				b.Fatal("index probe found nothing")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rel.Clone().Len() != size.rows {
+					b.Fatal("clone lost rows")
+				}
+			}
+		})
+	}
 }

@@ -15,6 +15,7 @@ package datalog
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/database"
 )
@@ -46,6 +47,8 @@ type Database struct {
 	ckptCh    chan struct{}
 	ckptStop  chan struct{}
 	ckptDone  chan struct{}
+	// livePins counts the snapshots taken and not yet released.
+	livePins atomic.Int64
 }
 
 // NewDatabase returns an empty fact database at version 0, with a fresh
@@ -81,10 +84,10 @@ func (db *Database) TotalFacts() int {
 // Snapshot pins the database's current state as an immutable view: the
 // returned Snapshot observes exactly the facts committed up to its Version,
 // forever, while the database moves on underneath it. Taking a snapshot is
-// O(#relations) — facts are shared, not copied; the first commit touching a
-// relation after a snapshot copies that relation once (copy-on-write), so
-// snapshots are cheap enough to take per request. The returned snapshot has
-// no program bound; bind one with Snapshot.With.
+// O(#relations) — facts are shared, not copied; until the snapshot is
+// released, the first commit touching a relation copies that relation once
+// (copy-on-write), so snapshots are cheap enough to take per request. The
+// returned snapshot has no program bound; bind one with Snapshot.With.
 func (db *Database) Snapshot() *Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -93,8 +96,12 @@ func (db *Database) Snapshot() *Snapshot {
 	// registration are mutually consistent, and the snapshot keeps answering
 	// from its pinned IDB even if the live database drops or replaces the
 	// materialization afterwards.
-	return &Snapshot{store: db.store.Pin(), mat: db.mat}
+	db.livePins.Add(1)
+	return &Snapshot{store: db.store.Pin(), mat: db.mat, live: &db.livePins}
 }
+
+// LivePins returns the number of snapshots taken and not yet released.
+func (db *Database) LivePins() int64 { return db.livePins.Load() }
 
 // commitOne applies a one-operation transaction: the atomic auto-commit
 // path behind the convenience write methods.

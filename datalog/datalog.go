@@ -41,6 +41,7 @@
 //	if err := txn.Commit(); err != nil { ... }
 //
 //	snap := db.Snapshot().With(prog) // pins facts AND rules for one request
+//	defer snap.Release()             // then commits write in place again
 //	res, err := snap.QueryCtx(ctx, "anc(john, Y)", datalog.Options{Strategy: datalog.MagicSets})
 //
 // That is the one way to run a query: every read goes through a Snapshot,

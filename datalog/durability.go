@@ -188,7 +188,9 @@ func (db *Database) Checkpoint() error {
 	if db.backend == nil {
 		return nil
 	}
-	return db.backend.checkpoint(db.Snapshot())
+	snap := db.Snapshot()
+	defer snap.Release()
+	return db.backend.checkpoint(snap)
 }
 
 // Sync forces any buffered log records to stable storage, regardless of the
@@ -295,7 +297,9 @@ func (b *walBackend) checkpoint(snap *Snapshot) error {
 		return nil
 	}
 	store := snap.store
-	tab := store.Table()
+	// A lock-free view: every ID the pinned rows hold was minted before the
+	// pin, and commits intern under the table lock meanwhile.
+	rd := store.Table().Reader()
 	// Base relations only: derived relations are recomputed by Materialize
 	// after Open, and checkpointing them would turn IDB rows into base facts
 	// on recovery.
@@ -323,7 +327,7 @@ func (b *walBackend) checkpoint(snap *Snapshot) error {
 			ids := rel.Row(pos)
 			row = row[:0]
 			for _, id := range ids {
-				row = append(row, tab.Term(id))
+				row = append(row, rd.Term(id))
 			}
 			if err := w.Row(row); err != nil {
 				w.Abort()

@@ -355,6 +355,9 @@ func (pq *PreparedQuery) runMaterialized(ctx context.Context, bound []ast.Term, 
 // form-shaping fields are the ones the form was prepared with. cacheHit is
 // surfaced as Stats.PlanCacheHit.
 func (pq *PreparedQuery) runCore(ctx context.Context, bound []ast.Term, opts Options, cacheHit bool) (*Result, []Row, error) {
+	if pq.snap.store.Released() {
+		return nil, nil, ErrReleased
+	}
 	for i, t := range bound {
 		if !ast.IsGround(t) {
 			return nil, nil, fmt.Errorf("datalog: bound argument %d (%s) is not ground", i, t)

@@ -6,7 +6,8 @@
 // queries against one snapshot therefore never straddle a commit. Snapshots
 // are cheap (facts are shared copy-on-write, see Database.Snapshot) and
 // lock-free to read: queries do not take the database lock at all, so they
-// proceed even while large commits hold the write lock.
+// proceed even while large commits hold the write lock. Release ends a
+// snapshot, after which commits write in place again.
 
 package datalog
 
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/database"
@@ -26,14 +28,19 @@ import (
 // Snapshot.With.
 var ErrNoProgram = errors.New("datalog: snapshot has no program bound (use Snapshot.With)")
 
+// ErrReleased is returned by queries on a snapshot after Snapshot.Release.
+var ErrReleased = errors.New("datalog: snapshot released")
+
 // Snapshot is an immutable view of a Database pinned at one commit version,
 // optionally bound to a compiled Program. All queries against one snapshot
 // — one-shot, prepared or streamed, from any number of goroutines — see
 // exactly the same facts and rules, making it the unit of request-level
 // consistency: take a snapshot per request, answer every sub-query on it,
 // and concurrent commits cannot tear the view. A Snapshot is safe for
-// concurrent use and holds no locks; dropping every reference releases it
-// (there is nothing to close).
+// concurrent use and holds no locks. Call Release once its last query has
+// returned: until then, the first commit to write each relation it pins
+// copies that relation. A snapshot that is never released stays valid and
+// keeps costing that one copy per relation.
 type Snapshot struct {
 	store *database.Store // pinned, immutable
 	prog  *Program        // bound program, nil for data-only snapshots
@@ -44,6 +51,19 @@ type Snapshot struct {
 	// because the snapshot pinned the derived relations along with the base
 	// facts.
 	mat *materialization
+	// live is the database's gauge of unreleased snapshots.
+	live *atomic.Int64
+}
+
+// Release ends the snapshot's pin, for it and for every With copy of it
+// (they share the pin): commits then write the relations it held in place
+// again. Queries on a released snapshot return ErrReleased; call Release
+// only after its last query has returned, and read nothing but Version
+// afterwards. Release is idempotent.
+func (s *Snapshot) Release() {
+	if s.store.Release() {
+		s.live.Add(-1)
+	}
 }
 
 // Version returns the commit version the snapshot observes.
@@ -64,7 +84,7 @@ func (s *Snapshot) Program() *Program { return s.prog }
 // bound to any number of programs (they share the pinned facts), which is
 // how a rule change is tested against a stable dataset.
 func (s *Snapshot) With(prog *Program) *Snapshot {
-	return &Snapshot{store: s.store, prog: prog, mat: s.mat}
+	return &Snapshot{store: s.store, prog: prog, mat: s.mat, live: s.live}
 }
 
 // prepare is the front half of every query: parse the query text, validate
@@ -73,6 +93,9 @@ func (s *Snapshot) With(prog *Program) *Snapshot {
 func (s *Snapshot) prepare(querySrc string, opts Options) (pq *PreparedQuery, hit bool, err error) {
 	if s.prog == nil {
 		return nil, false, fmt.Errorf("%w", ErrNoProgram)
+	}
+	if s.store.Released() {
+		return nil, false, ErrReleased
 	}
 	q, err := parseQuery(querySrc)
 	if err != nil {

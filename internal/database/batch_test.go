@@ -108,8 +108,8 @@ func TestPinCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	pin := s.Pin()
-	if !pin.Pinned() || pin.Version() != s.Version() {
-		t.Fatalf("pin: pinned=%v version=%d, want true, %d", pin.Pinned(), pin.Version(), s.Version())
+	if !pin.pinned || pin.Version() != s.Version() {
+		t.Fatalf("pin: pinned=%v version=%d, want true, %d", pin.pinned, pin.Version(), s.Version())
 	}
 
 	// Batch write after the pin: the live store must clone, not mutate.
@@ -209,7 +209,7 @@ func TestApplyLargeBatchMatchesIncremental(t *testing.T) {
 	or := one.Existing("edge")
 	for i := 0; i < 50; i++ {
 		key := []ast.Term{ast.S(fmt.Sprintf("v%d", i*31%n))}
-		if len(br.Lookup([]int{0}, key)) != len(or.Lookup([]int{0}, key)) {
+		if len(lookup(br, []int{0}, key)) != len(lookup(or, []int{0}, key)) {
 			t.Fatalf("lookup mismatch for %v", key)
 		}
 	}
@@ -247,7 +247,7 @@ func TestApplyBulkRetract(t *testing.T) {
 	}
 	// Lookups see the shrunken relation (indexes repaired in place).
 	rel := s.Existing("p")
-	if got := rel.Lookup([]int{0}, []ast.Term{ast.S("a4")}); len(got) != 1 {
+	if got := lookup(rel, []int{0}, []ast.Term{ast.S("a4")}); len(got) != 1 {
 		t.Fatalf("lookup after bulk retract returned %d positions, want 1", len(got))
 	}
 	// Re-inserting a retracted fact works (hash chains rebuilt correctly).
@@ -266,7 +266,7 @@ func TestCloneKeepsIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := s.Existing("p")
-	if got := rel.Lookup([]int{0}, []ast.Term{ast.S("a")}); len(got) != 2 {
+	if got := lookup(rel, []int{0}, []ast.Term{ast.S("a")}); len(got) != 2 {
 		t.Fatalf("seed lookup returned %d, want 2", len(got))
 	}
 
@@ -281,11 +281,11 @@ func TestCloneKeepsIndexes(t *testing.T) {
 	if live.indexes.Load() == nil {
 		t.Fatal("clone dropped the lazily built index")
 	}
-	if got := live.Lookup([]int{0}, []ast.Term{ast.S("a")}); len(got) != 3 {
+	if got := lookup(live, []int{0}, []ast.Term{ast.S("a")}); len(got) != 3 {
 		t.Fatalf("live lookup returned %d, want 3", len(got))
 	}
 	// The pinned original's index must be unaffected by the clone's insert.
-	if got := pin.Existing("p").Lookup([]int{0}, []ast.Term{ast.S("a")}); len(got) != 2 {
+	if got := lookup(pin.Existing("p"), []int{0}, []ast.Term{ast.S("a")}); len(got) != 2 {
 		t.Fatalf("pinned lookup returned %d, want 2", len(got))
 	}
 }
@@ -305,5 +305,33 @@ func TestRetractOfMissingPredicateDoesNotPinArity(t *testing.T) {
 	// A retract conflicting with an existing relation still fails closed.
 	if _, _, err := s.Apply([]ast.Atom{atom("p", "solo")}, nil); err == nil {
 		t.Fatal("want arity error for retract against existing p/2")
+	}
+}
+
+// TestApplyDeltaNetsPairAmongOtherRows retracts and re-asserts one fact in
+// the same batch as a plain retract and a plain assert. The pair must net
+// out of both captured sides, leaving exactly the plain retract and the
+// plain assert. The netted rows are windows into the retract side's slab,
+// which deleting them from that side overwrites, so the assert side has to
+// be netted first.
+func TestApplyDeltaNetsPairAmongOtherRows(t *testing.T) {
+	s := NewStore()
+	if _, _, err := s.Apply(nil, []ast.Atom{atom("p", "a"), atom("p", "b"), atom("p", "c")}); err != nil {
+		t.Fatal(err)
+	}
+	minus, plus, removed, added, err := s.ApplyDelta(
+		[]ast.Atom{atom("p", "a"), atom("p", "b")},
+		[]ast.Atom{atom("p", "a"), atom("p", "d")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 2 || added != 2 {
+		t.Fatalf("ApplyDelta = (%d removed, %d added), want (2, 2)", removed, added)
+	}
+	if got := minus.String(); got != "p/1 (1 tuples)\n  p(b)\n" {
+		t.Errorf("retract side = %q, want only p(b)", got)
+	}
+	if got := plus.String(); got != "p/1 (1 tuples)\n  p(d)\n" {
+		t.Errorf("assert side = %q, want only p(d)", got)
 	}
 }

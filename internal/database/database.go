@@ -26,6 +26,7 @@ package database
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -103,21 +104,130 @@ func hashProjection(row []intern.ID, cols []int) uint64 {
 	return h
 }
 
-func equalRows(a, b []intern.ID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// colIndex is a hash table over one set of columns, kept in flat slices so
+// that copying it is a few slice copies: the hash of a row's projection
+// picks a slot, and each slot chains the positions of the rows hashing to
+// it, oldest first. slots interleaves every slot's head and tail position
+// (-1 when empty); next links a position to the next one in its chain (-1
+// ends it). Chains may mix projections that share a slot, so readers check
+// each candidate against the probe IDs. A relation's duplicate-detection
+// table is the colIndex over every column (nil cols).
+type colIndex struct {
+	mask  uint64 // the column bitmask the index serves
+	cols  []int  // sorted column positions; nil means every column
+	slots []int32
+	next  []int32
+	shift uint8 // 64 - log2(slot count)
 }
 
-// colIndex is a hash index on one set of columns: projection hash -> tuple
-// positions. Buckets may contain hash collisions; Lookup verifies candidates
-// against the probe IDs before returning them.
-type colIndex struct {
-	cols    []int // sorted column positions
-	buckets map[uint64][]int
+// hash hashes the row's projection onto the index columns.
+func (x *colIndex) hash(row []intern.ID) uint64 {
+	if x.cols == nil {
+		return hashRow(row)
+	}
+	return hashProjection(row, x.cols)
+}
+
+// slot maps a hash to its slot (Fibonacci hashing on the high bits).
+func (x *colIndex) slot(h uint64) int { return int((h * 0x9E3779B97F4A7C15) >> x.shift) }
+
+// head returns the oldest position chained under the hash, or -1.
+func (x *colIndex) head(h uint64) int32 {
+	if len(x.slots) == 0 {
+		return -1
+	}
+	return x.slots[2*x.slot(h)]
+}
+
+// push chains the new last row of r, at pos, under its hash h; once the rows
+// outnumber the slots, the table is rebuilt at twice the size instead.
+func (x *colIndex) push(r *Relation, h uint64, pos int32) {
+	if int(pos) >= len(x.slots)/2 {
+		x.rebuild(r, int(pos)+1)
+		return
+	}
+	x.next = append(x.next, -1)
+	x.link(x.slot(h), pos)
+}
+
+func (x *colIndex) link(s int, pos int32) {
+	if t := x.slots[2*s+1]; t >= 0 {
+		x.next[t] = pos
+	} else {
+		x.slots[2*s] = pos
+	}
+	x.slots[2*s+1] = pos
+}
+
+// rebuild chains every row of r, in position order, into a fresh table with
+// at least want slots. The slices are new, so a Cursor still walking the old
+// chains is unaffected.
+func (x *colIndex) rebuild(r *Relation, want int) {
+	size := 8
+	for size < want {
+		size *= 2
+	}
+	x.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	x.slots = make([]int32, 2*size)
+	for i := range x.slots {
+		x.slots[i] = -1
+	}
+	n := r.Len()
+	x.next = make([]int32, n, max(n, size))
+	for pos := range n {
+		x.next[pos] = -1
+		x.link(x.slot(x.hash(r.Row(pos))), int32(pos))
+	}
+}
+
+// unlink removes the row at pos from its chain, before a swap delete.
+func (x *colIndex) unlink(r *Relation, pos int32) {
+	s := x.slot(x.hash(r.Row(int(pos))))
+	prev := int32(-1)
+	for p := x.slots[2*s]; p != pos; p = x.next[p] {
+		prev = p
+	}
+	if prev < 0 {
+		x.slots[2*s] = x.next[pos]
+	} else {
+		x.next[prev] = x.next[pos]
+	}
+	if x.slots[2*s+1] == pos {
+		x.slots[2*s+1] = prev
+	}
+}
+
+// move renames the row at from to position to, keeping its place in its
+// chain: the swap half of a swap delete.
+func (x *colIndex) move(r *Relation, from, to int32) {
+	s := x.slot(x.hash(r.Row(int(from))))
+	if x.slots[2*s] == from {
+		x.slots[2*s] = to
+	} else {
+		p := x.slots[2*s]
+		for x.next[p] != from {
+			p = x.next[p]
+		}
+		x.next[p] = to
+	}
+	if x.slots[2*s+1] == from {
+		x.slots[2*s+1] = to
+	}
+	x.next[to] = x.next[from]
+}
+
+// clone copies the table; the column list is immutable and shared.
+func (x *colIndex) clone() colIndex {
+	return colIndex{mask: x.mask, cols: x.cols, slots: cloneCap(x.slots), next: cloneCap(x.next), shift: x.shift}
+}
+
+// cloneCap copies a slice with room to grow, so the copy's next appends do
+// not move it again; each byte of the new array is written once.
+func cloneCap[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	return append(s[:len(s):len(s)], make([]T, len(s)/8+8)...)[:len(s)]
 }
 
 // Relation is a set of ground tuples of fixed arity with optional hash
@@ -125,6 +235,11 @@ type colIndex struct {
 // adding a duplicate tuple is a no-op; deletions swap the last row into the
 // vacated position (see Delete), so positions are stable only between
 // deletions and readers wanting a canonical order use Sorted.
+//
+// The rows live in one ID slab with a stride of Arity. A Row slice is a
+// window into the slab: it stays valid until the next delete on the
+// relation, which may overwrite it, so callers that keep IDs across a
+// delete copy them.
 type Relation struct {
 	// Name is the predicate key this relation stores (e.g. "anc", "sg^bf",
 	// "magic_sg^bf").
@@ -135,34 +250,26 @@ type Relation struct {
 	// tab is the symbol table the relation's rows are interned in.
 	tab *intern.Table
 
-	// tuples caches materialized term tuples, parallel to rows; a nil entry
-	// means the tuple has not been read back as terms yet. lazy counts the
-	// nil entries, so the eager-materialization sweep the maintenance layer
-	// runs per commit (MaterializeTuples) can stop as soon as every pending
-	// tuple is built instead of scanning the whole relation.
+	// tuples caches materialized term tuples, parallel to the rows; a nil
+	// entry means the tuple has not been read back as terms yet. lazy counts
+	// the nil entries, so the eager-materialization sweep the maintenance
+	// layer runs per commit (MaterializeTuples) can stop as soon as every
+	// pending tuple is built instead of scanning the whole relation.
 	tuples []Tuple
 	lazy   int
-	rows   [][]intern.ID
-	// seen and chain form the duplicate-detection hash table as an intrusive
-	// chain: seen maps a full-row hash to the newest row position with that
-	// hash, and chain[pos] links to the next older position sharing it (-1
-	// ends the chain). Candidates are verified by ID comparison, so hash
-	// collisions merely share a chain. Compared to a map of position slices
-	// this costs one map word per distinct hash and zero allocations per row
-	// — the difference is what makes bulk loads cheap. Positions are int32:
-	// a relation holds fewer than 2^31 rows.
-	seen  map[uint64]int32
-	chain []int32
-	// indexes maps a column bitmask to the hash index on those columns. It is
-	// reached through an atomic pointer so that concurrent read-only users of
-	// a shared relation (evaluations running against overlay stores of the
-	// same base) can probe existing indexes lock-free while another
-	// evaluation builds a new one: builders copy the map under buildMu and
-	// publish the copy. Inserts, which also maintain the indexes, are only
-	// ever performed by a single writer with no concurrent readers (private
-	// relations of one evaluation, or the engine store under its write
-	// lock).
-	indexes atomic.Pointer[map[uint64]*colIndex]
+	rows   []intern.ID
+	// dedup is the duplicate-detection table: the colIndex on every column.
+	// Positions are int32: a relation holds fewer than 2^31 rows.
+	dedup colIndex
+	// indexes lists the built column indexes. It is reached through an
+	// atomic pointer so that concurrent read-only users of a shared relation
+	// (evaluations running against overlay stores of the same base) can
+	// probe existing indexes lock-free while another evaluation builds a new
+	// one: builders copy the list under buildMu and publish the copy.
+	// Inserts, which also maintain the indexes, are only ever performed by a
+	// single writer with no concurrent readers (private relations of one
+	// evaluation, or the engine store under its write lock).
+	indexes atomic.Pointer[[]*colIndex]
 	buildMu sync.Mutex
 
 	// counts, when non-nil, holds one derivation count per row (parallel to
@@ -173,21 +280,14 @@ type Relation struct {
 	// relation is an ordinary set.
 	counts []int32
 
-	// shared marks the relation as pinned by at least one store snapshot
-	// (Store.Pin): the relation must no longer be mutated in place. Write
-	// paths on a live store consult it through the copy-on-write accessors
-	// (Store.Relation, Store.writable) and clone the relation before the
-	// first write, so every pinned view keeps observing the state it was
-	// taken at. Atomic because concurrent snapshots (readers of the owning
-	// store) may mark the same relation.
-	shared atomic.Bool
+	// pins counts the live store snapshots holding the relation (Store.Pin,
+	// Store.Release). While it is above zero the relation must not be
+	// mutated in place: the copy-on-write accessors (Store.Relation,
+	// Store.writable) clone it before the first write, so every pinned view
+	// keeps observing the state it was taken at. Atomic because snapshots
+	// are taken and released concurrently by the store's readers.
+	pins atomic.Int32
 }
-
-// markShared flags the relation as pinned by a snapshot; see Store.Pin.
-func (r *Relation) markShared() { r.shared.Store(true) }
-
-// isShared reports whether some snapshot pins the relation.
-func (r *Relation) isShared() bool { return r.shared.Load() }
 
 // NewRelation creates an empty relation with the given predicate key and
 // arity, interning into the package-level default table of internal/intern.
@@ -197,19 +297,14 @@ func NewRelation(name string, arity int) *Relation {
 
 // NewRelationWith creates an empty relation interning into the given table.
 func NewRelationWith(tab *intern.Table, name string, arity int) *Relation {
-	return &Relation{
-		Name:  name,
-		Arity: arity,
-		tab:   tab,
-		seen:  make(map[uint64]int32),
-	}
+	return &Relation{Name: name, Arity: arity, tab: tab}
 }
 
 // Table returns the symbol table the relation interns its rows in.
 func (r *Relation) Table() *intern.Table { return r.tab }
 
 // Len returns the number of tuples in the relation.
-func (r *Relation) Len() int { return len(r.rows) }
+func (r *Relation) Len() int { return len(r.tuples) }
 
 // Tuples returns the tuple slice in position order (insertion order until
 // the first deletion; see Delete), materializing (and
@@ -218,7 +313,7 @@ func (r *Relation) Len() int { return len(r.rows) }
 // with any other access to the relation. Callers must not modify the
 // returned slice or its tuples.
 func (r *Relation) Tuples() []Tuple {
-	for pos := range r.rows {
+	for pos := range r.tuples {
 		if r.lazy == 0 {
 			break
 		}
@@ -232,7 +327,7 @@ func (r *Relation) Tuples() []Tuple {
 // materialize builds and caches the term tuple at the given position from
 // its ID row.
 func (r *Relation) materialize(pos int) Tuple {
-	row := r.rows[pos]
+	row := r.Row(pos)
 	t := make(Tuple, len(row))
 	for i, id := range row {
 		t[i] = r.tab.Term(id)
@@ -245,12 +340,8 @@ func (r *Relation) materialize(pos int) Tuple {
 // findRowHash returns the position of the row equal to the given IDs under
 // the precomputed full-row hash, or -1, by walking the hash chain.
 func (r *Relation) findRowHash(h uint64, row []intern.ID) int {
-	pos, ok := r.seen[h]
-	if !ok {
-		return -1
-	}
-	for p := pos; p >= 0; p = r.chain[p] {
-		if equalRows(r.rows[p], row) {
+	for p := r.dedup.head(h); p >= 0; p = r.dedup.next[p] {
+		if slices.Equal(r.Row(int(p)), row) {
 			return int(p)
 		}
 	}
@@ -262,21 +353,25 @@ func (r *Relation) findRow(row []intern.ID) int {
 	return r.findRowHash(hashRow(row), row)
 }
 
-// Contains reports whether the relation already holds the tuple.
-func (r *Relation) Contains(t Tuple) bool {
+// findTuple returns the position of the tuple, or -1; a tuple of the wrong
+// arity or with a term the table never interned is in no row.
+func (r *Relation) findTuple(t Tuple) int {
 	if len(t) != r.Arity {
-		return false
+		return -1
 	}
 	row := make([]intern.ID, len(t))
 	for i, term := range t {
 		id, ok := r.tab.Find(term)
 		if !ok {
-			return false
+			return -1
 		}
 		row[i] = id
 	}
-	return r.findRow(row) >= 0
+	return r.findRow(row)
 }
+
+// Contains reports whether the relation already holds the tuple.
+func (r *Relation) Contains(t Tuple) bool { return r.findTuple(t) >= 0 }
 
 // Insert adds a tuple to the relation. It returns true if the tuple is new,
 // false if it was already present. Inserting a tuple of the wrong arity or a
@@ -302,8 +397,9 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	return true, nil
 }
 
-// appendRow records a verified-new row (and its optional materialized tuple)
-// under the given full-row hash, maintaining existing indexes incrementally.
+// appendRow copies a verified-new row (and its optional materialized tuple)
+// onto the slab under the given full-row hash, maintaining existing indexes
+// incrementally.
 func (r *Relation) appendRow(row []intern.ID, t Tuple, h uint64) {
 	// A zero-arity row has no constants, so its materialized tuple is always
 	// the canonical empty tuple — build it here rather than leaving a nil
@@ -314,32 +410,25 @@ func (r *Relation) appendRow(row []intern.ID, t Tuple, h uint64) {
 	if t == nil && len(row) == 0 {
 		t = Tuple{}
 	}
-	pos := int32(len(r.rows))
-	if prev, ok := r.seen[h]; ok {
-		r.chain = append(r.chain, prev)
-	} else {
-		r.chain = append(r.chain, -1)
-	}
-	r.seen[h] = pos
+	pos := int32(r.Len())
+	r.rows = append(r.rows, row...)
 	if t == nil {
 		r.lazy++
 	}
 	r.tuples = append(r.tuples, t)
-	r.rows = append(r.rows, row)
 	if r.counts != nil {
 		r.counts = append(r.counts, 1)
 	}
+	r.dedup.push(r, h, pos)
 	if m := r.indexes.Load(); m != nil {
-		for _, idx := range *m {
-			k := hashProjection(row, idx.cols)
-			idx.buckets[k] = append(idx.buckets[k], int(pos))
+		for _, x := range *m {
+			x.push(r, x.hash(row), pos)
 		}
 	}
 }
 
 // InsertRow adds a tuple given as an ID row interned in the relation's
-// table. It returns true if the row is new. The caller keeps ownership of
-// the slice: the relation copies it only when the row is actually added, so
+// table. It returns true if the row is new. The relation copies the IDs, so
 // executors may reuse a scratch buffer across calls.
 func (r *Relation) InsertRow(row []intern.ID) (bool, error) {
 	if len(row) != r.Arity {
@@ -349,23 +438,24 @@ func (r *Relation) InsertRow(row []intern.ID) (bool, error) {
 	if r.findRowHash(h, row) >= 0 {
 		return false, nil
 	}
-	r.appendRow(append([]intern.ID(nil), row...), nil, h)
+	r.appendRow(row, nil, h)
 	return true, nil
 }
 
-// Row returns the ID row at the given position. The returned slice is owned
-// by the relation and must not be modified.
-func (r *Relation) Row(pos int) []intern.ID { return r.rows[pos] }
+// Row returns the ID row at the given position: a window into the slab that
+// must not be modified and is valid until the next delete on the relation.
+func (r *Relation) Row(pos int) []intern.ID {
+	i := pos * r.Arity
+	return r.rows[i : i+r.Arity : i+r.Arity]
+}
 
 // ScatterShard appends to dst the source rows whose full-row hash falls into
-// shard w of k, skipping rows dst already holds. The inner row slices are
-// shared with the source: rows are immutable once appended, and Reset only
-// truncates the outer slices, so sharing is safe for the shard lifecycle.
-// One call per shard runs concurrently — each call reads r but writes only
-// its own dst.
+// shard w of k, skipping rows dst already holds. One call per shard runs
+// concurrently — each call reads r but writes only its own dst.
 func (r *Relation) ScatterShard(dst *Relation, w, k int) {
 	kk, ww := uint64(k), uint64(w)
-	for _, row := range r.rows {
+	for pos := range r.Len() {
+		row := r.Row(pos)
 		h := hashRow(row)
 		if h%kk != ww {
 			continue
@@ -376,14 +466,13 @@ func (r *Relation) ScatterShard(dst *Relation, w, k int) {
 	}
 }
 
-// MergeFrom appends every row of src that r does not already hold, sharing
-// the inner row slices, and returns the number of rows added. It is the
-// serial round-barrier merge path of the parallel evaluator: src is a
-// per-worker output shard whose rows were freshly allocated by InsertRow, so
-// no copy is needed.
+// MergeFrom appends every row of src that r does not already hold and
+// returns the number of rows added. It is the serial round-barrier merge
+// path of the parallel evaluator.
 func (r *Relation) MergeFrom(src *Relation) int {
 	added := 0
-	for _, row := range src.rows {
+	for pos := range src.Len() {
+		row := src.Row(pos)
 		h := hashRow(row)
 		if r.findRowHash(h, row) < 0 {
 			r.appendRow(row, nil, h)
@@ -410,20 +499,18 @@ func (r *Relation) InsertBulk(atoms []ast.Atom, ids []intern.ID) int {
 }
 
 // insertBulk is InsertBulk with optional delta capture: rows actually added
-// are recorded into capture too (sharing the row storage and term tuples),
-// for Store.ApplyDelta. A row new to r cannot already be in the
-// batch-private capture relation, so it is appended without a second
-// duplicate check.
+// are recorded into capture too (sharing the term tuples), for
+// Store.ApplyDelta. A row new to r cannot already be in the batch-private
+// capture relation, so it is appended without a second duplicate check.
 func (r *Relation) insertBulk(atoms []ast.Atom, ids []intern.ID, capture *Relation) int {
-	// Pre-size the row storage and, when the relation is freshly created for
-	// this batch, the hash table: growing a large map incrementally rehashes
-	// it log-many times, which profiles as a top cost of bulk loads.
+	// Pre-size the slab, the tuple cache and the hash table: growing them
+	// row by row rehashes and copies log-many times, which profiles as a top
+	// cost of bulk loads.
 	n := len(atoms)
-	r.rows = slices.Grow(r.rows, n)
+	r.rows = slices.Grow(r.rows, n*r.Arity)
 	r.tuples = slices.Grow(r.tuples, n)
-	r.chain = slices.Grow(r.chain, n)
-	if len(r.seen) == 0 && n > 16 {
-		r.seen = make(map[uint64]int32, n)
+	if want := r.Len() + n; want > len(r.dedup.slots)/2 {
+		r.dedup.rebuild(r, want)
 	}
 	added := 0
 	for i, a := range atoms {
@@ -453,15 +540,7 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 	if len(t) != r.Arity {
 		return false, fmt.Errorf("relation %s: deleting tuple of arity %d from relation of arity %d", r.Name, len(t), r.Arity)
 	}
-	row := make([]intern.ID, len(t))
-	for i, term := range t {
-		id, ok := r.tab.Find(term)
-		if !ok {
-			return false, nil
-		}
-		row[i] = id
-	}
-	pos := r.findRow(row)
+	pos := r.findTuple(t)
 	if pos < 0 {
 		return false, nil
 	}
@@ -488,23 +567,7 @@ func (r *Relation) DeleteBulk(ts []Tuple) int {
 func (r *Relation) deleteBulk(ts []Tuple, capture *Relation) int {
 	var remove []int
 	for _, t := range ts {
-		if len(t) != r.Arity {
-			continue
-		}
-		row := make([]intern.ID, len(t))
-		found := true
-		for i, term := range t {
-			id, ok := r.tab.Find(term)
-			if !ok {
-				found = false
-				break
-			}
-			row[i] = id
-		}
-		if !found {
-			continue
-		}
-		if pos := r.findRow(row); pos >= 0 {
+		if pos := r.findTuple(t); pos >= 0 {
 			remove = append(remove, pos)
 		}
 	}
@@ -515,12 +578,12 @@ func (r *Relation) deleteBulk(ts []Tuple, capture *Relation) int {
 // duplicated), optionally capturing the removed rows, and returns how many
 // rows were removed. Small deletions (the incremental-maintenance steady
 // state: a handful of rows out of a large relation) are applied by swapping
-// the last row into each vacated slot, fixing the hash chains and index
-// buckets of just the two rows involved — O(k), independent of the relation
-// size. Mass deletions fall back to a single compaction pass with a hash
-// rebuild and an index drop, which is cheaper than k swap fixups once k is a
-// real fraction of the rows. Deletion does not preserve the insertion order
-// of the survivors (the swap moves the last row into the gap).
+// the last row into each vacated slot, fixing the hash chains of just the
+// two rows involved — O(k), independent of the relation size. Mass
+// deletions fall back to a single compaction pass with a hash rebuild and
+// an index drop, which is cheaper than k swap fixups once k is a real
+// fraction of the rows. Deletion does not preserve the insertion order of
+// the survivors (the swap moves the last row into the gap).
 func (r *Relation) removeAt(remove []int, capture *Relation) int {
 	if len(remove) == 0 {
 		return 0
@@ -530,10 +593,10 @@ func (r *Relation) removeAt(remove []int, capture *Relation) int {
 	remove = slices.Compact(remove)
 	if capture != nil {
 		for _, pos := range remove {
-			capture.insertRowTuple(r.rows[pos], r.Tuple(pos))
+			capture.insertRowTuple(r.Row(pos), r.Tuple(pos))
 		}
 	}
-	if len(remove)*8 < len(r.rows) {
+	if len(remove)*8 < r.Len() {
 		// Descending order: every position above the one being removed has
 		// already been removed or is a keeper, so the last row is always a
 		// keeper (or the removed row itself) when it is swapped in.
@@ -543,7 +606,7 @@ func (r *Relation) removeAt(remove []int, capture *Relation) int {
 		return len(remove)
 	}
 	out, k := 0, 0
-	for pos := range r.rows {
+	for pos := range r.Len() {
 		if k < len(remove) && remove[k] == pos {
 			if r.tuples[pos] == nil {
 				r.lazy--
@@ -551,132 +614,60 @@ func (r *Relation) removeAt(remove []int, capture *Relation) int {
 			k++
 			continue
 		}
-		r.rows[out] = r.rows[pos]
+		copy(r.Row(out), r.Row(pos))
 		r.tuples[out] = r.tuples[pos]
 		if r.counts != nil {
 			r.counts[out] = r.counts[pos]
 		}
 		out++
 	}
-	r.rows = r.rows[:out]
-	r.tuples = r.tuples[:out]
-	if r.counts != nil {
-		r.counts = r.counts[:out]
-	}
-	r.rebuildSeen()
+	r.truncate(out)
+	r.dedup.rebuild(r, out)
 	r.indexes.Store(nil)
 	return len(remove)
 }
 
-// swapDelete removes the row at pos by moving the last row into its place,
-// repairing the duplicate-detection hash chains and every built index bucket
-// for exactly the two rows involved.
+// swapDelete removes the row at pos by copying the last row over it,
+// repairing the chains of exactly the two rows involved in the
+// duplicate-detection table and every built index.
 func (r *Relation) swapDelete(pos int) {
-	last := len(r.rows) - 1
+	last := r.Len() - 1
 	if r.tuples[pos] == nil {
 		r.lazy--
 	}
-	r.unlink(int32(pos), hashRow(r.rows[pos]))
-	r.indexDelete(pos)
+	for _, x := range r.tables() {
+		x.unlink(r, int32(pos))
+		if pos != last {
+			x.move(r, int32(last), int32(pos))
+		}
+		x.next = x.next[:last]
+	}
 	if pos != last {
-		h := hashRow(r.rows[last])
-		r.unlink(int32(last), h)
-		r.indexMove(last, pos)
-		r.rows[pos] = r.rows[last]
+		copy(r.Row(pos), r.Row(last))
 		r.tuples[pos] = r.tuples[last]
 		if r.counts != nil {
 			r.counts[pos] = r.counts[last]
 		}
-		if prev, ok := r.seen[h]; ok {
-			r.chain[pos] = prev
-		} else {
-			r.chain[pos] = -1
-		}
-		r.seen[h] = int32(pos)
 	}
-	r.rows = r.rows[:last]
-	r.tuples = r.tuples[:last]
-	r.chain = r.chain[:last]
+	r.truncate(last)
+}
+
+// tables returns the duplicate-detection table and every built index.
+func (r *Relation) tables() []*colIndex {
+	tables := []*colIndex{&r.dedup}
+	if m := r.indexes.Load(); m != nil {
+		tables = append(tables, *m...)
+	}
+	return tables
+}
+
+// truncate keeps the first n rows of the slab, the tuple cache and the
+// counts; the hash tables are the caller's to repair.
+func (r *Relation) truncate(n int) {
+	r.rows = r.rows[:n*r.Arity]
+	r.tuples = r.tuples[:n]
 	if r.counts != nil {
-		r.counts = r.counts[:last]
-	}
-}
-
-// unlink removes one position from the hash chain of the given full-row
-// hash. The expected chain length is 1 (collisions merely share a chain), so
-// the predecessor walk is O(1) in practice.
-func (r *Relation) unlink(pos int32, h uint64) {
-	head, ok := r.seen[h]
-	if !ok {
-		return
-	}
-	if head == pos {
-		if next := r.chain[pos]; next >= 0 {
-			r.seen[h] = next
-		} else {
-			delete(r.seen, h)
-		}
-		return
-	}
-	for p := head; p >= 0; p = r.chain[p] {
-		if r.chain[p] == pos {
-			r.chain[p] = r.chain[pos]
-			return
-		}
-	}
-}
-
-// indexDelete drops the row at pos from the bucket of every built index.
-func (r *Relation) indexDelete(pos int) {
-	m := r.indexes.Load()
-	if m == nil {
-		return
-	}
-	for _, idx := range *m {
-		k := hashProjection(r.rows[pos], idx.cols)
-		bucket := idx.buckets[k]
-		for i, p := range bucket {
-			if p == pos {
-				bucket[i] = bucket[len(bucket)-1]
-				idx.buckets[k] = bucket[:len(bucket)-1]
-				break
-			}
-		}
-	}
-}
-
-// indexMove rewrites the row's position from `from` to `to` in the bucket of
-// every built index, for the swap half of swapDelete.
-func (r *Relation) indexMove(from, to int) {
-	m := r.indexes.Load()
-	if m == nil {
-		return
-	}
-	for _, idx := range *m {
-		k := hashProjection(r.rows[from], idx.cols)
-		bucket := idx.buckets[k]
-		for i, p := range bucket {
-			if p == from {
-				bucket[i] = to
-				break
-			}
-		}
-	}
-}
-
-// rebuildSeen reconstructs the duplicate-detection hash chains from the
-// current rows, after a deletion shifted positions.
-func (r *Relation) rebuildSeen() {
-	clear(r.seen)
-	r.chain = r.chain[:0]
-	for _, row := range r.rows {
-		h := hashRow(row)
-		if prev, ok := r.seen[h]; ok {
-			r.chain = append(r.chain, prev)
-		} else {
-			r.chain = append(r.chain, -1)
-		}
-		r.seen[h] = int32(len(r.chain) - 1)
+		r.counts = r.counts[:n]
 	}
 }
 
@@ -691,7 +682,7 @@ func (r *Relation) MustInsert(t Tuple) bool {
 
 // colMask encodes a sorted set of column positions as a bitmask. Columns
 // beyond 63 (which no workload in this repository reaches) fall back to an
-// unindexed scan in Lookup.
+// unindexed scan in Probe.
 func colMask(cols []int) (uint64, bool) {
 	var m uint64
 	for _, c := range cols {
@@ -705,129 +696,109 @@ func colMask(cols []int) (uint64, bool) {
 
 // ensureIndex builds (or returns) the hash index on the given sorted columns.
 // Concurrent builders are serialized by buildMu and publish a fresh copy of
-// the index map, so lock-free readers always see fully built indexes.
+// the index list, so lock-free readers always see fully built indexes.
 func (r *Relation) ensureIndex(mask uint64, cols []int) *colIndex {
-	if m := r.indexes.Load(); m != nil {
-		if idx, ok := (*m)[mask]; ok {
-			return idx
-		}
+	if x := r.index(mask); x != nil {
+		return x
 	}
 	r.buildMu.Lock()
 	defer r.buildMu.Unlock()
-	old := r.indexes.Load()
-	if old != nil {
-		if idx, ok := (*old)[mask]; ok {
-			return idx
-		}
+	if x := r.index(mask); x != nil {
+		return x
 	}
-	idx := &colIndex{cols: append([]int(nil), cols...), buckets: make(map[uint64][]int)}
-	for pos, row := range r.rows {
-		k := hashProjection(row, idx.cols)
-		idx.buckets[k] = append(idx.buckets[k], pos)
+	x := &colIndex{mask: mask, cols: slices.Clone(cols)}
+	x.rebuild(r, r.Len())
+	var next []*colIndex
+	if old := r.indexes.Load(); old != nil {
+		next = append(next, *old...)
 	}
-	next := make(map[uint64]*colIndex, 1)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[mask] = idx
+	next = append(next, x)
 	r.indexes.Store(&next)
-	return idx
+	return x
 }
 
-// Lookup returns the positions of tuples whose values at the given columns
-// equal the given ground terms, using (and building if needed) a hash index
-// on that bound-column pattern. cols and values must have equal length; with
-// no columns it returns all tuple positions.
-func (r *Relation) Lookup(cols []int, values []ast.Term) []int {
-	if len(cols) != len(values) {
-		panic("database: Lookup cols/values length mismatch")
-	}
-	if len(cols) == 0 {
-		return r.allPositions()
-	}
-	// Resolve the probe values to IDs; a term that was never interned cannot
-	// occur in any stored tuple.
-	ids := make([]intern.ID, len(cols))
-	for i := range cols {
-		id, ok := r.tab.Find(values[i])
-		if !ok {
-			return nil
-		}
-		ids[i] = id
-	}
-	// Callers enumerate bound positions left to right, so cols is almost
-	// always sorted already; sort only when it is not.
-	sortedCols := cols
-	if !sort.IntsAreSorted(cols) {
-		perm := make([]int, len(cols))
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.Slice(perm, func(i, j int) bool { return cols[perm[i]] < cols[perm[j]] })
-		sortedCols = make([]int, len(cols))
-		sortedIDs := make([]intern.ID, len(cols))
-		for i, p := range perm {
-			sortedCols[i] = cols[p]
-			sortedIDs[i] = ids[p]
-		}
-		ids = sortedIDs
-	}
-	return r.LookupIDs(sortedCols, ids)
-}
-
-func (r *Relation) allPositions() []int {
-	out := make([]int, len(r.rows))
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// LookupIDs returns the positions of rows whose IDs at the given columns
-// equal the given IDs. cols must be sorted ascending; with no columns it
-// returns all row positions. It is the ID-level probe the compiled join
-// pipelines use: no terms are resolved or materialized. The returned slice
-// may alias index internals and must not be modified.
-func (r *Relation) LookupIDs(cols []int, ids []intern.ID) []int {
-	if len(cols) == 0 {
-		return r.allPositions()
-	}
-	mask, ok := colMask(cols)
-	if !ok {
-		// Degenerate wide relation: filter by scan.
-		var out []int
-		for pos, row := range r.rows {
-			if rowMatches(row, cols, ids) {
-				out = append(out, pos)
+// index returns the built index on the column mask, or nil.
+func (r *Relation) index(mask uint64) *colIndex {
+	if m := r.indexes.Load(); m != nil {
+		for _, x := range *m {
+			if x.mask == mask {
+				return x
 			}
 		}
-		return out
 	}
+	return nil
+}
 
-	idx := r.ensureIndex(mask, cols)
-	bucket := idx.buckets[hashRow(ids)]
+// Cursor walks the positions of the rows matching one probe (see Probe).
+// The zero Cursor matches nothing.
+type Cursor struct {
+	r    *Relation
+	cols []int
+	ids  []intern.ID
+	next []int32 // the probed index's chains; nil scans every row
+	pos  int32
+	end  int32 // the row count at probe time
+}
 
-	// Verify the candidates: the bucket may contain hash collisions. In the
-	// common collision-free case the bucket is returned as is.
-	clean := true
-	for _, pos := range bucket {
-		if !rowMatches(r.rows[pos], cols, ids) {
-			clean = false
-			break
+// Probe returns a cursor over the positions of rows whose IDs at the given
+// columns equal the given IDs, in insertion order, using (and building if
+// needed) a hash index on that bound-column pattern. cols must be sorted
+// ascending; with no columns every row matches. It is the ID-level probe
+// the compiled join pipelines use: it allocates nothing and checks each
+// candidate inline. Rows inserted after the probe are not visited.
+func (r *Relation) Probe(cols []int, ids []intern.ID) Cursor {
+	c := Cursor{r: r, cols: cols, ids: ids, end: int32(r.Len())}
+	if mask, ok := colMask(cols); ok && len(cols) > 0 && c.end > 0 {
+		x := r.ensureIndex(mask, cols)
+		c.next, c.pos = x.next, x.head(hashRow(ids))
+	}
+	return c
+}
+
+// Next returns the next matching position, or -1 once the probe is done.
+func (c *Cursor) Next() int {
+	for c.pos >= 0 && c.pos < c.end {
+		p := int(c.pos)
+		if c.next != nil {
+			c.pos = c.next[p]
+		} else {
+			c.pos++
+		}
+		if rowMatches(c.r.Row(p), c.cols, c.ids) {
+			return p
 		}
 	}
-	if clean {
-		return bucket
+	return -1
+}
+
+// Lookup is Probe for ground terms, with the columns in any order: a term
+// the relation's table never interned occurs in no row.
+func (r *Relation) Lookup(cols []int, vals []ast.Term) Cursor {
+	sorted := cols
+	if !slices.IsSorted(cols) {
+		sorted = slices.Sorted(slices.Values(cols))
 	}
+	ids := make([]intern.ID, len(vals))
+	for i, v := range vals {
+		id, ok := r.tab.Find(v)
+		if !ok {
+			return Cursor{}
+		}
+		ids[slices.Index(sorted, cols[i])] = id
+	}
+	return r.Probe(sorted, ids)
+}
+
+// LookupIDs returns the positions Probe visits, as a slice.
+func (r *Relation) LookupIDs(cols []int, ids []intern.ID) []int {
 	var out []int
-	for _, pos := range bucket {
-		if rowMatches(r.rows[pos], cols, ids) {
-			out = append(out, pos)
+	for c := r.Probe(cols, ids); ; {
+		pos := c.Next()
+		if pos < 0 {
+			return out
 		}
+		out = append(out, pos)
 	}
-	return out
 }
 
 func rowMatches(row []intern.ID, cols []int, ids []intern.ID) bool {
@@ -855,67 +826,40 @@ func (r *Relation) Tuple(pos int) Tuple {
 // resets its two per-component delta stores instead of
 // allocating fresh ones every round.
 func (r *Relation) Reset() {
-	r.tuples = r.tuples[:0]
+	r.truncate(0)
 	r.lazy = 0
-	r.rows = r.rows[:0]
-	r.chain = r.chain[:0]
-	if r.counts != nil {
-		r.counts = r.counts[:0]
-	}
-	clear(r.seen)
-	if m := r.indexes.Load(); m != nil {
-		for _, idx := range *m {
-			for k := range idx.buckets {
-				delete(idx.buckets, k)
-			}
+	for _, x := range r.tables() {
+		x.next = x.next[:0]
+		for i := range x.slots {
+			x.slots[i] = -1
 		}
 	}
 }
 
-// Clone returns a deep copy of the relation contents, including its lazily
-// built column indexes (the clone starts unshared). Copying the indexes
-// matters for the snapshot copy-on-write
-// path: a commit that clones a pinned relation must not cost the next live
-// query an O(rows) index rebuild per bound-column pattern. Index buckets
-// are deep-copied — Lookup hands out bucket slices that must not be shared
-// between a relation and its clone, since inserts append to them. The clone
-// shares the original's symbol table, so ID rows remain comparable across
-// the copies. Cloning a pinned (shared) relation concurrently with snapshot
-// readers is safe: readers never mutate published index contents (new
-// indexes are published as fresh maps), and a shared relation's rows are
-// immutable by the COW contract.
+// Clone returns a deep copy of the relation, including its lazily built
+// column indexes, so that a commit cloning a pinned relation does not cost
+// the next query an index rebuild; the clone starts unpinned. Every part is
+// a flat slice, so the copy is a handful of slice copies (the term cache
+// too: a shared relation stays fully term-backed). The clone shares the
+// symbol table, so ID rows stay comparable. Cloning concurrently with
+// snapshot readers is safe: readers never mutate published indexes, and a
+// pinned relation's rows are immutable by the copy-on-write contract.
 func (r *Relation) Clone() *Relation {
-	c := NewRelationWith(r.tab, r.Name, r.Arity)
-	c.tuples = append([]Tuple(nil), r.tuples...)
-	c.lazy = r.lazy
-	c.rows = append([][]intern.ID(nil), r.rows...)
-	c.chain = append([]int32(nil), r.chain...)
-	if r.counts != nil {
-		c.counts = append([]int32(nil), r.counts...)
+	c := &Relation{
+		Name:   r.Name,
+		Arity:  r.Arity,
+		tab:    r.tab,
+		tuples: cloneCap(r.tuples),
+		lazy:   r.lazy,
+		rows:   cloneCap(r.rows),
+		dedup:  r.dedup.clone(),
+		counts: cloneCap(r.counts),
 	}
-	c.seen = make(map[uint64]int32, len(r.seen))
-	for h, pos := range r.seen {
-		c.seen[h] = pos
-	}
-	if m := r.indexes.Load(); m != nil && len(*m) > 0 {
-		next := make(map[uint64]*colIndex, len(*m))
-		for mask, idx := range *m {
-			ci := &colIndex{
-				cols:    append([]int(nil), idx.cols...),
-				buckets: make(map[uint64][]int, len(idx.buckets)),
-			}
-			// Every row sits in exactly one bucket, so the copies are carved
-			// out of one array instead of one allocation per bucket; each
-			// keeps no spare capacity, so a later insert's append moves that
-			// bucket to an array of its own instead of overwriting its
-			// neighbour.
-			backing := make([]int, 0, len(r.rows))
-			for k, positions := range idx.buckets {
-				lo := len(backing)
-				backing = append(backing, positions...)
-				ci.buckets[k] = backing[lo:len(backing):len(backing)]
-			}
-			next[mask] = ci
+	if m := r.indexes.Load(); m != nil {
+		next := make([]*colIndex, len(*m))
+		for i, x := range *m {
+			cx := x.clone()
+			next[i] = &cx
 		}
 		c.indexes.Store(&next)
 	}
@@ -965,8 +909,10 @@ type Store struct {
 	// pinned marks the store as an immutable snapshot view produced by Pin:
 	// every write entry point rejects it, and Relation returns pinned
 	// relations without the copy-on-write step (the snapshot's whole point is
-	// to keep reading the shared pinned state).
-	pinned bool
+	// to keep reading the shared pinned state). released records that
+	// Release ended the view's pins.
+	pinned   bool
+	released atomic.Bool
 }
 
 // NewStore returns an empty store with a fresh symbol table of its own.
@@ -1177,7 +1123,7 @@ func (s *Store) Reset() {
 		panic("database: Reset on a pinned snapshot store")
 	}
 	for name, r := range s.relations {
-		if r.isShared() {
+		if r.pins.Load() > 0 {
 			s.relations[name] = NewRelationWith(s.tab, r.Name, r.Arity)
 		} else {
 			r.Reset()
@@ -1203,20 +1149,19 @@ func (s *Store) SetVersion(v uint64) {
 	s.version = v
 }
 
-// Pinned reports whether the store is an immutable snapshot view.
-func (s *Store) Pinned() bool { return s.pinned }
-
 // Pin returns an immutable snapshot view of the store: a shallow copy
-// sharing the current relations, each marked so that the next write to it
-// through the live store clones the relation instead of mutating it in
-// place (see Store.Relation and Apply). Taking a pin is O(#relations), never
-// O(facts); a pinned view and the live store stay byte-identical until the
-// next commit, after which the pin keeps reading exactly the relations it
-// captured. The view shares the symbol table (append-only, internally
-// synchronized), so ID rows and compiled pipelines remain valid across it.
-// Pinning is a read operation: the caller may hold a read lock on the store,
-// and concurrent Pin calls are safe (the shared marks are atomic); it must
-// only be excluded against writers, like any other read.
+// sharing the current relations, each counting one more pin, so that until
+// the view is released the next write to a relation through the live store
+// clones it instead of mutating it in place (see Store.Relation and Apply).
+// Taking a pin is O(#relations), never O(facts); a pinned view and the live
+// store stay byte-identical until the next commit, after which the pin
+// keeps reading exactly the relations it captured. The view shares the
+// symbol table (append-only, internally synchronized), so ID rows and
+// compiled pipelines remain valid across it. Pinning is a read operation:
+// the caller may hold a read lock on the store, and concurrent Pin calls
+// are safe (the counts are atomic); it must only be excluded against
+// writers, like any other read. A view that is never released keeps its
+// pins: each relation it holds is then copied by the first write to it.
 func (s *Store) Pin() *Store {
 	if s.base != nil {
 		// Overlays are evaluation-private; pinning one is a programming error.
@@ -1225,25 +1170,44 @@ func (s *Store) Pin() *Store {
 	c := &Store{
 		tab:       s.tab,
 		relations: make(map[string]*Relation, len(s.relations)),
-		order:     append([]string(nil), s.order...),
+		order:     s.order[:len(s.order):len(s.order)], // the live store appends past it, drops copy
 		version:   s.version,
 		pinned:    true,
 	}
 	for name, r := range s.relations {
-		r.markShared()
+		r.pins.Add(1)
 		c.relations[name] = r
 	}
 	return c
 }
 
+// Release ends the pins of a view returned by Pin, once: a relation no live
+// view holds is written in place again. It reports whether this call ended
+// them; later calls, and calls on stores that are not pinned views, do
+// nothing. The view must not be read after it is released, since the live
+// store may then overwrite the rows it shares.
+func (s *Store) Release() bool {
+	if !s.pinned || !s.released.CompareAndSwap(false, true) {
+		return false
+	}
+	for _, r := range s.relations {
+		r.pins.Add(-1)
+	}
+	return true
+}
+
+// Released reports whether Release has ended the view's pins.
+func (s *Store) Released() bool { return s.released.Load() }
+
 // writable returns the named relation ready for in-place mutation, cloning
-// it first if a snapshot pins it; nil if the relation does not exist.
+// it first while a live snapshot pins it; nil if the relation does not
+// exist.
 func (s *Store) writable(name string) *Relation {
 	r, ok := s.relations[name]
 	if !ok {
 		return nil
 	}
-	if r.isShared() {
+	if r.pins.Load() > 0 {
 		r = r.Clone()
 		s.relations[name] = r
 	}
@@ -1305,8 +1269,10 @@ func netDelta(minus, plus *Store) {
 			}
 		}
 		if len(both) > 0 {
-			mrel.DeleteRows(both)
+			// plus first: both are windows into minus's slab, which the
+			// swap deletes of minus overwrite.
 			prel.DeleteRows(both)
+			mrel.DeleteRows(both)
 		}
 	}
 }

@@ -51,23 +51,23 @@ func TestRelationLookup(t *testing.T) {
 	r.MustInsert(tup("john", "sue"))
 	r.MustInsert(tup("mary", "bob"))
 
-	got := r.Lookup([]int{0}, []ast.Term{ast.S("john")})
+	got := lookup(r, []int{0}, []ast.Term{ast.S("john")})
 	if len(got) != 2 {
 		t.Errorf("Lookup(col0=john) = %v, want 2 positions", got)
 	}
-	got = r.Lookup([]int{1}, []ast.Term{ast.S("bob")})
+	got = lookup(r, []int{1}, []ast.Term{ast.S("bob")})
 	if len(got) != 1 || !r.Tuple(got[0]).Equal(tup("mary", "bob")) {
 		t.Errorf("Lookup(col1=bob) = %v", got)
 	}
-	got = r.Lookup([]int{0, 1}, []ast.Term{ast.S("john"), ast.S("sue")})
+	got = lookup(r, []int{0, 1}, []ast.Term{ast.S("john"), ast.S("sue")})
 	if len(got) != 1 {
 		t.Errorf("Lookup(both) = %v", got)
 	}
-	got = r.Lookup(nil, nil)
+	got = lookup(r, nil, nil)
 	if len(got) != 3 {
 		t.Errorf("Lookup(no cols) = %v, want all", got)
 	}
-	got = r.Lookup([]int{0}, []ast.Term{ast.S("nobody")})
+	got = lookup(r, []int{0}, []ast.Term{ast.S("nobody")})
 	if len(got) != 0 {
 		t.Errorf("Lookup(miss) = %v", got)
 	}
@@ -77,11 +77,23 @@ func TestRelationIndexMaintainedAfterInsert(t *testing.T) {
 	r := NewRelation("e", 2)
 	r.MustInsert(tup("a", "b"))
 	// Build index, then insert more and check the index sees the new tuples.
-	_ = r.Lookup([]int{0}, []ast.Term{ast.S("a")})
+	_ = lookup(r, []int{0}, []ast.Term{ast.S("a")})
 	r.MustInsert(tup("a", "c"))
-	got := r.Lookup([]int{0}, []ast.Term{ast.S("a")})
+	got := lookup(r, []int{0}, []ast.Term{ast.S("a")})
 	if len(got) != 2 {
 		t.Errorf("index not maintained incrementally: %v", got)
+	}
+}
+
+// lookup collects the positions a term-keyed probe visits.
+func lookup(r *Relation, cols []int, vals []ast.Term) []int {
+	var out []int
+	for c := r.Lookup(cols, vals); ; {
+		pos := c.Next()
+		if pos < 0 {
+			return out
+		}
+		out = append(out, pos)
 	}
 }
 
@@ -89,7 +101,7 @@ func TestLookupUnsortedColumns(t *testing.T) {
 	r := NewRelation("t", 3)
 	r.MustInsert(tup("a", "b", "c"))
 	r.MustInsert(tup("x", "b", "z"))
-	got := r.Lookup([]int{2, 0}, []ast.Term{ast.S("c"), ast.S("a")})
+	got := lookup(r, []int{2, 0}, []ast.Term{ast.S("c"), ast.S("a")})
 	if len(got) != 1 || !r.Tuple(got[0]).Equal(tup("a", "b", "c")) {
 		t.Errorf("Lookup with unsorted columns = %v", got)
 	}
@@ -244,7 +256,7 @@ func TestQuickRelationSetSemantics(t *testing.T) {
 			if !r.Contains(rt.T) {
 				return false
 			}
-			hits := r.Lookup([]int{0, 1}, []ast.Term{rt.T[0], rt.T[1]})
+			hits := lookup(r, []int{0, 1}, []ast.Term{rt.T[0], rt.T[1]})
 			if len(hits) != 1 {
 				return false
 			}
@@ -270,7 +282,7 @@ func TestQuickLookupAgreesWithScan(t *testing.T) {
 				want++
 			}
 		}
-		got := r.Lookup([]int{0}, []ast.Term{probe.T[0]})
+		got := lookup(r, []int{0}, []ast.Term{probe.T[0]})
 		return len(got) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -284,7 +296,7 @@ func TestRelationDelete(t *testing.T) {
 	r.MustInsert(tup("c", "d"))
 	r.MustInsert(tup("e", "f"))
 	// Build an index so deletion must invalidate it.
-	if got := len(r.Lookup([]int{0}, []ast.Term{ast.S("c")})); got != 1 {
+	if got := len(lookup(r, []int{0}, []ast.Term{ast.S("c")})); got != 1 {
 		t.Fatalf("pre-delete lookup = %d, want 1", got)
 	}
 
@@ -305,10 +317,10 @@ func TestRelationDelete(t *testing.T) {
 		t.Errorf("tuples after delete = %v", tuples)
 	}
 	// Lookups see the shrunken relation (index rebuilt lazily).
-	if got := len(r.Lookup([]int{0}, []ast.Term{ast.S("c")})); got != 0 {
+	if got := len(lookup(r, []int{0}, []ast.Term{ast.S("c")})); got != 0 {
 		t.Errorf("post-delete lookup = %d, want 0", got)
 	}
-	if got := len(r.Lookup([]int{0}, []ast.Term{ast.S("e")})); got != 1 {
+	if got := len(lookup(r, []int{0}, []ast.Term{ast.S("e")})); got != 1 {
 		t.Errorf("post-delete lookup e = %d, want 1", got)
 	}
 	// Dedup state is consistent: the deleted tuple can be re-inserted once.

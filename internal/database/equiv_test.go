@@ -117,7 +117,7 @@ func TestRelationAgreesWithStringKeyedReference(t *testing.T) {
 					for i := range values {
 						values[i] = randTerm(rng, 0)
 					}
-					got := append([]int(nil), rel.Lookup(cols, values)...)
+					got := append([]int(nil), lookup(rel, cols, values)...)
 					want := ref.lookup(cols, values)
 					sort.Ints(got)
 					sort.Ints(want)
@@ -154,7 +154,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	if rel.Len() != 1 {
 		t.Errorf("insert into clone changed the original (len %d)", rel.Len())
 	}
-	if got := len(clone.Lookup([]int{0}, []ast.Term{ast.S("x")})); got != 1 {
+	if got := len(lookup(clone, []int{0}, []ast.Term{ast.S("x")})); got != 1 {
 		t.Errorf("clone lookup found %d tuples, want 1", got)
 	}
 }
@@ -167,13 +167,13 @@ func TestIndexMaintainedAcrossInserts(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rel.MustInsert(Tuple{ast.I(int64(i % 3)), ast.I(int64(i))})
 	}
-	if got := len(rel.Lookup([]int{0}, []ast.Term{ast.I(0)})); got != 4 {
+	if got := len(lookup(rel, []int{0}, []ast.Term{ast.I(0)})); got != 4 {
 		t.Fatalf("initial lookup: %d tuples, want 4", got)
 	}
 	for i := 10; i < 20; i++ {
 		rel.MustInsert(Tuple{ast.I(int64(i % 3)), ast.I(int64(i))})
 	}
-	if got := len(rel.Lookup([]int{0}, []ast.Term{ast.I(0)})); got != 7 {
+	if got := len(lookup(rel, []int{0}, []ast.Term{ast.I(0)})); got != 7 {
 		t.Fatalf("post-insert lookup: %d tuples, want 7", got)
 	}
 	if n := len(*rel.indexes.Load()); n != 1 {
@@ -187,7 +187,7 @@ func TestLookupUnknownTerm(t *testing.T) {
 	rel := NewRelation("u", 1)
 	rel.MustInsert(Tuple{ast.S("known")})
 	name := strings.Repeat("never-interned-", 3)
-	if got := rel.Lookup([]int{0}, []ast.Term{ast.S(name)}); len(got) != 0 {
+	if got := lookup(rel, []int{0}, []ast.Term{ast.S(name)}); len(got) != 0 {
 		t.Errorf("lookup of unknown constant returned %v", got)
 	}
 	if rel.Contains(Tuple{ast.S(name)}) {
@@ -206,7 +206,7 @@ func TestCloneIndexBucketsAreIndependent(t *testing.T) {
 			rel.MustInsert(Tuple{ast.I(int64(k)), ast.I(int64(v))})
 		}
 	}
-	count := func(r *Relation, k int) int { return len(r.Lookup([]int{0}, []ast.Term{ast.I(int64(k))})) }
+	count := func(r *Relation, k int) int { return len(lookup(r, []int{0}, []ast.Term{ast.I(int64(k))})) }
 	if count(rel, 0) != 3 {
 		t.Fatal("index not built")
 	}
@@ -227,7 +227,7 @@ func TestCloneIndexBucketsAreIndependent(t *testing.T) {
 		if got := count(clone, k); got != wantClone[k] {
 			t.Errorf("clone: key %d has %d rows, want %d", k, got, wantClone[k])
 		}
-		for _, pos := range clone.Lookup([]int{0}, []ast.Term{ast.I(int64(k))}) {
+		for _, pos := range lookup(clone, []int{0}, []ast.Term{ast.I(int64(k))}) {
 			if clone.Tuple(pos)[0] != ast.Term(ast.I(int64(k))) {
 				t.Errorf("clone: bucket of key %d holds %s", k, clone.Tuple(pos))
 			}

@@ -21,14 +21,11 @@ func (r *Relation) EnableCounts() {
 	if r.counts != nil {
 		return
 	}
-	r.counts = make([]int32, len(r.rows))
+	r.counts = make([]int32, r.Len())
 	for i := range r.counts {
 		r.counts[i] = 1
 	}
 }
-
-// Counted reports whether the relation carries per-row derivation counts.
-func (r *Relation) Counted() bool { return r.counts != nil }
 
 // CountAt returns the derivation count of the row at the given position; an
 // uncounted relation reports 1 (present, multiplicity untracked).
@@ -61,7 +58,7 @@ func (r *Relation) IncRow(row []intern.ID, delta int32) (total int32, added bool
 		r.counts[pos] += delta
 		return r.counts[pos], false, nil
 	}
-	r.appendRow(append([]intern.ID(nil), row...), nil, h)
+	r.appendRow(row, nil, h)
 	r.counts[len(r.counts)-1] = delta
 	return delta, true, nil
 }
@@ -120,7 +117,7 @@ func (r *Relation) DeleteRows(rows [][]intern.ID) int {
 // at the end and the per-commit cost is O(rows added by the batch), not
 // O(relation).
 func (r *Relation) MaterializeTuples() {
-	for pos := len(r.rows) - 1; r.lazy > 0 && pos >= 0; pos-- {
+	for pos := r.Len() - 1; r.lazy > 0 && pos >= 0; pos-- {
 		if r.tuples[pos] == nil {
 			r.materialize(pos)
 		}
@@ -146,7 +143,8 @@ func (s *Store) DropRelation(name string) bool {
 	delete(s.relations, name)
 	for i, n := range s.order {
 		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
+			// A fresh array: pinned views share the old one (Store.Pin).
+			s.order = append(s.order[:i:i], s.order[i+1:]...)
 			break
 		}
 	}

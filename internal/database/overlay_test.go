@@ -102,7 +102,7 @@ func TestOverlayIndexSharing(t *testing.T) {
 	base := baseStore(t)
 	ov1 := base.Overlay()
 	rel := ov1.Existing("par")
-	if got := rel.Lookup([]int{0}, []ast.Term{ast.S("a")}); len(got) != 1 {
+	if got := lookup(rel, []int{0}, []ast.Term{ast.S("a")}); len(got) != 1 {
 		t.Fatalf("lookup = %v", got)
 	}
 	built := *rel.indexes.Load()
@@ -110,7 +110,7 @@ func TestOverlayIndexSharing(t *testing.T) {
 	if ov2.Existing("par") != rel {
 		t.Fatal("the second overlay does not share the base relation")
 	}
-	if got := ov2.Existing("par").Lookup([]int{0}, []ast.Term{ast.S("b")}); len(got) != 1 {
+	if got := lookup(ov2.Existing("par"), []int{0}, []ast.Term{ast.S("b")}); len(got) != 1 {
 		t.Fatalf("lookup = %v", got)
 	}
 	after := *rel.indexes.Load()

@@ -2,6 +2,7 @@ package database
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/ast"
@@ -38,4 +39,54 @@ func BenchmarkRawAddFact10k(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFactMemory attributes the retained heap of a committed arity-2
+// relation of rows=N facts with one built column index, in bytes per fact:
+// the row slab, the duplicate-detection table, the indexes, the term-tuple
+// cache and the symbol table. Each part is measured as the live heap it
+// frees when dropped, after a full collection, so the figures include
+// allocator rounding and slice headroom.
+func BenchmarkFactMemory(b *testing.B) {
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, n := range []int{25_000, 250_000} {
+		b.Run(fmt.Sprintf("rows=%dk", n/1000), func(b *testing.B) {
+			var parts [5]float64
+			for i := 0; i < b.N; i++ {
+				s := NewStore()
+				atoms := make([]ast.Atom, n)
+				for j := range atoms {
+					atoms[j] = ast.NewAtom("par", ast.S(fmt.Sprintf("n%d", j/2)), ast.S(fmt.Sprintf("n%d", j)))
+				}
+				if _, _, err := s.Apply(nil, atoms); err != nil {
+					b.Fatal(err)
+				}
+				atoms = nil
+				rel := s.Existing("par")
+				rel.LookupIDs([]int{0}, rel.Row(0)[:1])
+				drops := []func(){
+					func() { rel.rows = nil },
+					func() { rel.dedup = colIndex{} },
+					func() { rel.indexes.Store(nil) },
+					func() { rel.tuples = nil },
+					func() { s, rel = nil, nil },
+				}
+				before := live()
+				for k, drop := range drops {
+					drop()
+					after := live()
+					parts[k] += float64(int64(before)-int64(after)) / float64(n)
+					before = after
+				}
+			}
+			for k, unit := range []string{"B/fact-rows", "B/fact-dedup", "B/fact-index", "B/fact-terms", "B/fact-symbols"} {
+				b.ReportMetric(parts[k]/float64(b.N), unit)
+			}
+		})
+	}
 }

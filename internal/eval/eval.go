@@ -714,12 +714,12 @@ func (pp *Prepared) EvaluateCtx(c context.Context, edb *database.Store, seeds []
 
 // answerSelection locates the tuples of the given relation that match the
 // query atom (whose ground arguments act as selections), returning the
-// relation, the matching positions in insertion order, and the query's free
-// positions. A nil relation means no answers.
-func answerSelection(store *database.Store, predKey string, query ast.Atom) (*database.Relation, []int, []int) {
+// relation, a cursor over the matching positions in insertion order, and
+// the query's free positions. A nil relation means no answers.
+func answerSelection(store *database.Store, predKey string, query ast.Atom) (*database.Relation, database.Cursor, []int) {
 	rel := store.Existing(predKey)
 	if rel == nil {
-		return nil, nil, nil
+		return nil, database.Cursor{}, nil
 	}
 	var cols []int
 	var vals []ast.Term
@@ -740,12 +740,9 @@ func answerSelection(store *database.Store, predKey string, query ast.Atom) (*da
 // projected onto the query's free positions, in insertion order. It is used
 // to read query answers out of an evaluated store.
 func Answers(store *database.Store, predKey string, query ast.Atom) []database.Tuple {
-	rel, positions, freePos := answerSelection(store, predKey, query)
-	if rel == nil {
-		return nil
-	}
+	rel, cur, freePos := answerSelection(store, predKey, query)
 	var out []database.Tuple
-	for _, pos := range positions {
+	for pos := cur.Next(); pos >= 0; pos = cur.Next() {
 		t := rel.Tuple(pos)
 		proj := make(database.Tuple, len(freePos))
 		for j, p := range freePos {
@@ -758,20 +755,17 @@ func Answers(store *database.Store, predKey string, query ast.Atom) []database.T
 
 // AnswerRows is Answers at the ID level: the matching tuples are returned as
 // rows of interned IDs projected onto the query's free positions, without
-// materializing any terms. The facade builds its typed values directly from
-// these IDs (the store's symbol table is append-only, so the rows remain
-// valid after the evaluation's overlay is discarded). limit > 0 caps the
-// number of rows returned.
+// materializing any terms. The rows are copies, so they stay valid whatever
+// happens to the relation later (the facade builds its typed values directly
+// from these IDs, and the store's symbol table is append-only). limit > 0
+// caps the number of rows returned.
 func AnswerRows(store *database.Store, predKey string, query ast.Atom, limit int) [][]intern.ID {
-	rel, positions, freePos := answerSelection(store, predKey, query)
+	rel, cur, freePos := answerSelection(store, predKey, query)
 	if rel == nil {
 		return nil
 	}
-	if limit > 0 && len(positions) > limit {
-		positions = positions[:limit]
-	}
-	out := make([][]intern.ID, 0, len(positions))
-	for _, pos := range positions {
+	out := [][]intern.ID{}
+	for pos := cur.Next(); pos >= 0 && (limit <= 0 || len(out) < limit); pos = cur.Next() {
 		row := rel.Row(pos)
 		proj := make([]intern.ID, len(freePos))
 		for j, p := range freePos {
@@ -786,11 +780,12 @@ func AnswerRows(store *database.Store, predKey string, query ast.Atom, limit int
 // without materializing or projecting anything. It is the predicate the
 // facade's first-N early termination evaluates between fixpoint rounds.
 func CountAnswers(store *database.Store, predKey string, query ast.Atom) int {
-	rel, positions, _ := answerSelection(store, predKey, query)
-	if rel == nil {
-		return 0
+	_, cur, _ := answerSelection(store, predKey, query)
+	n := 0
+	for cur.Next() >= 0 {
+		n++
 	}
-	return len(positions)
+	return n
 }
 
 // AnswerSet returns the answers as a set of canonical tuple keys, for

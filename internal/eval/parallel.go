@@ -20,7 +20,7 @@
 // frozen main relation (Relation.ContainsRow — duplicate suppression, which
 // dominates the late rounds of a transitive closure, thus runs inside the
 // parallel phase). The round barrier then serially merges the out shards
-// into the main store (Relation.MergeFrom, sharing row slices), and the next
+// into the main store (Relation.MergeFrom, copying row IDs), and the next
 // partitioned round scatters directly from this round's out shards — the
 // serial section is exactly the merge. Deferring the main-store insert to
 // the barrier changes in-round visibility (a fact derived early in a round

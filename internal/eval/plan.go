@@ -324,10 +324,10 @@ func (pl *pipeline) run(ctx *evalContext, sc *pipeScratch, emit func(row []inter
 			if rel == nil {
 				continue
 			}
-			positions := rel.LookupIDs(st.cols, probeIDs)
 			ctx.stats.IndexProbes++
-			ctx.stats.IndexHits += int64(len(positions))
-			for _, pos := range positions {
+			cur := rel.Probe(st.cols, probeIDs)
+			for pos := cur.Next(); pos >= 0; pos = cur.Next() {
+				ctx.stats.IndexHits++
 				ctx.stats.JoinProbes++
 				row := rel.Row(pos)
 				if len(v.exclude) > 0 && v.excluded(row) {

@@ -85,7 +85,8 @@ func (o *oracle) match(r ast.Rule, i int, s ast.Subst) error {
 			vals = append(vals, arg)
 		}
 	}
-	for _, pos := range rel.Lookup(cols, vals) {
+	cur := rel.Lookup(cols, vals)
+	for pos := cur.Next(); pos >= 0; pos = cur.Next() {
 		s2 := s.Clone()
 		if ast.MatchAtom(inst, rel.Tuple(pos), s2) {
 			if err := o.match(r, i+1, s2); err != nil {

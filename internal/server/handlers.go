@@ -205,7 +205,10 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	// Warm the program's form cache so the first /v1/query run of this
 	// handle only evaluates: parse → adorn → rewrite → compile happen here.
-	if _, err := s.db.Snapshot().With(entry.prog).Prepare(req.Query, req.Options); err != nil {
+	snap := s.db.Snapshot()
+	_, err = snap.With(entry.prog).Prepare(req.Query, req.Options)
+	snap.Release()
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err.Error(), tenant, nil)
 		return
 	}
@@ -345,13 +348,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// The consistency pin: one snapshot per request, taken after admission,
 	// read by every entry. Concurrent commits and program uploads cannot
-	// tear the response.
+	// tear the response. The pin ends once the entries have been answered:
+	// the response holds copies, not rows of the snapshot.
 	snap := s.db.Snapshot()
 
 	resp := QueryResponse{Version: snap.Version(), Results: make([]QueryResult, 0, len(entries))}
 	for _, entry := range entries {
 		result, status := s.runEntry(ctx, snap, entry, tn)
 		if single && result.Error != nil {
+			snap.Release()
 			// A single query surfaces its failure as the response status;
 			// batches report per-entry errors inline under a 200.
 			var stats *datalog.Stats
@@ -363,6 +368,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, result)
 	}
+	snap.Release()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -431,6 +437,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := tn.limits.requestContext(r.Context(), asked)
 	defer cancel()
 	snap := s.db.Snapshot() // the pin: every streamed row reads this version
+	defer snap.Release()    // whether the stream finishes or is abandoned
 	pq, err := snap.With(prog).Prepare(query, opts)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err.Error(), tenant, nil)
@@ -536,6 +543,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Database: DatabaseStats{
 			Version:    s.db.Version(),
 			TotalFacts: s.db.TotalFacts(),
+			LivePins:   s.db.LivePins(),
 		},
 		Programs:       programs,
 		Prepared:       prepared,

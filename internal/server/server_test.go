@@ -55,10 +55,91 @@ func doJSON(t *testing.T, method, url, tenant string, body, out any) int {
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(datalog.NewDatabase(), cfg)
+	return serveDB(t, datalog.NewDatabase(), cfg)
+}
+
+// serveDB serves db for the test. Its first cleanup runs after the server
+// has finished every request (ts.Close waits for them) and asserts that
+// every snapshot taken while serving was released again.
+func serveDB(t *testing.T, db *datalog.Database, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	t.Cleanup(func() {
+		if n := db.LivePins(); n != 0 {
+			t.Errorf("%d snapshots still pinned after the test", n)
+		}
+	})
+	s := New(db, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// TestSnapshotsReleased drives every handler that pins a snapshot — prepare,
+// a single query, a failing single query, a batch, a finished and an
+// abandoned stream — plus a checkpoint of the durable database behind the
+// server, and reads the live-pin gauge from /v1/stats afterwards. serveDB's
+// cleanup asserts the gauge is 0 once the abandoned stream's handler is done
+// too.
+func TestSnapshotsReleased(t *testing.T) {
+	db, err := datalog.Open(t.TempDir(), datalog.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	_, ts := serveDB(t, db, Config{})
+	if st := doJSON(t, "POST", ts.URL+"/v1/programs", "", ProgramRequest{Source: ancProgram}, nil); st != http.StatusOK {
+		t.Fatalf("programs: status %d", st)
+	}
+	var facts strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&facts, "par(n%d, n%d). ", i, i+1)
+	}
+	if st := doJSON(t, "POST", ts.URL+"/v1/txn", "", TxnRequest{AssertText: facts.String()}, nil); st != http.StatusOK {
+		t.Fatalf("txn: status %d", st)
+	}
+	if st := doJSON(t, "POST", ts.URL+"/v1/prepare", "", PrepareRequest{Query: "anc(n0, Y)"}, nil); st != http.StatusOK {
+		t.Fatalf("prepare: status %d", st)
+	}
+	if st := doJSON(t, "POST", ts.URL+"/v1/query", "", QueryRequest{QueryEntry: QueryEntry{PreparedID: "q1"}}, nil); st != http.StatusOK {
+		t.Fatalf("query: status %d", st)
+	}
+	if st := doJSON(t, "POST", ts.URL+"/v1/query", "", QueryRequest{QueryEntry: QueryEntry{Query: "nosuch(X)"}}, nil); st == http.StatusOK {
+		t.Fatal("query of an unknown predicate succeeded")
+	}
+	if st := doJSON(t, "POST", ts.URL+"/v1/query", "", QueryRequest{
+		Batch: []QueryEntry{{PreparedID: "q1"}, {Query: "anc(n5, Y)"}},
+	}, nil); st != http.StatusOK {
+		t.Fatalf("batch: status %d", st)
+	}
+	if rows, _ := readStream(t, ts.URL+"/v1/query/stream?prepared_id=q1"); len(rows) != 200 {
+		t.Fatalf("stream: %d rows, want 200", len(rows))
+	}
+	resp, err := http.Get(ts.URL + "/v1/query/stream?prepared_id=q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() // abandon the stream after its first row
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if st := doJSON(t, "POST", ts.URL+"/v1/txn", "", TxnRequest{AssertText: "par(n0, x)."}, nil); st != http.StatusOK {
+		t.Fatalf("txn: status %d", st)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var stats StatsResponse
+	if st := doJSON(t, "GET", ts.URL+"/v1/stats", "", nil, &stats); st != http.StatusOK {
+		t.Fatalf("stats: status %d", st)
+	}
+	// The abandoned stream's handler may still be writing; every other pin
+	// has ended.
+	if stats.Database.LivePins > 1 {
+		t.Errorf("live_pins = %d after the requests returned", stats.Database.LivePins)
+	}
 }
 
 // TestServerEndToEnd walks the whole protocol: upload, seed, prepare, run,

@@ -182,10 +182,12 @@ type TenantStats struct {
 	LimitExceeded int64 `json:"limit_exceeded"`
 }
 
-// DatabaseStats is the database section of /v1/stats.
+// DatabaseStats is the database section of /v1/stats. LivePins counts the
+// snapshots taken and not yet released.
 type DatabaseStats struct {
 	Version    uint64 `json:"version"`
 	TotalFacts int    `json:"total_facts"`
+	LivePins   int64  `json:"live_pins"`
 }
 
 // StatsResponse is the GET /v1/stats payload. Durability is present only

@@ -468,7 +468,8 @@ func (e *evaluator) solveBody(g Goal, rule ast.Rule, order []int, idx int, s ast
 			vals = append(vals, arg)
 		}
 	}
-	for _, pos := range rel.Lookup(cols, vals) {
+	cur := rel.Lookup(cols, vals)
+	for pos := cur.Next(); pos >= 0; pos = cur.Next() {
 		s2 := s.Clone()
 		if ast.MatchAtom(inst, rel.Tuple(pos), s2) {
 			if err := e.solveBody(g, rule, order, idx+1, s2); err != nil {
