@@ -59,7 +59,7 @@ fmt-check:
 # internal/rewrite and its subpackages, the four rewritings of the paper
 # built by one sip walk) is ratcheted the same way by REWRITE_LOC_CEILING.
 LOC_PKGS := internal/eval datalog internal/database
-LOC_CEILING := 7239
+LOC_CEILING := 7132
 REWRITE_LOC_CEILING := 895
 loc:
 	@total=0; for d in $(LOC_PKGS); do \

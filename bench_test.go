@@ -1122,8 +1122,8 @@ func BenchmarkCommitAfterPin(b *testing.B) {
 }
 
 // BenchmarkRelationClone measures the copy a commit makes of a relation a
-// live snapshot pins: rows=N arity-2 facts, committed term-backed, with one
-// built column index.
+// live snapshot pins: rows=N arity-2 facts, committed through Store.Apply,
+// with one built column index.
 func BenchmarkRelationClone(b *testing.B) {
 	for _, size := range pinSizes {
 		b.Run("rows="+size.name, func(b *testing.B) {

@@ -20,7 +20,6 @@ package datalog
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,17 +162,11 @@ func loadCheckpoint(store *database.Store, path string) error {
 		if err != nil {
 			return err
 		}
-		if len(cr.Rows) == 0 {
-			return nil
-		}
-		pred, adorn, _ := strings.Cut(cr.Name, "^")
 		flat := make([]ast.Term, 0, len(cr.Rows)*cr.Arity)
-		atoms := make([]ast.Atom, len(cr.Rows))
-		for i, row := range cr.Rows {
+		for _, row := range cr.Rows {
 			flat = append(flat, row...)
-			atoms[i] = ast.Atom{Pred: pred, Adorn: ast.Adornment(adorn), Args: row}
 		}
-		rel.InsertBulk(atoms, tab.InternMany(flat))
+		rel.InsertBulk(tab.InternMany(flat), len(cr.Rows))
 		return nil
 	})
 	return err
@@ -314,7 +307,7 @@ func (b *walBackend) checkpoint(snap *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("datalog: %w", err)
 	}
-	row := make([]ast.Term, 0, 8)
+	var row database.Tuple
 	for _, name := range names {
 		rel := store.Existing(name)
 		if err := w.Relation(name, rel.Arity, rel.Len()); err != nil {
@@ -322,13 +315,7 @@ func (b *walBackend) checkpoint(snap *Snapshot) error {
 			return fmt.Errorf("datalog: %w", err)
 		}
 		for pos := 0; pos < rel.Len(); pos++ {
-			// Row+Term are pure reads of the pinned relation (unlike the
-			// lazily materializing tuple accessors, which mutate the cache).
-			ids := rel.Row(pos)
-			row = row[:0]
-			for _, id := range ids {
-				row = append(row, rd.Term(id))
-			}
+			row = database.AppendTerms(row[:0], &rd, rel.Row(pos))
 			if err := w.Row(row); err != nil {
 				w.Abort()
 				return fmt.Errorf("datalog: %w", err)

@@ -553,9 +553,13 @@ func TestMaterializeDifferentialShapes(t *testing.T) {
 // derived relations and probes the shared base relations, building their
 // lazy indexes, while readers probe the same relations through pinned
 // snapshots. Every pinned snapshot's materialized answers must equal its
-// NoMaterialize answers.
+// NoMaterialize answers. One more reader runs top-down over a second
+// program that reads the maintained anc as a base relation, so it builds
+// terms from rows maintenance has just inserted while commits continue; its
+// answers must equal the snapshot's materialized anc.
 func TestMaterializeMaintenanceVsReaders(t *testing.T) {
 	prog := mustCompile(t, matRules+`back(X) :- anc(X, Y), par(Y, X).`)
+	overAnc := mustCompile(t, `via(X, Y) :- anc(X, Y).`)
 	db := NewDatabase()
 	if err := db.Materialize(prog); err != nil {
 		t.Fatal(err)
@@ -597,6 +601,32 @@ func TestMaterializeMaintenanceVsReaders(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := fx.snap()
+			hot, err := snap.Query("anc(X, Y)", Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			top, err := snap.With(overAnc).Query("via(X, Y)", Options{Strategy: TopDown})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(hot.AnswerSet(), top.AnswerSet()) {
+				t.Errorf("version %d: top-down over anc %v != materialized anc %v", snap.Version(), top.AnswerSet(), hot.AnswerSet())
+				return
+			}
+		}
+	}()
 	rng := rand.New(rand.NewSource(3))
 	fact := edgeFact("par", true)
 	// Keep committing until the readers have checked enough snapshots to

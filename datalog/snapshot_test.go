@@ -404,11 +404,10 @@ func TestSnapshotIsolationUnderRace(t *testing.T) {
 	}
 }
 
-// Zero-arity facts committed through the batch path historically left a nil
-// tuple-cache entry on the shared base relation, so concurrent snapshot
-// readers raced on the lazy materialization (ROADMAP item 1; run with
-// -race). appendRow now normalizes zero-arity rows to an empty tuple at
-// insert time, making every batch-committed row term-backed.
+// Concurrent top-down readers of one snapshot read a zero-arity fact and an
+// arity-1 relation committed through the batch path (run with -race). A
+// zero-arity relation's slab is empty, so its row count alone says the
+// fact holds; reading its tuple builds the empty tuple and writes nothing.
 func TestSnapshotZeroArityTupleRace(t *testing.T) {
 	prog, err := Compile(`out(X) :- flag, p(X).`)
 	if err != nil {

@@ -11,10 +11,10 @@
 // store's symbol table (internal/intern), and a relation keeps one dense
 // []intern.ID row per tuple. Duplicate detection and the bound-column hash
 // indexes hash those ID rows directly, so no canonical key strings are built
-// on the insert or probe path. Materialized term tuples are built lazily,
-// only when a caller reads tuples back out (answers, display, golden tests);
-// rows inserted and joined purely at the ID level never allocate terms. Each
-// index covers one set of columns (a bound-column pattern) and is maintained
+// on the insert or probe path. A relation stores no terms: the few callers
+// that read tuples back out as terms (display, golden tests, the top-down
+// interpreter) build them from the ID rows on each read. Each index covers
+// one set of columns (a bound-column pattern) and is maintained
 // incrementally on insert once built.
 //
 // Every Store owns its own intern.Table (shared with its clones and
@@ -236,10 +236,12 @@ func cloneCap[T any](s []T) []T {
 // vacated position (see Delete), so positions are stable only between
 // deletions and readers wanting a canonical order use Sorted.
 //
-// The rows live in one ID slab with a stride of Arity. A Row slice is a
-// window into the slab: it stays valid until the next delete on the
-// relation, which may overwrite it, so callers that keep IDs across a
-// delete copy them.
+// The rows live in one ID slab with a stride of Arity, and the slab, the
+// hash tables and the optional counts are all the relation holds: every
+// part is pointer-free, and term tuples are built on demand from the slab.
+// A Row slice is a window into the slab: it stays valid until the next
+// delete on the relation, which may overwrite it, so callers that keep IDs
+// across a delete copy them.
 type Relation struct {
 	// Name is the predicate key this relation stores (e.g. "anc", "sg^bf",
 	// "magic_sg^bf").
@@ -250,14 +252,9 @@ type Relation struct {
 	// tab is the symbol table the relation's rows are interned in.
 	tab *intern.Table
 
-	// tuples caches materialized term tuples, parallel to the rows; a nil
-	// entry means the tuple has not been read back as terms yet. lazy counts
-	// the nil entries, so the eager-materialization sweep the maintenance
-	// layer runs per commit (MaterializeTuples) can stop as soon as every
-	// pending tuple is built instead of scanning the whole relation.
-	tuples []Tuple
-	lazy   int
-	rows   []intern.ID
+	rows []intern.ID
+	// n counts the rows: a zero-arity relation's slab stays empty.
+	n int
 	// dedup is the duplicate-detection table: the colIndex on every column.
 	// Positions are int32: a relation holds fewer than 2^31 rows.
 	dedup colIndex
@@ -304,37 +301,28 @@ func NewRelationWith(tab *intern.Table, name string, arity int) *Relation {
 func (r *Relation) Table() *intern.Table { return r.tab }
 
 // Len returns the number of tuples in the relation.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.n }
 
-// Tuples returns the tuple slice in position order (insertion order until
-// the first deletion; see Delete), materializing (and
-// caching) any tuples that so far exist only as ID rows. Because of that
-// cache fill it is a mutating read: it must not be called concurrently
-// with any other access to the relation. Callers must not modify the
-// returned slice or its tuples.
+// Tuples returns the tuples in position order (insertion order until the
+// first deletion; see Delete), built from the ID rows on each call and
+// owned by the caller. Nothing is cached, so it is a pure read.
 func (r *Relation) Tuples() []Tuple {
-	for pos := range r.tuples {
-		if r.lazy == 0 {
-			break
-		}
-		if r.tuples[pos] == nil {
-			r.materialize(pos)
-		}
+	rd := r.tab.Reader()
+	terms := make(Tuple, 0, r.n*r.Arity)
+	out := make([]Tuple, r.n)
+	for pos := range out {
+		terms = AppendTerms(terms, &rd, r.Row(pos))
+		out[pos] = terms[len(terms)-r.Arity : len(terms) : len(terms)]
 	}
-	return r.tuples
+	return out
 }
 
-// materialize builds and caches the term tuple at the given position from
-// its ID row.
-func (r *Relation) materialize(pos int) Tuple {
-	row := r.Row(pos)
-	t := make(Tuple, len(row))
-	for i, id := range row {
-		t[i] = r.tab.Term(id)
+// AppendTerms appends the terms of an ID row, read through rd, to dst.
+func AppendTerms(dst Tuple, rd *intern.Reader, row []intern.ID) Tuple {
+	for _, id := range row {
+		dst = append(dst, rd.Term(id))
 	}
-	r.tuples[pos] = t
-	r.lazy--
-	return t
+	return dst
 }
 
 // findRowHash returns the position of the row equal to the given IDs under
@@ -393,29 +381,17 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	if r.findRowHash(h, row) >= 0 {
 		return false, nil
 	}
-	r.appendRow(row, t, h)
+	r.appendRow(row, h)
 	return true, nil
 }
 
-// appendRow copies a verified-new row (and its optional materialized tuple)
-// onto the slab under the given full-row hash, maintaining existing indexes
-// incrementally.
-func (r *Relation) appendRow(row []intern.ID, t Tuple, h uint64) {
-	// A zero-arity row has no constants, so its materialized tuple is always
-	// the canonical empty tuple — build it here rather than leaving a nil
-	// cache entry. A nil entry would make the first Tuple read a mutating
-	// lazy fill, and zero-arity facts reach shared base relations through
-	// the batch path (Store.Apply passes Tuple(a.Args) with nil Args), where
-	// concurrent snapshot readers would race on that fill.
-	if t == nil && len(row) == 0 {
-		t = Tuple{}
-	}
-	pos := int32(r.Len())
+// appendRow copies a verified-new row onto the slab under the given full-row
+// hash, maintaining existing indexes incrementally. The row count goes up
+// before the tables are pushed, since a push may rebuild from every row.
+func (r *Relation) appendRow(row []intern.ID, h uint64) {
+	pos := int32(r.n)
 	r.rows = append(r.rows, row...)
-	if t == nil {
-		r.lazy++
-	}
-	r.tuples = append(r.tuples, t)
+	r.n++
 	if r.counts != nil {
 		r.counts = append(r.counts, 1)
 	}
@@ -438,7 +414,7 @@ func (r *Relation) InsertRow(row []intern.ID) (bool, error) {
 	if r.findRowHash(h, row) >= 0 {
 		return false, nil
 	}
-	r.appendRow(row, nil, h)
+	r.appendRow(row, h)
 	return true, nil
 }
 
@@ -461,7 +437,7 @@ func (r *Relation) ScatterShard(dst *Relation, w, k int) {
 			continue
 		}
 		if dst.findRowHash(h, row) < 0 {
-			dst.appendRow(row, nil, h)
+			dst.appendRow(row, h)
 		}
 	}
 }
@@ -475,53 +451,47 @@ func (r *Relation) MergeFrom(src *Relation) int {
 		row := src.Row(pos)
 		h := hashRow(row)
 		if r.findRowHash(h, row) < 0 {
-			r.appendRow(row, nil, h)
+			r.appendRow(row, h)
 			added++
 		}
 	}
 	return added
 }
 
-// InsertBulk appends the pre-validated, pre-interned tuples of one batch
-// group: ids holds the concatenated ID rows (Arity entries per atom, in atom
-// order) and atoms the matching ground atoms, whose argument slices become
-// the materialized tuple cache — batch-committed rows are term-backed
-// exactly like per-fact term inserts, so concurrent readers of a shared
-// relation never trigger a mutating lazy materialization. Duplicate rows
-// (within the batch or against the stored ones) are skipped; existing
-// indexes are maintained incrementally by the same appendRow path as
-// single-row inserts, so the batch publishes its index updates together with
-// its rows. It returns the number of rows actually added. Callers have
+// InsertBulk appends the n pre-validated, pre-interned rows of one batch
+// group: ids holds the concatenated ID rows (Arity entries per row, in
+// batch order), and n counts them, since a zero-arity batch has no IDs.
+// Duplicate rows (within the batch or against the stored ones) are skipped;
+// existing indexes are maintained incrementally by the same appendRow path
+// as single-row inserts, so the batch publishes its index updates together
+// with its rows. It returns the number of rows actually added. Callers have
 // already checked groundness and arity (Store.Apply); like all inserts it is
 // a single-writer operation.
-func (r *Relation) InsertBulk(atoms []ast.Atom, ids []intern.ID) int {
-	return r.insertBulk(atoms, ids, nil)
+func (r *Relation) InsertBulk(ids []intern.ID, n int) int {
+	return r.insertBulk(ids, n, nil)
 }
 
 // insertBulk is InsertBulk with optional delta capture: rows actually added
-// are recorded into capture too (sharing the term tuples), for
-// Store.ApplyDelta. A row new to r cannot already be in the batch-private
-// capture relation, so it is appended without a second duplicate check.
-func (r *Relation) insertBulk(atoms []ast.Atom, ids []intern.ID, capture *Relation) int {
-	// Pre-size the slab, the tuple cache and the hash table: growing them
-	// row by row rehashes and copies log-many times, which profiles as a top
-	// cost of bulk loads.
-	n := len(atoms)
+// are recorded into capture too, for Store.ApplyDelta. A row new to r
+// cannot already be in the batch-private capture relation, so it is
+// appended without a second duplicate check.
+func (r *Relation) insertBulk(ids []intern.ID, n int, capture *Relation) int {
+	// Pre-size the slab and the hash table: growing them row by row rehashes
+	// and copies log-many times, which profiles as a top cost of bulk loads.
 	r.rows = slices.Grow(r.rows, n*r.Arity)
-	r.tuples = slices.Grow(r.tuples, n)
-	if want := r.Len() + n; want > len(r.dedup.slots)/2 {
+	if want := r.n + n; want > len(r.dedup.slots)/2 {
 		r.dedup.rebuild(r, want)
 	}
 	added := 0
-	for i, a := range atoms {
+	for i := range n {
 		row := ids[i*r.Arity : (i+1)*r.Arity : (i+1)*r.Arity]
 		h := hashRow(row)
 		if r.findRowHash(h, row) >= 0 {
 			continue
 		}
-		r.appendRow(row, Tuple(a.Args), h)
+		r.appendRow(row, h)
 		if capture != nil {
-			capture.appendRow(row, Tuple(a.Args), h)
+			capture.appendRow(row, h)
 		}
 		added++
 	}
@@ -560,8 +530,7 @@ func (r *Relation) DeleteBulk(ts []Tuple) int {
 }
 
 // deleteBulk is DeleteBulk with optional delta capture: when capture is
-// non-nil, every row actually removed is recorded into it (with its
-// materialized tuple, so the capture never needs a lazy fill) before the
+// non-nil, every row actually removed is recorded into it before the
 // compaction. Store.ApplyDelta uses it to hand the maintenance layer the
 // exact set of facts a commit retracted.
 func (r *Relation) deleteBulk(ts []Tuple, capture *Relation) int {
@@ -592,8 +561,10 @@ func (r *Relation) removeAt(remove []int, capture *Relation) int {
 	sort.Ints(remove)
 	remove = slices.Compact(remove)
 	if capture != nil {
+		// The positions are distinct, so are their rows: each is new to the
+		// batch-private capture relation.
 		for _, pos := range remove {
-			capture.insertRowTuple(r.Row(pos), r.Tuple(pos))
+			capture.appendRow(r.Row(pos), hashRow(r.Row(pos)))
 		}
 	}
 	if len(remove)*8 < r.Len() {
@@ -608,14 +579,10 @@ func (r *Relation) removeAt(remove []int, capture *Relation) int {
 	out, k := 0, 0
 	for pos := range r.Len() {
 		if k < len(remove) && remove[k] == pos {
-			if r.tuples[pos] == nil {
-				r.lazy--
-			}
 			k++
 			continue
 		}
 		copy(r.Row(out), r.Row(pos))
-		r.tuples[out] = r.tuples[pos]
 		if r.counts != nil {
 			r.counts[out] = r.counts[pos]
 		}
@@ -632,9 +599,6 @@ func (r *Relation) removeAt(remove []int, capture *Relation) int {
 // duplicate-detection table and every built index.
 func (r *Relation) swapDelete(pos int) {
 	last := r.Len() - 1
-	if r.tuples[pos] == nil {
-		r.lazy--
-	}
 	for _, x := range r.tables() {
 		x.unlink(r, int32(pos))
 		if pos != last {
@@ -644,7 +608,6 @@ func (r *Relation) swapDelete(pos int) {
 	}
 	if pos != last {
 		copy(r.Row(pos), r.Row(last))
-		r.tuples[pos] = r.tuples[last]
 		if r.counts != nil {
 			r.counts[pos] = r.counts[last]
 		}
@@ -661,11 +624,11 @@ func (r *Relation) tables() []*colIndex {
 	return tables
 }
 
-// truncate keeps the first n rows of the slab, the tuple cache and the
-// counts; the hash tables are the caller's to repair.
+// truncate keeps the first n rows of the slab and the counts; the hash
+// tables are the caller's to repair.
 func (r *Relation) truncate(n int) {
 	r.rows = r.rows[:n*r.Arity]
-	r.tuples = r.tuples[:n]
+	r.n = n
 	if r.counts != nil {
 		r.counts = r.counts[:n]
 	}
@@ -810,15 +773,11 @@ func rowMatches(row []intern.ID, cols []int, ids []intern.ID) bool {
 	return true
 }
 
-// Tuple returns the tuple at the given position, materializing it from the
-// ID row on first access. The materialization is cached, so like Tuples
-// this is a mutating read: not safe for concurrent use with any other
-// access to the relation.
+// Tuple returns the tuple at the given position, built from its ID row and
+// owned by the caller. Like Tuples it caches nothing and is a pure read.
 func (r *Relation) Tuple(pos int) Tuple {
-	if t := r.tuples[pos]; t != nil {
-		return t
-	}
-	return r.materialize(pos)
+	rd := r.tab.Reader()
+	return AppendTerms(make(Tuple, 0, r.Arity), &rd, r.Row(pos))
 }
 
 // Reset empties the relation in place for reuse, keeping the allocated
@@ -827,7 +786,6 @@ func (r *Relation) Tuple(pos int) Tuple {
 // allocating fresh ones every round.
 func (r *Relation) Reset() {
 	r.truncate(0)
-	r.lazy = 0
 	for _, x := range r.tables() {
 		x.next = x.next[:0]
 		for i := range x.slots {
@@ -839,19 +797,18 @@ func (r *Relation) Reset() {
 // Clone returns a deep copy of the relation, including its lazily built
 // column indexes, so that a commit cloning a pinned relation does not cost
 // the next query an index rebuild; the clone starts unpinned. Every part is
-// a flat slice, so the copy is a handful of slice copies (the term cache
-// too: a shared relation stays fully term-backed). The clone shares the
-// symbol table, so ID rows stay comparable. Cloning concurrently with
-// snapshot readers is safe: readers never mutate published indexes, and a
-// pinned relation's rows are immutable by the copy-on-write contract.
+// a flat, pointer-free slice, so the copy is a handful of slice copies. The
+// clone shares the symbol table, so ID rows stay comparable. Cloning
+// concurrently with snapshot readers is safe: readers never mutate published
+// indexes, and a pinned relation's rows are immutable by the copy-on-write
+// contract.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{
 		Name:   r.Name,
 		Arity:  r.Arity,
 		tab:    r.tab,
-		tuples: cloneCap(r.tuples),
-		lazy:   r.lazy,
 		rows:   cloneCap(r.rows),
+		n:      r.n,
 		dedup:  r.dedup.clone(),
 		counts: cloneCap(r.counts),
 	}
@@ -869,7 +826,7 @@ func (r *Relation) Clone() *Relation {
 // Sorted returns the tuples sorted by the total term order, for deterministic
 // display and golden tests.
 func (r *Relation) Sorted() []Tuple {
-	out := append([]Tuple(nil), r.Tuples()...)
+	out := r.Tuples()
 	sort.Slice(out, func(i, j int) bool { return compareTuples(out[i], out[j]) < 0 })
 	return out
 }
@@ -940,9 +897,7 @@ func (s *Store) Table() *intern.Table { return s.tab }
 //
 // The base may be shared by any number of concurrent overlays as long as
 // nothing mutates it while they are alive: lazy index building on shared
-// relations is internally synchronized, and rows only reach a base store
-// through term-level inserts, which
-// pre-materialize the tuple cache that concurrent readers consult.
+// relations is internally synchronized, and every other read is pure.
 func (s *Store) Overlay() *Store {
 	return &Store{tab: s.tab, base: s, relations: make(map[string]*Relation)}
 }
@@ -1452,7 +1407,7 @@ func (s *Store) applyGroup(key string, arity int, atoms []ast.Atom, plus *Store)
 	for _, a := range atoms {
 		flat = append(flat, a.Args...)
 	}
-	return rel.insertBulk(atoms, s.tab.InternMany(flat), capture)
+	return rel.insertBulk(s.tab.InternMany(flat), len(atoms), capture)
 }
 
 // applyGrouped splits a validated multi-predicate batch into per-relation
@@ -1504,7 +1459,7 @@ func (s *Store) Atoms(name string) []ast.Atom {
 	}
 	out := make([]ast.Atom, 0, r.Len())
 	for _, t := range r.Tuples() {
-		out = append(out, ast.Atom{Pred: baseName(name), Adorn: adornOf(name), Args: append([]ast.Term(nil), t...)})
+		out = append(out, ast.Atom{Pred: baseName(name), Adorn: adornOf(name), Args: t})
 	}
 	return out
 }

@@ -3,11 +3,13 @@ package database
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/intern"
 )
 
 // stringRelation is a reference implementation of the Relation contract with
@@ -36,6 +38,21 @@ func (r *stringRelation) insert(t Tuple) bool {
 }
 
 func (r *stringRelation) contains(t Tuple) bool { return r.seen[t.Key()] }
+
+// delete removes the tuples present and returns how many there were.
+func (r *stringRelation) delete(ts ...Tuple) int {
+	n := 0
+	for _, t := range ts {
+		key := t.Key()
+		if !r.seen[key] {
+			continue
+		}
+		delete(r.seen, key)
+		r.tuples = slices.DeleteFunc(r.tuples, func(u Tuple) bool { return u.Key() == key })
+		n++
+	}
+	return n
+}
 
 func (r *stringRelation) lookup(cols []int, values []ast.Term) []int {
 	var out []int
@@ -78,31 +95,67 @@ func randTuple(rng *rand.Rand, arity int) Tuple {
 }
 
 // TestRelationAgreesWithStringKeyedReference drives both implementations
-// with the same randomized interleaving of inserts, membership tests and
-// indexed lookups and requires identical observable behavior.
+// with the same randomized interleaving of inserts, deletes, membership
+// tests and indexed lookups and requires identical observable behavior. Per
+// arity, two relations follow the reference: one filled through Insert, one
+// only through InsertRow, so no writer ever hands it a term. A delete is a
+// single Delete (the swap delete) or, one time in ten, a DeleteBulk of about
+// a third of the rows (the compaction path); after each, Len, Tuples,
+// Sorted and a Clone must hold the reference's tuples.
 func TestRelationAgreesWithStringKeyedReference(t *testing.T) {
-	for _, arity := range []int{1, 2, 3} {
-		arity := arity
+	for _, arity := range []int{0, 1, 2, 3} {
 		t.Run(fmt.Sprintf("arity=%d", arity), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + arity)))
-			rel := NewRelation("r", arity)
+			rels := []*Relation{NewRelation("r", arity), NewRelation("rows", arity)}
+			insert := []func(Tuple) (bool, error){
+				rels[0].Insert,
+				func(tup Tuple) (bool, error) {
+					row := make([]intern.ID, len(tup))
+					for i, term := range tup {
+						row[i] = rels[1].Table().Intern(term)
+					}
+					return rels[1].InsertRow(row)
+				},
+			}
 			ref := newStringRelation(arity)
+			check := func(step int) {
+				t.Helper()
+				want := tupleKeys(ref.tuples)
+				for _, rel := range rels {
+					if rel.Len() != len(ref.tuples) {
+						t.Fatalf("step %d: %s: Len = %d, reference has %d", step, rel.Name, rel.Len(), len(ref.tuples))
+					}
+					sorted := rel.Sorted()
+					if !sort.SliceIsSorted(sorted, func(i, j int) bool { return compareTuples(sorted[i], sorted[j]) < 0 }) {
+						t.Fatalf("step %d: %s: Sorted is out of order: %v", step, rel.Name, sorted)
+					}
+					for name, got := range map[string][]Tuple{"Tuples": rel.Tuples(), "Sorted": sorted, "Clone": rel.Clone().Tuples()} {
+						if got := tupleKeys(got); got != want {
+							t.Fatalf("step %d: %s: %s = %s, reference has %s", step, rel.Name, name, got, want)
+						}
+					}
+				}
+			}
 			for step := 0; step < 3000; step++ {
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0, 1: // insert
 					tup := randTuple(rng, arity)
-					got, err := rel.Insert(tup)
-					if err != nil {
-						t.Fatalf("step %d: insert error: %v", step, err)
-					}
 					want := ref.insert(tup)
-					if got != want {
-						t.Fatalf("step %d: Insert(%s) = %v, reference says %v", step, tup, got, want)
+					for i, rel := range rels {
+						got, err := insert[i](tup)
+						if err != nil {
+							t.Fatalf("step %d: %s: insert error: %v", step, rel.Name, err)
+						}
+						if got != want {
+							t.Fatalf("step %d: %s: insert(%s) = %v, reference says %v", step, rel.Name, tup, got, want)
+						}
 					}
 				case 2: // contains
 					tup := randTuple(rng, arity)
-					if got, want := rel.Contains(tup), ref.contains(tup); got != want {
-						t.Fatalf("step %d: Contains(%s) = %v, reference says %v", step, tup, got, want)
+					for _, rel := range rels {
+						if got, want := rel.Contains(tup), ref.contains(tup); got != want {
+							t.Fatalf("step %d: %s: Contains(%s) = %v, reference says %v", step, rel.Name, tup, got, want)
+						}
 					}
 				case 3: // lookup on a random bound-column pattern
 					var cols []int
@@ -117,26 +170,58 @@ func TestRelationAgreesWithStringKeyedReference(t *testing.T) {
 					for i := range values {
 						values[i] = randTerm(rng, 0)
 					}
-					got := append([]int(nil), lookup(rel, cols, values)...)
-					want := ref.lookup(cols, values)
-					sort.Ints(got)
-					sort.Ints(want)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("step %d: Lookup(%v, %v) = %v, reference says %v", step, cols, values, got, want)
+					var want []Tuple
+					for _, pos := range ref.lookup(cols, values) {
+						want = append(want, ref.tuples[pos])
 					}
+					for _, rel := range rels {
+						var got []Tuple
+						for _, pos := range lookup(rel, cols, values) {
+							got = append(got, rel.Tuple(pos))
+						}
+						if tupleKeys(got) != tupleKeys(want) {
+							t.Fatalf("step %d: %s: Lookup(%v, %v) = %v, reference says %v", step, rel.Name, cols, values, got, want)
+						}
+					}
+				case 4: // delete
+					if rng.Intn(10) > 0 {
+						tup := randTuple(rng, arity)
+						want := ref.delete(tup) == 1
+						for _, rel := range rels {
+							if got, err := rel.Delete(tup); err != nil || got != want {
+								t.Fatalf("step %d: %s: Delete(%s) = %v, %v; reference says %v", step, rel.Name, tup, got, err, want)
+							}
+						}
+					} else {
+						var victims []Tuple
+						for _, tup := range ref.tuples {
+							if rng.Intn(3) == 0 {
+								victims = append(victims, tup)
+							}
+						}
+						want := ref.delete(victims...)
+						for _, rel := range rels {
+							if got := rel.DeleteBulk(victims); got != want {
+								t.Fatalf("step %d: %s: DeleteBulk removed %d, reference %d", step, rel.Name, got, want)
+							}
+						}
+					}
+					check(step)
 				}
 			}
-			// Final state: same cardinality, same tuples in the same order.
-			if rel.Len() != len(ref.tuples) {
-				t.Fatalf("Len = %d, reference has %d", rel.Len(), len(ref.tuples))
-			}
-			for i, tup := range rel.Tuples() {
-				if !tup.Equal(ref.tuples[i]) {
-					t.Fatalf("tuple %d = %s, reference has %s", i, tup, ref.tuples[i])
-				}
-			}
+			check(3000)
 		})
 	}
+}
+
+// tupleKeys renders a tuple set canonically: the sorted tuple keys.
+func tupleKeys(ts []Tuple) string {
+	keys := make([]string, len(ts))
+	for i, tup := range ts {
+		keys[i] = "(" + tup.Key() + ")"
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
 }
 
 // TestCloneIsIndependent checks that a cloned relation dedups against the

@@ -9,9 +9,8 @@ import (
 // This file holds the relation and store operations the incremental view
 // maintenance layer (internal/eval.Maintainer) builds on: per-row derivation
 // counts for counting-based maintenance of non-recursive predicates, row-level
-// membership and bulk deletion by ID row, eager term-tuple materialization
-// (so maintained base relations stay safe for concurrent snapshot readers),
-// and dropping a materialization's relations.
+// membership and bulk deletion by ID row, and dropping a materialization's
+// relations.
 
 // EnableCounts switches the relation to counted mode: every row carries a
 // derivation count, maintained through IncRow/AddAt and compacted by the
@@ -58,7 +57,7 @@ func (r *Relation) IncRow(row []intern.ID, delta int32) (total int32, added bool
 		r.counts[pos] += delta
 		return r.counts[pos], false, nil
 	}
-	r.appendRow(row, nil, h)
+	r.appendRow(row, h)
 	r.counts[len(r.counts)-1] = delta
 	return delta, true, nil
 }
@@ -77,18 +76,6 @@ func (r *Relation) RowPos(row []intern.ID) int {
 // derivations while the relation is frozen at a round barrier.
 func (r *Relation) ContainsRow(row []intern.ID) bool { return r.RowPos(row) >= 0 }
 
-// insertRowTuple records a row with its already-materialized term tuple,
-// skipping duplicates. Deletion capture uses it so captured rows never need
-// a lazy term fill.
-func (r *Relation) insertRowTuple(row []intern.ID, t Tuple) bool {
-	h := hashRow(row)
-	if r.findRowHash(h, row) >= 0 {
-		return false
-	}
-	r.appendRow(row, t, h)
-	return true
-}
-
 // DeleteRows removes the given ID rows in one compaction pass (rows not
 // present are ignored) and returns how many were removed. It is the ID-level
 // sibling of DeleteBulk, used by the maintenance layer to apply set-level
@@ -104,24 +91,6 @@ func (r *Relation) DeleteRows(rows [][]intern.ID) int {
 		}
 	}
 	return r.removeAt(remove, nil)
-}
-
-// MaterializeTuples fills the term-tuple cache for every row that exists
-// only as an ID row. The maintenance layer calls it (under the store's write
-// lock) on every relation it touched before the commit returns, restoring
-// the invariant that live base-store relations are fully term-backed — so a
-// concurrent snapshot reader's Tuple call is never a mutating lazy fill.
-// The sweep runs from the tail and stops once every pending tuple is built
-// (the relation tracks how many there are): maintenance appends its new rows
-// after the deletion phase has finished, so the unmaterialized rows cluster
-// at the end and the per-commit cost is O(rows added by the batch), not
-// O(relation).
-func (r *Relation) MaterializeTuples() {
-	for pos := r.Len() - 1; r.lazy > 0 && pos >= 0; pos-- {
-		if r.tuples[pos] == nil {
-			r.materialize(pos)
-		}
-	}
 }
 
 // DropRelation removes the named relation from a live base store, reporting

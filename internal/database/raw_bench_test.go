@@ -43,10 +43,11 @@ func BenchmarkRawAddFact10k(b *testing.B) {
 
 // BenchmarkFactMemory attributes the retained heap of a committed arity-2
 // relation of rows=N facts with one built column index, in bytes per fact:
-// the row slab, the duplicate-detection table, the indexes, the term-tuple
-// cache and the symbol table. Each part is measured as the live heap it
-// frees when dropped, after a full collection, so the figures include
-// allocator rounding and slice headroom.
+// the row slab, the duplicate-detection table, the indexes, the terms (0:
+// a relation stores none, and the unit stays so records remain comparable)
+// and the symbol table. Each part is measured as the live heap it frees
+// when dropped, after a full collection, so the figures include allocator
+// rounding and slice headroom.
 func BenchmarkFactMemory(b *testing.B) {
 	live := func() uint64 {
 		runtime.GC()
@@ -73,7 +74,7 @@ func BenchmarkFactMemory(b *testing.B) {
 					func() { rel.rows = nil },
 					func() { rel.dedup = colIndex{} },
 					func() { rel.indexes.Store(nil) },
-					func() { rel.tuples = nil },
+					func() {}, // a relation stores no terms
 					func() { s, rel = nil, nil },
 				}
 				before := live()

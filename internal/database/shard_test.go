@@ -110,8 +110,8 @@ func TestMergeFromZeroArity(t *testing.T) {
 	if added := main.MergeFrom(src); added != 1 {
 		t.Errorf("MergeFrom added = %d, want 1", added)
 	}
-	// The materialized tuple cache must be filled (zero-arity rows reach
-	// shared relations; a lazy fill would race with concurrent readers).
+	// A zero-arity row has no IDs, so its tuple is built from the row count
+	// alone: the empty tuple, not nil.
 	if got := main.Tuple(0); got == nil || len(got) != 0 {
 		t.Errorf("zero-arity tuple = %v, want empty tuple", got)
 	}

@@ -740,15 +740,10 @@ func answerSelection(store *database.Store, predKey string, query ast.Atom) (*da
 // projected onto the query's free positions, in insertion order. It is used
 // to read query answers out of an evaluated store.
 func Answers(store *database.Store, predKey string, query ast.Atom) []database.Tuple {
-	rel, cur, freePos := answerSelection(store, predKey, query)
+	rd := store.Table().Reader()
 	var out []database.Tuple
-	for pos := cur.Next(); pos >= 0; pos = cur.Next() {
-		t := rel.Tuple(pos)
-		proj := make(database.Tuple, len(freePos))
-		for j, p := range freePos {
-			proj[j] = t[p]
-		}
-		out = append(out, proj)
+	for _, row := range AnswerRows(store, predKey, query, 0) {
+		out = append(out, database.AppendTerms(make(database.Tuple, 0, len(row)), &rd, row))
 	}
 	return out
 }

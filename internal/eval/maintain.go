@@ -208,15 +208,9 @@ func (m *Maintainer) run(store, minus, plus *database.Store, initial bool, opts 
 			return mr.stats, err
 		}
 	}
-	// Restore the term-backed invariant: every maintained base relation must
-	// be fully materialized before the commit returns, so a concurrent
-	// snapshot reader's Tuple call is never a mutating lazy fill.
-	for key := range m.pp.derived {
-		if rel := store.Existing(key); rel != nil {
-			rel.MaterializeTuples()
-			if m.counting[key] {
-				mr.stats.CountRows += rel.Len()
-			}
+	for key, counted := range m.counting {
+		if counted {
+			mr.stats.CountRows += store.FactCount(key)
 		}
 	}
 	return mr.stats, nil
@@ -235,11 +229,7 @@ func (mr *maintRun) side(mp map[string]*database.Relation, key string, arity int
 
 // fact renders a row for an error message.
 func (mr *maintRun) fact(key string, row []intern.ID) string {
-	t := make(database.Tuple, len(row))
-	for i, id := range row {
-		t[i] = mr.ctx.reader.Term(id)
-	}
-	return key + t.String()
+	return key + database.AppendTerms(nil, &mr.ctx.reader, row).String()
 }
 
 // delta returns a body predicate's change in the phase: the captured EDB

@@ -170,6 +170,9 @@ type evaluator struct {
 	answers int                           // running total of memoized answers across all tables
 	changed bool
 	stats   Stats
+
+	// keysRd and edbRd read the terms of goal-table and base rows.
+	keysRd, edbRd intern.Reader
 }
 
 // goalKey encodes a goal with the evaluation's own symbol table.
@@ -205,6 +208,7 @@ func EvaluateCtx(c context.Context, ad *adorn.Program, edb *database.Store, opts
 		goals:   make(map[string]Goal),
 		tables:  make(map[string]*database.Relation),
 	}
+	e.keysRd, e.edbRd = e.keys.Reader(), edb.Table().Reader()
 	e.stats.QueriesByPredicate = make(map[string]int)
 	for _, ar := range ad.Rules {
 		key := ar.Rule.Head.PredKey()
@@ -443,8 +447,12 @@ func (e *evaluator) solveBody(g Goal, rule ast.Rule, order []int, idx int, s ast
 		if err := e.addGoal(sub); err != nil {
 			return err
 		}
+		// One scratch tuple serves every row: MatchAtom copies the terms
+		// into s2, so refilling it after the recursive call is safe.
 		table := e.tables[e.goalKey(sub)]
-		for _, tuple := range table.Tuples() {
+		tuple := make(database.Tuple, 0, table.Arity)
+		for pos, n := 0, table.Len(); pos < n; pos++ {
+			tuple = database.AppendTerms(tuple[:0], &e.keysRd, table.Row(pos))
 			s2 := s.Clone()
 			if ast.MatchAtom(inst, tuple, s2) {
 				if err := e.solveBody(g, rule, order, idx+1, s2); err != nil {
@@ -469,9 +477,11 @@ func (e *evaluator) solveBody(g Goal, rule ast.Rule, order []int, idx int, s ast
 		}
 	}
 	cur := rel.Lookup(cols, vals)
+	tuple := make(database.Tuple, 0, rel.Arity)
 	for pos := cur.Next(); pos >= 0; pos = cur.Next() {
+		tuple = database.AppendTerms(tuple[:0], &e.edbRd, rel.Row(pos))
 		s2 := s.Clone()
-		if ast.MatchAtom(inst, rel.Tuple(pos), s2) {
+		if ast.MatchAtom(inst, tuple, s2) {
 			if err := e.solveBody(g, rule, order, idx+1, s2); err != nil {
 				return err
 			}
