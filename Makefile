@@ -18,8 +18,8 @@ test:
 
 # Focused race gate for the snapshot/txn/materialize/parallel-eval surface:
 # the packages where lock-free snapshot readers, COW relations, commit-time
-# view maintenance, the parallel fixpoint worker pool, the memoizing
-# top-down interpreter, the WAL (commit appends vs the background fsync and
+# view maintenance, the partitioned delta rounds of the fixpoint, the
+# memoizing top-down interpreter, the WAL (commit appends vs the background fsync and
 # checkpoint loops) and the concurrent HTTP serving layer meet. `make test`
 # already runs everything under -race; this target is the quick loop while
 # working on that surface.
@@ -50,16 +50,16 @@ fmt-check:
 		echo "gofmt needs to be run on:" >&2; echo "$$out" >&2; exit 1; fi
 
 # Non-test Go lines of the three core packages: the figure the ROADMAP north
-# star ("the least code") and open item 6 state their goals in, so every
-# simplicity PR quotes the same number. The target fails above LOC_CEILING,
-# the total the last simplicity PR reached: the figure only goes up by an
-# edit to this line, which shows in the diff. The `module` line (non-test Go
-# lines outside benchmark/, the figure open item 7 states its exit in) is
-# informational and has no ceiling. The `rewrite` line (non-test Go lines of
+# star ("the least code") states its goal in, so every simplicity PR quotes
+# the same number. The target fails above LOC_CEILING, the total the last
+# simplicity PR reached: the figure only goes up by an edit to this line,
+# which shows in the diff. The `module` line (non-test Go lines outside
+# benchmark/, the north star's whole-system figure) is informational and
+# has no ceiling. The `rewrite` line (non-test Go lines of
 # internal/rewrite and its subpackages, the four rewritings of the paper
 # built by one sip walk) is ratcheted the same way by REWRITE_LOC_CEILING.
 LOC_PKGS := internal/eval datalog internal/database
-LOC_CEILING := 7132
+LOC_CEILING := 6921
 REWRITE_LOC_CEILING := 895
 loc:
 	@total=0; for d in $(LOC_PKGS); do \

@@ -323,8 +323,9 @@ func BenchmarkTransitiveClosure(b *testing.B) {
 // BenchmarkParallelFixpoint measures the parallel fixpoint evaluator on a
 // transitive closure over a dense random graph — deltas well past the
 // partition threshold, so the hash-partitioned shard rounds carry the work.
-// p=1 runs every round on the calling goroutine (the overhead baseline); the higher
-// worker counts show the speedup-per-core curve recorded in EXPERIMENTS.md.
+// p=1 runs every round on the calling goroutine (the overhead baseline); the
+// higher shard counts show the speedup-per-core curve recorded in
+// EXPERIMENTS.md.
 func BenchmarkParallelFixpoint(b *testing.B) {
 	prog := parser.MustParseProgram(ancestorSrc)
 	edb, _ := workload.RandomGraph("p", 512, 1024, 9)

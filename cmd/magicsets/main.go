@@ -28,9 +28,9 @@
 // counting query without guessing iteration limits), -first-n stops the
 // evaluation as soon as N answers exist, and -stream consumes the answers
 // through the typed streaming cursor instead of the materialized result.
-// -parallelism sets the worker count of the bottom-up fixpoint (0 =
-// GOMAXPROCS, 1 = sequential); under -stats the parallel scheduler reports
-// how many components it ran and how many partitioned shard rounds fired.
+// -parallelism sets the shard count of the bottom-up fixpoint's large delta
+// rounds (0 = GOMAXPROCS, 1 = no partitioning); under -stats a run whose
+// rounds were partitioned reports how many shard rounds fired.
 package main
 
 import (
@@ -89,7 +89,7 @@ func run(args []string, out io.Writer) error {
 	repeat := fs.Int("repeat", 1, "prepare the query once and run it N times, reporting the amortized per-run time")
 	timeout := fs.Duration("timeout", 0, "bound the wall-clock evaluation time via a context deadline (0 = none)")
 	firstN := fs.Int("first-n", 0, "stop the evaluation once N answers exist (0 = all answers)")
-	parallelism := fs.Int("parallelism", 0, "worker count for the bottom-up fixpoint (0 = GOMAXPROCS, 1 = sequential)")
+	parallelism := fs.Int("parallelism", 0, "shard count of large bottom-up delta rounds (0 = GOMAXPROCS, 1 = no partitioning)")
 	stream := fs.Bool("stream", false, "consume the answers through the streaming cursor")
 	vet := fs.Bool("vet", false, "print the static-analysis diagnostics for the program and query before evaluating")
 	vetOnly := fs.Bool("vet-only", false, "print the diagnostics and exit without evaluating (implies -vet); non-zero exit when any are found")
@@ -278,9 +278,8 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%%   compiled plans:  %d (%d ops)\n", s.CompiledPlans, s.PlanOps)
 			fmt.Fprintf(out, "%%   pipeline ops:    %d probes, %d scans (%d rows scanned)\n", s.OpProbes, s.OpScans, s.ScanRows)
 		}
-		if s.ParallelComponents > 0 {
-			fmt.Fprintf(out, "%%   parallel eval:   %d component(s) scheduled, %d worker shard round(s)\n",
-				s.ParallelComponents, s.WorkerRounds)
+		if s.WorkerRounds > 0 {
+			fmt.Fprintf(out, "%%   parallel eval:   %d shard round(s)\n", s.WorkerRounds)
 		}
 		if s.StoppedEarly {
 			fmt.Fprintf(out, "%%   stopped early:   after %d answer(s) (-first-n)\n", len(res.Answers))

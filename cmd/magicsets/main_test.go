@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,20 +94,26 @@ func TestRunParallelismFlag(t *testing.T) {
 	prog := writeFile(t, dir, "anc.dl", `
 		anc(X, Y) :- par(X, Y).
 		anc(X, Y) :- par(X, Z), anc(Z, Y).
-		par(a, b). par(b, c). par(c, d).
 	`)
+	// A 300-edge chain: the early delta rounds of the closure hold more rows
+	// than the partition threshold, so -parallelism above 1 splits them.
+	var chain strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&chain, "par(n%d, n%d).\n", i, i+1)
+	}
+	facts := writeFile(t, dir, "chain.dl", chain.String())
 
-	// A parallel run reports the scheduler counters under -stats and still
+	// A partitioned run reports its shard rounds under -stats and still
 	// returns the exact sequential answers.
 	var par bytes.Buffer
 	err := run([]string{
-		"-program", prog, "-query", "anc(a, Y)",
+		"-program", prog, "-facts", facts, "-query", "anc(n0, Y)",
 		"-strategy", "semi-naive", "-parallelism", "4", "-stats",
 	}, &par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"3 answer(s)", "parallel eval:", "component(s) scheduled"} {
+	for _, want := range []string{"300 answer(s)", "parallel eval:", "shard round(s)"} {
 		if !strings.Contains(par.String(), want) {
 			t.Errorf("parallel output missing %q:\n%s", want, par.String())
 		}
@@ -115,14 +122,14 @@ func TestRunParallelismFlag(t *testing.T) {
 	// A sequential run answers identically and omits the parallel line.
 	var seq bytes.Buffer
 	err = run([]string{
-		"-program", prog, "-query", "anc(a, Y)",
+		"-program", prog, "-facts", facts, "-query", "anc(n0, Y)",
 		"-strategy", "semi-naive", "-parallelism", "1", "-stats",
 	}, &seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(seq.String(), "3 answer(s)") {
-		t.Errorf("sequential run expected 3 answers:\n%s", seq.String())
+	if !strings.Contains(seq.String(), "300 answer(s)") {
+		t.Errorf("sequential run expected 300 answers:\n%s", seq.String())
 	}
 	if strings.Contains(seq.String(), "parallel eval:") {
 		t.Errorf("sequential run must not report parallel statistics:\n%s", seq.String())

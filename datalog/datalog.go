@@ -314,16 +314,15 @@ type Options struct {
 	// compare the maintained IDB against cold re-derivation; like FirstN it
 	// is a run-time option that does not change the prepared form.
 	NoMaterialize bool `json:"no_materialize,omitempty"`
-	// Parallelism is the number of workers the bottom-up fixpoint may use:
-	// independent strongly connected components of the evaluated program run
-	// concurrently, and large delta rounds are hash-partitioned across
-	// workers. 0 means GOMAXPROCS, 1 runs the whole fixpoint on the calling
-	// goroutine, and values above 64 are clamped to 64. The answers are
-	// identical at every setting; Stats.ParallelComponents and
-	// Stats.WorkerRounds report how much parallel machinery actually
-	// engaged. The Naive and TopDown strategies ignore it. Like the Max
-	// limits it is a run-time option: it does not change the prepared query
-	// form.
+	// Parallelism is the shard count of the bottom-up fixpoint's large delta
+	// rounds: a recursive round whose delta holds at least 256 rows is
+	// hash-partitioned across this many goroutines, joined at the round
+	// barrier. The components of the evaluated program always run one at a
+	// time on the calling goroutine. 0 means GOMAXPROCS, 1 partitions no
+	// round, and values above 64 are clamped to 64. The answers are identical
+	// at every setting; Stats.WorkerRounds reports how many shard rounds ran.
+	// The Naive and TopDown strategies ignore it. Like the Max limits it is a
+	// run-time option: it does not change the prepared query form.
 	Parallelism int `json:"parallelism,omitempty"`
 	// OnDivergence selects what the engine does when a counting strategy is
 	// requested for a query form the Section 10 analysis proves divergent on

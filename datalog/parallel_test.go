@@ -45,8 +45,8 @@ func TestParallelStrategiesDifferential(t *testing.T) {
 			t.Errorf("%s: answers differ between Parallelism 1 and 8:\n seq: %v\n par: %v",
 				strat, seq.AnswerSet(), par.AnswerSet())
 		}
-		if seq.Stats.ParallelComponents != 0 {
-			t.Errorf("%s: sequential run reports %d parallel components", strat, seq.Stats.ParallelComponents)
+		if seq.Stats.WorkerRounds != 0 {
+			t.Errorf("%s: sequential run reports %d shard rounds", strat, seq.Stats.WorkerRounds)
 		}
 	}
 }
@@ -74,7 +74,7 @@ func TestParallelFirstNStopsEarly(t *testing.T) {
 
 // TestParallelShardRoundsAtFacade drives a transitive closure big enough
 // for the evaluator to leave the exact-sequential small-delta path, and
-// checks the facade surfaces the parallel counters while the answers stay
+// checks the facade surfaces the shard-round counter while the answers stay
 // identical to the sequential run.
 func TestParallelShardRoundsAtFacade(t *testing.T) {
 	fx := newFixture(t, ancestorProgram)
@@ -93,9 +93,6 @@ func TestParallelShardRoundsAtFacade(t *testing.T) {
 		t.Fatalf("answer sets differ: %d sequential vs %d parallel answers",
 			len(seq.Answers), len(par.Answers))
 	}
-	if par.Stats.ParallelComponents == 0 {
-		t.Error("parallel run reports no scheduled components")
-	}
 	if par.Stats.WorkerRounds == 0 {
 		t.Error("parallel run reports no partitioned shard rounds; transitive closure too small?")
 	}
@@ -104,8 +101,8 @@ func TestParallelShardRoundsAtFacade(t *testing.T) {
 	}
 }
 
-// TestParallelEvaluationUnderRace is the -race stress test of the ISSUE:
-// parallel fixpoint evaluations (their own worker pools inside) run
+// TestParallelEvaluationUnderRace is the -race stress test of the facade:
+// fixpoint evaluations (partitioned shard rounds inside) run
 // concurrently over shared snapshots while transactions commit, with two
 // programs bound to the one database. The snapshot goroutines verify the
 // parallel evaluator never observes a concurrent commit; the prepared

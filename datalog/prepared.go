@@ -499,7 +499,6 @@ func (pq *PreparedQuery) runBottomUp(ctx context.Context, bound []ast.Term, opts
 	}
 	evalOpts := evalOptions(opts)
 	evalOpts.StopEarly = stopAfterN(opts.FirstN, predKey, pattern)
-	evalOpts.StopEarlyPred = predKey
 	evaluate := form.prepared.EvaluateCtx
 	if pq.opts.Strategy == Naive {
 		evaluate = form.prepared.EvaluateNaiveCtx

@@ -20,20 +20,19 @@ func TestStatsJSONGolden(t *testing.T) {
 		DerivedFacts:   100,
 		AuxFacts:       40,
 		Counters: eval.Counters{
-			Derivations:        2000,
-			Iterations:         12,
-			JoinProbes:         5000,
-			Strata:             3,
-			IndexProbes:        600,
-			IndexHits:          550,
-			CompiledPlans:      9,
-			PlanOps:            31,
-			OpProbes:           450,
-			OpScans:            20,
-			ScanRows:           4450,
-			StoppedEarly:       true,
-			ParallelComponents: 2,
-			WorkerRounds:       16,
+			Derivations:   2000,
+			Iterations:    12,
+			JoinProbes:    5000,
+			Strata:        3,
+			IndexProbes:   600,
+			IndexHits:     550,
+			CompiledPlans: 9,
+			PlanOps:       31,
+			OpProbes:      450,
+			OpScans:       20,
+			ScanRows:      4450,
+			StoppedEarly:  true,
+			WorkerRounds:  16,
 		},
 		PlanCacheHit:       true,
 		MaterializedHit:    true,
@@ -43,7 +42,7 @@ func TestStatsJSONGolden(t *testing.T) {
 		`"derived_facts":100,"aux_facts":40,"derivations":2000,"iterations":12,` +
 		`"join_probes":5000,"strata":3,"index_probes":600,"index_hits":550,` +
 		`"compiled_plans":9,"plan_ops":31,"op_probes":450,"op_scans":20,"scan_rows":4450,` +
-		`"stopped_early":true,"parallel_components":2,"worker_rounds":16,` +
+		`"stopped_early":true,"worker_rounds":16,` +
 		`"plan_cache_hit":true,"materialized_hit":true,"divergence_fallback":true}`
 	gotFull, err := json.Marshal(full)
 	if err != nil {

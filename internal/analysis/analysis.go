@@ -123,6 +123,7 @@ func VerifySipOptimality(ad *adorn.Program, rw *rewrite.Rewriting, edb *database
 	}
 
 	// Compare the adorned-predicate facts against the reference answers F.
+	refFacts := ref.Facts()
 	counted := make(map[string]bool)
 	for _, ar := range ad.Rules {
 		key := ar.Rule.Head.PredKey()
@@ -131,7 +132,7 @@ func VerifySipOptimality(ad *adorn.Program, rw *rewrite.Rewriting, edb *database
 		}
 		counted[key] = true
 		bottomUp := store.Existing(key)
-		reference := ref.Facts.Existing(key)
+		reference := refFacts.Existing(key)
 		if bottomUp != nil {
 			report.AnswerFacts += bottomUp.Len()
 			for _, t := range bottomUp.Tuples() {

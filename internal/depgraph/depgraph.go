@@ -8,7 +8,6 @@ package depgraph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ast"
@@ -37,24 +36,15 @@ type Component struct {
 }
 
 // Plan is the SCC decomposition of a program's derived predicates, in
-// topological order (callees before callers).
+// topological order (callees before callers): every derived predicate a
+// component's rule bodies read from another component belongs to an earlier
+// one, so evaluating the components in order finds each of them complete.
 type Plan struct {
 	// Components lists the strata in evaluation order.
 	Components []Component
 	// PredComponent maps each derived predicate key to the index of its
 	// component in Components.
 	PredComponent map[string]int
-	// Deps lists, per component, the indices of the other components whose
-	// predicates occur in this component's rule bodies — the components that
-	// must be complete before this one may run. Indices are sorted ascending
-	// and, by the topological component order, always smaller than the
-	// dependent's own index. Dependents is the transpose: the components
-	// waiting on this one. Together they are the edge set of the ready-set
-	// scheduler of the parallel evaluator — a component becomes runnable when
-	// all of its Deps have completed, and its completion decrements the
-	// indegree of each of its Dependents.
-	Deps       [][]int
-	Dependents [][]int
 }
 
 // Analyze decomposes the program into its evaluation plan. The component
@@ -90,27 +80,6 @@ func Analyze(p *ast.Program) *Plan {
 				comp.DeltaPositions[ri] = append(comp.DeltaPositions[ri], pos)
 			}
 		}
-	}
-	n := len(plan.Components)
-	plan.Deps = make([][]int, n)
-	plan.Dependents = make([][]int, n)
-	seen := make(map[[2]int]bool)
-	for _, r := range p.Rules {
-		ci, ok := plan.PredComponent[r.Head.PredKey()]
-		if !ok {
-			continue
-		}
-		for _, lit := range r.Body {
-			if bc, ok := plan.PredComponent[lit.PredKey()]; ok && bc != ci && !seen[[2]int{ci, bc}] {
-				seen[[2]int{ci, bc}] = true
-				plan.Deps[ci] = append(plan.Deps[ci], bc)
-				plan.Dependents[bc] = append(plan.Dependents[bc], ci)
-			}
-		}
-	}
-	for i := range plan.Deps {
-		sort.Ints(plan.Deps[i])
-		sort.Ints(plan.Dependents[i])
 	}
 	return plan
 }

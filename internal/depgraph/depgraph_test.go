@@ -1,7 +1,6 @@
 package depgraph
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/parser"
@@ -98,9 +97,10 @@ func TestNonRecursiveChainOfStrata(t *testing.T) {
 }
 
 func TestPlanDependencyEdges(t *testing.T) {
-	// Diamond: b and c depend on a, d depends on b and c. b and c are
-	// independent of each other — the edge sets are what lets the parallel
-	// scheduler run them concurrently.
+	// Diamond: b and c depend on a, d depends on b and c. Every edge from a
+	// rule head to a body predicate of another component must point to an
+	// earlier component: that order is all the evaluator relies on when it
+	// runs the components one at a time.
 	p := parser.MustParseProgram(`
 		a(X) :- base(X).
 		b(X) :- a(X), b1(X).
@@ -111,56 +111,25 @@ func TestPlanDependencyEdges(t *testing.T) {
 	if plan.Strata() != 4 {
 		t.Fatalf("strata = %d, want 4\n%s", plan.Strata(), plan)
 	}
-	ca := plan.PredComponent["a"]
-	cb := plan.PredComponent["b"]
-	cc := plan.PredComponent["c"]
-	cd := plan.PredComponent["d"]
-
-	wantDeps := make([][]int, 4)
-	wantDeps[ca] = nil
-	wantDeps[cb] = []int{ca}
-	wantDeps[cc] = []int{ca}
-	if cb < cc {
-		wantDeps[cd] = []int{cb, cc}
-	} else {
-		wantDeps[cd] = []int{cc, cb}
-	}
-	if !reflect.DeepEqual(plan.Deps, wantDeps) {
-		t.Errorf("Deps = %v, want %v", plan.Deps, wantDeps)
-	}
-
-	wantDependents := make([][]int, 4)
-	if cb < cc {
-		wantDependents[ca] = []int{cb, cc}
-	} else {
-		wantDependents[ca] = []int{cc, cb}
-	}
-	wantDependents[cb] = []int{cd}
-	wantDependents[cc] = []int{cd}
-	wantDependents[cd] = nil
-	if !reflect.DeepEqual(plan.Dependents, wantDependents) {
-		t.Errorf("Dependents = %v, want %v", plan.Dependents, wantDependents)
-	}
-
-	// Every dependency precedes its dependent in the topological component
-	// order, and intra-component occurrences never create edges.
-	for ci, deps := range plan.Deps {
-		for _, dep := range deps {
-			if dep >= ci {
-				t.Errorf("component %d lists dependency %d, not earlier in topological order", ci, dep)
+	edges := 0
+	for _, r := range p.Rules {
+		ci := plan.PredComponent[r.Head.PredKey()]
+		for _, lit := range r.Body {
+			bc, ok := plan.PredComponent[lit.PredKey()]
+			if !ok {
+				continue
+			}
+			edges++
+			if bc >= ci {
+				t.Errorf("%s reads %s from component %d, not earlier than its own %d",
+					r.Head.PredKey(), lit.PredKey(), bc, ci)
 			}
 		}
 	}
-}
-
-func TestRecursiveComponentHasNoSelfEdge(t *testing.T) {
-	p := parser.MustParseProgram(`
-		anc(X, Y) :- par(X, Y).
-		anc(X, Y) :- par(X, Z), anc(Z, Y).
-	`)
-	plan := Analyze(p)
-	if len(plan.Deps[0]) != 0 || len(plan.Dependents[0]) != 0 {
-		t.Errorf("self-recursive component has edges: deps=%v dependents=%v",
-			plan.Deps[0], plan.Dependents[0])
+	if edges != 4 {
+		t.Errorf("found %d edges between derived predicates, want 4", edges)
+	}
+	if plan.PredComponent["a"] != 0 || plan.PredComponent["d"] != 3 {
+		t.Errorf("a in component %d, d in %d; want 0 and 3", plan.PredComponent["a"], plan.PredComponent["d"])
 	}
 }

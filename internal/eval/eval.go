@@ -2,8 +2,11 @@
 // programs over a database. A program is prepared once (Prepare) and then
 // evaluated by one of two strategies: semi-naive (Prepared.EvaluateCtx) or
 // naive (Prepared.EvaluateNaiveCtx). Both fire rules through the same
-// compiled join pipelines, and one function (runComponent) runs every
-// semi-naive fixpoint loop whatever the parallelism.
+// compiled join pipelines. The semi-naive evaluator runs the components of
+// the program's dependency graph one at a time, in plan order, on the
+// calling goroutine, through one loop (runComponent, fixpoint.go); only a
+// large delta round fans out to shards, which are joined at the round
+// barrier.
 //
 // Bottom-up evaluation is the control strategy the paper's rewritings target
 // (Sections 4-8): the rewritten program is evaluated by plain fixpoint
@@ -64,35 +67,27 @@ type Options struct {
 	// relation holds enough tuples, instead of running the fixpoint to
 	// completion.
 	StopEarly func(store *database.Store) bool
-	// StopEarlyPred names the derived predicate StopEarly probes (the answer
-	// relation of a first-N query). The parallel evaluator uses it to keep
-	// StopEarly's between-rounds contract exact under concurrency: only the
-	// component that owns the predicate consults the callback at its round
-	// boundaries while other components are in flight (any component may once
-	// the owner is complete, and a predicate no component owns is frozen, so
-	// everyone may). Setting StopEarly without StopEarlyPred is still valid —
-	// the semi-naive evaluator then runs as at Parallelism 1, since it cannot
-	// tell which in-progress relations the callback reads.
-	StopEarlyPred string
-	// Parallelism is the number of workers the semi-naive evaluator may use:
-	// independent strongly connected components run concurrently, and large
-	// delta rounds within a recursive component are hash-partitioned across
-	// workers. 0 means GOMAXPROCS; 1 runs every component on the calling
-	// goroutine; values above maxParallelism (64) are clamped to it. The naive
-	// evaluator ignores the setting. Every setting derives the same store;
-	// under MaxFacts/MaxDerivations the point at which the limit error
-	// surfaces may differ by a bounded overshoot when more than one worker
-	// runs (the limits are then enforced globally at round barriers and every
-	// ctxCheckInterval firings).
+	// Parallelism is the shard count of the semi-naive evaluator's large
+	// delta rounds: a round of a recursive component whose delta holds at
+	// least partitionThreshold (256) rows is hash-partitioned across this many
+	// goroutines, which the round barrier joins. Components always run one at
+	// a time, in plan order, on the calling goroutine. 0 means GOMAXPROCS; 1
+	// partitions no round; values above maxParallelism (64) are clamped to
+	// it. The naive evaluator ignores the setting. Every setting derives the
+	// same store, and an evaluation whose rounds all stay below the threshold
+	// reports the same Stats at every setting; under MaxDerivations the point
+	// at which the limit error surfaces may differ by a bounded overshoot
+	// when rounds are partitioned (the shards' counts are enforced globally
+	// at round barriers and every ctxCheckInterval firings).
 	Parallelism int
 }
 
-// maxParallelism caps the worker count. The value reaches the evaluator from
+// maxParallelism caps the shard count. The value reaches the evaluator from
 // network requests, and a partitioned round starts one goroutine and three
-// stores per worker, so an unbounded count is a way to exhaust the process.
+// stores per shard, so an unbounded count is a way to exhaust the process.
 const maxParallelism = 64
 
-// parallelism resolves Options.Parallelism to a worker count in
+// parallelism resolves Options.Parallelism to a shard count in
 // [1, maxParallelism].
 func (o Options) parallelism() int {
 	p := o.Parallelism
@@ -159,15 +154,11 @@ type Counters struct {
 	// truncated the evaluation before it reached a fixpoint: the store holds
 	// a sound but possibly incomplete set of derived facts.
 	StoppedEarly bool `json:"stopped_early,omitempty"`
-	// ParallelComponents is the number of components the worker pool ran (0
-	// when the calling goroutine ran them all — Parallelism 1, a naive
-	// evaluation, or a StopEarly callback with no StopEarlyPred).
 	// WorkerRounds counts the per-shard round executions of hash-partitioned
 	// delta rounds: a partitioned round with K shards adds K, a
 	// non-partitioned round adds nothing, so the counter being positive is
 	// how callers observe that intra-round partitioning actually engaged.
-	ParallelComponents int   `json:"parallel_components,omitempty"`
-	WorkerRounds       int64 `json:"worker_rounds,omitempty"`
+	WorkerRounds int64 `json:"worker_rounds,omitempty"`
 }
 
 // Stats records the work done by an evaluation: the shared Counters plus
@@ -200,13 +191,12 @@ func (s *Stats) addFiring(rule int) {
 	s.Derivations++
 }
 
-// merge folds a per-worker Stats into the aggregate. Each parallel worker
-// (and each shard context of a partitioned round) counts into its own Stats
-// with the ordinary unsynchronized paths; the scheduler calls merge under its
-// own lock when the worker retires, so no counter is ever touched by two
-// goroutines at once. NewFacts is summed here because workers insert into
-// disjoint relations (per-component ownership) or private shards whose merge
-// adds its own count; FactsByPredicate is left to finish, which reads the
+// merge folds a shard context's Stats into the root's at the end of a run.
+// Each shard of a partitioned round counts into its own Stats with the
+// ordinary unsynchronized paths, and merge runs after the last round's
+// barrier, so no counter is ever touched by two goroutines at once. A shard's
+// NewFacts is zero: the barrier's merge into the main store counts the rows
+// it adds on the root. FactsByPredicate is left to finish, which reads the
 // authoritative store.
 func (s *Stats) merge(w *Stats) {
 	s.Iterations += w.Iterations
@@ -229,9 +219,6 @@ func (s *Stats) merge(w *Stats) {
 	s.OpProbes += w.OpProbes
 	s.OpScans += w.OpScans
 	s.WorkerRounds += w.WorkerRounds
-	if w.StoppedEarly {
-		s.StoppedEarly = true
-	}
 }
 
 // String renders a short human-readable summary.
@@ -373,35 +360,30 @@ type evalContext struct {
 	// reader is the lock-free view of the store's symbol table the compiled
 	// pipelines execute against.
 	reader intern.Reader
-	// par links a pool worker's forked context back to the run's shared state
-	// (global limit counters, stop flag). nil in the root context, which is
-	// the one that counts when the calling goroutine runs the components.
-	par *parRun
-	// flushedDerivations/flushedFacts are the portions of this context's
-	// local Derivations/NewFacts counters already published to the parallel
-	// run's global atomics by parRun.tick; the next flush publishes only the
-	// difference.
+	// fp links a shard context back to the run's global derivation counter.
+	// nil in the root context, which flushes its count at round barriers.
+	fp *fixpoint
+	// flushedDerivations is the portion of this context's Derivations already
+	// published to the run's global counter by fixpoint.tick; the next flush
+	// publishes only the difference.
 	flushedDerivations int64
-	flushedFacts       int
 }
 
-// fork derives a worker context sharing the run's immutable machinery (store,
+// fork derives a shard context sharing the run's immutable machinery (store,
 // prepared program, reader — which self-refreshes per copy) but with private
-// pipeline scratch, private Stats, and a link to the parallel run's shared
-// state. Workers write only to relations their component owns (all relations
-// were pre-created by newContext, so the overlay map itself is read-only) or
-// to private shard stores, which is what makes the shared *database.Store
-// safe without locking.
-func (ctx *evalContext) fork(pr *parRun) *evalContext {
+// pipeline scratch, private Stats, and a link to the run's global
+// derivation counter. Shards only read the shared store and write their private shard
+// stores, which is what makes the shared *database.Store safe without
+// locking.
+func (ctx *evalContext) fork(fp *fixpoint) *evalContext {
 	w := *ctx
 	w.bound = make(map[variantKey]*runPipe)
 	w.stats = &Stats{
 		Strategy:    ctx.stats.Strategy,
 		RuleFirings: make(map[int]int64),
 	}
-	w.par = pr
+	w.fp = fp
 	w.flushedDerivations = 0
-	w.flushedFacts = 0
 	return &w
 }
 
@@ -605,13 +587,12 @@ func (ctx *evalContext) ctxErr() error {
 }
 
 // derivationTick is the per-N-derivation cancellation check, called on every
-// rule firing next to the MaxDerivations limit check. In a parallel run it
-// additionally flushes the worker's local counters to the run's global limit
-// atomics and observes the cooperative stop flag.
+// rule firing next to the MaxDerivations limit check. In a shard context it
+// additionally flushes the local count to the run's global counter.
 func (ctx *evalContext) derivationTick() error {
 	if ctx.stats.Derivations%ctxCheckInterval == 0 {
-		if ctx.par != nil {
-			if err := ctx.par.tick(ctx); err != nil {
+		if ctx.fp != nil {
+			if err := ctx.fp.tick(ctx); err != nil {
 				return err
 			}
 		}
@@ -683,10 +664,10 @@ func (pp *Prepared) EvaluateNaiveCtx(c context.Context, edb *database.Store, see
 // The program is evaluated one strongly connected component of its
 // derived-predicate dependency graph at a time (see internal/depgraph),
 // callees before callers, so every predicate a component reads from another
-// is complete when it runs. runComponent (parallel.go) is the fixpoint loop;
-// this function only decides who calls it: the calling goroutine for every
-// component in plan order, or a worker pool over the components that are
-// ready.
+// is complete when it runs. The calling goroutine runs every component in
+// plan order through runComponent (fixpoint.go); only a delta round of at
+// least partitionThreshold rows is split across Options.Parallelism shards,
+// and the round barrier joins them before the next check.
 //
 // The context is checked before every component pass and every delta round,
 // and once every ctxCheckInterval rule firings within a round, so request
@@ -699,17 +680,7 @@ func (pp *Prepared) EvaluateCtx(c context.Context, edb *database.Store, seeds []
 		return nil, nil, err
 	}
 	root.stats.Strata = pp.plan.Strata()
-	p := opts.parallelism()
-	if opts.StopEarly != nil && opts.StopEarlyPred == "" {
-		// No telling which in-progress relations the callback reads: keep its
-		// between-rounds contract by running one component at a time.
-		p = 1
-	}
-	pr := &parRun{root: root, plan: pp.plan, p: p, owner: -1}
-	if p == 1 {
-		return root.finish(pr.runInline())
-	}
-	return root.finish(pr.runPool())
+	return root.finish(newFixpoint(root, pp.plan, opts.parallelism()).run())
 }
 
 // answerSelection locates the tuples of the given relation that match the

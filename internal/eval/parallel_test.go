@@ -1,17 +1,18 @@
 package eval
 
-// Tests for the parallel semi-naive evaluator: the parallel scheduler and
-// the hash-partitioned delta rounds must compute exactly the sequential
-// fixpoint (Store.String is a sorted rendering, so string equality is
-// order-independent set equality), small evaluations must report
-// sequential-identical statistics, and cancellation, limits and StopEarly
-// must keep their sequential semantics.
+// Tests for the hash-partitioned delta rounds of the semi-naive evaluator:
+// they must compute exactly the sequential fixpoint (Store.String is a
+// sorted rendering, so string equality is order-independent set equality),
+// evaluations whose rounds stay below the partition threshold must report
+// the Stats of a Parallelism 1 run, no goroutine may outlive a round, and
+// cancellation, limits and StopEarly must keep their sequential semantics.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -37,11 +38,19 @@ func evalAt(t *testing.T, prog *ast.Program, edb *database.Store, opts Options, 
 	return store, stats
 }
 
+// sameStats requires the Stats of a run at some Parallelism to equal the
+// Parallelism 1 run's, field for field.
+func sameStats(t *testing.T, par, seq *Stats) {
+	t.Helper()
+	if !reflect.DeepEqual(par, seq) {
+		t.Errorf("stats differ from the Parallelism 1 run\nparallel:   %+v\nsequential: %+v", *par, *seq)
+	}
+}
+
 // TestParallelStatsMatchSequential pins the exact-statistics contract for
-// evaluations whose rounds stay below the partition threshold: the parallel
-// scheduler distributes whole components across workers, each component does
-// precisely the sequential work, so every summed counter matches the
-// Parallelism=1 run exactly.
+// evaluations whose rounds stay below the partition threshold: no round is
+// partitioned, so the calling goroutine does precisely the sequential work
+// and every counter matches the Parallelism=1 run exactly.
 func TestParallelStatsMatchSequential(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		anc(X, Y) :- par(X, Y).
@@ -55,57 +64,10 @@ func TestParallelStatsMatchSequential(t *testing.T) {
 	if got, want := parStore.String(), seqStore.String(); got != want {
 		t.Fatalf("fixpoints differ\nparallel:\n%s\nsequential:\n%s", got, want)
 	}
-	if seq.ParallelComponents != 0 {
-		t.Errorf("sequential run reports ParallelComponents = %d, want 0", seq.ParallelComponents)
-	}
-	if par.ParallelComponents != 2 {
-		t.Errorf("parallel run reports ParallelComponents = %d, want 2", par.ParallelComponents)
-	}
 	if par.WorkerRounds != 0 {
 		t.Errorf("below-threshold rounds reported WorkerRounds = %d, want 0", par.WorkerRounds)
 	}
-	if par.Iterations != seq.Iterations {
-		t.Errorf("Iterations: parallel %d, sequential %d", par.Iterations, seq.Iterations)
-	}
-	if par.Derivations != seq.Derivations {
-		t.Errorf("Derivations: parallel %d, sequential %d", par.Derivations, seq.Derivations)
-	}
-	if par.NewFacts != seq.NewFacts {
-		t.Errorf("NewFacts: parallel %d, sequential %d", par.NewFacts, seq.NewFacts)
-	}
-	if par.DeltaRuleEvals != seq.DeltaRuleEvals || par.SkippedRuleEvals != seq.SkippedRuleEvals {
-		t.Errorf("delta scheduling: parallel %d/%d, sequential %d/%d",
-			par.DeltaRuleEvals, par.SkippedRuleEvals, seq.DeltaRuleEvals, seq.SkippedRuleEvals)
-	}
-	if par.Strata != seq.Strata {
-		t.Errorf("Strata: parallel %d, sequential %d", par.Strata, seq.Strata)
-	}
-	if len(par.RuleFirings) != len(seq.RuleFirings) {
-		t.Errorf("RuleFirings keys: parallel %v, sequential %v", par.RuleFirings, seq.RuleFirings)
-	}
-	for rule, n := range seq.RuleFirings {
-		if par.RuleFirings[rule] != n {
-			t.Errorf("RuleFirings[%d]: parallel %d, sequential %d", rule, par.RuleFirings[rule], n)
-		}
-	}
-	for key, n := range seq.FactsByPredicate {
-		if par.FactsByPredicate[key] != n {
-			t.Errorf("FactsByPredicate[%s]: parallel %d, sequential %d", key, par.FactsByPredicate[key], n)
-		}
-	}
-	if par.IndexProbes != seq.IndexProbes || par.IndexHits != seq.IndexHits {
-		t.Errorf("index counters: parallel %d/%d, sequential %d/%d",
-			par.IndexProbes, par.IndexHits, seq.IndexProbes, seq.IndexHits)
-	}
-	// The leading literal of each first pass is chosen from relation sizes at
-	// run time; the choice, and so the join work, must not depend on which
-	// worker ran the component.
-	if par.JoinProbes != seq.JoinProbes || par.ScanRows != seq.ScanRows ||
-		par.OpProbes != seq.OpProbes || par.OpScans != seq.OpScans || par.CompiledPlans != seq.CompiledPlans {
-		t.Errorf("join work (JoinProbes/ScanRows/OpProbes/OpScans/CompiledPlans): parallel %d/%d/%d/%d/%d, sequential %d/%d/%d/%d/%d",
-			par.JoinProbes, par.ScanRows, par.OpProbes, par.OpScans, par.CompiledPlans,
-			seq.JoinProbes, seq.ScanRows, seq.OpProbes, seq.OpScans, seq.CompiledPlans)
-	}
+	sameStats(t, par, seq)
 }
 
 // TestParallelPartitionedRoundsSameFixpoint drives the transitive closure of
@@ -130,13 +92,11 @@ func TestParallelPartitionedRoundsSameFixpoint(t *testing.T) {
 	if par.WorkerRounds == 0 {
 		t.Errorf("expected partitioned rounds on a %d-fact delta workload (WorkerRounds = 0)", seq.NewFacts)
 	}
-	if par.ParallelComponents != 1 {
-		t.Errorf("ParallelComponents = %d, want 1", par.ParallelComponents)
-	}
 }
 
 // TestParallelIndependentComponents runs many mutually independent recursive
-// components through the scheduler at once.
+// components, all below the partition threshold: they run one after another
+// at every Parallelism, with the work of the Parallelism 1 run.
 func TestParallelIndependentComponents(t *testing.T) {
 	const k = 8
 	src := ""
@@ -155,13 +115,10 @@ func TestParallelIndependentComponents(t *testing.T) {
 	if got, want := parStore.String(), seqStore.String(); got != want {
 		t.Fatal("fixpoints differ across independent components")
 	}
-	if par.ParallelComponents != k {
-		t.Errorf("ParallelComponents = %d, want %d", par.ParallelComponents, k)
+	if par.Strata != k {
+		t.Errorf("Strata = %d, want %d", par.Strata, k)
 	}
-	if par.NewFacts != seq.NewFacts || par.Iterations != seq.Iterations {
-		t.Errorf("work differs: parallel facts=%d iters=%d, sequential facts=%d iters=%d",
-			par.NewFacts, par.Iterations, seq.NewFacts, seq.Iterations)
-	}
+	sameStats(t, par, seq)
 }
 
 // TestParallelRandomizedDifferential evaluates randomized stratified
@@ -226,7 +183,7 @@ func TestParallelRandomizedDifferential(t *testing.T) {
 }
 
 // TestParallelCancellationPrompt requires cancellation to interrupt a
-// divergent evaluation promptly even with many workers and partitioned
+// divergent evaluation promptly even with many shards and partitioned
 // rounds in flight.
 func TestParallelCancellationPrompt(t *testing.T) {
 	pp, edb := divergentProgram(t)
@@ -286,75 +243,52 @@ func TestParallelLimitsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestParallelStopEarly pins the StopEarly contract under parallelism: with
-// StopEarlyPred set the parallel scheduler runs and truncates like the
-// sequential evaluator; without it the evaluator falls back to sequential
-// execution (observable through ParallelComponents == 0) rather than risk
-// probing a relation mid-write.
+// TestParallelStopEarly pins the StopEarly contract under parallelism: the
+// callback runs between rounds on the calling goroutine at every
+// Parallelism, so a truncated run stops where the Parallelism 1 run stops,
+// with the same store — on the 64-chain, whose rounds run inline, and on a
+// transitive closure whose rounds are partitioned before the stop.
 func TestParallelStopEarly(t *testing.T) {
-	prog := parser.MustParseProgram(ancestorSrc)
-	edb := chainStore(64)
-	pp, err := Prepare(prog, edb.Table())
-	if err != nil {
-		t.Fatal(err)
+	tcProg := parser.MustParseProgram(`
+		tc(X, Y) :- edge(X, Y).
+		tc(X, Y) :- edge(X, Z), tc(Z, Y).
+	`)
+	tcEDB, _ := workload.ParentChain("edge", 400)
+	for _, tc := range []struct {
+		prog       *ast.Program
+		edb        *database.Store
+		query      ast.Atom
+		n          int
+		partitions bool
+	}{
+		{parser.MustParseProgram(ancestorSrc), chainStore(64), ast.NewAtom("anc", ast.S("n0"), ast.V("Y")), 3, false},
+		{tcProg, tcEDB, ast.NewAtom("tc", ast.V("X"), ast.V("Y")), 20000, true},
+	} {
+		query := tc.query
+		stop := func(s *database.Store) bool { return CountAnswers(s, query.PredKey(), query) >= tc.n }
+		seqStore, seq := evalAt(t, tc.prog, tc.edb, Options{StopEarly: stop}, 1)
+		parStore, par := evalAt(t, tc.prog, tc.edb, Options{StopEarly: stop}, 8)
+		if !seq.StoppedEarly || !par.StoppedEarly {
+			t.Errorf("%s: StoppedEarly: parallel %v, sequential %v; want both", query, par.StoppedEarly, seq.StoppedEarly)
+		}
+		if got := CountAnswers(parStore, query.PredKey(), query); got < tc.n {
+			t.Errorf("%s: stopped with %d answers, want >= %d", query, got, tc.n)
+		}
+		if parStore.String() != seqStore.String() {
+			t.Errorf("%s: truncated stores differ between Parallelism 8 and 1", query)
+		}
+		if par.Iterations != seq.Iterations {
+			t.Errorf("%s: stopped after %d rounds at Parallelism 8, %d at 1", query, par.Iterations, seq.Iterations)
+		}
+		if (par.WorkerRounds > 0) != tc.partitions {
+			t.Errorf("%s: WorkerRounds = %d, partitioned rounds expected: %v", query, par.WorkerRounds, tc.partitions)
+		}
 	}
-	query := ast.NewAtom("anc", ast.S("n0"), ast.V("Y"))
-	stop := func(s *database.Store) bool { return CountAnswers(s, "anc", query) >= 3 }
-
-	t.Run("owner-gated", func(t *testing.T) {
-		store, stats, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{
-			Parallelism:   8,
-			StopEarly:     stop,
-			StopEarlyPred: "anc",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !stats.StoppedEarly {
-			t.Error("StoppedEarly not set")
-		}
-		if stats.ParallelComponents == 0 {
-			t.Error("expected the parallel scheduler to run (ParallelComponents == 0)")
-		}
-		if got := CountAnswers(store, "anc", query); got < 3 {
-			t.Errorf("stopped with %d answers, want >= 3", got)
-		}
-		seqStore, seqStats, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{
-			Parallelism:   1,
-			StopEarly:     stop,
-			StopEarlyPred: "anc",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqStats.StoppedEarly != stats.StoppedEarly {
-			t.Errorf("StoppedEarly: parallel %v, sequential %v", stats.StoppedEarly, seqStats.StoppedEarly)
-		}
-		if store.String() != seqStore.String() {
-			t.Error("truncated stores differ between parallel and sequential")
-		}
-	})
-
-	t.Run("fallback-without-pred", func(t *testing.T) {
-		_, stats, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{
-			Parallelism: 8,
-			StopEarly:   stop,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.ParallelComponents != 0 {
-			t.Errorf("ParallelComponents = %d, want 0 (sequential fallback)", stats.ParallelComponents)
-		}
-		if !stats.StoppedEarly {
-			t.Error("StoppedEarly not set on the fallback path")
-		}
-	})
 }
 
-// TestParallelismIsClamped pins the cap on the worker count. The value comes
+// TestParallelismIsClamped pins the cap on the shard count. The value comes
 // straight from network requests, and every partitioned round costs one
-// goroutine and three stores per worker, so at 1<<20 this evaluation would
+// goroutine and three stores per shard, so at 1<<20 this evaluation would
 // not finish: it must instead do exactly the work of a run at the cap.
 func TestParallelismIsClamped(t *testing.T) {
 	prog := parser.MustParseProgram(`
@@ -373,34 +307,49 @@ func TestParallelismIsClamped(t *testing.T) {
 	}
 }
 
-// TestParallelismOneStartsNoGoroutine pins that at Parallelism 1 — and in the
-// StopEarly-without-StopEarlyPred fallback — the calling goroutine runs every
-// component itself: rounds far above the partition threshold are not
-// partitioned, no pool is reported, and no goroutine exists during the run
-// that did not exist before it.
-func TestParallelismOneStartsNoGoroutine(t *testing.T) {
+// settledGoroutines returns runtime.NumGoroutine once it is at most want,
+// or what it still is after a grace period. A shard goroutine signals the
+// round barrier from a deferred call, so it may still be counted for an
+// instant after the barrier has passed; one that really outlives its round
+// is still counted when the grace period ends.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestNoGoroutineOutlivesARound pins that the calling goroutine runs every
+// component and that the only goroutines an evaluation starts, the shards
+// of a partitioned round, are joined at the round barrier: StopEarly, which
+// runs between rounds, never sees a goroutine that did not exist before the
+// evaluation. At Parallelism 8 the rounds of the 400-chain closure are
+// partitioned, StopEarly callback and all, and at Parallelism 1 none is.
+func TestNoGoroutineOutlivesARound(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		tc(X, Y) :- edge(X, Y).
 		tc(X, Y) :- edge(X, Z), tc(Z, Y).
 	`)
 	edb, _ := workload.ParentChain("edge", 400)
+	// A goroutine left over from an earlier test may exit during the run, so
+	// only a count above the one before the evaluation is a failure.
 	before := runtime.NumGoroutine()
-	most := before
+	most := 0
 	probe := func(*database.Store) bool {
-		most = max(most, runtime.NumGoroutine())
+		if most <= before {
+			most = max(most, settledGoroutines(before))
+		}
 		return false
 	}
-	for _, opts := range []Options{
-		{Parallelism: 1, StopEarly: probe, StopEarlyPred: "tc"},
-		{Parallelism: 8, StopEarly: probe},
-	} {
-		_, stats := evalAt(t, prog, edb, opts, opts.Parallelism)
-		if stats.NewFacts != 80200 || stats.ParallelComponents != 0 || stats.WorkerRounds != 0 {
-			t.Errorf("Parallelism %d: NewFacts %d, ParallelComponents %d, WorkerRounds %d; want 80200, 0, 0",
-				opts.Parallelism, stats.NewFacts, stats.ParallelComponents, stats.WorkerRounds)
+	for _, p := range []int{1, 8} {
+		_, stats := evalAt(t, prog, edb, Options{StopEarly: probe}, p)
+		if stats.NewFacts != 80200 || (stats.WorkerRounds > 0) != (p > 1) {
+			t.Errorf("Parallelism %d: NewFacts %d, WorkerRounds %d; want 80200 and partitioned rounds only above 1",
+				p, stats.NewFacts, stats.WorkerRounds)
 		}
 	}
-	if most != before {
+	if most > before {
 		t.Errorf("%d goroutines between rounds, %d before the evaluation", most, before)
 	}
 }

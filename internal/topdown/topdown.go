@@ -123,14 +123,27 @@ type Result struct {
 	// Goals maps goal keys to the goals generated during evaluation (the
 	// set Q of Section 9).
 	Goals map[string]Goal
-	// Facts holds, per adorned predicate key, the full-arity answer tuples
-	// of every subgoal (the set F of Section 9).
-	Facts *database.Store
 	// Stats summarizes the evaluation.
 	Stats Stats
-	// keys is the evaluation-scoped symbol table the Goals map keys were
-	// produced against.
+	// keys is the evaluation-scoped symbol table the Goals map keys and the
+	// goal tables were produced against.
 	keys *intern.Table
+	// tables holds the full-arity answers of each goal, by goal key.
+	tables map[string]*database.Relation
+}
+
+// Facts builds a store holding, per adorned predicate key, the full-arity
+// answer tuples of every subgoal (the set F of Section 9). The store is
+// built from the goal tables on each call.
+func (r *Result) Facts() *database.Store {
+	facts := database.NewStore()
+	for _, rel := range r.tables {
+		for _, t := range rel.Tuples() {
+			atom := ast.Atom{Pred: strings.SplitN(rel.Name, "^", 2)[0], Adorn: adornOf(rel.Name), Args: t}
+			facts.MustAddFact(atom)
+		}
+	}
+	return facts
 }
 
 // GoalKey encodes a goal with the symbol table of this evaluation, so the
@@ -283,21 +296,13 @@ func (e *evaluator) ctxErr() error {
 	return nil
 }
 
-// result assembles the Result for the original query.
+// result assembles the Result for the original query. Stats.Answers is the
+// running total of the goal tables' sizes: distinct goals of one adorned
+// predicate bind different constants, so their answer tuples are disjoint
+// and the total counts every fact of F once.
 func (e *evaluator) result(queryGoal Goal) *Result {
-	facts := database.NewStore()
-	for _, rel := range e.tables {
-		for _, t := range rel.Tuples() {
-			atom := ast.Atom{Pred: strings.SplitN(rel.Name, "^", 2)[0], Adorn: adornOf(rel.Name), Args: t}
-			facts.MustAddFact(atom)
-		}
-	}
-	totalAnswers := 0
-	for _, name := range facts.Names() {
-		totalAnswers += facts.FactCount(name)
-	}
 	e.stats.Queries = len(e.goals)
-	e.stats.Answers = totalAnswers
+	e.stats.Answers = e.answers
 
 	// Project the query-goal answers onto the free positions of the query;
 	// a FirstN run surfaces at most N of them.
@@ -321,7 +326,7 @@ func (e *evaluator) result(queryGoal Goal) *Result {
 			answers = append(answers, proj)
 		}
 	}
-	return &Result{Answers: answers, Goals: e.goals, Facts: facts, Stats: e.stats, keys: e.keys}
+	return &Result{Answers: answers, Goals: e.goals, Stats: e.stats, keys: e.keys, tables: e.tables}
 }
 
 func adornOf(key string) ast.Adornment {

@@ -134,9 +134,9 @@ func TestSameGenerationGoalsAndFacts(t *testing.T) {
 		t.Fatalf("answers %d, want %d", len(got), len(want))
 	}
 	// The top-down strategy must not compute the whole sg relation.
-	if res.Facts.FactCount("sg^bf") >= full.FactCount("sg") {
-		t.Errorf("top-down computed %d sg facts, naive computed %d; expected a restriction",
-			res.Facts.FactCount("sg^bf"), full.FactCount("sg"))
+	if n := res.Facts().FactCount("sg^bf"); n >= full.FactCount("sg") || n != res.Stats.Answers {
+		t.Errorf("top-down computed %d sg facts (Stats.Answers %d), naive computed %d; expected a restriction",
+			n, res.Stats.Answers, full.FactCount("sg"))
 	}
 	// Every goal's predicate is the adorned sg predicate.
 	for _, g := range res.Goals {
