@@ -18,13 +18,12 @@ test:
 
 # Focused race gate for the snapshot/txn/materialize/parallel-eval surface:
 # the packages where lock-free snapshot readers, COW relations, commit-time
-# view maintenance, the partitioned delta rounds of the fixpoint, the
-# memoizing top-down interpreter, the WAL (commit appends vs the background fsync and
-# checkpoint loops) and the concurrent HTTP serving layer meet. `make test`
-# already runs everything under -race; this target is the quick loop while
-# working on that surface.
+# view maintenance, the partitioned delta rounds of the fixpoint, the WAL
+# (commit appends vs the background fsync and checkpoint loops) and the
+# concurrent HTTP serving layer meet. `make test` already runs everything
+# under -race; this target is the quick loop while working on that surface.
 race:
-	$(GO) test -race ./datalog/ ./internal/database/ ./internal/eval/ ./internal/topdown/ ./internal/wal/ ./internal/server/
+	$(GO) test -race ./datalog/ ./internal/database/ ./internal/eval/ ./internal/wal/ ./internal/server/
 
 vet:
 	$(GO) vet ./...
@@ -54,12 +53,14 @@ fmt-check:
 # the same number. The target fails above LOC_CEILING, the total the last
 # simplicity PR reached: the figure only goes up by an edit to this line,
 # which shows in the diff. The `module` line (non-test Go lines outside
-# benchmark/, the north star's whole-system figure) is informational and
-# has no ceiling. The `rewrite` line (non-test Go lines of
+# benchmark/, the north star's whole-system figure) and the `served` line
+# (non-test Go lines of the packages `go list -deps ./cmd/datalogd` names:
+# what the server binary is built from) are informational and have no
+# ceiling. The `rewrite` line (non-test Go lines of
 # internal/rewrite and its subpackages, the four rewritings of the paper
 # built by one sip walk) is ratcheted the same way by REWRITE_LOC_CEILING.
 LOC_PKGS := internal/eval datalog internal/database
-LOC_CEILING := 6921
+LOC_CEILING := 6745
 REWRITE_LOC_CEILING := 895
 loc:
 	@total=0; for d in $(LOC_PKGS); do \
@@ -67,6 +68,7 @@ loc:
 		printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); done; \
 	printf '%-18s %6d\n' total $$total; \
 	printf '%-18s %6d\n' module $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l); \
+	printf '%-18s %6d\n' served $$($(GO) list -deps -f '{{if not .Standard}}{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{end}}' ./cmd/datalogd | xargs cat | wc -l); \
 	rw=$$(find internal/rewrite -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	printf '%-18s %6d\n' rewrite $$rw; \
 	if [ $$total -gt $(LOC_CEILING) ]; then \

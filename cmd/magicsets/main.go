@@ -75,8 +75,8 @@ func run(args []string, out io.Writer) error {
 	programPath := fs.String("program", "", "path to the program (rules, optionally facts)")
 	factsPath := fs.String("facts", "", "path to an additional facts file")
 	query := fs.String("query", "", "query atom, e.g. 'anc(john, Y)'")
-	strategy := fs.String("strategy", "magic", "evaluation strategy: naive, semi-naive, top-down, magic, supplementary-magic, counting, supplementary-counting")
-	sipPolicy := fs.String("sip", "full", "sip policy for the rewriting strategies: full or partial")
+	strategy := fs.String("strategy", "magic", "evaluation strategy: semi-naive, magic, supplementary-magic, counting, supplementary-counting")
+	sipPolicy := fs.String("sip", "full", "sip policy for the rewriting strategies: full, partial or greedy")
 	semijoin := fs.Bool("semijoin", false, "apply the semijoin optimization to the counting rewritings")
 	keepGuards := fs.Bool("keep-guards", false, "keep all magic guards (disable the Proposition 4.3 simplification)")
 	simplify := fs.Bool("simplify", false, "drop tautological and duplicate rules from the rewritten program")

@@ -52,8 +52,8 @@
 //
 // # Queries, contexts, typed answers
 //
-// Queries run under a context.Context, threaded through the fixpoint loops
-// of every strategy and checked both between iterations and every few
+// Queries run under a context.Context, threaded through the fixpoint loop
+// and checked both between iterations and every few
 // thousand rule firings, so a deadline or cancellation interrupts even a
 // divergent evaluation promptly; the returned error wraps ctx.Err() (test
 // with errors.Is against context.Canceled or context.DeadlineExceeded) and
@@ -61,12 +61,14 @@
 // Options limit. Answers come back as typed values (Answer.Vals, Row)
 // surfaced straight from the interned constants.
 //
-// The available strategies cover the whole design space the paper compares:
-// naive and semi-naive bottom-up evaluation of the unrewritten program, the
-// memoizing top-down reference strategy, and bottom-up evaluation of the
-// generalized magic-sets, supplementary magic-sets, counting and
-// supplementary counting rewritings, with full or partial left-to-right sips
-// and the optional semijoin optimization of the counting methods.
+// Every strategy runs the one semi-naive bottom-up evaluator: on the
+// unrewritten program (SemiNaive, the baseline the rewritings are measured
+// against) or on the generalized magic-sets, supplementary magic-sets,
+// counting and supplementary counting rewritings, with full, partial or
+// greedy sips and the optional semijoin optimization of the counting
+// methods. The paper's other yardsticks — naive iteration (Section 1) and
+// memoizing top-down evaluation (Section 9) — are test oracles, not
+// strategies.
 //
 // # Static analysis: diagnostics and divergence prediction
 //
@@ -196,7 +198,6 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/sip"
-	"repro/internal/topdown"
 )
 
 // Strategy selects how a query is evaluated.
@@ -204,16 +205,9 @@ type Strategy string
 
 // The evaluation strategies.
 const (
-	// Naive evaluates the unrewritten program bottom-up, recomputing every
-	// rule in every iteration, and then selects the answers (the Section 1
-	// strawman).
-	Naive Strategy = "naive"
 	// SemiNaive evaluates the unrewritten program bottom-up with the
 	// semi-naive refinement, then selects the answers.
 	SemiNaive Strategy = "semi-naive"
-	// TopDown runs the memoizing top-down (QSQ-style) reference strategy on
-	// the adorned program.
-	TopDown Strategy = "top-down"
 	// MagicSets rewrites with generalized magic sets (Section 4) and
 	// evaluates the result bottom-up.
 	MagicSets Strategy = "magic"
@@ -229,7 +223,7 @@ const (
 
 // Strategies lists every supported strategy in presentation order.
 func Strategies() []Strategy {
-	return []Strategy{Naive, SemiNaive, TopDown, MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting}
+	return []Strategy{SemiNaive, MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting}
 }
 
 // ParseStrategy converts a string (as used on the command line) into a
@@ -290,20 +284,18 @@ type Options struct {
 	// MaxIterations, MaxFacts and MaxDerivations bound the bottom-up
 	// evaluation (0 = unlimited); ErrLimitExceeded is reported when a bound
 	// is hit, which is how non-terminating evaluations (e.g. counting on
-	// cyclic data) are observed safely. For every strategy except Naive,
-	// MaxIterations applies per strongly connected component of the
-	// evaluated program's dependency graph, so it bounds how long any one
-	// fixpoint loop may run regardless of how many strata the program has;
-	// the Naive strategy bounds whole-program rounds.
+	// cyclic data) are observed safely. MaxIterations applies per strongly
+	// connected component of the evaluated program's dependency graph, so it
+	// bounds how long any one fixpoint loop may run regardless of how many
+	// strata the program has.
 	MaxIterations  int   `json:"max_iterations,omitempty"`
 	MaxFacts       int   `json:"max_facts,omitempty"`
 	MaxDerivations int64 `json:"max_derivations,omitempty"`
 	// FirstN, when positive, stops the evaluation as soon as N answers
 	// exist and caps Result.Answers (and the rows a Stream yields) at N.
-	// For the bottom-up strategies the answer relation is checked between
-	// fixpoint rounds, so the engine stops within one delta round of the
-	// N-th answer instead of running to fixpoint; the top-down strategy
-	// unwinds mid-pass. Stats.StoppedEarly reports that the cutoff fired.
+	// The answer relation is checked between fixpoint rounds, so the engine
+	// stops within one delta round of the N-th answer instead of running to
+	// fixpoint. Stats.StoppedEarly reports that the cutoff fired.
 	// Like the Max limits it is a run-time option: it does not change the
 	// prepared query form.
 	FirstN int `json:"first_n,omitempty"`
@@ -321,8 +313,8 @@ type Options struct {
 	// time on the calling goroutine. 0 means GOMAXPROCS, 1 partitions no
 	// round, and values above 64 are clamped to 64. The answers are identical
 	// at every setting; Stats.WorkerRounds reports how many shard rounds ran.
-	// The Naive and TopDown strategies ignore it. Like the Max limits it is a
-	// run-time option: it does not change the prepared query form.
+	// Like the Max limits it is a run-time option: it does not change the
+	// prepared query form.
 	Parallelism int `json:"parallelism,omitempty"`
 	// OnDivergence selects what the engine does when a counting strategy is
 	// requested for a query form the Section 10 analysis proves divergent on
@@ -417,8 +409,7 @@ func (a Answer) String() string { return a.Vals.String() }
 // Stats summarizes the work done to answer a query: what the facade itself
 // knows (the options echoed, the fact counts, which shortcut fired) around
 // the evaluator's own counters, which are declared once in eval.Counters and
-// promoted here (Stats.Derivations, Stats.JoinProbes, …). For the top-down
-// strategy only Derivations, Iterations (passes) and StoppedEarly are set.
+// promoted here (Stats.Derivations, Stats.JoinProbes, …).
 type Stats struct {
 	// Strategy echoes the strategy used.
 	Strategy Strategy `json:"strategy"`
@@ -431,8 +422,7 @@ type Stats struct {
 	// predicates, excluding auxiliary predicates.
 	DerivedFacts int `json:"derived_facts"`
 	// AuxFacts counts the facts computed for the auxiliary predicates
-	// introduced by the rewriting (magic, supplementary, counting), or the
-	// number of memoized subqueries for the top-down strategy.
+	// introduced by the rewriting (magic, supplementary, counting).
 	AuxFacts int `json:"aux_facts,omitempty"`
 	eval.Counters
 	// PlanCacheHit reports that the evaluation reused a previously prepared
@@ -528,7 +518,7 @@ func evalOptions(opts Options) eval.Options {
 }
 
 func wrapLimit(err error) error {
-	if errors.Is(err, eval.ErrLimitExceeded) || errors.Is(err, topdown.ErrLimitExceeded) {
+	if errors.Is(err, eval.ErrLimitExceeded) {
 		return fmt.Errorf("%w: %v", ErrLimitExceeded, err)
 	}
 	return err

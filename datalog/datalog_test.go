@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/intern"
 )
 
 const ancestorProgram = `
@@ -80,6 +81,10 @@ func TestAllStrategiesAgree(t *testing.T) {
 			}
 		}
 	}
+	td, err := topDownAnswers(fx.snap(), "anc(n4, Y)", Options{})
+	if err != nil || !reflect.DeepEqual(td, want) {
+		t.Errorf("top-down oracle = %v (err %v), want %v", td, err, want)
+	}
 }
 
 // TestMagicConstantBoundLiterals covers derived body literals bound only by
@@ -89,7 +94,8 @@ func TestAllStrategiesAgree(t *testing.T) {
 // top-down looked up a query key ("hit^") that no rule defines, and both
 // counting rewritings derived no cnt fact for such a literal. The counting
 // rewritings need a bound query argument, so the zero- and free-argument
-// queries run under the other four strategies.
+// queries run under the other three strategies. The top-down oracle answers
+// every case under every sip.
 func TestMagicConstantBoundLiterals(t *testing.T) {
 	fx := newFixture(t, `
 		r(X, Y) :- e(X, Y).
@@ -115,9 +121,14 @@ func TestMagicConstantBoundLiterals(t *testing.T) {
 		{"far(n0, Y)", map[string]bool{"(n2)": true}, Strategies()},
 	}
 	for _, tc := range cases {
+		for _, sp := range []SipPolicy{SipFull, SipPartial, SipGreedy} {
+			if got, err := topDownAnswers(fx.snap(), tc.query, Options{Sip: sp}); err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s [top-down oracle, %s sip] = %v (err %v), want %v", tc.query, sp, got, err, tc.want)
+			}
+		}
 		strategies := tc.strategies
 		if strategies == nil {
-			strategies = []Strategy{SemiNaive, MagicSets, SupplementaryMagicSets, TopDown}
+			strategies = []Strategy{SemiNaive, MagicSets, SupplementaryMagicSets}
 		}
 		for _, st := range strategies {
 			for _, sp := range []SipPolicy{SipFull, SipPartial, SipGreedy} {
@@ -198,6 +209,9 @@ func TestGeneratedNamesCaptureNothing(t *testing.T) {
 					t.Errorf("%s [%s, semijoin=%v] = %v, want %v", tc.name, st, semijoin, got, want.AnswerSet())
 				}
 			}
+		}
+		if td, err := topDownAnswers(snap, "anc(n0, Y)", Options{}); err != nil || !reflect.DeepEqual(td, want.AnswerSet()) {
+			t.Errorf("%s [top-down oracle] = %v (err %v), want %v", tc.name, td, err, want.AnswerSet())
 		}
 	}
 
@@ -317,7 +331,7 @@ func TestRewriteWithoutEvaluation(t *testing.T) {
 	if !strings.Contains(res.RewrittenProgram, "sup_2_2") {
 		t.Errorf("expected supplementary predicates:\n%s", res.RewrittenProgram)
 	}
-	if _, err := fx.prog.Rewrite("anc(n0, Y)", Options{Strategy: Naive}); err == nil {
+	if _, err := fx.prog.Rewrite("anc(n0, Y)", Options{Strategy: SemiNaive}); err == nil {
 		t.Error("Rewrite with a non-rewriting strategy must error")
 	}
 }
@@ -346,7 +360,7 @@ func TestListReverseThroughFacade(t *testing.T) {
 	if err := fx.db.AssertText("elem(a). elem(b). elem(c). emptylist(nil)."); err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting, TopDown} {
+	for _, strat := range []Strategy{MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting} {
 		res, err := fx.snap().Query("reverse([a, b, c], Y)", Options{Strategy: strat, MaxIterations: 100})
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
@@ -354,6 +368,9 @@ func TestListReverseThroughFacade(t *testing.T) {
 		if len(res.Answers) != 1 || res.Answers[0].Vals[0].String() != "[c, b, a]" {
 			t.Errorf("%s: answers = %v", strat, res.Answers)
 		}
+	}
+	if td, err := topDownAnswers(fx.snap(), "reverse([a, b, c], Y)", Options{}); err != nil || !reflect.DeepEqual(td, map[string]bool{"([c, b, a])": true}) {
+		t.Errorf("top-down oracle: answers = %v (err %v)", td, err)
 	}
 	// The unrewritten list program is unsafe for bottom-up evaluation; the
 	// facade must surface the error rather than loop.
@@ -433,11 +450,15 @@ func TestParseStrategy(t *testing.T) {
 	if err != nil || s != Counting {
 		t.Errorf("ParseStrategy(counting) = %v, %v", s, err)
 	}
-	if _, err := ParseStrategy("nope"); err == nil {
-		t.Error("unknown strategy must be rejected")
+	// Naive iteration and top-down evaluation are test oracles, not
+	// strategies: their old names are unknown strategies.
+	for _, name := range []string{"nope", "naive", "top-down"} {
+		if _, err := ParseStrategy(name); err == nil {
+			t.Errorf("unknown strategy %q must be rejected", name)
+		}
 	}
-	if len(Strategies()) != 7 {
-		t.Errorf("Strategies() = %v", Strategies())
+	if want := []Strategy{SemiNaive, MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting}; !reflect.DeepEqual(Strategies(), want) {
+		t.Errorf("Strategies() = %v, want %v", Strategies(), want)
 	}
 }
 
@@ -455,9 +476,23 @@ func TestInt64Assert(t *testing.T) {
 }
 
 func TestAnswerString(t *testing.T) {
-	a := Answer{Vals: Row{valueOfTerm(ast.S("mary")), valueOfTerm(ast.I(3))}}
+	tab := intern.NewTable()
+	mary, three := tab.Intern(ast.S("mary")), tab.Intern(ast.I(3))
+	rd := tab.Reader()
+	a := Answer{Vals: Row{valueOfID(&rd, mary), valueOfID(&rd, three)}}
 	if a.String() != "(mary, 3)" {
 		t.Errorf("Answer.String = %s", a.String())
+	}
+	// The zero Value is the empty symbol.
+	var zero Value
+	if name, ok := zero.Symbol(); zero.Kind() != Symbol || !ok || name != "" || zero.String() != "" {
+		t.Errorf("zero Value: kind %v, Symbol() = %q, %v, String() = %q", zero.Kind(), name, ok, zero.String())
+	}
+	if _, ok := zero.Int(); ok {
+		t.Error("zero Value reports an integer")
+	}
+	if _, _, ok := zero.Compound(); ok {
+		t.Error("zero Value reports a compound")
 	}
 	var s Stats
 	s.DerivedFacts, s.AuxFacts = 3, 2

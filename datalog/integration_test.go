@@ -3,6 +3,7 @@ package datalog_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -116,11 +117,12 @@ func optionsName(o datalog.Options) string {
 	return n
 }
 
-// checkAgreement runs the query under every strategy and verifies that all
-// answer sets coincide with the semi-naive baseline (the equivalence
-// theorems 3.1, 4.1, 5.1, 6.1 and 7.1 chained together). Strategies listed
-// in skip are exempted (e.g. counting on data where it diverges); they must
-// instead fail with ErrLimitExceeded when given a bound.
+// checkAgreement runs the query under every rewriting strategy and the
+// top-down oracle and verifies that all answer sets coincide with the
+// semi-naive baseline (the equivalence theorems 3.1, 4.1, 5.1, 6.1 and 7.1
+// chained together). Strategies listed in skip are exempted (e.g. counting
+// on data where it diverges); they must instead fail with ErrLimitExceeded
+// when given a bound.
 func checkAgreement(t *testing.T, fx fixture, query string, skip map[datalog.Strategy]bool) {
 	t.Helper()
 	baseline, err := fx.snap().Query(query, datalog.Options{Strategy: datalog.SemiNaive})
@@ -131,11 +133,10 @@ func checkAgreement(t *testing.T, fx fixture, query string, skip map[datalog.Str
 	if len(want) == 0 {
 		t.Fatalf("baseline returned no answers for %s; bad test data", query)
 	}
-	all := append([]datalog.Options{
-		{Strategy: datalog.Naive},
-		{Strategy: datalog.TopDown},
-	}, rewritingStrategies...)
-	for _, opts := range all {
+	if td, err := datalog.TopDownAnswers(fx.snap(), query, datalog.Options{}); err != nil || !reflect.DeepEqual(td, want) {
+		t.Errorf("top-down oracle = %v (err %v), want %v", td, err, want)
+	}
+	for _, opts := range rewritingStrategies {
 		opts.MaxIterations = 2000
 		if skip[opts.Strategy] {
 			// Divergent strategy on this workload: bound both the iteration
@@ -237,7 +238,10 @@ func TestIntegrationListReverse(t *testing.T) {
 	// The unrewritten program is unsafe bottom-up, so compare the rewriting
 	// strategies against the known answer instead of the semi-naive baseline.
 	want := "([e, d, c, b, a])"
-	for _, opts := range append([]datalog.Options{{Strategy: datalog.TopDown}}, rewritingStrategies...) {
+	if td, err := datalog.TopDownAnswers(fx.snap(), "reverse([a, b, c, d, e], Y)", datalog.Options{}); err != nil || !reflect.DeepEqual(td, map[string]bool{want: true}) {
+		t.Errorf("top-down oracle: answers = %v (err %v), want %s", td, err, want)
+	}
+	for _, opts := range rewritingStrategies {
 		opts.MaxIterations = 500
 		res, err := fx.snap().Query("reverse([a, b, c, d, e], Y)", opts)
 		if err != nil {
@@ -251,8 +255,8 @@ func TestIntegrationListReverse(t *testing.T) {
 }
 
 // TestIntegrationRandomGraphs is a property test over pseudo-random cyclic
-// graphs: naive, semi-naive, top-down, magic and supplementary magic always
-// agree on the reachable set (counting is excluded because cyclic data may
+// graphs: semi-naive, the top-down oracle, magic and supplementary magic
+// always agree on the reachable set (counting is excluded because cyclic data may
 // legitimately make it diverge).
 func TestIntegrationRandomGraphs(t *testing.T) {
 	f := func(seed uint16) bool {
@@ -279,9 +283,10 @@ func TestIntegrationRandomGraphs(t *testing.T) {
 			return false
 		}
 		want := baseline.AnswerSet()
+		if td, err := datalog.TopDownAnswers(fx.snap(), query, datalog.Options{}); err != nil || !reflect.DeepEqual(td, want) {
+			return false
+		}
 		for _, opts := range []datalog.Options{
-			{Strategy: datalog.Naive},
-			{Strategy: datalog.TopDown},
 			{Strategy: datalog.MagicSets},
 			{Strategy: datalog.MagicSets, Sip: datalog.SipPartial},
 			{Strategy: datalog.SupplementaryMagicSets},

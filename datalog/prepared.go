@@ -19,12 +19,10 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/adorn"
 	"repro/internal/ast"
 	"repro/internal/database"
 	"repro/internal/eval"
 	"repro/internal/rewrite"
-	"repro/internal/topdown"
 )
 
 // preparedForm holds the per-form artifacts shared by every PreparedQuery
@@ -32,9 +30,8 @@ import (
 // the binding pattern and the form-shaping options — never on a particular
 // call's constants or runtime limits.
 type preparedForm struct {
-	adorned        *adorn.Program     // top-down and rewriting strategies
 	rewriting      *rewrite.Rewriting // rewriting strategies
-	prepared       *eval.Prepared     // bottom-up strategies (original or rewritten program)
+	prepared       *eval.Prepared     // the original or the rewritten program
 	safety         *SafetyReport
 	rewrittenSrc   string
 	rewrittenRules int
@@ -51,11 +48,10 @@ type preparedForm struct {
 }
 
 // PreparedQuery is a query form compiled once for repeated evaluation: the
-// adorned program, the rewriting, and the bottom-up join pipelines are
-// built at Prepare time and shared by every Run — including concurrent
-// ones — while each Run supplies its own bound constants and reads the
-// snapshot the handle was prepared on (Snapshot.Prepare), which pins facts
-// and program together. The handle itself additionally carries the
+// rewriting and the bottom-up join pipelines are built at Prepare time and
+// shared by every Run — including concurrent ones — while each Run supplies
+// its own bound constants and reads the snapshot the handle was prepared on
+// (Snapshot.Prepare), which pins facts and program together. The handle itself additionally carries the
 // constants of the prepared query text (the defaults of Run()) and the
 // caller's runtime limits, so two Prepare calls sharing a form still run
 // with their own constants and limits. To read a later commit version,
@@ -219,12 +215,11 @@ func constantTerms(args []any) ([]ast.Term, error) {
 // formKey encodes the query form — everything that determines the prepared
 // artifacts: evaluation options that shape the rewriting, the predicate and
 // the binding pattern. The constants themselves are deliberately absent:
-// forms differing only in constants share one preparation. The direct
-// strategies prepare the whole unrewritten program, which is independent of
-// the query entirely, so their forms are keyed by strategy alone and every
-// direct query shares one preparation.
+// forms differing only in constants share one preparation. SemiNaive
+// prepares the whole unrewritten program, which is independent of the query
+// entirely, so every SemiNaive query shares one preparation.
 func formKey(q ast.Query, opts Options) string {
-	if opts.Strategy == Naive || opts.Strategy == SemiNaive {
+	if opts.Strategy == SemiNaive {
 		return string(opts.Strategy) + "|direct"
 	}
 	var b strings.Builder
@@ -366,9 +361,6 @@ func (pq *PreparedQuery) runCore(ctx context.Context, bound []ast.Term, opts Opt
 	if res, rows, ok := pq.runLookup(bound, opts, cacheHit); ok {
 		return res, rows, nil
 	}
-	if pq.opts.Strategy == TopDown {
-		return pq.runTopDown(ctx, bound, opts, cacheHit)
-	}
 	return pq.runBottomUp(ctx, bound, opts, cacheHit)
 }
 
@@ -377,8 +369,8 @@ func (pq *PreparedQuery) runCore(ctx context.Context, bound []ast.Term, opts Opt
 // covering the queried predicate, the answer is read straight out of the
 // stored IDB relation — a pure index lookup, no evaluation — and ok reports
 // that the result is final. Any mismatch (no registration, a different
-// program, a base predicate, Options.NoMaterialize) falls through to the
-// strategy dispatch with ok=false. The whole-strategy semantics are
+// program, a base predicate, Options.NoMaterialize) falls through to
+// evaluation with ok=false. The whole-strategy semantics are
 // preserved because the maintained IDB is, by the maintenance invariant,
 // exactly the fixpoint a from-scratch evaluation would compute.
 func (pq *PreparedQuery) runLookup(bound []ast.Term, opts Options, cacheHit bool) (*Result, []Row, bool) {
@@ -439,47 +431,12 @@ func (pq *PreparedQuery) answerRows(store *database.Store, predKey string, patte
 	return rowsFromIDs(&rd, eval.AnswerRows(store, predKey, pattern, limit))
 }
 
-// runTopDown runs the memoizing top-down reference strategy with the
-// adorned program prepared for the form and the query atom re-instantiated
-// for this call's constants.
-func (pq *PreparedQuery) runTopDown(ctx context.Context, bound []ast.Term, opts Options, cacheHit bool) (*Result, []Row, error) {
-	// The adorned program is shared and immutable; only the query differs
-	// per call, so evaluate a shallow copy carrying the new query atom.
-	ad := *pq.form.adorned
-	ad.Query = ast.Query{Atom: pq.atomWith(bound)}
-	tdOpts := topdown.Options{
-		// Each facade limit maps to its top-down counterpart: MaxFacts
-		// bounds the memo tables (goals + answers, like the bottom-up limit
-		// counts aux + derived facts), MaxIterations the fixpoint passes,
-		// MaxDerivations the rule-body instantiations, and FirstN
-		// short-circuits the answer enumeration for the original query.
-		MaxMemo:        opts.MaxFacts,
-		MaxPasses:      opts.MaxIterations,
-		MaxDerivations: opts.MaxDerivations,
-		FirstN:         opts.FirstN,
-	}
-	tres, err := topdown.EvaluateCtx(ctx, &ad, pq.snap.store, tdOpts)
-	res := &Result{Safety: pq.form.safetyCopy()}
-	pq.stampStats(res, cacheHit, true)
-	var rows []Row
-	if tres != nil {
-		rows = rowsFromTuples(tres.Answers)
-		res.Stats.DerivedFacts = tres.Stats.Answers
-		res.Stats.AuxFacts = tres.Stats.Queries
-		res.Stats.Derivations = tres.Stats.Derivations
-		res.Stats.Iterations = tres.Stats.Passes
-		res.Stats.StoppedEarly = tres.Stats.StoppedEarly
-	}
-	return res, rows, wrapLimit(err)
-}
-
-// runBottomUp is the one bottom-up run. A direct strategy (Naive,
-// SemiNaive) evaluates the unrewritten program without seeds and selects
-// the answers matching the instantiated query atom; a rewriting strategy
-// evaluates the precompiled rewritten program with the seed facts
-// re-instantiated for this call's constants and reads the rewriting's
-// answer predicate. Either way the evaluation writes to a copy-on-write
-// overlay of the snapshot's store.
+// runBottomUp is the one evaluation run. SemiNaive evaluates the unrewritten
+// program without seeds and selects the answers matching the instantiated
+// query atom; a rewriting strategy evaluates the precompiled rewritten
+// program with the seed facts re-instantiated for this call's constants and
+// reads the rewriting's answer predicate. Either way the evaluation writes
+// to a copy-on-write overlay of the snapshot's store.
 func (pq *PreparedQuery) runBottomUp(ctx context.Context, bound []ast.Term, opts Options, cacheHit bool) (*Result, []Row, error) {
 	form := pq.form
 	var (
@@ -499,11 +456,7 @@ func (pq *PreparedQuery) runBottomUp(ctx context.Context, bound []ast.Term, opts
 	}
 	evalOpts := evalOptions(opts)
 	evalOpts.StopEarly = stopAfterN(opts.FirstN, predKey, pattern)
-	evaluate := form.prepared.EvaluateCtx
-	if pq.opts.Strategy == Naive {
-		evaluate = form.prepared.EvaluateNaiveCtx
-	}
-	store, stats, err := evaluate(ctx, pq.snap.store, seeds, evalOpts)
+	store, stats, err := form.prepared.EvaluateCtx(ctx, pq.snap.store, seeds, evalOpts)
 
 	res := &Result{RewrittenProgram: form.rewrittenSrc, Safety: form.safetyCopy()}
 	pq.stampStats(res, cacheHit, form.rewriting != nil)

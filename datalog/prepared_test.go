@@ -3,6 +3,7 @@ package datalog
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -11,14 +12,13 @@ import (
 // sets and fact counts as a cold one-shot Snapshot.Query, for every strategy,
 // sip policy and a range of bound constants. The one-shot reference runs on
 // a freshly compiled program each time so its form cache is guaranteed cold.
+// The top-down subtests hold prepared magic runs to the top-down oracle on
+// the program adorned under the same sip.
 func TestPreparedDifferential(t *testing.T) {
 	const n = 40
 	constants := []string{"n0", "n10", "n25", "n39", "nowhere"}
 	variants := []Options{
-		{Strategy: Naive},
 		{Strategy: SemiNaive},
-		{Strategy: TopDown},
-		{Strategy: TopDown, Sip: SipPartial},
 		{Strategy: MagicSets},
 		{Strategy: MagicSets, Sip: SipPartial},
 		{Strategy: MagicSets, Sip: SipGreedy},
@@ -65,6 +65,28 @@ func TestPreparedDifferential(t *testing.T) {
 					t.Fatalf("Run(%s): facts %d/%d, one-shot %d/%d", c,
 						got.Stats.DerivedFacts, got.Stats.AuxFacts,
 						want.Stats.DerivedFacts, want.Stats.AuxFacts)
+				}
+			}
+		})
+	}
+	for _, sp := range []SipPolicy{"", SipPartial} {
+		t.Run("top-down/"+string(sp), func(t *testing.T) {
+			opts := Options{Strategy: MagicSets, Sip: sp}
+			pq, err := fx.snap().Prepare("anc(n5, Y)", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range constants {
+				got, err := pq.Run(c)
+				if err != nil {
+					t.Fatalf("Run(%s): %v", c, err)
+				}
+				want, err := topDownAnswers(fx.snap(), fmt.Sprintf("anc(%s, Y)", c), opts)
+				if err != nil {
+					t.Fatalf("top-down(%s): %v", c, err)
+				}
+				if !reflect.DeepEqual(got.AnswerSet(), want) {
+					t.Fatalf("Run(%s) = %v, top-down %v", c, got.AnswerSet(), want)
 				}
 			}
 		})
@@ -292,7 +314,6 @@ func TestConcurrentQueriesAndAsserts(t *testing.T) {
 		{Strategy: MagicSets},
 		{Strategy: SupplementaryMagicSets},
 		{Strategy: SemiNaive},
-		{Strategy: TopDown},
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*rounds+extra)
@@ -344,7 +365,8 @@ func TestConcurrentQueriesAndAsserts(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// After the dust settles every strategy agrees on the final chain.
+	// After the dust settles every strategy and the top-down oracle agree
+	// on the final chain.
 	for _, opts := range strategies {
 		res, err := fx.snap().Query("anc(n0, Y)", opts)
 		if err != nil {
@@ -353,5 +375,8 @@ func TestConcurrentQueriesAndAsserts(t *testing.T) {
 		if len(res.Answers) != initial+extra {
 			t.Fatalf("%s: final answers = %d, want %d", opts.Strategy, len(res.Answers), initial+extra)
 		}
+	}
+	if td, err := topDownAnswers(fx.snap(), "anc(n0, Y)", Options{}); err != nil || len(td) != initial+extra {
+		t.Fatalf("top-down oracle: final answers = %d (err %v), want %d", len(td), err, initial+extra)
 	}
 }

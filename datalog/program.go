@@ -282,7 +282,7 @@ func (p *Program) Analyze(querySrc string, opts Options) (*SafetyReport, error) 
 func (p *Program) buildForm(q ast.Query, opts Options, tab *intern.Table) (*preparedForm, error) {
 	form := &preparedForm{}
 	switch opts.Strategy {
-	case Naive, SemiNaive:
+	case SemiNaive:
 		pp, err := eval.PrepareWith(p.prog, tab, p.plan, false)
 		if err != nil {
 			return nil, fmt.Errorf("datalog: %w", err)
@@ -291,15 +291,12 @@ func (p *Program) buildForm(q ast.Query, opts Options, tab *intern.Table) (*prep
 		for key := range p.prog.DerivedPredicates() {
 			form.derivedKeys = append(form.derivedKeys, key)
 		}
-	case TopDown, MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting:
+	case MagicSets, SupplementaryMagicSets, Counting, SupplementaryCounting:
 		ad, report, err := p.analyze(q, opts)
 		if err != nil {
 			return nil, err
 		}
-		form.adorned, form.safety = ad, report
-		if opts.Strategy == TopDown {
-			break
-		}
+		form.safety = report
 		// The divergence consultation of Section 10: when Theorem 10.3
 		// proves the counting strategies diverge for this form on every
 		// database, don't run them — fall back to the equivalent magic

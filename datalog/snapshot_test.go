@@ -32,7 +32,7 @@ func TestSnapshotPinsAnswers(t *testing.T) {
 		t.Fatalf("snapshot version %d != db version %d", snap.Version(), fx.db.Version())
 	}
 
-	for _, opts := range []Options{{Strategy: MagicSets}, {Strategy: SemiNaive}, {Strategy: TopDown}} {
+	for _, opts := range []Options{{Strategy: MagicSets}, {Strategy: SemiNaive}} {
 		before, err := snap.Query("anc(n0, Y)", opts)
 		if err != nil {
 			t.Fatalf("%s: %v", opts.Strategy, err)
@@ -61,6 +61,16 @@ func TestSnapshotPinsAnswers(t *testing.T) {
 		}
 		if len(live.Answers) != len(before.Answers)+5 {
 			t.Fatalf("%s: a fresh snapshot sees %d answers, want %d", opts.Strategy, len(live.Answers), len(before.Answers)+5)
+		}
+	}
+	// The top-down oracle reads the pinned store too: 10 answers on the old
+	// snapshot, 15 on a fresh one.
+	for _, tc := range []struct {
+		snap *Snapshot
+		want int
+	}{{snap, 10}, {fx.snap(), 15}} {
+		if td, err := topDownAnswers(tc.snap, "anc(n0, Y)", Options{}); err != nil || len(td) != tc.want {
+			t.Fatalf("top-down oracle on version %d: %d answers (err %v), want %d", tc.snap.Version(), len(td), err, tc.want)
 		}
 	}
 }
@@ -404,8 +414,9 @@ func TestSnapshotIsolationUnderRace(t *testing.T) {
 	}
 }
 
-// Concurrent top-down readers of one snapshot read a zero-arity fact and an
-// arity-1 relation committed through the batch path (run with -race). A
+// Concurrent top-down oracle readers of one snapshot read a zero-arity fact
+// and an arity-1 relation committed through the batch path (run with -race),
+// building terms from the pinned rows. A
 // zero-arity relation's slab is empty, so its row count alone says the
 // fact holds; reading its tuple builds the empty tuple and writes nothing.
 func TestSnapshotZeroArityTupleRace(t *testing.T) {
@@ -427,13 +438,13 @@ func TestSnapshotZeroArityTupleRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := snap.Query("out(X)", Options{Strategy: TopDown})
+			answers, err := topDownAnswers(snap, "out(X)", Options{})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if len(res.Answers) != 2 {
-				t.Errorf("got %d answers, want 2", len(res.Answers))
+			if len(answers) != 2 {
+				t.Errorf("got %d answers, want 2", len(answers))
 			}
 		}()
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/ast"
 )
 
 // cycleFixture builds a fixture whose par relation is a cycle of n nodes: the
@@ -88,9 +90,10 @@ func TestPreCancelledContext(t *testing.T) {
 }
 
 // TestStreamFirstNDifferential is the satellite differential test: for every
-// strategy, the rows of Stream with FirstN = k are a subset of the full
-// materialized result, and for the deterministic bottom-up strategies they
-// are exactly its k-answer prefix.
+// strategy, the rows of Stream with FirstN = k are exactly the k-answer
+// prefix of the full materialized result (bottom-up evaluation is
+// deterministic). The top-down subtests cut the oracle off at k answers the
+// same way: they must be k of the engine's full answers.
 func TestStreamFirstNDifferential(t *testing.T) {
 	fx := chainFixture(t, 30)
 	const query = "anc(n5, Y)"
@@ -123,24 +126,34 @@ func TestStreamFirstNDifferential(t *testing.T) {
 				if len(got) != want {
 					t.Fatalf("streamed %d rows, want %d (of %d total)", len(got), want, len(full.Answers))
 				}
-				fullSet := full.AnswerSet()
-				for _, g := range got {
-					if !fullSet[g] {
-						t.Errorf("streamed row %s is not among the full answers", g)
-					}
-				}
-				if strat != TopDown {
-					// Bottom-up evaluation is deterministic, so the truncated
-					// run must reproduce the full run's discovery order: the
-					// streamed rows are a prefix, not just a subset.
-					for i, g := range got {
-						if g != full.Answers[i].String() {
-							t.Errorf("row %d = %s, want prefix element %s", i, g, full.Answers[i])
-						}
+				for i, g := range got {
+					if g != full.Answers[i].String() {
+						t.Errorf("row %d = %s, want prefix element %s", i, g, full.Answers[i])
 					}
 				}
 			})
 		}
+	}
+	full, err := fx.snap().Query(query, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 3, 1000} {
+		t.Run(fmt.Sprintf("top-down/first-%d", k), func(t *testing.T) {
+			got, err := topDownAnswers(fx.snap(), query, Options{FirstN: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(k, len(full.Answers)); len(got) != want {
+				t.Fatalf("top-down first-%d: %d answers, want %d", k, len(got), want)
+			}
+			fullSet := full.AnswerSet()
+			for g := range got {
+				if !fullSet[g] {
+					t.Errorf("top-down answer %s is not among the engine's full answers", g)
+				}
+			}
+		})
 	}
 }
 
@@ -304,23 +317,46 @@ func TestTypedValues(t *testing.T) {
 	}
 }
 
-// TestTypedValuesTopDown pins that the top-down strategy surfaces the same
-// typed interface (its values are term-backed rather than ID-backed).
+// TestTypedValuesTopDown pins the engine's ID-backed typed values against
+// the terms the top-down oracle derives for the same query: every value
+// renders as the oracle's term and reports that term's kind.
 func TestTypedValuesTopDown(t *testing.T) {
-	fx := chainFixture(t, 5)
-	res, err := fx.snap().Query("anc(n0, Y)", Options{Strategy: TopDown})
+	fx := newFixture(t, `
+		held(X, Y) :- item(X, Y).
+		item(a, 1). item(box(b, 2), [c, d]). item(3, f(g)).
+	`)
+	oracle, err := topDown(fx.snap(), "held(X, Y)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	terms := make(map[string][]ast.Term)
+	for _, tuple := range oracle.Answers {
+		terms["("+tuple[0].String()+", "+tuple[1].String()+")"] = tuple
+	}
+	res, err := fx.snap().Query("held(X, Y)", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answers) != 3 || len(terms) != 3 {
+		t.Fatalf("engine %v, top-down %v: want 3 answers each", res.Answers, oracle.Answers)
+	}
 	for _, a := range res.Answers {
-		if a.Vals[0].Kind() != Symbol {
-			t.Errorf("Kind() = %v, want Symbol", a.Vals[0].Kind())
+		tuple, ok := terms[a.String()]
+		if !ok {
+			t.Errorf("answer %s not derived top-down", a)
+			continue
 		}
-		if name, ok := a.Vals[0].Symbol(); !ok || name == "" {
-			t.Errorf("Symbol() = %q, %v", name, ok)
-		}
-		if a.String() != "("+a.Vals[0].String()+")" {
-			t.Errorf("rendered answer mismatch: %q vs %q", a.String(), a.Vals[0].String())
+		for j, v := range a.Vals {
+			want := Symbol
+			switch tuple[j].(type) {
+			case ast.Int:
+				want = Int
+			case ast.Compound:
+				want = Compound
+			}
+			if v.Kind() != want || v.String() != tuple[j].String() {
+				t.Errorf("%s[%d]: kind %v %q, top-down term %s (%v)", a, j, v.Kind(), v.String(), tuple[j], want)
+			}
 		}
 	}
 }

@@ -6,16 +6,13 @@
 // table. Kind, Int and Symbol are O(1) metadata lookups — no term is
 // materialized and nothing is rendered until String is called, which is
 // what lets a caller consume integer or symbol answers without the old
-// ID → term → string round-trip. Values produced by the top-down strategy
-// (whose memo tables live outside the engine's symbol table) carry the
-// term directly; the accessors behave identically.
+// ID → term → string round-trip.
 package datalog
 
 import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/database"
 	"repro/internal/intern"
 )
 
@@ -49,37 +46,25 @@ func (k Kind) String() string {
 // the query that produced them returns (the symbol table backing them is
 // append-only), including across later asserts and retracts.
 type Value struct {
-	// rd/id back a value surfaced from an interned row; term backs a value
-	// built from a materialized term (top-down results). Exactly one of the
-	// two representations is set.
-	rd   *intern.Reader
-	id   intern.ID
-	term ast.Term
+	// rd is the symbol-table view id is read through; nil only in the zero
+	// Value.
+	rd *intern.Reader
+	id intern.ID
 }
 
 // valueOfID wraps an interned ID. The reader is shared by every value of
 // one result.
 func valueOfID(rd *intern.Reader, id intern.ID) Value { return Value{rd: rd, id: id} }
 
-// valueOfTerm wraps a materialized term.
-func valueOfTerm(t ast.Term) Value { return Value{term: t} }
-
 // Kind reports which kind of term the value holds.
 func (v Value) Kind() Kind {
-	if v.rd != nil {
-		switch v.rd.Kind(v.id) {
-		case intern.KindInt:
-			return Int
-		case intern.KindComp:
-			return Compound
-		default:
-			return Symbol
-		}
+	if v.rd == nil {
+		return Symbol // the zero Value is the empty symbol
 	}
-	switch v.term.(type) {
-	case ast.Int:
+	switch v.rd.Kind(v.id) {
+	case intern.KindInt:
 		return Int
-	case ast.Compound:
+	case intern.KindComp:
 		return Compound
 	default:
 		return Symbol
@@ -89,70 +74,50 @@ func (v Value) Kind() Kind {
 // Symbol returns the name of a symbolic constant, reporting false for any
 // other kind.
 func (v Value) Symbol() (string, bool) {
-	if v.rd != nil {
-		if v.rd.Kind(v.id) != intern.KindSym {
-			return "", false
-		}
-		return v.rd.Term(v.id).(ast.Sym).Name, true
-	}
-	if s, ok := v.term.(ast.Sym); ok {
-		return s.Name, true
-	}
-	if v.term == nil {
+	if v.rd == nil {
 		return "", true // the zero Value is the empty symbol
 	}
-	return "", false
+	if v.rd.Kind(v.id) != intern.KindSym {
+		return "", false
+	}
+	return v.rd.Term(v.id).(ast.Sym).Name, true
 }
 
 // Int returns the value of an integer constant, reporting false for any
 // other kind.
 func (v Value) Int() (int64, bool) {
-	if v.rd != nil {
-		return v.rd.IntValue(v.id)
+	if v.rd == nil {
+		return 0, false
 	}
-	if i, ok := v.term.(ast.Int); ok {
-		return i.Value, true
-	}
-	return 0, false
+	return v.rd.IntValue(v.id)
 }
 
 // Compound returns the functor and arguments of a compound value, reporting
 // false for the constant kinds. The argument values share the parent's
-// backing representation.
+// symbol-table view.
 func (v Value) Compound() (functor string, args []Value, ok bool) {
-	if v.rd != nil {
-		functor, ids, ok := v.rd.CompoundParts(v.id)
-		if !ok {
-			return "", nil, false
-		}
-		args = make([]Value, len(ids))
-		for i, id := range ids {
-			args[i] = valueOfID(v.rd, id)
-		}
-		return functor, args, true
-	}
-	c, isComp := v.term.(ast.Compound)
-	if !isComp {
+	if v.rd == nil {
 		return "", nil, false
 	}
-	args = make([]Value, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = valueOfTerm(a)
+	functor, ids, ok := v.rd.CompoundParts(v.id)
+	if !ok {
+		return "", nil, false
 	}
-	return c.Functor, args, true
+	args = make([]Value, len(ids))
+	for i, id := range ids {
+		args[i] = valueOfID(v.rd, id)
+	}
+	return functor, args, true
 }
 
 // String renders the value in source syntax (lists as [a, b], everything
 // else as f(args)). Rendering happens on demand: a caller that consumes
 // values through Kind/Int/Symbol/Compound never pays for it.
 func (v Value) String() string {
-	if v.rd != nil {
-		return v.rd.Term(v.id).String()
-	}
-	if v.term == nil {
+	if v.rd == nil {
 		return ""
 	}
-	return v.term.String()
+	return v.rd.Term(v.id).String()
 }
 
 // Row is one streamed answer: the typed values of the query's free
@@ -179,20 +144,6 @@ func rowsFromIDs(rd *intern.Reader, idRows [][]intern.ID) []Row {
 		row := make(Row, len(ids))
 		for j, id := range ids {
 			row[j] = valueOfID(rd, id)
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// rowsFromTuples wraps materialized term tuples (top-down results) as typed
-// rows.
-func rowsFromTuples(tuples []database.Tuple) []Row {
-	out := make([]Row, len(tuples))
-	for i, t := range tuples {
-		row := make(Row, len(t))
-		for j, term := range t {
-			row[j] = valueOfTerm(term)
 		}
 		out[i] = row
 	}

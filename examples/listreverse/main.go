@@ -80,11 +80,14 @@ func main() {
 	}
 
 	// The counting rewriting works here too (the data is a list, hence
-	// acyclic), and the supplementary variants agree.
-	for _, strat := range []datalog.Strategy{datalog.SupplementaryMagicSets, datalog.Counting, datalog.SupplementaryCounting, datalog.TopDown} {
+	// acyclic), and the supplementary variants agree with magic sets.
+	for _, strat := range []datalog.Strategy{datalog.SupplementaryMagicSets, datalog.Counting, datalog.SupplementaryCounting} {
 		r, err := snap.Query(query, datalog.Options{Strategy: strat})
 		if err != nil {
 			log.Fatalf("%s: %v", strat, err)
+		}
+		if len(r.Answers) != 1 || r.Answers[0].String() != res.Answers[0].String() {
+			log.Fatalf("%s: answers %v, magic sets %v", strat, r.Answers, res.Answers)
 		}
 		fmt.Printf("\n%-24s -> %s (facts %d, aux %d)", strat, r.Answers[0].Vals[0], r.Stats.DerivedFacts, r.Stats.AuxFacts)
 	}

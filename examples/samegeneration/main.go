@@ -63,7 +63,6 @@ func main() {
 	query := "sg(g0_p0, Y)"
 	strategies := []datalog.Options{
 		{Strategy: datalog.SemiNaive},
-		{Strategy: datalog.TopDown},
 		{Strategy: datalog.MagicSets, Sip: datalog.SipFull},
 		{Strategy: datalog.MagicSets, Sip: datalog.SipPartial},
 		{Strategy: datalog.SupplementaryMagicSets},

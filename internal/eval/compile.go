@@ -14,10 +14,10 @@
 // Join order. A variant is named by its leading literal (variantKey). In a
 // semi-naive delta round the leader is the delta occurrence, read from the
 // delta store, so the join is driven from the new facts. In a full-store
-// pass — the first pass of every component, every pass of the naive
-// evaluator — the leader is chosen when the rule fires, from the sizes its
-// body relations have at that moment (evalContext.fullStoreLead): the
-// smallest one, or a literal with constant arguments if the rule has one. A
+// pass — the first pass of every component — the leader is chosen when the
+// rule fires, from the sizes its body relations have at that moment
+// (evalContext.fullStoreLead): the smallest one, or a literal with constant
+// arguments if the rule has one. A
 // rule whose body mentions an empty relation is not run at all. After the
 // leader, sip.GreedyOrder repeatedly takes the literal with the most
 // arguments covered by the variables bound so far, ties going to the textual

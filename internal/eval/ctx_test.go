@@ -69,19 +69,6 @@ func TestEvaluateCtxDeadline(t *testing.T) {
 	}
 }
 
-func TestEvaluateNaiveCtxCancel(t *testing.T) {
-	pp, edb := divergentProgram(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	_, _, err := pp.EvaluateNaiveCtx(ctx, edb, nil, Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled wrap", err)
-	}
-}
-
 func TestNilContextMeansBackground(t *testing.T) {
 	prog := parser.MustParseProgram(ancestorSrc)
 	edb := chainStore(4)
@@ -98,62 +85,50 @@ func TestNilContextMeansBackground(t *testing.T) {
 	}
 }
 
-// TestStopEarlyTruncates pins the between-rounds StopEarly contract on both
-// evaluators: evaluation stops at the first round boundary where the
-// predicate holds, the stats carry StoppedEarly, and no error is reported.
+// TestStopEarlyTruncates pins the between-rounds StopEarly contract:
+// evaluation stops at the first round boundary where the predicate holds,
+// the stats carry StoppedEarly, and no error is reported.
 func TestStopEarlyTruncates(t *testing.T) {
 	prog := parser.MustParseProgram(ancestorSrc)
 	edb := chainStore(64)
 	query := ast.NewAtom("anc", ast.S("n0"), ast.V("Y"))
-	for _, tc := range []struct {
-		name string
-		run  func(pp *Prepared, opts Options) (*database.Store, *Stats, error)
-	}{
-		{"semi-naive", func(pp *Prepared, opts Options) (*database.Store, *Stats, error) {
-			return pp.EvaluateCtx(context.Background(), edb, nil, opts)
-		}},
-		{"naive", func(pp *Prepared, opts Options) (*database.Store, *Stats, error) {
-			return pp.EvaluateNaiveCtx(context.Background(), edb, nil, opts)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pp, err := Prepare(prog, edb.Table())
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, fullStats, err := tc.run(pp, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			truncated, stats, err := tc.run(pp, Options{
-				StopEarly: func(s *database.Store) bool {
-					return CountAnswers(s, "anc", query) >= 1
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !stats.StoppedEarly {
-				t.Error("StoppedEarly = false")
-			}
-			if fullStats.StoppedEarly {
-				t.Error("full run reports StoppedEarly")
-			}
-			if CountAnswers(truncated, "anc", query) == 0 {
-				t.Error("truncated store holds no answers")
-			}
-			if truncated.FactCount("anc") >= full.FactCount("anc") {
-				t.Errorf("truncated run derived %d anc facts, full run %d; expected real truncation",
-					truncated.FactCount("anc"), full.FactCount("anc"))
-			}
-			// Truncation is sound: every derived fact is in the full fixpoint.
-			for _, a := range truncated.Atoms("anc") {
-				if !full.Existing("anc").Contains(database.Tuple(a.Args)) {
-					t.Errorf("truncated run derived %s, which the full fixpoint does not contain", a)
-				}
-			}
+	t.Run("semi-naive", func(t *testing.T) {
+		pp, err := Prepare(prog, edb.Table())
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, fullStats, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		truncated, stats, err := pp.EvaluateCtx(context.Background(), edb, nil, Options{
+			StopEarly: func(s *database.Store) bool {
+				return CountAnswers(s, "anc", query) >= 1
+			},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.StoppedEarly {
+			t.Error("StoppedEarly = false")
+		}
+		if fullStats.StoppedEarly {
+			t.Error("full run reports StoppedEarly")
+		}
+		if CountAnswers(truncated, "anc", query) == 0 {
+			t.Error("truncated store holds no answers")
+		}
+		if truncated.FactCount("anc") >= full.FactCount("anc") {
+			t.Errorf("truncated run derived %d anc facts, full run %d; expected real truncation",
+				truncated.FactCount("anc"), full.FactCount("anc"))
+		}
+		// Truncation is sound: every derived fact is in the full fixpoint.
+		for _, a := range truncated.Atoms("anc") {
+			if !full.Existing("anc").Contains(database.Tuple(a.Args)) {
+				t.Errorf("truncated run derived %s, which the full fixpoint does not contain", a)
+			}
+		}
+	})
 }
 
 // TestAnswerRowsAgreesWithAnswers pins the ID-level answer extraction

@@ -1,12 +1,10 @@
 // Package eval implements bottom-up (fixpoint) evaluation of Horn-clause
 // programs over a database. A program is prepared once (Prepare) and then
-// evaluated by one of two strategies: semi-naive (Prepared.EvaluateCtx) or
-// naive (Prepared.EvaluateNaiveCtx). Both fire rules through the same
-// compiled join pipelines. The semi-naive evaluator runs the components of
-// the program's dependency graph one at a time, in plan order, on the
-// calling goroutine, through one loop (runComponent, fixpoint.go); only a
-// large delta round fans out to shards, which are joined at the round
-// barrier.
+// evaluated semi-naively (Prepared.EvaluateCtx), firing rules through
+// compiled join pipelines. The evaluator runs the components of the
+// program's dependency graph one at a time, in plan order, on the calling
+// goroutine, through one loop (runComponent, fixpoint.go); only a large
+// delta round fans out to shards, which are joined at the round barrier.
 //
 // Bottom-up evaluation is the control strategy the paper's rewritings target
 // (Sections 4-8): the rewritten program is evaluated by plain fixpoint
@@ -46,11 +44,9 @@ var ErrNonGroundFact = errors.New("eval: rule derived a non-ground fact (unsafe 
 // Options configure an evaluation.
 type Options struct {
 	// MaxIterations bounds the number of fixpoint iterations (0 = unlimited).
-	// For the SCC-scheduled semi-naive evaluator the bound applies per
-	// strongly connected component (the unit within which a diverging
-	// program loops), so a wide stratified program with many components
-	// does not trip it; for the naive evaluator it bounds whole-program
-	// rounds as before.
+	// The bound applies per strongly connected component (the unit within
+	// which a diverging program loops), so a wide stratified program with
+	// many components does not trip it.
 	MaxIterations int
 	// MaxFacts bounds the total number of derived facts (0 = unlimited).
 	// Evaluation stops with ErrLimitExceeded when the bound is hit.
@@ -59,26 +55,25 @@ type Options struct {
 	// duplicate (0 = unlimited).
 	MaxDerivations int64
 	// StopEarly, when non-nil, is consulted between fixpoint rounds (before
-	// the first pass of every component and before every delta round of the
-	// semi-naive evaluator; before every iteration of the naive one). A true
+	// the first pass of every component and before every delta round). A true
 	// result truncates the evaluation: the store computed so far is returned
 	// with no error and Stats.StoppedEarly set. The facade uses it for
 	// first-N answer streaming — evaluation stops as soon as the answer
 	// relation holds enough tuples, instead of running the fixpoint to
 	// completion.
 	StopEarly func(store *database.Store) bool
-	// Parallelism is the shard count of the semi-naive evaluator's large
-	// delta rounds: a round of a recursive component whose delta holds at
-	// least partitionThreshold (256) rows is hash-partitioned across this many
+	// Parallelism is the shard count of the evaluator's large delta rounds: a
+	// round of a recursive component whose delta holds at least
+	// partitionThreshold (256) rows is hash-partitioned across this many
 	// goroutines, which the round barrier joins. Components always run one at
 	// a time, in plan order, on the calling goroutine. 0 means GOMAXPROCS; 1
 	// partitions no round; values above maxParallelism (64) are clamped to
-	// it. The naive evaluator ignores the setting. Every setting derives the
-	// same store, and an evaluation whose rounds all stay below the threshold
-	// reports the same Stats at every setting; under MaxDerivations the point
-	// at which the limit error surfaces may differ by a bounded overshoot
-	// when rounds are partitioned (the shards' counts are enforced globally
-	// at round barriers and every ctxCheckInterval firings).
+	// it. Every setting derives the same store, and an evaluation whose
+	// rounds all stay below the threshold reports the same Stats at every
+	// setting; under MaxDerivations the point at which the limit error
+	// surfaces may differ by a bounded overshoot when rounds are partitioned
+	// (the shards' counts are enforced globally at round barriers and every
+	// ctxCheckInterval firings).
 	Parallelism int
 }
 
@@ -105,10 +100,9 @@ func (o Options) parallelism() int {
 // (Section 9) and the performance study it cites ([5]) reason about.
 type Counters struct {
 	// Derivations is the number of successful rule instantiations, including
-	// ones that re-derive an already known fact (body instantiations for the
-	// top-down strategy).
+	// ones that re-derive an already known fact.
 	Derivations int64 `json:"derivations"`
-	// Iterations is the number of fixpoint iterations (top-down: passes).
+	// Iterations is the number of fixpoint iterations.
 	Iterations int `json:"iterations"`
 	// JoinProbes counts tuple match attempts during body evaluation: every
 	// candidate tuple the executor tested against a body literal, whether it
@@ -118,9 +112,7 @@ type Counters struct {
 	// for a compiled evaluation it is exactly IndexHits + ScanRows.
 	JoinProbes int64 `json:"join_probes,omitempty"`
 	// Strata is the number of strongly connected components of the
-	// derived-predicate dependency graph the semi-naive evaluator scheduled
-	// (0 for the naive evaluator, which iterates over the whole program, and
-	// for the top-down strategy).
+	// derived-predicate dependency graph the evaluator scheduled.
 	Strata int `json:"strata,omitempty"`
 	// IndexProbes is the number of bound-column index lookups the evaluation
 	// performed against the store (main and delta sides); IndexHits is the
@@ -165,14 +157,10 @@ type Counters struct {
 // the bookkeeping only this package's callers read.
 type Stats struct {
 	Counters
-	// Strategy is the name of the evaluator that produced the stats.
-	Strategy string
 	// NewFacts is the number of distinct derived facts added to the store.
 	NewFacts int
 	// RuleFirings counts successful instantiations per rule index.
 	RuleFirings map[int]int64
-	// FactsByPredicate counts the distinct derived facts per predicate key.
-	FactsByPredicate map[string]int
 	// DeltaRuleEvals counts rule evaluations performed in delta iterations;
 	// SkippedRuleEvals counts the rule evaluations the scheduler skipped
 	// without running: a delta occurrence whose predicate had an empty delta
@@ -196,8 +184,7 @@ func (s *Stats) addFiring(rule int) {
 // ordinary unsynchronized paths, and merge runs after the last round's
 // barrier, so no counter is ever touched by two goroutines at once. A shard's
 // NewFacts is zero: the barrier's merge into the main store counts the rows
-// it adds on the root. FactsByPredicate is left to finish, which reads the
-// authoritative store.
+// it adds on the root.
 func (s *Stats) merge(w *Stats) {
 	s.Iterations += w.Iterations
 	s.Derivations += w.Derivations
@@ -219,12 +206,6 @@ func (s *Stats) merge(w *Stats) {
 	s.OpProbes += w.OpProbes
 	s.OpScans += w.OpScans
 	s.WorkerRounds += w.WorkerRounds
-}
-
-// String renders a short human-readable summary.
-func (s *Stats) String() string {
-	return fmt.Sprintf("%s: %d iterations, %d derivations, %d new facts, %d join probes",
-		s.Strategy, s.Iterations, s.Derivations, s.NewFacts, s.JoinProbes)
 }
 
 // variantKey identifies one compiled pipeline variant of a program: a rule
@@ -343,7 +324,8 @@ type runPipe struct {
 	sc *pipeScratch
 }
 
-// evalContext carries the shared machinery of both evaluators.
+// evalContext carries the machinery of one evaluation, one shard of it, or
+// one maintenance run.
 type evalContext struct {
 	prep  *Prepared
 	store *database.Store
@@ -378,16 +360,13 @@ type evalContext struct {
 func (ctx *evalContext) fork(fp *fixpoint) *evalContext {
 	w := *ctx
 	w.bound = make(map[variantKey]*runPipe)
-	w.stats = &Stats{
-		Strategy:    ctx.stats.Strategy,
-		RuleFirings: make(map[int]int64),
-	}
+	w.stats = &Stats{RuleFirings: make(map[int]int64)}
 	w.fp = fp
 	w.flushedDerivations = 0
 	return &w
 }
 
-func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []ast.Atom, opts Options, name string) (*evalContext, error) {
+func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []ast.Atom, opts Options) (*evalContext, error) {
 	if edb.Table() != pp.tab {
 		return nil, fmt.Errorf("eval: store interns into a different symbol table than the prepared program")
 	}
@@ -400,11 +379,7 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 		opts:  opts,
 		ctx:   c,
 		bound: make(map[variantKey]*runPipe),
-		stats: &Stats{
-			Strategy:         name,
-			RuleFirings:      make(map[int]int64),
-			FactsByPredicate: make(map[string]int),
-		},
+		stats: &Stats{RuleFirings: make(map[int]int64)},
 	}
 	ctx.reader = ctx.store.Table().Reader()
 	// Pre-create relations for every derived predicate so lookups during
@@ -610,49 +585,6 @@ func (ctx *evalContext) stopRequested() bool {
 	return false
 }
 
-// finish fills the derived-fact counts and returns the final result.
-func (ctx *evalContext) finish(err error) (*database.Store, *Stats, error) {
-	for key := range ctx.prep.derived {
-		ctx.stats.FactsByPredicate[key] = ctx.store.FactCount(key)
-	}
-	return ctx.store, ctx.stats, err
-}
-
-// EvaluateNaiveCtx runs the naive strategy — every round re-evaluates every
-// rule against the full store until no new fact appears — over an overlay of
-// edb extended with the seed facts (see EvaluateCtx for the overlay
-// contract). The context is checked before every whole-program round and
-// once every ctxCheckInterval rule firings within a round, and its error
-// (wrapped, and distinct from ErrLimitExceeded) is returned together with the
-// partial store when the evaluation is cancelled or times out.
-func (pp *Prepared) EvaluateNaiveCtx(c context.Context, edb *database.Store, seeds []ast.Atom, opts Options) (*database.Store, *Stats, error) {
-	ctx, err := newContext(c, pp, edb, seeds, opts, "naive")
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
-		if err := ctx.ctxErr(); err != nil {
-			return ctx.finish(err)
-		}
-		if ctx.stopRequested() {
-			return ctx.finish(nil)
-		}
-		ctx.stats.Iterations++
-		if opts.MaxIterations > 0 && ctx.stats.Iterations > opts.MaxIterations {
-			return ctx.finish(fmt.Errorf("%w: more than %d iterations", ErrLimitExceeded, opts.MaxIterations))
-		}
-		before := ctx.stats.NewFacts
-		for i := range pp.program.Rules {
-			if err := ctx.fireRule(i, -1, nil, nil); err != nil {
-				return ctx.finish(err)
-			}
-		}
-		if ctx.stats.NewFacts == before {
-			return ctx.finish(nil)
-		}
-	}
-}
-
 // EvaluateCtx runs the semi-naive strategy over a copy-on-write overlay of
 // edb extended with the seed facts: the base store's facts are shared, not
 // copied, and only the derived (and seeded) relations are private to this
@@ -675,12 +607,13 @@ func (pp *Prepared) EvaluateNaiveCtx(c context.Context, edb *database.Store, see
 // is distinct from ErrLimitExceeded and returned together with the partially
 // computed store. Options.StopEarly is likewise consulted between rounds.
 func (pp *Prepared) EvaluateCtx(c context.Context, edb *database.Store, seeds []ast.Atom, opts Options) (*database.Store, *Stats, error) {
-	root, err := newContext(c, pp, edb, seeds, opts, "semi-naive")
+	root, err := newContext(c, pp, edb, seeds, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	root.stats.Strata = pp.plan.Strata()
-	return root.finish(newFixpoint(root, pp.plan, opts.parallelism()).run())
+	err = newFixpoint(root, pp.plan, opts.parallelism()).run()
+	return root.store, root.stats, err
 }
 
 // answerSelection locates the tuples of the given relation that match the

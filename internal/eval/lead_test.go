@@ -56,7 +56,7 @@ func assertLeadInvariant(t *testing.T, label string, prog *ast.Program, edb *dat
 		}
 	}
 	for k := 0; k < longest; k++ {
-		ctx, err := newContext(context.Background(), pp, edb, nil, Options{}, "forced-lead")
+		ctx, err := newContext(context.Background(), pp, edb, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestFullStoreLeadFollowsSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, err := newContext(context.Background(), pp, edb, nil, Options{}, "test")
+		ctx, err := newContext(context.Background(), pp, edb, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

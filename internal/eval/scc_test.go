@@ -123,18 +123,15 @@ func TestSCCSchedulingMatchesWholeProgramIteration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nv, nvStats, err := naive(prog, tc.edb, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameFixpoint(t, prog, sn, nv, "semi-naive(SCC)", "naive")
-			sameFixpoint(t, prog, nv, sn, "naive", "semi-naive(SCC)")
+			ref := naiveOracle(t, prog, tc.edb)
+			sameFixpoint(t, prog, sn, ref.store, "semi-naive(SCC)", "naive")
+			sameFixpoint(t, prog, ref.store, sn, "naive", "semi-naive(SCC)")
 			if snStats.Strata != tc.strata {
 				t.Errorf("strata = %d, want %d", snStats.Strata, tc.strata)
 			}
-			if snStats.Derivations > nvStats.Derivations {
+			if snStats.Derivations > ref.derivations {
 				t.Errorf("SCC semi-naive did more derivations (%d) than naive (%d)",
-					snStats.Derivations, nvStats.Derivations)
+					snStats.Derivations, ref.derivations)
 			}
 		})
 	}
@@ -158,11 +155,7 @@ func TestSCCSchedulingOnSeededMagicProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, _, err := naive(prog, edb, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameFixpoint(t, prog, sn, nv, "semi-naive(SCC)", "naive")
+	sameFixpoint(t, prog, sn, naiveOracle(t, prog, edb).store, "semi-naive(SCC)", "naive")
 	if stats.Strata != 2 {
 		t.Errorf("strata = %d, want 2 (magic_anc before anc)", stats.Strata)
 	}

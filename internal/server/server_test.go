@@ -358,7 +358,7 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("prepare: status %d", st)
 	}
 	st = doJSON(t, "POST", ts.URL+"/v1/query", "", QueryRequest{
-		QueryEntry: QueryEntry{PreparedID: prep.PreparedID, Options: &datalog.Options{Strategy: datalog.Naive}},
+		QueryEntry: QueryEntry{PreparedID: prep.PreparedID, Options: &datalog.Options{Strategy: datalog.SemiNaive}},
 	}, &errResp)
 	check("form-shaping option on a prepared handle", st, http.StatusBadRequest, CodeBadRequest)
 
@@ -417,6 +417,33 @@ func TestServerErrors(t *testing.T) {
 	}
 	if m := stats.Tenants["metered"]; m.LimitExceeded == 0 {
 		t.Errorf("metered tenant should have recorded limit hits: %+v", m)
+	}
+}
+
+// TestRemovedStrategiesRejected pins that naive and top-down evaluation,
+// which are test oracles rather than strategies, are unknown strategies on
+// the wire: a query or a prepare naming one is a 400 with the
+// unknown-strategy message.
+func TestRemovedStrategiesRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if st := doJSON(t, "POST", ts.URL+"/v1/programs", "", ProgramRequest{Source: ancProgram}, nil); st != http.StatusOK {
+		t.Fatalf("programs: status %d", st)
+	}
+	for _, name := range []datalog.Strategy{"top-down", "naive"} {
+		opts := datalog.Options{Strategy: name}
+		for path, body := range map[string]any{
+			"/v1/query":   QueryRequest{QueryEntry: QueryEntry{Query: "anc(n0, Y)", Options: &opts}},
+			"/v1/prepare": PrepareRequest{Query: "anc(n0, Y)", Options: opts},
+		} {
+			var errResp struct {
+				Error *WireError `json:"error"`
+			}
+			st := doJSON(t, "POST", ts.URL+path, "", body, &errResp)
+			if st != http.StatusBadRequest || errResp.Error == nil || errResp.Error.Code != CodeBadRequest ||
+				!strings.Contains(errResp.Error.Message, "unknown strategy") {
+				t.Errorf("%s with strategy %q: status %d, error %+v; want 400 unknown strategy", path, name, st, errResp.Error)
+			}
+		}
 	}
 }
 
