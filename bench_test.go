@@ -441,7 +441,7 @@ func BenchmarkParser(b *testing.B) {
 func BenchmarkDatabaseInsertLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rel := database.NewRelation("e", 2)
+		rel := database.NewRelationWith(intern.NewTable(), "e", 2)
 		for j := 0; j < 200; j++ {
 			rel.MustInsert(database.Tuple{ast.I(int64(j % 50)), ast.I(int64(j))})
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -17,9 +18,86 @@ import (
 // readmeProgram is the -program file of the boot command in README.md.
 var readmeProgram = filepath.Join("..", "..", "examples", "programs", "ancestor_rules.dl")
 
-// TestBootServeShutdown boots datalogd the way the README does, on a port
-// of the kernel's choosing, and drives one write and one read through it
-// before stopping it with the signal main forwards.
+// daemon is one datalogd booted in-process by run, on a port of the
+// kernel's choosing.
+type daemon struct {
+	base string
+	stop chan os.Signal
+	done chan error
+}
+
+// boot starts run with args and waits until it accepts connections.
+func boot(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{stop: make(chan os.Signal, 1), done: make(chan error, 1)}
+	ready := make(chan string, 1)
+	go func() { d.done <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), d.stop, ready) }()
+	select {
+	case addr := <-ready:
+		d.base = "http://" + addr
+	case err := <-d.done:
+		t.Fatalf("datalogd exited during boot: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("datalogd did not start listening")
+	}
+	return d
+}
+
+// call sends a request (a GET when body is empty, else a JSON POST),
+// requires 200 and decodes the reply into out.
+func (d *daemon) call(t *testing.T, path, body string, out any) {
+	t.Helper()
+	var resp *http.Response
+	var err error
+	if body == "" {
+		resp, err = http.Get(d.base + path)
+	} else {
+		resp, err = http.Post(d.base+path, "application/json", strings.NewReader(body))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", path, resp.StatusCode, data)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatalf("%s: %v in %s", path, err, data)
+	}
+}
+
+// shutdown sends the signal main forwards and requires a clean exit.
+func (d *daemon) shutdown(t *testing.T) {
+	t.Helper()
+	d.stop <- syscall.SIGTERM
+	select {
+	case err := <-d.done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("datalogd did not shut down")
+	}
+}
+
+// ancestors queries anc(john, Y) and returns the answers in reply order.
+func (d *daemon) ancestors(t *testing.T) []string {
+	t.Helper()
+	var reply server.QueryResponse
+	d.call(t, "/v1/query", `{"query": "anc(john, Y)"}`, &reply)
+	if len(reply.Results) != 1 {
+		t.Fatalf("anc(john, Y): %d result sets, want 1", len(reply.Results))
+	}
+	var out []string
+	for _, a := range reply.Results[0].Answers {
+		out = append(out, fmt.Sprint(a[0]))
+	}
+	return out
+}
+
+// TestBootServeShutdown boots datalogd the way the README does and drives
+// one write and one read through it before stopping it.
 func TestBootServeShutdown(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -29,39 +107,8 @@ func TestBootServeShutdown(t *testing.T) {
 		t.Fatal("README.md no longer boots with the program file this test boots with")
 	}
 
-	stop := make(chan os.Signal, 1)
-	ready := make(chan string, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-program", readmeProgram, "-timeout", "5s"}, stop, ready)
-	}()
-	var base string
-	select {
-	case addr := <-ready:
-		base = "http://" + addr
-	case err := <-done:
-		t.Fatalf("datalogd exited during boot: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("datalogd did not start listening")
-	}
-
-	post := func(path, body string, out any) {
-		t.Helper()
-		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, data)
-		}
-		if err := json.Unmarshal(data, out); err != nil {
-			t.Fatalf("POST %s: %v in %s", path, err, data)
-		}
-	}
-
-	resp, err := http.Get(base + "/healthz")
+	d := boot(t, "-program", readmeProgram, "-timeout", "5s")
+	resp, err := http.Get(d.base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,24 +117,44 @@ func TestBootServeShutdown(t *testing.T) {
 		t.Fatalf("/healthz: status %d", resp.StatusCode)
 	}
 	var txn server.TxnResponse
-	post("/v1/txn", `{"assert_text": "par(john, mary)."}`, &txn)
+	d.call(t, "/v1/txn", `{"assert_text": "par(john, mary)."}`, &txn)
 	if txn.Version != 1 {
 		t.Fatalf("txn version = %d, want 1", txn.Version)
 	}
-	var reply server.QueryResponse
-	post("/v1/query", `{"query": "anc(john, Y)"}`, &reply)
-	if len(reply.Results) != 1 || len(reply.Results[0].Answers) != 1 || reply.Results[0].Answers[0][0] != "mary" {
-		t.Fatalf("anc(john, Y) over the boot program = %+v, want the one answer mary", reply.Results)
+	if got := d.ancestors(t); len(got) != 1 || got[0] != "mary" {
+		t.Fatalf("anc(john, Y) over the boot program = %v, want the one answer mary", got)
 	}
+	d.shutdown(t)
+}
 
-	stop <- syscall.SIGTERM
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("datalogd did not shut down")
+// TestDurableShutdownRecovers pins the -data-dir shutdown path: SIGTERM
+// checkpoints the final state and seals the log, so a second boot on the
+// same directory recovers the committed version from the checkpoint alone,
+// sees the seal, and answers from the recovered facts.
+func TestDurableShutdownRecovers(t *testing.T) {
+	dir := t.TempDir()
+	d := boot(t, "-program", readmeProgram, "-data-dir", dir)
+	var txn server.TxnResponse
+	d.call(t, "/v1/txn", `{"assert_text": "par(john, mary). par(mary, sue)."}`, &txn)
+	if txn.Version == 0 {
+		t.Fatal("txn committed no version")
+	}
+	d.shutdown(t)
+
+	d = boot(t, "-program", readmeProgram, "-data-dir", dir)
+	defer d.shutdown(t)
+	var stats server.StatsResponse
+	d.call(t, "/v1/stats", "", &stats)
+	ds := stats.Durability
+	if ds == nil {
+		t.Fatal("/v1/stats of a -data-dir server has no durability section")
+	}
+	if ds.RecoveredVersion != txn.Version || !ds.CleanShutdown || ds.ReplayedRecords != 0 {
+		t.Fatalf("reboot: recovered_version %d, clean_shutdown %v, replayed_records %d; want %d, true, 0 (a final checkpoint covering a sealed log)",
+			ds.RecoveredVersion, ds.CleanShutdown, ds.ReplayedRecords, txn.Version)
+	}
+	if got := d.ancestors(t); len(got) != 2 || got[0] != "mary" || got[1] != "sue" {
+		t.Fatalf("anc(john, Y) after reboot = %v, want [mary sue]", got)
 	}
 }
 

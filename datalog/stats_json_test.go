@@ -8,8 +8,8 @@ import (
 )
 
 // TestStatsJSONGolden pins the JSON wire shape of Stats: the field names are
-// a stable contract consumed by cmd/datalogd responses and the datalogbench
-// archives, so they must not drift with Go field renames. A fully populated
+// a stable contract of cmd/datalogd's responses, so they must not drift
+// with Go field renames. A fully populated
 // struct exercises every tag; the zero-ish struct pins which fields are
 // omitempty.
 func TestStatsJSONGolden(t *testing.T) {

@@ -211,7 +211,7 @@ func MeasureRewriting(name string, rw *rewrite.Rewriting, edb *database.Store, o
 	if store == nil {
 		return run
 	}
-	run.Answers = len(eval.Answers(store, rw.AnswerPred, rw.AnswerPattern))
+	run.Answers = eval.CountAnswers(store, rw.AnswerPred, rw.AnswerPattern)
 	for key := range rw.Program.DerivedPredicates() {
 		n := store.FactCount(key)
 		if _, aux := rw.AuxPredicates[key]; aux {
@@ -246,7 +246,7 @@ func MeasureProgram(name string, p *ast.Program, query ast.Query, edb *database.
 	if store == nil {
 		return run
 	}
-	run.Answers = len(eval.Answers(store, query.Atom.PredKey(), query.Atom))
+	run.Answers = eval.CountAnswers(store, query.Atom.PredKey(), query.Atom)
 	for key := range p.DerivedPredicates() {
 		run.DerivedFacts += store.FactCount(key)
 	}

@@ -1,9 +1,6 @@
 package ast
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Adornment is a binding-pattern string over the alphabet {b, f}
 // (Section 3 of the paper): position i is 'b' if the i-th argument of the
@@ -27,10 +24,6 @@ func (a Adornment) BoundCount() int {
 	return n
 }
 
-// AllFree reports whether the adornment contains no bound positions
-// (including the empty adornment).
-func (a Adornment) AllFree() bool { return a.BoundCount() == 0 }
-
 // Valid reports whether the adornment uses only the letters 'b' and 'f'.
 func (a Adornment) Valid() bool {
 	for i := 0; i < len(a); i++ {
@@ -39,11 +32,6 @@ func (a Adornment) Valid() bool {
 		}
 	}
 	return true
-}
-
-// AllFreeAdornment returns the adornment of length n consisting of f's only.
-func AllFreeAdornment(n int) Adornment {
-	return Adornment(strings.Repeat("f", n))
 }
 
 // AdornmentFor builds an adornment for the given argument terms: position i
@@ -184,23 +172,6 @@ func AtomVarSet(a Atom) map[string]bool {
 		set[v] = true
 	}
 	return set
-}
-
-// AtomKey returns a canonical string encoding of a ground atom suitable for
-// use as a map key (predicate identity plus the encoding of each argument).
-func AtomKey(a Atom) string {
-	var b strings.Builder
-	if a.Negated {
-		b.WriteByte('!')
-	}
-	b.WriteString(a.PredKey())
-	b.WriteByte('/')
-	fmt.Fprintf(&b, "%d", len(a.Args))
-	b.WriteByte('|')
-	for _, t := range a.Args {
-		writeKey(&b, t)
-	}
-	return b.String()
 }
 
 // BoundArgs returns the arguments of the atom at positions marked bound by

@@ -192,27 +192,6 @@ func (p *Program) DerivedPredicates() map[string]bool {
 	return set
 }
 
-// BasePredicates returns the set of predicate keys that appear only in rule
-// bodies (base predicates, EDB).
-func (p *Program) BasePredicates() map[string]bool {
-	derived := p.DerivedPredicates()
-	set := make(map[string]bool)
-	for _, r := range p.Rules {
-		for _, b := range r.Body {
-			if !derived[b.PredKey()] {
-				set[b.PredKey()] = true
-			}
-		}
-	}
-	return set
-}
-
-// IsDerived reports whether the atom's predicate is defined by a rule head in
-// the program.
-func (p *Program) IsDerived(a Atom) bool {
-	return p.DerivedPredicates()[a.PredKey()]
-}
-
 // RulesFor returns the indices of the rules whose head predicate matches the
 // given predicate key, in program order.
 func (p *Program) RulesFor(predKey string) []int {
@@ -392,21 +371,6 @@ func (p *Program) StronglyConnectedComponents() [][]string {
 	return sccs
 }
 
-// IsRecursive reports whether the program contains a derived predicate that
-// depends on itself, directly or through other derived predicates.
-func (p *Program) IsRecursive() bool {
-	deps := p.PredicateDependencies()
-	for _, comp := range p.StronglyConnectedComponents() {
-		if len(comp) > 1 {
-			return true
-		}
-		if len(comp) == 1 && deps[comp[0]][comp[0]] {
-			return true
-		}
-	}
-	return false
-}
-
 // Query is a single-predicate query q(c̄, X̄)?: a predicate occurrence whose
 // ground arguments are the bound arguments and whose variables are free.
 type Query struct {
@@ -437,18 +401,6 @@ func (q Query) BoundConstants() []Term {
 	for _, t := range q.Atom.Args {
 		if IsGround(t) {
 			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// FreeVariables returns the names of the non-ground (variable) argument
-// positions in order.
-func (q Query) FreeVariables() []string {
-	var out []string
-	for _, t := range q.Atom.Args {
-		if !IsGround(t) {
-			out = Vars(t, out)
 		}
 	}
 	return out

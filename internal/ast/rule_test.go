@@ -103,21 +103,6 @@ func TestDerivedAndBasePredicates(t *testing.T) {
 	if !derived["sg"] || len(derived) != 1 {
 		t.Errorf("derived = %v", derived)
 	}
-	base := p.BasePredicates()
-	for _, b := range []string{"up", "flat", "down"} {
-		if !base[b] {
-			t.Errorf("expected %s to be a base predicate", b)
-		}
-	}
-	if base["sg"] {
-		t.Error("sg must not be a base predicate")
-	}
-	if !p.IsDerived(NewAtom("sg", V("X"), V("Y"))) {
-		t.Error("IsDerived(sg) should be true")
-	}
-	if p.IsDerived(NewAtom("up", V("X"), V("Y"))) {
-		t.Error("IsDerived(up) should be false")
-	}
 }
 
 func TestRulesForAndArities(t *testing.T) {
@@ -165,15 +150,6 @@ func TestSCCAndRecursion(t *testing.T) {
 	if sccs[0][0] != "sg" || sccs[1][0] != "p" {
 		t.Errorf("SCC order = %v, want [[sg] [p]]", sccs)
 	}
-	if !p.IsRecursive() {
-		t.Error("program is recursive")
-	}
-	nonrec := NewProgram(
-		NewRule(NewAtom("gp", V("X"), V("Y")), NewAtom("par", V("X"), V("Z")), NewAtom("par", V("Z"), V("Y"))),
-	)
-	if nonrec.IsRecursive() {
-		t.Error("grandparent program is not recursive")
-	}
 }
 
 func TestQuery(t *testing.T) {
@@ -183,9 +159,6 @@ func TestQuery(t *testing.T) {
 	}
 	if len(q.BoundConstants()) != 1 || !Equal(q.BoundConstants()[0], S("john")) {
 		t.Errorf("bound constants = %v", q.BoundConstants())
-	}
-	if vs := q.FreeVariables(); len(vs) != 1 || vs[0] != "Y" {
-		t.Errorf("free vars = %v", vs)
 	}
 	if q.String() != "anc(john, Y)?" {
 		t.Errorf("query string = %s", q.String())
@@ -211,14 +184,8 @@ func TestAdornmentHelpers(t *testing.T) {
 	if a.BoundCount() != 2 {
 		t.Errorf("BoundCount = %d", a.BoundCount())
 	}
-	if a.AllFree() || !Adornment("ff").AllFree() || !Adornment("").AllFree() {
-		t.Error("AllFree wrong")
-	}
 	if !a.Valid() || Adornment("bx").Valid() {
 		t.Error("Valid wrong")
-	}
-	if AllFreeAdornment(3) != "fff" {
-		t.Error("AllFreeAdornment wrong")
 	}
 	got := AdornmentFor(
 		[]Term{V("X"), V("Y"), C("f", V("X"), V("Z")), S("a")},
@@ -260,11 +227,6 @@ func TestAtomHelpers(t *testing.T) {
 	}
 	if EqualAtoms(a, NewAdornedAtom("sg", "bb", S("john"), V("Y"))) {
 		t.Error("EqualAtoms must distinguish adornments")
-	}
-	k1 := AtomKey(NewAtom("p", S("a"), S("b")))
-	k2 := AtomKey(NewAtom("p", S("ab")))
-	if k1 == k2 {
-		t.Error("AtomKey collision")
 	}
 }
 

@@ -74,15 +74,6 @@ func (s Subst) ApplyAtom(a Atom) Atom {
 	return Atom{Pred: a.Pred, Adorn: a.Adorn, Args: args}
 }
 
-// ApplyRule applies the substitution to the head and every body atom.
-func (s Subst) ApplyRule(r Rule) Rule {
-	body := make([]Atom, len(r.Body))
-	for i, b := range r.Body {
-		body[i] = s.ApplyAtom(b)
-	}
-	return Rule{Head: s.ApplyAtom(r.Head), Body: body}
-}
-
 // Bind adds the binding name ↦ t to the substitution. It panics if the
 // variable is already bound to a different term; callers are expected to
 // check with Lookup first or to use Unify.
@@ -249,21 +240,6 @@ func MatchAtom(pattern Atom, tuple []Term, s Subst) bool {
 	return true
 }
 
-// Compose returns the composition s2 ∘ s1: applying the result is equivalent
-// to applying s1 and then s2. Neither input is modified.
-func Compose(s1, s2 Subst) Subst {
-	out := make(Subst, len(s1)+len(s2))
-	for k, v := range s1 {
-		out[k] = s2.Apply(v)
-	}
-	for k, v := range s2 {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // RenameApart returns a copy of the rule whose variables are renamed with the
 // given suffix index so that they cannot clash with variables of other rules
 // or of a query. Renamed variables have the form name#idx.
@@ -282,21 +258,4 @@ func RenameApart(r Rule, idx int) Rule {
 		body[i] = RenameAtom(b, rename)
 	}
 	return Rule{Head: RenameAtom(r.Head, rename), Body: body}
-}
-
-// FreshVarFactory returns a function producing fresh variable names with the
-// given prefix (prefix_1, prefix_2, ...), avoiding any name in the given
-// used set. The used set is updated as names are handed out.
-func FreshVarFactory(prefix string, used map[string]bool) func() string {
-	i := 0
-	return func() string {
-		for {
-			i++
-			name := prefix + "_" + strconv.Itoa(i)
-			if !used[name] {
-				used[name] = true
-				return name
-			}
-		}
-	}
 }

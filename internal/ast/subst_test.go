@@ -99,10 +99,10 @@ func TestApplyAtomAndRule(t *testing.T) {
 		NewAtom("par", V("X"), V("Z")),
 		NewAtom("anc", V("Z"), V("Y")),
 	)
-	got := s.ApplyRule(r)
+	got := NewRule(s.ApplyAtom(r.Head), s.ApplyAtom(r.Body[0]), s.ApplyAtom(r.Body[1]))
 	want := "anc(john, Y) :- par(john, W), anc(W, Y)."
 	if got.String() != want {
-		t.Errorf("ApplyRule = %s, want %s", got, want)
+		t.Errorf("ApplyAtom over the rule = %s, want %s", got, want)
 	}
 }
 
@@ -123,18 +123,6 @@ func TestUnifyAtoms(t *testing.T) {
 	d := NewAtom("up", V("X"), V("Y"))
 	if UnifyAtoms(a, d, NewSubst()) {
 		t.Error("atoms with different predicates must not unify")
-	}
-}
-
-func TestCompose(t *testing.T) {
-	s1 := Subst{"X": V("Y")}
-	s2 := Subst{"Y": S("a")}
-	c := Compose(s1, s2)
-	if !Equal(c.Apply(V("X")), S("a")) {
-		t.Errorf("compose: X = %s, want a", c.Apply(V("X")))
-	}
-	if !Equal(c.Apply(V("Y")), S("a")) {
-		t.Errorf("compose: Y = %s, want a", c.Apply(V("Y")))
 	}
 }
 
@@ -179,15 +167,6 @@ func TestRenameApart(t *testing.T) {
 	// Shared variables stay shared.
 	if renamed.Body[0].Args[1].String() != renamed.Body[1].Args[0].String() {
 		t.Error("shared variable Z lost its sharing after renaming")
-	}
-}
-
-func TestFreshVarFactory(t *testing.T) {
-	used := map[string]bool{"T_1": true}
-	fresh := FreshVarFactory("T", used)
-	a, b := fresh(), fresh()
-	if a == "T_1" || b == "T_1" || a == b {
-		t.Errorf("fresh names %q %q must be new and distinct", a, b)
 	}
 }
 

@@ -19,9 +19,9 @@
 //
 // Every Store owns its own intern.Table (shared with its clones and
 // siblings), so a long-lived process evaluating many independent programs
-// does not grow a process-wide append-only symbol table without bound.
-// Relations created standalone with NewRelation use the package-level
-// default table of internal/intern.
+// does not grow one shared append-only symbol table without bound.
+// A relation created standalone with NewRelationWith interns into the
+// table it is given.
 package database
 
 import (
@@ -286,13 +286,8 @@ type Relation struct {
 	pins atomic.Int32
 }
 
-// NewRelation creates an empty relation with the given predicate key and
-// arity, interning into the package-level default table of internal/intern.
-func NewRelation(name string, arity int) *Relation {
-	return NewRelationWith(intern.Global(), name, arity)
-}
-
-// NewRelationWith creates an empty relation interning into the given table.
+// NewRelationWith creates an empty relation with the given predicate key
+// and arity, interning into the given table.
 func NewRelationWith(tab *intern.Table, name string, arity int) *Relation {
 	return &Relation{Name: name, Arity: arity, tab: tab}
 }

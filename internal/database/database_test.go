@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ast"
+	"repro/internal/intern"
 )
 
 func tup(names ...string) Tuple {
@@ -18,7 +19,7 @@ func tup(names ...string) Tuple {
 }
 
 func TestRelationInsertAndDedup(t *testing.T) {
-	r := NewRelation("par", 2)
+	r := NewRelationWith(intern.NewTable(), "par", 2)
 	ok, err := r.Insert(tup("john", "mary"))
 	if err != nil || !ok {
 		t.Fatalf("first insert: ok=%v err=%v", ok, err)
@@ -36,7 +37,7 @@ func TestRelationInsertAndDedup(t *testing.T) {
 }
 
 func TestRelationInsertErrors(t *testing.T) {
-	r := NewRelation("par", 2)
+	r := NewRelationWith(intern.NewTable(), "par", 2)
 	if _, err := r.Insert(tup("only_one")); err == nil {
 		t.Error("arity mismatch must error")
 	}
@@ -46,7 +47,7 @@ func TestRelationInsertErrors(t *testing.T) {
 }
 
 func TestRelationLookup(t *testing.T) {
-	r := NewRelation("par", 2)
+	r := NewRelationWith(intern.NewTable(), "par", 2)
 	r.MustInsert(tup("john", "mary"))
 	r.MustInsert(tup("john", "sue"))
 	r.MustInsert(tup("mary", "bob"))
@@ -74,7 +75,7 @@ func TestRelationLookup(t *testing.T) {
 }
 
 func TestRelationIndexMaintainedAfterInsert(t *testing.T) {
-	r := NewRelation("e", 2)
+	r := NewRelationWith(intern.NewTable(), "e", 2)
 	r.MustInsert(tup("a", "b"))
 	// Build index, then insert more and check the index sees the new tuples.
 	_ = lookup(r, []int{0}, []ast.Term{ast.S("a")})
@@ -98,7 +99,7 @@ func lookup(r *Relation, cols []int, vals []ast.Term) []int {
 }
 
 func TestLookupUnsortedColumns(t *testing.T) {
-	r := NewRelation("t", 3)
+	r := NewRelationWith(intern.NewTable(), "t", 3)
 	r.MustInsert(tup("a", "b", "c"))
 	r.MustInsert(tup("x", "b", "z"))
 	got := lookup(r, []int{2, 0}, []ast.Term{ast.S("c"), ast.S("a")})
@@ -108,7 +109,7 @@ func TestLookupUnsortedColumns(t *testing.T) {
 }
 
 func TestRelationCloneAndSorted(t *testing.T) {
-	r := NewRelation("e", 2)
+	r := NewRelationWith(intern.NewTable(), "e", 2)
 	r.MustInsert(tup("b", "x"))
 	r.MustInsert(tup("a", "y"))
 	c := r.Clone()
@@ -243,7 +244,7 @@ func TestQuickRelationSetSemantics(t *testing.T) {
 	// of distinct tuple keys, every inserted tuple is Contained, and a full
 	// column lookup finds each tuple.
 	f := func(tuples []randomTuple) bool {
-		r := NewRelation("t", 2)
+		r := NewRelationWith(intern.NewTable(), "t", 2)
 		distinct := make(map[string]bool)
 		for _, rt := range tuples {
 			r.MustInsert(rt.T)
@@ -272,7 +273,7 @@ func TestQuickLookupAgreesWithScan(t *testing.T) {
 	// Property: index lookup on column 0 returns exactly the tuples a full
 	// scan would find.
 	f := func(tuples []randomTuple, probe randomTuple) bool {
-		r := NewRelation("t", 2)
+		r := NewRelationWith(intern.NewTable(), "t", 2)
 		for _, rt := range tuples {
 			r.MustInsert(rt.T)
 		}
@@ -291,7 +292,7 @@ func TestQuickLookupAgreesWithScan(t *testing.T) {
 }
 
 func TestRelationDelete(t *testing.T) {
-	r := NewRelation("p", 2)
+	r := NewRelationWith(intern.NewTable(), "p", 2)
 	r.MustInsert(tup("a", "b"))
 	r.MustInsert(tup("c", "d"))
 	r.MustInsert(tup("e", "f"))

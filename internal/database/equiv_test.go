@@ -106,7 +106,8 @@ func TestRelationAgreesWithStringKeyedReference(t *testing.T) {
 	for _, arity := range []int{0, 1, 2, 3} {
 		t.Run(fmt.Sprintf("arity=%d", arity), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + arity)))
-			rels := []*Relation{NewRelation("r", arity), NewRelation("rows", arity)}
+			tab := intern.NewTable()
+			rels := []*Relation{NewRelationWith(tab, "r", arity), NewRelationWith(tab, "rows", arity)}
 			insert := []func(Tuple) (bool, error){
 				rels[0].Insert,
 				func(tup Tuple) (bool, error) {
@@ -227,7 +228,7 @@ func tupleKeys(ts []Tuple) string {
 // TestCloneIsIndependent checks that a cloned relation dedups against the
 // original contents but does not leak inserts back.
 func TestCloneIsIndependent(t *testing.T) {
-	rel := NewRelation("c", 2)
+	rel := NewRelationWith(intern.NewTable(), "c", 2)
 	rel.MustInsert(Tuple{ast.S("a"), ast.S("b")})
 	clone := rel.Clone()
 	if clone.MustInsert(Tuple{ast.S("a"), ast.S("b")}) {
@@ -248,7 +249,7 @@ func TestCloneIsIndependent(t *testing.T) {
 // checks that lookups stay exact (the index is maintained incrementally, not
 // rebuilt).
 func TestIndexMaintainedAcrossInserts(t *testing.T) {
-	rel := NewRelation("m", 2)
+	rel := NewRelationWith(intern.NewTable(), "m", 2)
 	for i := 0; i < 10; i++ {
 		rel.MustInsert(Tuple{ast.I(int64(i % 3)), ast.I(int64(i))})
 	}
@@ -269,7 +270,7 @@ func TestIndexMaintainedAcrossInserts(t *testing.T) {
 // TestLookupUnknownTerm probes with a constant that no relation has ever
 // seen; the result must be empty, not a panic or a table mutation.
 func TestLookupUnknownTerm(t *testing.T) {
-	rel := NewRelation("u", 1)
+	rel := NewRelationWith(intern.NewTable(), "u", 1)
 	rel.MustInsert(Tuple{ast.S("known")})
 	name := strings.Repeat("never-interned-", 3)
 	if got := lookup(rel, []int{0}, []ast.Term{ast.S(name)}); len(got) != 0 {
@@ -285,7 +286,7 @@ func TestLookupUnknownTerm(t *testing.T) {
 // one backing array, so this is the check that a bucket growing on one side
 // never shows up in the other relation or in a neighbouring bucket.
 func TestCloneIndexBucketsAreIndependent(t *testing.T) {
-	rel := NewRelation("e", 2)
+	rel := NewRelationWith(intern.NewTable(), "e", 2)
 	for k := 0; k < 8; k++ {
 		for v := 0; v < 3; v++ {
 			rel.MustInsert(Tuple{ast.I(int64(k)), ast.I(int64(v))})

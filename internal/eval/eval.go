@@ -159,8 +159,6 @@ type Stats struct {
 	Counters
 	// NewFacts is the number of distinct derived facts added to the store.
 	NewFacts int
-	// RuleFirings counts successful instantiations per rule index.
-	RuleFirings map[int]int64
 	// DeltaRuleEvals counts rule evaluations performed in delta iterations;
 	// SkippedRuleEvals counts the rule evaluations the scheduler skipped
 	// without running: a delta occurrence whose predicate had an empty delta
@@ -168,15 +166,6 @@ type Stats struct {
 	// a body with an empty relation.
 	DeltaRuleEvals   int64
 	SkippedRuleEvals int64
-}
-
-// addFiring records a successful rule instantiation.
-func (s *Stats) addFiring(rule int) {
-	if s.RuleFirings == nil {
-		s.RuleFirings = make(map[int]int64)
-	}
-	s.RuleFirings[rule]++
-	s.Derivations++
 }
 
 // merge folds a shard context's Stats into the root's at the end of a run.
@@ -193,12 +182,6 @@ func (s *Stats) merge(w *Stats) {
 	s.IndexProbes += w.IndexProbes
 	s.IndexHits += w.IndexHits
 	s.ScanRows += w.ScanRows
-	for rule, n := range w.RuleFirings {
-		if s.RuleFirings == nil {
-			s.RuleFirings = make(map[int]int64)
-		}
-		s.RuleFirings[rule] += n
-	}
 	s.DeltaRuleEvals += w.DeltaRuleEvals
 	s.SkippedRuleEvals += w.SkippedRuleEvals
 	s.CompiledPlans += w.CompiledPlans
@@ -360,7 +343,7 @@ type evalContext struct {
 func (ctx *evalContext) fork(fp *fixpoint) *evalContext {
 	w := *ctx
 	w.bound = make(map[variantKey]*runPipe)
-	w.stats = &Stats{RuleFirings: make(map[int]int64)}
+	w.stats = &Stats{}
 	w.fp = fp
 	w.flushedDerivations = 0
 	return &w
@@ -379,7 +362,7 @@ func newContext(c context.Context, pp *Prepared, edb *database.Store, seeds []as
 		opts:  opts,
 		ctx:   c,
 		bound: make(map[variantKey]*runPipe),
-		stats: &Stats{RuleFirings: make(map[int]int64)},
+		stats: &Stats{},
 	}
 	ctx.reader = ctx.store.Table().Reader()
 	// Pre-create relations for every derived predicate so lookups during

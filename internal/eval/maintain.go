@@ -182,8 +182,7 @@ func (m *Maintainer) run(store, minus, plus *database.Store, initial bool, opts 
 	}
 	ctx := m.ctx
 	ctx.store, ctx.opts, ctx.reader = store, opts, store.Table().Reader()
-	clear(ctx.stats.RuleFirings)
-	*ctx.stats = Stats{RuleFirings: ctx.stats.RuleFirings}
+	*ctx.stats = Stats{}
 	mr := &maintRun{
 		m:        m,
 		pp:       m.pp,

@@ -351,7 +351,7 @@ func (pl *pipeline) fire(ctx *evalContext, sc *pipeScratch, rd *intern.Reader, e
 	if !pl.headOK {
 		return fmt.Errorf("%w: rule %d (%s) produced %s", ErrNonGroundFact, pl.ruleIdx, pl.rule, pl.materializeHead(sc, rd))
 	}
-	ctx.stats.addFiring(pl.ruleIdx)
+	ctx.stats.Derivations++
 	if ctx.opts.MaxDerivations > 0 && ctx.stats.Derivations > ctx.opts.MaxDerivations {
 		return fmt.Errorf("%w: more than %d derivations", ErrLimitExceeded, ctx.opts.MaxDerivations)
 	}

@@ -4,14 +4,14 @@
 // few machine words instead of building and comparing canonical key strings.
 //
 // A Table is append-only: a term, once interned, keeps its ID for the
-// table's lifetime. IDs are comparable only within one table — since PR 2
-// every database.Store owns its own table (shared by its clones and the
-// evaluator's delta stores), so IDs must never be moved between relations
-// of unrelated stores, or between a store relation and a standalone
-// relation using the package-level default table (Global). Access is
-// guarded by a read-write mutex; the steady-state path (re-interning an
-// already known term) takes only the read lock, and the evaluator's hot
-// loop reads ID metadata lock-free through a Reader snapshot.
+// table's lifetime. IDs are comparable only within one table: every
+// database.Store owns its own table (shared by its clones and the
+// evaluator's delta stores), and a standalone relation names its table at
+// construction, so IDs must never be moved between relations of different
+// tables. Access is guarded by a read-write mutex; the steady-state path
+// (re-interning an already known term) takes only the read lock, and the
+// evaluator's hot loop reads ID metadata lock-free through a Reader
+// snapshot.
 package intern
 
 import (
@@ -82,21 +82,6 @@ func NewTable() *Table {
 		comps: make(map[string]ID),
 	}
 }
-
-// global is the process-wide table shared by every relation.
-var global = NewTable()
-
-// Global returns the process-wide table.
-func Global() *Table { return global }
-
-// Intern interns a ground term into the process-wide table.
-func Intern(t ast.Term) ID { return global.Intern(t) }
-
-// Find looks a ground term up in the process-wide table without interning.
-func Find(t ast.Term) (ID, bool) { return global.Find(t) }
-
-// TermOf returns the term interned under id in the process-wide table.
-func TermOf(id ID) ast.Term { return global.Term(id) }
 
 // Key encodes a name plus a sequence of IDs into a compact string usable as
 // a map key: the name, a NUL separator, then each ID as 4 little-endian

@@ -705,18 +705,3 @@ func sortDiagnostics(diags []Diagnostic) {
 		return a.Code < b.Code
 	})
 }
-
-// MaxSeverity returns the highest severity among the diagnostics, and false
-// if there are none.
-func MaxSeverity(diags []Diagnostic) (Severity, bool) {
-	if len(diags) == 0 {
-		return Info, false
-	}
-	max := Info
-	for _, d := range diags {
-		if d.Severity > max {
-			max = d.Severity
-		}
-	}
-	return max, true
-}

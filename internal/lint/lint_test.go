@@ -303,13 +303,3 @@ func TestDiagnosticString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
-
-func TestMaxSeverity(t *testing.T) {
-	if _, ok := MaxSeverity(nil); ok {
-		t.Error("MaxSeverity(nil) reported diagnostics")
-	}
-	s, ok := MaxSeverity([]Diagnostic{{Severity: Info}, {Severity: Error}, {Severity: Warning}})
-	if !ok || s != Error {
-		t.Errorf("MaxSeverity = %v, %v", s, ok)
-	}
-}

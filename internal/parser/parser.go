@@ -96,23 +96,6 @@ func ParseProgram(src string) (*ast.Program, error) {
 	return unit.Program(), nil
 }
 
-// ParseRule parses a single rule or fact terminated by '.'.
-func ParseRule(src string) (ast.Rule, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return ast.Rule{}, err
-	}
-	p := &parser{toks: toks}
-	r, err := p.parseClause()
-	if err != nil {
-		return ast.Rule{}, err
-	}
-	if !p.at(tokEOF) {
-		return ast.Rule{}, errTok(p.cur(), "trailing input after rule")
-	}
-	return r, nil
-}
-
 // ParseAtom parses a single atom, with no trailing '.'.
 func ParseAtom(src string) (ast.Atom, error) {
 	toks, err := lexAll(src)

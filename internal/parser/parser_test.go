@@ -162,13 +162,6 @@ func TestParseProgramRejectsFactsAndQueries(t *testing.T) {
 }
 
 func TestParseRuleAndAtom(t *testing.T) {
-	r, err := ParseRule("sg(X, Y) :- up(X, Z1), sg(Z1, Z2), down(Z2, Y).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Body) != 3 || r.Head.Pred != "sg" {
-		t.Errorf("rule = %s", r)
-	}
 	a, err := ParseAtom("magic_sg(john)")
 	if err != nil {
 		t.Fatal(err)
@@ -178,9 +171,6 @@ func TestParseRuleAndAtom(t *testing.T) {
 	}
 	if _, err := ParseAtom("p(X) extra"); err == nil {
 		t.Error("trailing input after atom should be rejected")
-	}
-	if _, err := ParseRule("p(X) :- q(X). r(Y) :- q(Y)."); err == nil {
-		t.Error("ParseRule must reject more than one rule")
 	}
 }
 

@@ -24,7 +24,6 @@ package sip
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ast"
@@ -325,24 +324,6 @@ func (g *Graph) TotalOrder() ([]int, error) {
 	return order, nil
 }
 
-// LastWithArc returns the position (in the sip total order) of the last body
-// occurrence that has an incoming arc, and the total order itself. It
-// returns -1 when no occurrence has an incoming arc. The supplementary
-// rewritings use this to decide how many supplementary predicates to create.
-func (g *Graph) LastWithArc() (lastOrderIndex int, order []int, err error) {
-	order, err = g.TotalOrder()
-	if err != nil {
-		return 0, nil, err
-	}
-	lastOrderIndex = -1
-	for idx, pos := range order {
-		if len(g.ArcsInto(pos)) > 0 {
-			lastOrderIndex = idx
-		}
-	}
-	return lastOrderIndex, order, nil
-}
-
 // String renders the sip in the paper's notation, one arc per line, e.g.
 // "{sg_h, up} ->{Z1} sg.1".
 func (g *Graph) String() string {
@@ -614,12 +595,4 @@ func (f *Fixed) SipFor(rule ast.Rule, headAdornment ast.Adornment, derived map[s
 		return g, nil
 	}
 	return f.Default.SipFor(rule, headAdornment, derived)
-}
-
-// SortedNodes returns a copy of the node slice in ascending order with
-// HeadNode first; used for deterministic rendering.
-func SortedNodes(nodes []int) []int {
-	out := append([]int(nil), nodes...)
-	sort.Ints(out)
-	return out
 }

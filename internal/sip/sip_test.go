@@ -124,10 +124,6 @@ func TestAncestorSip(t *testing.T) {
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Errorf("total order = %v", order)
 	}
-	last, _, err := g.LastWithArc()
-	if err != nil || last != 1 {
-		t.Errorf("LastWithArc = %d, %v", last, err)
-	}
 }
 
 func TestFreeQueryProducesNoArcs(t *testing.T) {
@@ -318,12 +314,5 @@ func TestListReverseSip(t *testing.T) {
 	}
 	if !g.Arcs[1].Label["V"] || !g.Arcs[1].Label["Z"] || len(g.Arcs[1].Label) != 2 {
 		t.Errorf("arc into append.1 labelled %v, want {V, Z}", g.Arcs[1].LabelVars())
-	}
-}
-
-func TestSortedNodes(t *testing.T) {
-	got := SortedNodes([]int{3, HeadNode, 1})
-	if len(got) != 3 || got[0] != HeadNode || got[1] != 1 || got[2] != 3 {
-		t.Errorf("SortedNodes = %v", got)
 	}
 }

@@ -96,7 +96,7 @@ type Goal struct {
 // bound constants. Interning keeps the key compact and avoids re-encoding
 // deep terms on every memo-table probe. Keys are comparable only when
 // produced against the same table; each evaluation owns a table of its own
-// (see Result.GoalKey), so long-lived servers do not grow a process-wide
+// (see Result.GoalKey), so long-lived servers do not grow the database's
 // symbol table with every query constant ever memoized.
 func (g Goal) Key(tab *intern.Table) string {
 	ids := make([]intern.ID, len(g.Bound))
@@ -175,8 +175,7 @@ type evaluator struct {
 
 	// keys is this evaluation's own symbol table: goal keys and the goal
 	// tables intern into it, so memoizing a query's constants never grows
-	// the process-wide table (or the database's) — the table dies with the
-	// evaluation's Result.
+	// the database's table — the table dies with the evaluation's Result.
 	keys    *intern.Table
 	goals   map[string]Goal
 	tables  map[string]*database.Relation // full-arity answers per goal key

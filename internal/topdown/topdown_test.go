@@ -182,21 +182,25 @@ func TestGoalKeyAndString(t *testing.T) {
 }
 
 // TestGoalKeysScopedToEvaluation checks that memoizing a query's constants
-// interns into the evaluation's own symbol table: the process-wide table
-// must not grow, so a long-lived server running the top-down strategy does
-// not leak one table entry per distinct constant ever queried.
+// interns into the evaluation's own symbol table: the database's table must
+// not grow, so a long-lived server running the top-down strategy does not
+// leak one table entry per distinct constant ever queried.
 func TestGoalKeysScopedToEvaluation(t *testing.T) {
 	ad := adorned(t, ancestorSrc, "anc(n0, Y)")
-	before := intern.Global().Len()
-	res, err := Evaluate(ad, parentChain(30), Options{})
+	edb := parentChain(30)
+	before := edb.Table().Len()
+	res, err := Evaluate(ad, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Answers) == 0 {
 		t.Fatal("expected answers")
 	}
-	if after := intern.Global().Len(); after != before {
-		t.Errorf("process-wide intern table grew from %d to %d entries during a top-down evaluation", before, after)
+	if _, err := Evaluate(adorned(t, ancestorSrc, "anc(stranger, Y)"), edb, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := edb.Table().Len(); after != before {
+		t.Errorf("database intern table grew from %d to %d entries during top-down evaluations", before, after)
 	}
 	// The result can still probe its own goal set.
 	g := Goal{Pred: ad.QueryPred, Bound: ad.Query.BoundConstants()}
